@@ -9,19 +9,20 @@ effective passes, and an empirical verification suite for the scheme's
 guarantees.
 """
 
-from .data import Dataset, DatasetView, Sample, generate_synthetic, normalize, \
-    parse_sparse_text, prefix, shuffle_and_split
-from .erm import RiskSpec, empirical_loss_and_grad, loss_value, risk_value, \
-    risk_value_and_grad, smoothness_constant, test_error
+from .data import Dataset, DatasetView, generate_synthetic, normalize, parse_sparse_text, \
+    shuffle_and_split
+from .erm import RiskSpec, empirical_loss_and_grad, risk_value, risk_value_and_grad, \
+    smoothness_constant, test_error
 from .schedule import StagePlan, WstarEstimate, agd_params, build_stage_plans, \
     iterations_agd, iterations_generic, iterations_svrg, next_sample_size, \
     statistical_accuracy, stop_threshold, svrg_params, total_complexity_agd, \
     total_complexity_svrg, warm_start_bound, warm_start_bound_doubled
 from .solvers import DivergenceError, SolverState, StepBudget, agd_step, gd_step, \
     init_state, solve, svrg_epoch
-from .driver import RunConfig, StageReport, adaptive_run, bootstrap, fixed_run
-from .bench import ReferenceOptimum, Trace, TraceEvent, compare_matrix, effective_passes, \
-    emit_csv, reference_optimum
+from .driver import RunConfig, StageReport, Trace, TraceEvent, adaptive_run, bootstrap, \
+    fixed_run
+from .bench import ReferenceOptimum, compare_matrix, effective_passes, emit_csv, \
+    reference_optimum
 from .verify import CheckReport, fd_gradient_check, lemma1_check, lemma2_check, \
     proposition1_check, svrg_direction_check, theorem_sn_sufficiency_check
 

@@ -10,45 +10,19 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import erm, schedule, solvers
+from . import driver, erm, schedule, solvers
 from .data import Dataset, DatasetView
+from .driver import Trace, TraceEvent  # noqa: F401  (both stay importable from bench)
 from .erm import RiskSpec
 
 TRACE_CSV_HEADER = "effective_passes,grad_evals,stage_n,suboptimality,grad_norm,test_error"
-SUMMARY_CSV_HEADER = (
-    "method,adaptive,passes_to_VN,passes_to_min_test_error,min_test_error,speedup_vs_fixed"
-)
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    grad_evals: int
-    stage_n: int
-    risk_value: float      # full-set risk R_N at the iterate
-    grad_norm: float       # current-stage gradient norm
-    test_error: float | None = None
-
-
-@dataclass
-class Trace:
-    """Append-only event log of one run; meta echoes the run configuration."""
-
-    events: list[TraceEvent] = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
-
-    def append(self, event: TraceEvent) -> None:
-        # keep grad_evals strictly increasing; measurements at an unchanged
-        # counter supersede the previous event at that counter
-        if self.events and event.grad_evals == self.events[-1].grad_evals:
-            self.events[-1] = event
-            return
-        if self.events and event.grad_evals < self.events[-1].grad_evals:
-            raise ValueError("trace events must have nondecreasing grad_evals")
-        self.events.append(event)
+SUMMARY_COLUMNS = ("method", "adaptive", "passes_to_VN", "passes_to_min_test_error",
+                   "min_test_error", "speedup_vs_fixed")
+SUMMARY_CSV_HEADER = ",".join(SUMMARY_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -70,10 +44,7 @@ def reference_optimum(spec: RiskSpec, view: DatasetView, tolerance: float = 1e-1
     """
     if tolerance <= 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
-    max_sq = float(np.max(np.asarray(view.x.multiply(view.x).sum(axis=1)).ravel()))
-    tight_m = max_sq / 4.0 if spec.loss == "logistic" else max_sq
-    tight_spec = RiskSpec(loss=spec.loss, c=spec.c, alpha=spec.alpha,
-                          gamma=spec.gamma, M=max(tight_m, 1e-12))
+    tight_spec = replace(spec, M=erm.smoothness_constant(spec.loss, view))
     state = solvers.init_state("agd", view.dim)
     budget = solvers.StepBudget(mode="until_threshold", threshold=tolerance,
                                 max_iterations=max_iterations)
@@ -175,15 +146,14 @@ def _scan_trace(trace: Trace, ref: ReferenceOptimum, target: float, N: int):
 
 
 def compare_matrix(configs: list, spec: RiskSpec, train: Dataset,
-                   test: Dataset | None = None, return_traces: bool = False):
+                   test: Dataset | None = None):
     """Run every config on the shared data and summarize time-to-target per method.
 
     Rows for adaptive configs carry the speedup ratio against the fixed run
-    of the same method when both reached the target.  With `return_traces`
-    the per-config traces come back too (None for diverged runs).
+    of the same method when both reached the target.  Returns the rows, the
+    (config, trace) pairs (trace None for diverged runs) and the reference
+    optimum of the full-set risk that suboptimality was measured against.
     """
-    from . import driver  # run machinery; deferred to avoid a module cycle
-
     N_values = {cfg.N for cfg in configs}
     if len(N_values) != 1:
         raise ValueError("all configs in a comparison must share N")
@@ -220,28 +190,22 @@ def compare_matrix(configs: list, spec: RiskSpec, train: Dataset,
             if base is not None:
                 row.speedup_vs_fixed = (
                     math.inf if row.passes_to_target == 0 else base / row.passes_to_target)
-    if return_traces:
-        return rows, traces
-    return rows
+    return rows, traces, ref
+
+
+def _summary_cells(r: CompareRow, fmt: str, speedup_fmt: str) -> list[str]:
+    """One summary row's cells, numbers in the given format specs, empty where unknown."""
+    head = [r.method, str(r.adaptive).lower()]
+    if r.diverged:
+        return head + ["diverged", "", "", ""]
+    values = ((r.passes_to_target, fmt), (r.passes_to_min_test_error, fmt),
+              (r.min_test_error, fmt), (r.speedup_vs_fixed, speedup_fmt))
+    return head + ["" if v is None else format(v, f) for v, f in values]
 
 
 def format_summary_table(rows: list[CompareRow]) -> str:
-    headers = ["method", "adaptive", "passes_to_VN", "passes_to_min_test_error",
-               "min_test_error", "speedup_vs_fixed"]
-    table = [headers]
-    for r in rows:
-        if r.diverged:
-            table.append([r.method, str(r.adaptive).lower(), "diverged", "", "", ""])
-            continue
-        table.append([
-            r.method,
-            str(r.adaptive).lower(),
-            "" if r.passes_to_target is None else f"{r.passes_to_target:.4g}",
-            "" if r.passes_to_min_test_error is None else f"{r.passes_to_min_test_error:.4g}",
-            "" if r.min_test_error is None else f"{r.min_test_error:.4g}",
-            "" if r.speedup_vs_fixed is None else f"{r.speedup_vs_fixed:.3g}",
-        ])
-    widths = [max(len(row[i]) for row in table) for i in range(len(headers))]
+    table = [list(SUMMARY_COLUMNS)] + [_summary_cells(r, ".4g", ".3g") for r in rows]
+    widths = [max(len(row[i]) for row in table) for i in range(len(SUMMARY_COLUMNS))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in table]
     return "\n".join(lines) + "\n"
 
@@ -249,15 +213,4 @@ def format_summary_table(rows: list[CompareRow]) -> str:
 def write_summary_csv(rows: list[CompareRow], sink) -> None:
     sink.write(SUMMARY_CSV_HEADER + "\n")
     for r in rows:
-        if r.diverged:
-            sink.write(f"{r.method},{str(r.adaptive).lower()},diverged,,,\n")
-            continue
-        cells = [
-            r.method,
-            str(r.adaptive).lower(),
-            "" if r.passes_to_target is None else _fmt(r.passes_to_target),
-            "" if r.passes_to_min_test_error is None else _fmt(r.passes_to_min_test_error),
-            "" if r.min_test_error is None else _fmt(r.min_test_error),
-            "" if r.speedup_vs_fixed is None else _fmt(r.speedup_vs_fixed),
-        ]
-        sink.write(",".join(cells) + "\n")
+        sink.write(",".join(_summary_cells(r, ".17g", ".17g")) + "\n")

@@ -14,6 +14,7 @@ import hashlib
 import io
 import os
 import sys
+from dataclasses import replace
 from importlib import metadata
 from pathlib import Path
 
@@ -182,7 +183,13 @@ def _parse_label_map(text: str | None) -> dict | None:
         raw, _, mapped = pair.partition(":")
         if not mapped:
             raise UsageError(f"--label-map entries look like raw:mapped, got {pair!r}")
-        out[float(raw)] = float(mapped)
+        try:
+            key, value = float(raw), float(mapped)
+        except ValueError:
+            raise UsageError(f"--label-map entries must be numbers, got {pair!r}") from None
+        if value not in (-1.0, 1.0):
+            raise UsageError(f"--label-map must map onto -1 or +1, got {pair!r}")
+        out[key] = value
     return out
 
 
@@ -213,7 +220,7 @@ def _prepare_experiment(args):
     if N > ds.n_samples:
         raise UsageError(f"--N {N} exceeds dataset size {ds.n_samples}")
     train, test = data.shuffle_and_split(ds, N, seed=args.seed)
-    m = 1.0 if args.m_mode == "paper" else erm.smoothness_constant(args.loss, train, "tight")
+    m = 1.0 if args.m_mode == "paper" else erm.smoothness_constant(args.loss, train)
     spec = RiskSpec(loss=args.loss, c=args.c, alpha=args.alpha, gamma=args.gamma, M=m)
     return train, test, spec, N, digest
 
@@ -287,10 +294,8 @@ def cmd_compare(args) -> int:
         for method in ("gd", "agd", "svrg")
         for adaptive in (False, True)
     ]
-    rows, traces = bench.compare_matrix(configs, spec, train,
-                                        test if test.n_samples else None,
-                                        return_traces=True)
-    ref = bench.reference_optimum(spec, train.prefix(N))
+    rows, traces, ref = bench.compare_matrix(configs, spec, train,
+                                             test if test.n_samples else None)
     out_dir = _out_dir(args)
     outputs = []
     for cfg, trace in traces:
@@ -311,7 +316,7 @@ def cmd_compare(args) -> int:
 
 def cmd_bounds(args) -> int:
     spec = RiskSpec(loss="logistic", c=args.c, alpha=args.alpha, gamma=args.gamma, M=args.M)
-    wstar = WstarEstimate(args.wstar, "user" if args.wstar else "zero_default")
+    wstar = WstarEstimate(args.wstar)
     plans = schedule.build_stage_plans(spec, args.N, args.m0, wstar)
     headers = ["n", "V_n", "threshold", "agd_eta", "agd_beta", "svrg_q", "svrg_eta",
                "svrg_rho", "s_generic", "s_agd", "s_svrg"]
@@ -325,13 +330,14 @@ def cmd_bounds(args) -> int:
     widths = [max(len(r[i]) for r in rows) for i in range(len(headers))]
     for r in rows:
         print("  ".join(cell.rjust(w) for cell, w in zip(r, widths)))
-    ratio = args.N / args.m0
-    if args.N % args.m0 == 0 and (args.N // args.m0) & (args.N // args.m0 - 1) == 0:
+    try:
+        schedule.check_power_of_two_ratio(args.N, args.m0)
+    except ValueError:
+        print(f"total_agd_grad_evals = n/a (N/m0 = {args.N / args.m0:g} is not a power of two; "
+              "the run itself clamps the last stage to N)")
+    else:
         total_agd = schedule.total_complexity_agd(spec, args.N, args.m0, wstar)
         print(f"total_agd_grad_evals = {total_agd:.6g}")
-    else:
-        print(f"total_agd_grad_evals = n/a (N/m0 = {ratio:g} is not a power of two; "
-              "the run itself clamps the last stage to N)")
     total_svrg = schedule.total_complexity_svrg(spec, args.N, wstar)
     print(f"total_svrg_grad_evals = {total_svrg:.6g}")
     if args.csv:
@@ -354,7 +360,7 @@ def cmd_verify(args) -> int:
     small = train.prefix(min(128, N))
     if "fd" in selected:
         reports.append(verify.fd_gradient_check(spec, small, args.trials, seed=args.seed))
-        sq = RiskSpec(loss="squared", c=spec.c, alpha=spec.alpha, gamma=spec.gamma, M=spec.M)
+        sq = replace(spec, loss="squared")
         reports.append(verify.fd_gradient_check(sq, small, args.trials, seed=args.seed,
                                                 rel_tol=1e-9))
     if "svrg_direction" in selected:

@@ -10,7 +10,6 @@ construction.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -27,15 +26,6 @@ class SparseTextError(ValueError):
 
 class EmptyDatasetError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One labelled example: 1-based strictly increasing indices, no stored zeros."""
-
-    indices: np.ndarray  # 1-based feature indices, strictly increasing
-    values: np.ndarray
-    label: float
 
 
 class Dataset:
@@ -70,10 +60,6 @@ class Dataset:
     def __len__(self) -> int:
         return self.n_samples
 
-    def sample(self, i: int) -> Sample:
-        lo, hi = self.x.indptr[i], self.x.indptr[i + 1]
-        return Sample(self.x.indices[lo:hi] + 1, self.x.data[lo:hi], float(self.y[i]))
-
     def prefix(self, n: int) -> "DatasetView":
         return DatasetView(self, n)
 
@@ -86,10 +72,11 @@ class Dataset:
 
     def to_sparse_text(self) -> str:
         out = io.StringIO()
+        x = self.x
         for i in range(self.n_samples):
-            s = self.sample(i)
-            fields = ["+1" if s.label > 0 else "-1"]
-            fields.extend(f"{int(j)}:{v:.17g}" for j, v in zip(s.indices, s.values))
+            lo, hi = x.indptr[i], x.indptr[i + 1]
+            fields = ["+1" if self.y[i] > 0 else "-1"]
+            fields.extend(f"{int(j) + 1}:{v:.17g}" for j, v in zip(x.indices[lo:hi], x.data[lo:hi]))
             out.write(" ".join(fields))
             out.write("\n")
         return out.getvalue()
@@ -289,8 +276,3 @@ def shuffle_and_split(d: Dataset, train_count: int, seed: int = 0) -> tuple[Data
     train = Dataset(x[:train_count], y[:train_count], name=f"{d.name}-train", dim=d.dim)
     test = Dataset(x[train_count:], y[train_count:], name=f"{d.name}-test", dim=d.dim)
     return train, test
-
-
-def prefix(d: Dataset, n: int) -> DatasetView:
-    """View of the first n samples; prefixes nest for increasing n."""
-    return d.prefix(n)

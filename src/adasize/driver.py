@@ -10,13 +10,12 @@ iteration count for the chosen method.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from . import erm, schedule, solvers
-from .bench import Trace, TraceEvent
 from .data import Dataset
 from .erm import RiskSpec
 from .schedule import WstarEstimate
@@ -35,7 +34,6 @@ class RunConfig:
     seed: int = 0
     eval_every: int = 1
     pass_cap: int = 100            # fixed runs stop after this many effective passes
-    max_stage_iterations: int = 10**6
     wstar_norm_sq: float = 0.0     # feeds the theoretical iteration counts
 
     def __post_init__(self):
@@ -47,6 +45,33 @@ class RunConfig:
             raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
         if self.N and not 1 <= self.m0 <= self.N:
             raise ValueError(f"need 1 <= m0 <= N, got m0={self.m0}, N={self.N}")
+
+
+@dataclass(frozen=True)
+class TraceEvent:
+    grad_evals: int
+    stage_n: int
+    risk_value: float      # full-set risk R_N at the iterate
+    grad_norm: float       # current-stage gradient norm
+    test_error: float | None = None
+
+
+@dataclass
+class Trace:
+    """Append-only event log of one run; meta echoes the run configuration."""
+
+    events: list[TraceEvent] = field(default_factory=list)
+    meta: dict = field(default_factory=dict)
+
+    def append(self, event: TraceEvent) -> None:
+        # keep grad_evals strictly increasing; measurements at an unchanged
+        # counter supersede the previous event at that counter
+        if self.events and event.grad_evals == self.events[-1].grad_evals:
+            self.events[-1] = event
+            return
+        if self.events and event.grad_evals < self.events[-1].grad_evals:
+            raise ValueError("trace events must have nondecreasing grad_evals")
+        self.events.append(event)
 
 
 @dataclass(frozen=True)
@@ -107,14 +132,10 @@ def _stage_budget(config: RunConfig, spec: RiskSpec, n: int,
     # the bootstrap stage always uses the threshold rule: it must establish
     # the entry certificate the later fixed-count stages rely on
     if bootstrap or config.budget_mode == "until_threshold":
-        return StepBudget(mode="until_threshold",
-                          threshold=schedule.stop_threshold(spec, n),
-                          max_iterations=config.max_stage_iterations)
-    wstar = WstarEstimate(config.wstar_norm_sq,
-                          "user" if config.wstar_norm_sq else "zero_default")
+        return StepBudget(mode="until_threshold", threshold=schedule.stop_threshold(spec, n))
+    wstar = WstarEstimate(config.wstar_norm_sq)
     return StepBudget(mode="fixed_iterations",
-                      iterations=_theoretical_iterations(config.method, spec, n, wstar),
-                      max_iterations=max(config.max_stage_iterations, 1))
+                      iterations=_theoretical_iterations(config.method, spec, n, wstar))
 
 
 def _run_stage(state: SolverState, config: RunConfig, spec: RiskSpec, view,

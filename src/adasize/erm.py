@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import schedule
-from .data import Dataset, DatasetView, Sample
+from .data import Dataset, DatasetView
 
 LOSSES = ("logistic", "squared")
 
@@ -53,19 +53,6 @@ class RiskSpec:
         for field in ("c", "gamma", "M"):
             if getattr(self, field) <= 0:
                 raise ValueError(f"{field} must be positive, got {getattr(self, field)}")
-
-
-def loss_value(loss: str, w: np.ndarray, z: Sample) -> float:
-    """Per-sample loss, overflow-safe for arbitrarily large margins."""
-    _check_loss(loss)
-    idx0 = np.asarray(z.indices) - 1
-    if idx0.size and idx0.max() >= w.shape[0]:
-        raise ValueError("weight vector shorter than sample feature index")
-    t = float(np.asarray(z.values) @ w[idx0])
-    if loss == "logistic":
-        # log(1 + exp(-y*t)) via logaddexp; no overflow, no negative underflow
-        return float(np.logaddexp(0.0, -z.label * t))
-    return 0.5 * (t - z.label) ** 2
 
 
 def _loss_terms(loss: str, margins: np.ndarray, y: np.ndarray):
@@ -117,22 +104,18 @@ def sample_loss_coef(loss: str, margin: float, label: float) -> float:
     return float(margin - label)
 
 
-def smoothness_constant(loss: str, d: Dataset, mode: str = "tight") -> float:
-    """Gradient Lipschitz constant of the empirical loss.
+def smoothness_constant(loss: str, d: Dataset | DatasetView) -> float:
+    """Tight gradient Lipschitz constant of the empirical loss over d's samples.
 
-    `paper_conservative` is the unit constant appropriate for normalized
-    data; `tight` uses the exact per-loss curvature bound from the largest
-    sample norm.
+    The per-loss curvature bound (1/4 for logistic, 1 for squared) times the
+    largest squared sample norm, floored at 1e-12 so that an all-zero set
+    still gives finite step sizes.
     """
     _check_loss(loss)
-    if mode == "paper_conservative":
-        return 1.0
-    if mode != "tight":
-        raise ValueError(f"unknown mode {mode!r}; expected paper_conservative or tight")
-    if d.n_samples == 0:
+    if d.x.shape[0] == 0:
         raise EmptyViewError("smoothness constant needs a nonempty dataset")
-    max_sq = float(np.max(d.row_norms()) ** 2)
-    return max_sq / 4.0 if loss == "logistic" else max_sq
+    max_sq = float(np.max(np.asarray(d.x.multiply(d.x).sum(axis=1)).ravel()))
+    return max(max_sq / 4.0 if loss == "logistic" else max_sq, 1e-12)
 
 
 def test_error(loss: str, w: np.ndarray, test: Dataset) -> float:

@@ -30,19 +30,15 @@ _INT_SNAP = 1e-9
 class WstarEstimate:
     """Squared norm of the statistical optimum used inside iteration bounds.
 
-    The statistical optimum is unobservable; sources are a user-supplied
-    value, a reference solve on held-out data, or the zero default (which
-    yields the smallest valid iteration counts).
+    The statistical optimum is unobservable, so the value is user-supplied;
+    the zero default yields the smallest valid iteration counts.
     """
 
     norm_sq: float = 0.0
-    source: str = "zero_default"  # user | reference_solve | zero_default
 
     def __post_init__(self):
         if self.norm_sq < 0:
             raise ValueError(f"norm_sq must be nonnegative, got {self.norm_sq}")
-        if self.source not in ("user", "reference_solve", "zero_default"):
-            raise ValueError(f"unknown wstar source {self.source!r}")
 
 
 @dataclass(frozen=True)
@@ -147,8 +143,7 @@ def _doubling_log_argument(spec: "RiskSpec", wstar: WstarEstimate) -> float:
 
 def _agd_log_argument(spec: "RiskSpec", wstar: WstarEstimate) -> float:
     """AGD variant carries an extra factor two: 6*2^a + (2^a - 1)(4 + c||w*||^2)."""
-    two_a = 2.0**spec.alpha
-    return 6.0 * two_a + (two_a - 1.0) * (4.0 + spec.c * wstar.norm_sq)
+    return 2.0 * _doubling_log_argument(spec, wstar)
 
 
 def iterations_generic(rho_n: float, spec: "RiskSpec", wstar: WstarEstimate | None = None) -> int:
@@ -176,7 +171,8 @@ def iterations_svrg(spec: "RiskSpec", wstar: WstarEstimate | None = None) -> int
     return _floor_plus_one(math.log2(_doubling_log_argument(spec, wstar)))
 
 
-def _check_power_of_two_ratio(N: int, m0: int) -> int:
+def check_power_of_two_ratio(N: int, m0: int) -> int:
+    """log2(N/m0); raises ValueError unless N/m0 is a power of two."""
     if N % m0 != 0 or (N // m0) & (N // m0 - 1):
         raise ValueError(f"N/m0 must be a power of two, got N={N}, m0={m0}")
     return (N // m0).bit_length() - 1
@@ -186,7 +182,7 @@ def total_complexity_agd(spec: "RiskSpec", N: int, m0: int,
                          wstar: WstarEstimate | None = None) -> float:
     """Closed-form total per-sample gradient evaluations of the adaptive AGD scheme."""
     wstar = wstar or WstarEstimate()
-    q = _check_power_of_two_ratio(N, m0)
+    q = check_power_of_two_ratio(N, m0)
     root_two_a = math.sqrt(2.0**spec.alpha)
     bracket = (
         1.0

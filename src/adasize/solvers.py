@@ -35,9 +35,7 @@ class SolverState:
 
     method: str
     w: np.ndarray
-    agd_y: np.ndarray | None = None          # momentum lookahead sequence
-    svrg_anchor: np.ndarray | None = None    # outer-loop anchor
-    svrg_full_grad: np.ndarray | None = None  # risk gradient at the anchor used last epoch
+    agd_y: np.ndarray | None = None  # momentum lookahead sequence
     rng: np.random.Generator | None = None
     grad_evals: int = 0
 
@@ -51,20 +49,18 @@ def init_state(method: str, dim: int, seed: int = 0) -> SolverState:
     if method == "agd":
         state.agd_y = w.copy()
     elif method == "svrg":
-        state.svrg_anchor = w.copy()
         state.rng = np.random.Generator(np.random.Philox(seed))
     return state
 
 
 def reset_aux(state: SolverState) -> SolverState:
-    """Re-anchor the auxiliary sequences at the current iterate (stage warm start)."""
-    out = replace(state)
+    """Re-anchor the momentum sequence at the current iterate (stage warm start).
+
+    SVRG needs nothing here: every epoch anchors at the iterate it starts from.
+    """
     if state.method == "agd":
-        out.agd_y = state.w.copy()
-    elif state.method == "svrg":
-        out.svrg_anchor = state.w.copy()
-        out.svrg_full_grad = None
-    return out
+        return replace(state, agd_y=state.w.copy())
+    return state
 
 
 @dataclass
@@ -148,12 +144,13 @@ def svrg_direction(spec: RiskSpec, view: DatasetView, i: int, w_hat: np.ndarray,
 def svrg_epoch(state: SolverState, spec: RiskSpec, view: DatasetView) -> SolverState:
     """One outer loop: full gradient at the anchor, then n variance-reduced inner steps.
 
-    The inner iterate starts at the anchor and the last inner iterate becomes
-    the next anchor.  Inner indices are drawn uniformly with replacement from
-    the state generator, so the epoch is deterministic given the state.
+    The anchor is the entry iterate w: the inner iterate starts there, and
+    the last inner iterate is the exit iterate and so the next anchor.
+    Inner indices are drawn uniformly with replacement from the state
+    generator, so the epoch is deterministic given the state.
     """
-    if state.method != "svrg" or state.svrg_anchor is None or state.rng is None:
-        raise ValueError("svrg_epoch needs an svrg state with anchor and generator set")
+    if state.method != "svrg" or state.rng is None:
+        raise ValueError("svrg_epoch needs an svrg state with its generator set")
     n = view.count
     q, eta, _ = schedule.svrg_params(spec, n)
     anchor = state.w
@@ -163,13 +160,7 @@ def svrg_epoch(state: SolverState, spec: RiskSpec, view: DatasetView) -> SolverS
     for i in picks:
         w_hat -= eta * svrg_direction(spec, view, int(i), w_hat, anchor, full_grad)
     _ensure_finite(w_hat, f"svrg epoch at n={n}")
-    return replace(
-        state,
-        w=w_hat,
-        svrg_anchor=w_hat.copy(),
-        svrg_full_grad=full_grad,
-        grad_evals=state.grad_evals + 2 * n,
-    )
+    return replace(state, w=w_hat, grad_evals=state.grad_evals + 2 * n)
 
 
 _STEPPERS: dict[str, Callable[..., SolverState]] = {

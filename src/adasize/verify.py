@@ -46,8 +46,11 @@ class CheckReport:
     trials: int
     violations: int
     worst_margin: float
-    passed: bool
     notes: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return self.violations == 0
 
     def csv_line(self) -> str:
         return (f"{self.name},{self.trials},{self.violations},"
@@ -104,7 +107,6 @@ def fd_gradient_check(spec: RiskSpec, view: DatasetView, trials: int, seed: int 
         trials=trials,
         violations=violations,
         worst_margin=worst,
-        passed=violations == 0,
         notes=f"{trials} weight draws x {k} coordinates, h={h:g}, rel_tol={rel_tol:g}",
     )
 
@@ -139,7 +141,6 @@ def svrg_direction_check(spec: RiskSpec, view: DatasetView, trials: int,
         trials=trials,
         violations=violations,
         worst_margin=worst,
-        passed=violations == 0,
         notes=f"exact enumeration over {n} indices, abs_tol={abs_tol:g}",
     )
 
@@ -184,6 +185,24 @@ def unregularized_optimum_proxy(loss: str, base: Dataset, l2: float = 1e-10):
     return w, float(w @ w)
 
 
+def _nested_draws(loss: str, base: Dataset, m: int, n: int, draws: int, seed: int):
+    """Seeded random nested subsets S_m < S_n of the base set, one per draw.
+
+    Yields (perm, l_full, l_m, l_nm): the permutation whose first m and
+    first n entries index S_m and S_n, and the mean loss over the base set,
+    over S_m and over S_n minus S_m, at every point of the probe grid.  The
+    seed fixes both the grid and the draws.
+    """
+    ss = np.random.SeedSequence(seed)
+    probe_seed, draw_seed = (int(s.generate_state(1)[0]) for s in ss.spawn(2))
+    losses = _loss_matrix(loss, base, _probe_grid(base.dim, probe_seed))
+    l_full = losses.mean(axis=0)
+    rng = np.random.default_rng(draw_seed)
+    for _ in range(draws):
+        perm = rng.permutation(base.n_samples)
+        yield perm, l_full, losses[perm[:m]].mean(axis=0), losses[perm[m:n]].mean(axis=0)
+
+
 def lemma1_check(spec: RiskSpec, base: Dataset, m: int, n: int, draws: int,
                  seed: int = 0) -> CheckReport:
     """Mean |L_n - L_m| at each probe vs ((n-m)/n)(V_{n-m} + V_m), estimated accuracies."""
@@ -193,20 +212,10 @@ def lemma1_check(spec: RiskSpec, base: Dataset, m: int, n: int, draws: int,
         raise ValueError(f"need draws >= 100 for a usable estimate, got {draws}")
     if m == 0:
         raise ValueError("m must be positive")
-    ss = np.random.SeedSequence(seed)
-    probe_seed, draw_seed = (int(s.generate_state(1)[0]) for s in ss.spawn(2))
-    probes = _probe_grid(base.dim, probe_seed)
-    losses = _loss_matrix(spec.loss, base, probes)
-    l_full = losses.mean(axis=0)
-
-    rng = np.random.default_rng(draw_seed)
-    sum_diff = np.zeros(probes.shape[1])
+    sum_diff = np.zeros(PROBE_COUNT)
     sup_m_total = 0.0
     sup_nm_total = 0.0
-    for _ in range(draws):
-        perm = rng.permutation(base.n_samples)
-        l_m = losses[perm[:m]].mean(axis=0)
-        l_nm = losses[perm[m:n]].mean(axis=0)
+    for _, l_full, l_m, l_nm in _nested_draws(spec.loss, base, m, n, draws, seed):
         l_n = (m * l_m + (n - m) * l_nm) / n
         sum_diff += np.abs(l_n - l_m)
         sup_m_total += float(np.max(np.abs(l_full - l_m)))
@@ -219,10 +228,9 @@ def lemma1_check(spec: RiskSpec, base: Dataset, m: int, n: int, draws: int,
     violations = int(np.sum(margins < 0))
     return CheckReport(
         name=f"lemma1_m{m}_n{n}",
-        trials=probes.shape[1],
+        trials=PROBE_COUNT,
         violations=violations,
         worst_margin=float(np.min(margins)),
-        passed=violations == 0,
         notes=(f"{draws} draws; V_hat({m})={v_m_hat:.4g}, V_hat({n - m})={v_nm_hat:.4g}, "
                f"slack {LEMMA1_SLACK:.0%}"),
     )
@@ -253,22 +261,9 @@ def lemma2_check(spec: RiskSpec, base: Dataset, n: int, draws: int,
         trials=draws,
         violations=0 if margin >= 0 else 1,
         worst_margin=margin,
-        passed=margin >= 0,
         notes=(f"mean ||w_n*||^2 = {mean_norm:.4g} vs 4/c + ||w*||^2 = {raw_bound:.4g}; "
                f"{exceed}/{draws} draws above the unslacked bound"),
     )
-
-
-def _solve_to_threshold(spec: RiskSpec, view: DatasetView) -> np.ndarray:
-    """Stage solve from zero under the gradient-norm rule, tight-constant steps."""
-    max_sq = float(np.max(np.asarray(view.x.multiply(view.x).sum(axis=1)).ravel()))
-    tight_m = max_sq / 4.0 if spec.loss == "logistic" else max_sq
-    tight = RiskSpec(loss=spec.loss, c=spec.c, alpha=spec.alpha, gamma=spec.gamma,
-                     M=max(tight_m, 1e-12))
-    state = solvers.init_state("agd", view.dim)
-    budget = solvers.StepBudget(mode="until_threshold",
-                                threshold=schedule.stop_threshold(spec, view.count))
-    return solvers.solve(state, tight, view, budget).state.w
 
 
 def proposition1_check(spec: RiskSpec, base: Dataset, m: int, draws: int,
@@ -279,24 +274,16 @@ def proposition1_check(spec: RiskSpec, base: Dataset, m: int, draws: int,
         raise ValueError(f"need 2m <= base size, got m={m}, base={base.n_samples}")
     if draws < 1:
         raise ValueError("draws must be >= 1")
-    ss = np.random.SeedSequence(seed)
-    probe_seed, draw_seed = (int(s.generate_state(1)[0]) for s in ss.spawn(2))
     _, wsq = unregularized_optimum_proxy(spec.loss, base)
-    probes = _probe_grid(base.dim, probe_seed)
-    losses = _loss_matrix(spec.loss, base, probes)
-    l_full = losses.mean(axis=0)
-
-    rng = np.random.default_rng(draw_seed)
     lhs_values = []
     sup = {m: 0.0, n - m: 0.0, n: 0.0}
-    for _ in range(draws):
-        perm = rng.permutation(base.n_samples)
+    for perm, l_full, l_m, l_nm in _nested_draws(spec.loss, base, m, n, draws, seed):
         nested = _shuffled_copy(base, perm, n)
-        w_m = _solve_to_threshold(spec, nested.prefix(m))
+        # stage-m solve from zero under the gradient-norm rule, tight-constant steps
+        w_m = bench.reference_optimum(spec, nested.prefix(m),
+                                      tolerance=schedule.stop_threshold(spec, m)).w_star_n
         ref_n = bench.reference_optimum(spec, nested.full_view(), tolerance=1e-9)
         lhs_values.append(erm.risk_value(spec, w_m, nested.full_view()) - ref_n.risk_star)
-        l_m = losses[perm[:m]].mean(axis=0)
-        l_nm = losses[perm[m:n]].mean(axis=0)
         sup[m] += float(np.max(np.abs(l_full - l_m)))
         sup[n - m] += float(np.max(np.abs(l_full - l_nm)))
         sup[n] += float(np.max(np.abs(l_full - (m * l_m + (n - m) * l_nm) / n)))
@@ -319,7 +306,6 @@ def proposition1_check(spec: RiskSpec, base: Dataset, m: int, draws: int,
         trials=draws,
         violations=0 if margin >= 0 else 1,
         worst_margin=margin,
-        passed=margin >= 0,
         notes=(f"mean warm-start gap {mean_lhs:.4g} vs bound {bound:.4g} "
                f"(slack {PROP1_SLACK:.0%}); {exceed}/{draws} draws above the raw bound"),
     )
@@ -390,6 +376,5 @@ def theorem_sn_sufficiency_check(method: str, spec: RiskSpec, base: Dataset, m0:
         trials=draws,
         violations=violations,
         worst_margin=worst,
-        passed=violations == 0,
         notes=notes,
     )

@@ -28,7 +28,7 @@ SVRG_TOTAL_N10000 = 93691.58266766616
 def _suite_base(seed=0, n=8192, dim=20):
     ds, _ = a.generate_synthetic(n, dim, 1.0, seed=seed)
     train = a.normalize(ds)
-    m = a.smoothness_constant("logistic", train, "tight")
+    m = a.smoothness_constant("logistic", train)
     spec = a.RiskSpec(loss="logistic", c=1.0, alpha=0.5, gamma=1.0, M=m)
     return train, spec
 
@@ -107,7 +107,7 @@ def test_criterion_4_theoretical_iteration_sufficiency(suite):
     # the adaptive SVRG epoch count per stage must equal the closed-form
     # constant evaluated at the same squared-norm proxy
     _, wsq = verify.unregularized_optimum_proxy(spec.loss, train)
-    expected = iterations_svrg(spec, WstarEstimate(wsq, "user"))
+    expected = iterations_svrg(spec, WstarEstimate(wsq))
     two_a = 2.0**spec.alpha
     by_hand = math.floor(math.log2(3 * two_a + (two_a - 1) * (2 + 0.5 * spec.c * wsq))) + 1
     assert expected == by_hand
@@ -138,7 +138,7 @@ def test_criterion_5_speedup_over_fixed():
         ds, _ = a.generate_synthetic(N, 100, 0.3, seed=seed,
                                      margin_scale=1.3, feature_decay=1.0)
         train, _ = a.shuffle_and_split(a.normalize(ds), N, seed=seed)
-        m = a.smoothness_constant("logistic", train, "tight")
+        m = a.smoothness_constant("logistic", train)
         spec = a.RiskSpec(loss="logistic", c=1.0, alpha=0.5, gamma=2.0, M=m)
         ref = bench.reference_optimum(spec, train.prefix(N), tolerance=1e-9)
         target = a.statistical_accuracy(spec, N)

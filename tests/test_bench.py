@@ -139,7 +139,7 @@ class TestCompareMatrix:
     def test_single_config_no_ratio(self, compare_setup):
         train, spec = compare_setup
         cfg = RunConfig(method="agd", adaptive=True, m0=256, N=1024, seed=1)
-        rows = compare_matrix([cfg], spec, train)
+        rows, _, _ = compare_matrix([cfg], spec, train)
         assert len(rows) == 1
         assert rows[0].speedup_vs_fixed is None
         assert rows[0].passes_to_target is not None
@@ -149,7 +149,7 @@ class TestCompareMatrix:
         train, spec = compare_setup
         cfgs = [RunConfig(method="agd", adaptive=False, m0=1024, N=1024, seed=1),
                 RunConfig(method="agd", adaptive=True, m0=1024, N=1024, seed=1)]
-        rows = compare_matrix(cfgs, spec, train)
+        rows, _, _ = compare_matrix(cfgs, spec, train)
         ada = next(r for r in rows if r.adaptive)
         assert ada.speedup_vs_fixed == pytest.approx(1.0)
 
@@ -163,9 +163,10 @@ class TestCompareMatrix:
     def test_traces_returned(self, compare_setup):
         train, spec = compare_setup
         cfg = RunConfig(method="svrg", adaptive=True, m0=256, N=1024, seed=2)
-        rows, traces = compare_matrix([cfg], spec, train, return_traces=True)
+        rows, traces, ref = compare_matrix([cfg], spec, train)
         assert len(traces) == 1
         assert traces[0][1].events
+        assert ref.n == 1024
 
 
 def test_fixed_gd_suboptimality_nonincreasing(compare_setup):

@@ -24,6 +24,15 @@ def test_missing_dataset_is_usage_error(tmp_path, capsys):
     assert "dataset" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("label_map", ["a:1", "0:-1,8:2"])
+def test_malformed_label_map_is_usage_error(tmp_path, capsys, label_map):
+    data_file = tmp_path / "raw.svm"
+    data_file.write_text("0 1:1\n8 2:1\n")
+    assert run_cli(["run", "--dataset", str(data_file), "--label-map", label_map,
+                    "--m0", "1", "--out", str(tmp_path)]) == 1
+    assert "--label-map" in capsys.readouterr().err
+
+
 class TestGen:
     def test_writes_parseable_file(self, tmp_path, capsys):
         assert run_cli(["gen", "--gen", "50,6,1.0", "--seed", "3",

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from adasize import generate_synthetic, normalize, parse_sparse_text, prefix, \
-    shuffle_and_split
+from adasize import generate_synthetic, normalize, parse_sparse_text, shuffle_and_split
 from adasize.data import EmptyDatasetError, SparseTextError
 
 
@@ -10,10 +9,10 @@ class TestParser:
     def test_single_line(self):
         ds = parse_sparse_text("+1 1:0.5 3:-2\n")
         assert ds.n_samples == 1 and ds.dim == 3
-        s = ds.sample(0)
-        assert s.label == 1.0
-        np.testing.assert_array_equal(s.indices, [1, 3])
-        np.testing.assert_allclose(s.values, [0.5, -2.0])
+        indices, values, label = ds.full_view().sample_arrays(0)
+        assert label == 1.0
+        np.testing.assert_array_equal(indices, [0, 2])  # stored 0-based
+        np.testing.assert_allclose(values, [0.5, -2.0])
 
     def test_empty_input_rejected(self):
         with pytest.raises(EmptyDatasetError):
@@ -23,7 +22,7 @@ class TestParser:
 
     def test_label_map(self):
         ds = parse_sparse_text("0 2:1.0\n", label_map={0: -1, 8: +1})
-        assert ds.sample(0).label == -1.0
+        assert ds.y[0] == -1.0
 
     def test_unmapped_label(self):
         with pytest.raises(SparseTextError, match="line 1"):
@@ -57,6 +56,7 @@ class TestParser:
     def test_round_trip(self):
         text = "+1 1:0.5 3:-2.25\n-1 2:0.333333333333333315\n"
         ds = parse_sparse_text(text)
+        assert ds.to_sparse_text() == "+1 1:0.5 3:-2.25\n-1 2:0.33333333333333331\n"
         again = parse_sparse_text(ds.to_sparse_text())
         assert ds == again
 
@@ -95,14 +95,14 @@ class TestNormalize:
     def test_three_four_five(self):
         ds = parse_sparse_text("+1 1:3 2:4\n")
         nd = normalize(ds)
-        np.testing.assert_allclose(nd.sample(0).values, [0.6, 0.8])
+        np.testing.assert_allclose(nd.x[0].data, [0.6, 0.8])
 
     def test_zero_row_unchanged(self):
         # a parsed explicit zero is dropped, leaving an empty row
         ds = parse_sparse_text("+1 1:0\n-1 2:1\n", dim=2)
         nd = normalize(ds)
         assert nd.x[0].nnz == 0
-        np.testing.assert_allclose(nd.sample(1).values, [1.0])
+        np.testing.assert_allclose(nd.x[1].data, [1.0])
 
     def test_idempotent(self):
         ds, _ = generate_synthetic(50, 6, 1.0, seed=3)
@@ -140,21 +140,21 @@ class TestSplitAndPrefix:
             shuffle_and_split(ds, 0, seed=0)
 
     def test_prefix_identity(self, small_train):
-        view = prefix(small_train, small_train.n_samples)
+        view = small_train.prefix(small_train.n_samples)
         assert view.count == small_train.n_samples
         assert view.x.shape == small_train.x.shape
 
     def test_prefix_nesting(self, small_train):
-        v400 = prefix(small_train, 400)
-        v500 = prefix(small_train, 500)
+        v400 = small_train.prefix(400)
+        v500 = small_train.prefix(500)
         np.testing.assert_array_equal(v500.x[:400].toarray(), v400.x.toarray())
         np.testing.assert_array_equal(v500.y[:400], v400.y)
 
     def test_prefix_out_of_range(self, small_train):
         with pytest.raises(ValueError):
-            prefix(small_train, 0)
+            small_train.prefix(0)
         with pytest.raises(ValueError):
-            prefix(small_train, small_train.n_samples + 1)
+            small_train.prefix(small_train.n_samples + 1)
 
     def test_dataset_immutable(self, small_train):
         with pytest.raises(ValueError):

@@ -3,47 +3,64 @@ import math
 import numpy as np
 import pytest
 
-from adasize import RiskSpec, empirical_loss_and_grad, loss_value, risk_value, \
+from adasize import Dataset, RiskSpec, empirical_loss_and_grad, risk_value, \
     risk_value_and_grad, smoothness_constant
 from adasize.erm import test_error as classification_error
 from adasize.data import generate_synthetic, normalize, parse_sparse_text
 from adasize.erm import EmptyViewError
+from adasize.verify import _risk_value_scalar
 
 # log1p(exp(-50)) at 40 decimal digits
 LOGISTIC_AT_MARGIN_50 = 1.928749847963917783e-22
 
 
+def _losses(loss, w, ds, i=0):
+    """Sample i's loss through the vectorized path and through the scalar oracle.
+
+    The oracle evaluates the risk; its ridge weight gamma=1e-300 keeps the
+    ridge term below the last bit of every loss in these tests.
+    """
+    view = Dataset(ds.x[i], ds.y[i:i + 1]).full_view()
+    vectorized, _ = empirical_loss_and_grad(loss, w, view)
+    return vectorized, _risk_value_scalar(RiskSpec(loss=loss, gamma=1e-300), w, view)
+
+
 def test_logistic_at_origin_is_log2(small_train):
     w = np.zeros(small_train.dim)
     for i in (0, 7, 31):
-        assert loss_value("logistic", w, small_train.sample(i)) == pytest.approx(math.log(2))
+        for v in _losses("logistic", w, small_train, i):
+            assert v == pytest.approx(math.log(2))
 
 
 def test_logistic_large_margin_stable():
     ds = parse_sparse_text("+1 1:1\n")
-    w = np.array([50.0])
-    v = loss_value("logistic", w, ds.sample(0))
-    assert 0.0 < v < 1e-20
-    assert v == pytest.approx(LOGISTIC_AT_MARGIN_50, rel=1e-12)
+    for v in _losses("logistic", np.array([50.0]), ds):
+        assert 0.0 < v < 1e-20
+        assert v == pytest.approx(LOGISTIC_AT_MARGIN_50, rel=1e-12)
     # the mirrored margin must not overflow either
-    big = loss_value("logistic", np.array([-800.0]), ds.sample(0))
-    assert big == pytest.approx(800.0, rel=1e-12)
+    for big in _losses("logistic", np.array([-800.0]), ds):
+        assert big == pytest.approx(800.0, rel=1e-12)
 
 
 def test_squared_exact_fit_is_zero():
     ds = parse_sparse_text("+1 1:0.5\n")
-    assert loss_value("squared", np.array([2.0]), ds.sample(0)) == 0.0
+    w = np.array([2.0])
+    vectorized, _ = _losses("squared", w, ds)
+    assert vectorized == 0.0
+    # a zero loss leaves exactly the ridge term on both paths
+    spec = RiskSpec(loss="squared")
+    assert _risk_value_scalar(spec, w, ds.full_view()) == risk_value(spec, w, ds.full_view())
 
 
 def test_unknown_loss_rejected():
     with pytest.raises(ValueError):
-        loss_value("hinge", np.zeros(1), parse_sparse_text("+1 1:1\n").sample(0))
+        empirical_loss_and_grad("hinge", np.zeros(1), parse_sparse_text("+1 1:1\n").full_view())
+    with pytest.raises(ValueError):
+        RiskSpec(loss="hinge")
 
 
 def test_dimension_mismatch():
     ds = parse_sparse_text("+1 3:1\n")
-    with pytest.raises(ValueError):
-        loss_value("logistic", np.zeros(2), ds.sample(0))
     with pytest.raises(ValueError):
         empirical_loss_and_grad("logistic", np.zeros(2), ds.full_view())
 
@@ -57,11 +74,11 @@ def test_empirical_loss_at_origin(small_train):
     np.testing.assert_allclose(grad, np.asarray(expected).ravel(), rtol=1e-12)
 
 
-def test_single_sample_view_matches_loss_value(small_train, rng):
-    view = small_train.prefix(1)
+def test_single_sample_view_matches_scalar_oracle(small_train, rng):
     w = rng.uniform(-1, 1, small_train.dim)
-    value, _ = empirical_loss_and_grad("logistic", w, view)
-    assert value == pytest.approx(loss_value("logistic", w, small_train.sample(0)))
+    for loss in ("logistic", "squared"):
+        vectorized, scalar = _losses(loss, w, small_train)
+        assert vectorized == pytest.approx(scalar)
 
 
 def test_gradient_matches_finite_differences(small_train, rng):
@@ -102,13 +119,16 @@ def test_regularizer_weight_matches_protocol(small_train, rng):
     assert reg2 == pytest.approx(4 * reg, rel=1e-12)
 
 
-def test_smoothness_constant_modes(small_train):
-    assert smoothness_constant("logistic", small_train, "paper_conservative") == 1.0
-    assert smoothness_constant("logistic", small_train, "tight") == pytest.approx(0.25, rel=1e-12)
+def test_smoothness_constant(small_train):
+    assert smoothness_constant("logistic", small_train) == pytest.approx(0.25, rel=1e-12)
     ds = parse_sparse_text("+1 1:2\n-1 1:3\n")
-    assert smoothness_constant("squared", ds, "tight") == pytest.approx(9.0)
+    assert smoothness_constant("squared", ds) == pytest.approx(9.0)
+    # a view sees only its own rows
+    assert smoothness_constant("squared", ds.prefix(1)) == pytest.approx(4.0)
+    # an all-zero set is floored so step sizes stay finite
+    assert smoothness_constant("logistic", parse_sparse_text("+1 1:0\n", dim=1)) == 1e-12
     with pytest.raises(ValueError):
-        smoothness_constant("logistic", small_train, "loose")
+        smoothness_constant("hinge", small_train)
 
 
 def test_strong_convexity_property(spec, small_train, rng):
@@ -125,7 +145,7 @@ def test_strong_convexity_property(spec, small_train, rng):
 
 
 def test_gradient_smoothness_property(small_train, rng):
-    m_tight = smoothness_constant("logistic", small_train, "tight")
+    m_tight = smoothness_constant("logistic", small_train)
     spec = RiskSpec(loss="logistic", c=1.0, alpha=0.5, gamma=1.0, M=m_tight)
     view = small_train.prefix(128)
     lip = m_tight + spec.c * spec.gamma / math.sqrt(view.count)

@@ -114,7 +114,7 @@ class TestIterationCounts:
             assert s >= prev
             prev = s
         a = iterations_generic(0.5, UNIT, WstarEstimate(0.0))
-        b = iterations_generic(0.5, UNIT, WstarEstimate(50.0, "user"))
+        b = iterations_generic(0.5, UNIT, WstarEstimate(50.0))
         assert b >= a
 
     def test_generic_rho_range(self):
@@ -139,7 +139,7 @@ class TestIterationCounts:
     def test_svrg_frozen(self):
         assert iterations_svrg(UNIT) == 3
         assert iterations_svrg(RiskSpec(alpha=1.0)) == 4
-        assert iterations_svrg(UNIT, WstarEstimate(4.0, "user")) == 3
+        assert iterations_svrg(UNIT, WstarEstimate(4.0)) == 3
 
     def test_svrg_independent_of_sample_size(self):
         # no sample-size argument exists; the count is a constant of the spec
@@ -169,7 +169,7 @@ class TestTotals:
             2 * total_complexity_svrg(UNIT, 10000), rel=1e-12)
 
     def test_svrg_total_matches_unfloored_count(self):
-        wstar = WstarEstimate(3.0, "user")
+        wstar = WstarEstimate(3.0)
         arg = 3 * math.sqrt(2) + (math.sqrt(2) - 1) * (2 + 1.5)
         assert total_complexity_svrg(UNIT, 5000, wstar) == pytest.approx(
             4 * 5000 * math.log2(arg), rel=1e-12)
@@ -191,7 +191,7 @@ class TestWarmStartBound:
         for alpha in (0.5, 0.75, 1.0):
             for wsq in (0.0, 2.5):
                 spec = RiskSpec(c=1.3, alpha=alpha, gamma=1.7)
-                ws = WstarEstimate(wsq, "user" if wsq else "zero_default")
+                ws = WstarEstimate(wsq)
                 for m in (100, 537):
                     general = warm_start_bound(spec, m, 2 * m, 0.01, ws)
                     doubled = warm_start_bound_doubled(spec, m, 0.01, ws)

@@ -113,7 +113,6 @@ class TestSvrg:
         w_star = np.array([1.0 / 1.25])
         state = init_state("svrg", 1, seed=3)
         state.w = w_star.copy()
-        state.svrg_anchor = w_star.copy()
         out = svrg_epoch(state, spec, view)
         np.testing.assert_allclose(out.w, w_star, atol=1e-15)
 
@@ -142,8 +141,13 @@ class TestSvrg:
         state = init_state("svrg", small_train.dim, seed=9)
         out = svrg_epoch(state, spec, view)
         assert out.grad_evals == 80
-        np.testing.assert_array_equal(out.w, out.svrg_anchor)
-        assert out.svrg_full_grad is not None
+        # the next epoch anchors at the exit iterate: it depends only on w and
+        # the generator, as an epoch from a fresh state with both copied shows
+        fresh = init_state("svrg", small_train.dim)
+        fresh.w = out.w.copy()
+        fresh.rng.bit_generator.state = out.rng.bit_generator.state
+        np.testing.assert_array_equal(svrg_epoch(out, spec, view).w,
+                                      svrg_epoch(fresh, spec, view).w)
 
     def test_deterministic_given_seed(self, spec, small_train):
         view = small_train.prefix(30)

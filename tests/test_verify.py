@@ -18,7 +18,7 @@ def base_2k():
 def tight_spec(base_2k):
     from adasize import smoothness_constant
 
-    m = smoothness_constant("logistic", base_2k, "tight")
+    m = smoothness_constant("logistic", base_2k)
     return RiskSpec(loss="logistic", c=1.0, alpha=0.5, gamma=1.0, M=m)
 
 
@@ -143,8 +143,12 @@ class TestTheoremSufficiency:
 
 
 def test_report_csv_line():
-    rep = CheckReport(name="x", trials=10, violations=0, worst_margin=0.5, passed=True)
+    rep = CheckReport(name="x", trials=10, violations=0, worst_margin=0.5)
+    assert rep.passed
     assert rep.csv_line() == "x,10,0,0.5,true"
+    failed = CheckReport(name="y", trials=10, violations=2, worst_margin=-0.5)
+    assert not failed.passed
+    assert failed.csv_line() == "y,10,2,-0.5,false"
 
 
 def test_checks_deterministic(tight_spec, base_2k):
