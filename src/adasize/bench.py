@@ -53,12 +53,11 @@ def reference_optimum(spec: RiskSpec, view: DatasetView, tolerance: float = 1e-1
         raise solvers.BudgetError(
             f"reference solve at n={view.count} did not reach {tolerance} "
             f"within {max_iterations} iterations")
-    risk_star = erm.risk_value(spec, result.state.w, view)
     return ReferenceOptimum(
         n=view.count,
         w_star_n=result.state.w,
-        risk_star=risk_star,
-        grad_norm_at_star=result.exit_grad_norm,
+        risk_star=result.exit.risk,  # R_n does not depend on M
+        grad_norm_at_star=result.exit.grad_norm,
         tolerance=tolerance,
     )
 

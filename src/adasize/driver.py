@@ -19,7 +19,7 @@ from . import erm, schedule, solvers
 from .data import Dataset
 from .erm import RiskSpec
 from .schedule import WstarEstimate
-from .solvers import SolverState, StepBudget
+from .solvers import Measurement, SolverState, StepBudget
 
 BUDGET_MODES = ("until_threshold", "theoretical_s_n")
 
@@ -110,13 +110,15 @@ class _Recorder:
             "dataset": train.name,
         })
 
-    def record(self, state: SolverState, stage_view) -> None:
-        risk = erm.risk_value(self.spec, state.w, self.full_view)
-        _, _, gnorm = erm.risk_value_and_grad(self.spec, state.w, stage_view)
+    def record(self, state: SolverState, at_w: Measurement) -> None:
+        n = at_w.view.count
+        # on the full set the stage risk is R_N itself, bit for bit
+        risk = at_w.risk if n == self.full_view.count else \
+            erm.risk_value(self.spec, state.w, self.full_view)
         err = None
         if self.test is not None and self.test.n_samples:
             err = erm.test_error(self.spec.loss, state.w, self.test)
-        self.trace.append(TraceEvent(state.grad_evals, stage_view.count, risk, gnorm, err))
+        self.trace.append(TraceEvent(state.grad_evals, n, risk, at_w.grad_norm, err))
 
 
 def _theoretical_iterations(method: str, spec: RiskSpec, n: int, wstar: WstarEstimate) -> int:
@@ -140,17 +142,17 @@ def _stage_budget(config: RunConfig, spec: RiskSpec, n: int,
 
 def _run_stage(state: SolverState, config: RunConfig, spec: RiskSpec, view,
                budget: StepBudget, rec: _Recorder) -> tuple[SolverState, StageReport]:
-    def cb(st: SolverState, it: int) -> None:
+    def cb(st: SolverState, it: int, at_w: Measurement) -> None:
         if it % rec.eval_every == 0:
-            rec.record(st, view)
+            rec.record(st, at_w)
 
     result = solvers.solve(state, spec, view, budget, callback=cb)
-    rec.record(result.state, view)
+    rec.record(result.state, result.exit)
     report = StageReport(
         n=view.count,
         iterations=result.iterations,
         grad_evals_at_exit=result.state.grad_evals,
-        exit_grad_norm=result.exit_grad_norm,
+        exit_grad_norm=result.exit.grad_norm,
         threshold=schedule.stop_threshold(spec, view.count),
         budget_exhausted=result.budget_exhausted,
     )

@@ -2,14 +2,15 @@
 
 Each update returns a fresh state and adds its exact per-sample
 gradient-evaluation cost to the state counter: n for a GD or AGD step, 2n
-for an SVRG epoch (full gradient at the anchor plus n inner steps).
-Gradient-norm measurements made for stopping rules or traces are not
-counted; the counter is the unit the complexity bounds are written in.
+for an SVRG epoch (full gradient at the anchor plus n inner steps).  One
+uncounted `Measurement` per iterate serves the stop test, the step and the
+trace; the counter is the unit the complexity bounds are written in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -87,10 +88,25 @@ class StepBudget:
             raise BudgetError(f"max_iterations must be >= 1, got {self.max_iterations}")
 
 
+class Measurement:
+    """(R_n, grad R_n, ||grad R_n||) at w on the view, evaluated once on first use; uncounted."""
+
+    def __init__(self, spec: RiskSpec, w: np.ndarray, view: DatasetView):
+        self.spec, self.w, self.view = spec, w, view
+
+    @cached_property
+    def _values(self) -> tuple[float, np.ndarray, float]:
+        return erm.risk_value_and_grad(self.spec, self.w, self.view)
+
+    risk = property(lambda self: self._values[0])
+    grad = property(lambda self: self._values[1])
+    grad_norm = property(lambda self: self._values[2])
+
+
 class SolveResult(NamedTuple):
     state: SolverState
     iterations: int
-    exit_grad_norm: float
+    exit: Measurement  # at state.w
     budget_exhausted: bool
 
 
@@ -99,27 +115,28 @@ def _ensure_finite(w: np.ndarray, context: str) -> None:
         raise DivergenceError(f"non-finite iterate during {context}")
 
 
-def gd_step(state: SolverState, spec: RiskSpec, view: DatasetView) -> SolverState:
-    """w <- w - eta * grad R_n(w) with eta = 1/(M + cV_n)."""
+def gd_step(state: SolverState, spec: RiskSpec, view: DatasetView,
+            at_w: Measurement) -> SolverState:
+    """w <- w - eta * grad R_n(w) with eta = 1/(M + cV_n); at_w is the measurement at w."""
     if state.method != "gd":
         raise ValueError(f"gd_step on {state.method!r} state")
     eta = schedule.gd_step_size(spec, view.count)
-    _, g, _ = erm.risk_value_and_grad(spec, state.w, view)
-    w_new = state.w - eta * g
+    w_new = state.w - eta * at_w.grad
     _ensure_finite(w_new, f"gd step at n={view.count}")
     return replace(state, w=w_new, grad_evals=state.grad_evals + view.count)
 
 
-def agd_step(state: SolverState, spec: RiskSpec, view: DatasetView) -> SolverState:
+def agd_step(state: SolverState, spec: RiskSpec, view: DatasetView,
+             at_w: Measurement | None = None) -> SolverState:
     """Advance both accelerated sequences one step.
 
     w_{k+1} = y_k - eta * grad R_n(y_k);  y_{k+1} = w_{k+1} + beta (w_{k+1} - w_k).
+    The step reads no gradient at w, so at_w is left unevaluated.
     """
     if state.method != "agd" or state.agd_y is None:
         raise ValueError("agd_step needs an agd state with the momentum sequence set")
     eta, beta = schedule.agd_params(spec, view.count)
-    _, g, _ = erm.risk_value_and_grad(spec, state.agd_y, view)
-    w_new = state.agd_y - eta * g
+    w_new = state.agd_y - eta * Measurement(spec, state.agd_y, view).grad
     y_new = w_new + beta * (w_new - state.w)
     _ensure_finite(w_new, f"agd step at n={view.count}")
     return replace(state, w=w_new, agd_y=y_new, grad_evals=state.grad_evals + view.count)
@@ -141,11 +158,12 @@ def svrg_direction(spec: RiskSpec, view: DatasetView, i: int, w_hat: np.ndarray,
     return d
 
 
-def svrg_epoch(state: SolverState, spec: RiskSpec, view: DatasetView) -> SolverState:
+def svrg_epoch(state: SolverState, spec: RiskSpec, view: DatasetView,
+               at_w: Measurement) -> SolverState:
     """One outer loop: full gradient at the anchor, then n variance-reduced inner steps.
 
-    The anchor is the entry iterate w: the inner iterate starts there, and
-    the last inner iterate is the exit iterate and so the next anchor.
+    The anchor is the entry iterate w (at_w holds its full gradient): the inner
+    iterate starts there; the last inner iterate is the exit and the next anchor.
     Inner indices are drawn uniformly with replacement from the state
     generator, so the epoch is deterministic given the state.
     """
@@ -153,8 +171,7 @@ def svrg_epoch(state: SolverState, spec: RiskSpec, view: DatasetView) -> SolverS
         raise ValueError("svrg_epoch needs an svrg state with its generator set")
     n = view.count
     q, eta, _ = schedule.svrg_params(spec, n)
-    anchor = state.w
-    _, full_grad, _ = erm.risk_value_and_grad(spec, anchor, view)
+    anchor, full_grad = state.w, at_w.grad
     picks = state.rng.integers(0, n, size=q)
     w_hat = anchor.copy()
     for i in picks:
@@ -170,47 +187,30 @@ _STEPPERS: dict[str, Callable[..., SolverState]] = {
 }
 
 
-def step(state: SolverState, spec: RiskSpec, view: DatasetView) -> SolverState:
-    """One update of the state's method; one SVRG iteration is one epoch."""
-    return _STEPPERS[state.method](state, spec, view)
-
-
-def grad_norm_at(state: SolverState, spec: RiskSpec, view: DatasetView) -> float:
-    """Stopping-rule measurement at the current iterate; not counted in grad_evals."""
-    _, _, gnorm = erm.risk_value_and_grad(spec, state.w, view)
-    return gnorm
-
-
 def solve(state: SolverState, spec: RiskSpec, view: DatasetView, budget: StepBudget,
-          callback: Callable[[SolverState, int], None] | None = None) -> SolveResult:
+          callback: Callable[[SolverState, int, Measurement], None] | None = None
+          ) -> SolveResult:
     """Run the state's method on the view under the given budget.
 
-    In until_threshold mode the gradient norm at the iterate is checked
-    before every step; hitting max_iterations sets the exhausted flag
-    rather than raising.  The callback, if given, runs after every step.
+    One uncounted measurement per iterate serves the stop test, the step and
+    the trace; it is evaluated on first use only, so a fixed-count AGD stage
+    evaluates it only where it is read.  In until_threshold mode the
+    gradient norm is checked before every step; hitting max_iterations sets
+    the exhausted flag rather than raising.  The callback, if given, runs
+    after every step with the state, the iteration count and its measurement.
     """
+    fixed = budget.mode == "fixed_iterations"
+    if fixed and budget.iterations > budget.max_iterations:
+        raise BudgetError(
+            f"fixed iteration count {budget.iterations} exceeds cap {budget.max_iterations}")
     iterations = 0
-    exhausted = False
-    if budget.mode == "until_threshold":
-        while True:
-            gnorm = grad_norm_at(state, spec, view)
-            if gnorm <= budget.threshold:
-                break
-            if iterations >= budget.max_iterations:
-                exhausted = True
-                break
-            state = step(state, spec, view)
-            iterations += 1
-            if callback is not None:
-                callback(state, iterations)
-    else:
-        if budget.iterations > budget.max_iterations:
-            raise BudgetError(
-                f"fixed iteration count {budget.iterations} exceeds cap {budget.max_iterations}")
-        for _ in range(budget.iterations):
-            state = step(state, spec, view)
-            iterations += 1
-            if callback is not None:
-                callback(state, iterations)
-        gnorm = grad_norm_at(state, spec, view)
-    return SolveResult(state, iterations, gnorm, exhausted)
+    at_w = Measurement(spec, state.w, view)
+    while not (iterations == budget.iterations if fixed else at_w.grad_norm <= budget.threshold):
+        if iterations >= budget.max_iterations:  # never in fixed mode: the cap is checked above
+            return SolveResult(state, iterations, at_w, True)
+        state = _STEPPERS[state.method](state, spec, view, at_w)
+        iterations += 1
+        at_w = Measurement(spec, state.w, view)
+        if callback is not None:
+            callback(state, iterations, at_w)
+    return SolveResult(state, iterations, at_w, False)

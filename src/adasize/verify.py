@@ -327,7 +327,6 @@ def theorem_sn_sufficiency_check(method: str, spec: RiskSpec, base: Dataset, m0:
     N = base.n_samples
     per_stage: dict[int, list[float]] = {}
     per_draw_violations = 0
-    total_stage_measurements = 0
     for _ in range(draws):
         perm = rng.permutation(N)
         shuffled = _shuffled_copy(base, perm)
@@ -350,7 +349,6 @@ def theorem_sn_sufficiency_check(method: str, spec: RiskSpec, base: Dataset, m0:
             ref = bench.reference_optimum(spec, view, tolerance=1e-9)
             gap = erm.risk_value(spec, w_exit, view) - ref.risk_star
             per_stage.setdefault(stage_n, []).append(gap)
-            total_stage_measurements += 1
             if gap > schedule.statistical_accuracy(spec, stage_n):
                 draw_bad = True
         if draw_bad:

@@ -116,6 +116,25 @@ def test_trace_grad_evals_strictly_increase(train_2k, spec):
     assert all(b > a for a, b in zip(evals, evals[1:]))
 
 
+@pytest.mark.parametrize("method", ["gd", "agd", "svrg"])
+def test_trace_risk_is_full_set_risk_at_every_stage(train_2k, spec, method):
+    # on a stage below N the trace must evaluate R_N; on the N stage it reuses
+    # the solver's R_n, which must be the same number
+    exits = []
+    cfg = RunConfig(method=method, adaptive=True, m0=256, N=2048, seed=2)
+    _, trace, reports = adaptive_run(
+        cfg, spec, train_2k,
+        on_stage_exit=lambda st, rep: exits.append((st.grad_evals, rep.n, st.w.copy())))
+    assert [n for _, n, _ in exits] == [r.n for r in reports] and len(exits) > 1
+    events = {ev.grad_evals: ev for ev in trace.events}
+    # a stage that exits without a step supersedes the event at the same counter
+    last_exits = {grad_evals: (n, w) for grad_evals, n, w in exits}
+    for grad_evals, (n, w) in last_exits.items():
+        ev = events[grad_evals]
+        assert ev.stage_n == n
+        assert ev.risk_value == risk_value(spec, w, train_2k.prefix(2048))
+
+
 def test_trace_records_test_error(split_data, spec):
     train, test = split_data
     cfg = RunConfig(method="agd", adaptive=True, m0=128, N=512, seed=4)

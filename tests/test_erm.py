@@ -106,6 +106,17 @@ def test_risk_at_origin_equals_loss(spec, small_train):
     assert gnorm == pytest.approx(float(np.linalg.norm(grad)))
 
 
+@pytest.mark.parametrize("loss", ["logistic", "squared"])
+def test_risk_value_is_bitwise_the_risk_of_risk_value_and_grad(loss, small_train, rng):
+    # the trace reuses the solver's stage risk as R_N when the stage is the full set
+    spec = RiskSpec(loss=loss, c=0.7, alpha=0.75, gamma=1.3, M=1.0)
+    for n in (1, 97, 512):
+        view = small_train.prefix(n)
+        for _ in range(5):
+            w = rng.normal(0.0, 2.0, small_train.dim)
+            assert risk_value(spec, w, view) == risk_value_and_grad(spec, w, view)[0]
+
+
 def test_regularizer_weight_matches_protocol(small_train, rng):
     # c=1, alpha=0.5, gamma=2, n=400: the ridge term is (1/sqrt(400)) ||w||^2
     spec = RiskSpec(loss="logistic", c=1.0, alpha=0.5, gamma=2.0, M=1.0)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from adasize import RiskSpec, StepBudget, init_state, risk_value, risk_value_and_grad, solve
-from adasize import schedule, solvers
+from adasize import erm, schedule, solvers
 from adasize.data import parse_sparse_text
-from adasize.solvers import BudgetError, DivergenceError, agd_step, gd_step, svrg_epoch
+from adasize.solvers import BudgetError, DivergenceError, Measurement, agd_step, gd_step, \
+    svrg_epoch
 
 
 def _one_sample_squared(cv_target=1e-12):
@@ -23,21 +24,21 @@ class TestGd:
         w_star = np.array([1.0 / 1.25])  # (X'X/n + cV)^-1 X'y/n
         state = init_state("gd", 1)
         state.w = w_star
-        out = gd_step(state, spec, view)
+        out = gd_step(state, spec, view, Measurement(spec, state.w, view))
         np.testing.assert_allclose(out.w, w_star, atol=1e-16)
 
     def test_converges_to_least_squares_solution(self):
         view, spec = _one_sample_squared()
         state = init_state("gd", 1)
         for _ in range(200):
-            state = gd_step(state, spec, view)
+            state = gd_step(state, spec, view, Measurement(spec, state.w, view))
         assert state.w[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_grad_eval_accounting(self, spec, small_train):
         view = small_train.prefix(100)
         state = init_state("gd", small_train.dim)
         for k in range(1, 4):
-            state = gd_step(state, spec, view)
+            state = gd_step(state, spec, view, Measurement(spec, state.w, view))
             assert state.grad_evals == k * 100
 
     def test_monotone_descent_with_tight_constant(self, small_train, rng):
@@ -47,14 +48,15 @@ class TestGd:
         state.w = rng.uniform(-1, 1, small_train.dim)
         prev = risk_value(spec, state.w, view)
         for _ in range(50):
-            state = gd_step(state, spec, view)
+            state = gd_step(state, spec, view, Measurement(spec, state.w, view))
             cur = risk_value(spec, state.w, view)
             assert cur <= prev + 1e-10
             prev = cur
 
     def test_wrong_state_kind(self, spec, small_train):
         with pytest.raises(ValueError):
-            gd_step(init_state("agd", small_train.dim), spec, small_train.prefix(10))
+            state, view = init_state("agd", small_train.dim), small_train.prefix(10)
+            gd_step(state, spec, view, Measurement(spec, state.w, view))
 
 
 class TestAgd:
@@ -65,7 +67,7 @@ class TestAgd:
         ga = init_state("gd", small_train.dim)
         aa = init_state("agd", small_train.dim)
         for _ in range(5):
-            ga = gd_step(ga, spec, view)
+            ga = gd_step(ga, spec, view, Measurement(spec, ga.w, view))
             aa = agd_step(aa, spec, view)
             np.testing.assert_array_equal(ga.w, aa.w)
 
@@ -113,7 +115,7 @@ class TestSvrg:
         w_star = np.array([1.0 / 1.25])
         state = init_state("svrg", 1, seed=3)
         state.w = w_star.copy()
-        out = svrg_epoch(state, spec, view)
+        out = svrg_epoch(state, spec, view, Measurement(spec, state.w, view))
         np.testing.assert_allclose(out.w, w_star, atol=1e-15)
 
     def test_direction_mean_is_exact_gradient(self, spec, small_train, rng):
@@ -139,15 +141,16 @@ class TestSvrg:
     def test_epoch_accounting_and_anchor(self, spec, small_train):
         view = small_train.prefix(40)
         state = init_state("svrg", small_train.dim, seed=9)
-        out = svrg_epoch(state, spec, view)
+        out = svrg_epoch(state, spec, view, Measurement(spec, state.w, view))
         assert out.grad_evals == 80
         # the next epoch anchors at the exit iterate: it depends only on w and
         # the generator, as an epoch from a fresh state with both copied shows
         fresh = init_state("svrg", small_train.dim)
         fresh.w = out.w.copy()
         fresh.rng.bit_generator.state = out.rng.bit_generator.state
-        np.testing.assert_array_equal(svrg_epoch(out, spec, view).w,
-                                      svrg_epoch(fresh, spec, view).w)
+        np.testing.assert_array_equal(
+            svrg_epoch(out, spec, view, Measurement(spec, out.w, view)).w,
+            svrg_epoch(fresh, spec, view, Measurement(spec, fresh.w, view)).w)
 
     def test_deterministic_given_seed(self, spec, small_train):
         view = small_train.prefix(30)
@@ -155,7 +158,7 @@ class TestSvrg:
         for _ in range(2):
             state = init_state("svrg", small_train.dim, seed=42)
             for _ in range(3):
-                state = svrg_epoch(state, spec, view)
+                state = svrg_epoch(state, spec, view, Measurement(spec, state.w, view))
             runs.append(state.w.copy())
         np.testing.assert_array_equal(runs[0], runs[1])
 
@@ -174,7 +177,7 @@ class TestSolve:
         thr = schedule.stop_threshold(spec, 200)
         result = solve(init_state("agd", small_train.dim), spec, view,
                        StepBudget("until_threshold", threshold=thr))
-        assert result.exit_grad_norm <= thr
+        assert result.exit.grad_norm <= thr
         assert not result.budget_exhausted
 
     def test_fixed_iterations_exact(self, spec, small_train):
@@ -205,8 +208,44 @@ class TestSolve:
         seen = []
         solve(init_state("gd", small_train.dim), spec, small_train.prefix(30),
               StepBudget("fixed_iterations", iterations=4),
-              callback=lambda st, it: seen.append((it, st.grad_evals)))
+              callback=lambda st, it, at_w: seen.append((it, st.grad_evals)))
         assert seen == [(1, 30), (2, 60), (3, 90), (4, 120)]
+
+    @pytest.mark.parametrize("method", ["gd", "agd", "svrg"])
+    @pytest.mark.parametrize("mode", ["until_threshold", "fixed_iterations"])
+    def test_one_measurement_per_iterate(self, method, mode, spec, small_train, monkeypatch):
+        # the stop test, the GD step and the SVRG anchor share the measurement at w;
+        # AGD steps from y, so a fixed-count AGD solve reads w's only at the exit
+        view = small_train.prefix(64)
+        calls = []
+        real = erm.risk_value_and_grad
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(erm, "risk_value_and_grad", counting)
+        budget = StepBudget(mode, threshold=1e-3) \
+            if mode == "until_threshold" else StepBudget(mode, iterations=3)
+        result = solve(init_state(method, small_train.dim, seed=5), spec, view, budget)
+        result.exit.grad_norm  # every caller reads the exit measurement
+        k = result.iterations
+        assert k >= 1
+        expected = 2 * k + 1 if (method, mode) == ("agd", "until_threshold") else k + 1
+        assert len(calls) == expected
+
+    def test_agd_callback_measures_w_not_y(self, spec, small_train):
+        view = small_train.prefix(64)
+        seen = []
+        solve(init_state("agd", small_train.dim), spec, view,
+              StepBudget("fixed_iterations", iterations=3),
+              callback=lambda st, it, at_w: seen.append((st.w, st.agd_y, at_w)))
+        assert len(seen) == 3
+        for w, y, at_w in seen:
+            assert not np.array_equal(w, y)
+            r, g, gnorm = risk_value_and_grad(spec, w, view)
+            assert (at_w.risk, at_w.grad_norm) == (r, gnorm)
+            np.testing.assert_array_equal(at_w.grad, g)
 
     def test_divergence_detected(self):
         # absurdly small smoothness constant gives a step far above 2/L
