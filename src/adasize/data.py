@@ -33,7 +33,7 @@ class Dataset:
 
     def __init__(self, x: sparse.csr_matrix, y: np.ndarray, name: str = "", dim: int | None = None):
         x = sparse.csr_matrix(x)
-        x.sort_indices()
+        x.sum_duplicates()  # canonical rows: sorted, each column at most once
         y = np.asarray(y, dtype=np.float64)
         if x.shape[0] != y.shape[0]:
             raise ValueError("feature matrix and labels disagree on sample count")

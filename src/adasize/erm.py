@@ -11,6 +11,7 @@ modulus c*V_n and has (M + c*V_n)-Lipschitz gradients.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,10 +99,19 @@ def risk_value_and_grad(spec: RiskSpec, w: np.ndarray, view: DatasetView):
 
 
 def sample_loss_coef(loss: str, margin: float, label: float) -> float:
-    """d(loss)/d(margin) for one sample; the per-sample gradient is coef * x."""
+    """d(loss)/d(margin) for one sample; the per-sample gradient is coef * x.
+
+    The scalar twin of `_loss_terms`: the logistic coefficient is
+    -y * sigmoid(-y*t), evaluated with exp of a non-positive argument only,
+    so no margin overflows.
+    """
     if loss == "logistic":
-        return float(-label * expit(-label * margin))
-    return float(margin - label)
+        z = label * margin
+        if z >= 0.0:
+            e = math.exp(-z)
+            return -label * e / (1.0 + e)
+        return -label / (1.0 + math.exp(z))
+    return margin - label
 
 
 def smoothness_constant(loss: str, d: Dataset | DatasetView) -> float:

@@ -162,22 +162,45 @@ def svrg_epoch(state: SolverState, spec: RiskSpec, view: DatasetView,
                at_w: Measurement) -> SolverState:
     """One outer loop: full gradient at the anchor, then n variance-reduced inner steps.
 
-    The anchor is the entry iterate w (at_w holds its full gradient): the inner
-    iterate starts there; the last inner iterate is the exit and the next anchor.
-    Inner indices are drawn uniformly with replacement from the state
-    generator, so the epoch is deterministic given the state.
+    The anchor is the entry iterate w (at_w holds its full gradient mu): the
+    inner iterate starts there; the last inner iterate is the exit and the
+    next anchor.  Inner indices are drawn uniformly with replacement from the
+    state generator, so the epoch is deterministic given the state.
+
+    An inner step w <- w - eta * svrg_direction(w) is affine off the sample's
+    columns: w <- a*w + b with a = 1 - eta*cV_n and b = eta*(cV_n*anchor - mu),
+    both fixed for the epoch.  So the inner iterate is kept as w = s*u + r*b
+    with scalars s and r: a step scales s by a, sets r to a*r + 1 and updates
+    u on the sample's nonzeros only, so it costs O(nnz of the sample).  The
+    sample margins of b and the anchor coefficients are computed once per
+    epoch; s is folded into u before it can underflow (a >= 0.9).
     """
     if state.method != "svrg" or state.rng is None:
         raise ValueError("svrg_epoch needs an svrg state with its generator set")
     n = view.count
     q, eta, _ = schedule.svrg_params(spec, n)
-    anchor, full_grad = state.w, at_w.grad
-    picks = state.rng.integers(0, n, size=q)
-    w_hat = anchor.copy()
-    for i in picks:
-        w_hat -= eta * svrg_direction(spec, view, int(i), w_hat, anchor, full_grad)
-    _ensure_finite(w_hat, f"svrg epoch at n={n}")
-    return replace(state, w=w_hat, grad_evals=state.grad_evals + 2 * n)
+    cv = spec.c * schedule.statistical_accuracy(spec, n)
+    anchor, x, loss = state.w, view.x, spec.loss
+    a = 1.0 - eta * cv
+    b = eta * (cv * anchor - at_w.grad)
+    _, coef_anchor = erm._loss_terms(loss, x @ anchor, view.y)
+    coef_anchor, xb, y = coef_anchor.tolist(), (x @ b).tolist(), view.y.tolist()
+    indptr, indices, data = x.indptr.tolist(), x.indices, x.data
+    u, s, r = anchor.copy(), 1.0, 0.0
+    for i in state.rng.integers(0, n, size=q).tolist():
+        lo, hi = indptr[i], indptr[i + 1]
+        idx, vals = indices[lo:hi], data[lo:hi]
+        u_idx = u.take(idx)
+        coef = erm.sample_loss_coef(loss, s * float(vals @ u_idx) + r * xb[i], y[i])
+        s *= a
+        r = a * r + 1.0
+        u.put(idx, u_idx - (eta * (coef - coef_anchor[i]) / s) * vals)
+        if s < 1e-100:
+            u *= s
+            s = 1.0
+    w = s * u + r * b
+    _ensure_finite(w, f"svrg epoch at n={n}")
+    return replace(state, w=w, grad_evals=state.grad_evals + 2 * n)
 
 
 _STEPPERS: dict[str, Callable[..., SolverState]] = {

@@ -7,7 +7,7 @@ from adasize import Dataset, RiskSpec, empirical_loss_and_grad, risk_value, \
     risk_value_and_grad, smoothness_constant
 from adasize.erm import test_error as classification_error
 from adasize.data import generate_synthetic, normalize, parse_sparse_text
-from adasize.erm import EmptyViewError
+from adasize.erm import EmptyViewError, _loss_terms, sample_loss_coef
 from adasize.verify import _risk_value_scalar
 
 # log1p(exp(-50)) at 40 decimal digits
@@ -50,6 +50,15 @@ def test_squared_exact_fit_is_zero():
     # a zero loss leaves exactly the ridge term on both paths
     spec = RiskSpec(loss="squared")
     assert _risk_value_scalar(spec, w, ds.full_view()) == risk_value(spec, w, ds.full_view())
+
+
+@pytest.mark.parametrize("loss", ["logistic", "squared"])
+def test_sample_loss_coef_matches_vectorized(loss):
+    margins = np.array([0.0, 1.0, -1.0, 50.0, -50.0, 800.0, -800.0])
+    for label in (1.0, -1.0):
+        _, coefs = _loss_terms(loss, margins, np.full(margins.size, label))
+        for t, expected in zip(margins.tolist(), coefs.tolist()):
+            assert sample_loss_coef(loss, t, label) == pytest.approx(expected, rel=1e-15, abs=0)
 
 
 def test_unknown_loss_rejected():

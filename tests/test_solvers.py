@@ -1,13 +1,28 @@
+import copy
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from adasize import RiskSpec, StepBudget, init_state, risk_value, risk_value_and_grad, solve
 from adasize import erm, schedule, solvers
-from adasize.data import parse_sparse_text
+from adasize.data import Dataset, generate_synthetic, normalize, parse_sparse_text
 from adasize.solvers import BudgetError, DivergenceError, Measurement, agd_step, gd_step, \
     svrg_epoch
+
+
+def _reference_epoch(state, spec, view):
+    """The dense SVRG epoch: n steps along svrg_direction from the entry iterate."""
+    n = view.count
+    _, eta, _ = schedule.svrg_params(spec, n)
+    anchor = state.w
+    _, full_grad, _ = risk_value_and_grad(spec, anchor, view)
+    w_hat = anchor.copy()
+    for i in state.rng.integers(0, n, size=n):
+        w_hat -= eta * solvers.svrg_direction(spec, view, int(i), w_hat, anchor, full_grad)
+    return w_hat
 
 
 def _one_sample_squared(cv_target=1e-12):
@@ -151,6 +166,53 @@ class TestSvrg:
         np.testing.assert_array_equal(
             svrg_epoch(out, spec, view, Measurement(spec, out.w, view)).w,
             svrg_epoch(fresh, spec, view, Measurement(spec, fresh.w, view)).w)
+
+    @pytest.mark.parametrize("case", ["dense_logistic", "dense_squared", "wide_sparse",
+                                      "renormalized"])
+    def test_epoch_matches_dense_reference(self, case):
+        # svrg_epoch keeps w as s*u + r*b; the reference applies svrg_direction densely
+        if case.startswith("dense"):
+            ds = normalize(generate_synthetic(512, 20, 1.0, seed=2)[0])
+            spec = RiskSpec(loss=case.split("_")[1], c=1.0, gamma=1.0, M=0.25)
+        elif case == "wide_sparse":  # about 4 nonzeros per row over 6000 columns
+            rng = np.random.default_rng(8)
+            x = sparse.random(400, 6000, density=4 / 6000, format="csr", random_state=rng,
+                              data_rvs=rng.standard_normal)
+            ds = normalize(Dataset(x, np.where(rng.random(400) < 0.5, 1.0, -1.0)))
+            spec = RiskSpec(loss="logistic", c=1.0, gamma=1.0, M=0.25)
+        else:
+            ds = normalize(generate_synthetic(3000, 20, 1.0, seed=3)[0])
+            spec = RiskSpec(loss="logistic", c=1000.0, gamma=1.0, M=0.25)
+        view = ds.full_view()
+        n = view.count
+        a = 1.0 - schedule.svrg_params(spec, n).eta * spec.c * \
+            schedule.statistical_accuracy(spec, n)
+        assert (a**n < 1e-100) == (case == "renormalized")
+        fast = init_state("svrg", ds.dim, seed=6)
+        fast.w = np.random.default_rng(7).uniform(-1, 1, ds.dim)
+        for _ in range(2):  # the second epoch anchors at an iterate the first one moved
+            ref = replace(fast, rng=copy.deepcopy(fast.rng))
+            expected = _reference_epoch(ref, spec, view)
+            fast = svrg_epoch(fast, spec, view, Measurement(spec, fast.w, view))
+            scale = max(1.0, float(np.max(np.abs(expected))))
+            assert np.max(np.abs(fast.w - expected)) <= 1e-12 * scale
+        assert fast.rng.random() == ref.rng.random()  # both drew the same picks
+
+    def test_duplicate_columns_are_merged(self):
+        # a CSR row that lists column 0 twice means the sum of both entries
+        x = sparse.csr_matrix((np.array([0.75, -0.25, 0.5, 0.8]), np.array([0, 0, 1, 1]),
+                               np.array([0, 3, 4])), shape=(2, 2))
+        ds = Dataset(x, np.array([1.0, -1.0]))
+        assert ds.x.has_canonical_format
+        np.testing.assert_array_equal(ds.x.toarray(), [[0.5, 0.5], [0.0, 0.8]])
+        spec = RiskSpec(loss="squared", c=1.0, gamma=1.0, M=1.0)
+        view = ds.full_view()
+        w_hat, anchor = np.array([0.4, -0.7]), np.array([-0.2, 0.3])
+        _, full_grad, _ = risk_value_and_grad(spec, anchor, view)
+        mean = sum(solvers.svrg_direction(spec, view, i, w_hat, anchor, full_grad)
+                   for i in range(2)) / 2
+        _, grad_hat, _ = risk_value_and_grad(spec, w_hat, view)
+        np.testing.assert_allclose(mean, grad_hat, atol=1e-12)
 
     def test_deterministic_given_seed(self, spec, small_train):
         view = small_train.prefix(30)
