@@ -68,6 +68,23 @@ def _loss_terms(loss: str, margins: np.ndarray, y: np.ndarray):
     return values, coefs
 
 
+def risk_hessian(spec: RiskSpec, w: np.ndarray, view: DatasetView):
+    """The Hessian-vector product v -> grad^2 R_n(w) v = X^T (h * Xv) / n + cV_n v.
+
+    h is the per-sample d^2(loss)/d(margin)^2 at w: sigmoid(t)(1 - sigmoid(t))
+    for logistic, written as sigmoid(t) sigmoid(-t) so it stays accurate in
+    both tails, and 1 for squared.  The margins are computed once, here.
+    """
+    if spec.loss == "logistic":
+        margins = view.x @ w
+        h = expit(margins) * expit(-margins) / view.count
+    else:
+        h = 1.0 / view.count
+    reg = spec.c * schedule.statistical_accuracy(spec, view.count)
+    x = view.x
+    return lambda v: np.asarray((h * (x @ v)) @ x).ravel() + reg * v
+
+
 def empirical_loss_and_grad(loss: str, w: np.ndarray, view: DatasetView):
     """Average loss over the view and its exact gradient."""
     _check_loss(loss)

@@ -18,7 +18,7 @@ factors absorb the proxy error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import optimize
@@ -266,6 +266,18 @@ def lemma2_check(spec: RiskSpec, base: Dataset, n: int, draws: int,
     )
 
 
+def _threshold_solve(spec: RiskSpec, view: DatasetView, threshold: float) -> np.ndarray:
+    """Stage solve from zero under the gradient-norm rule: AGD, tight-constant steps."""
+    tight_spec = replace(spec, M=erm.smoothness_constant(spec.loss, view))
+    budget = solvers.StepBudget(mode="until_threshold", threshold=threshold)
+    result = solvers.solve(solvers.init_state("agd", view.dim), tight_spec, view, budget)
+    if result.budget_exhausted:
+        raise solvers.BudgetError(
+            f"stage solve at n={view.count} did not reach {threshold} "
+            f"within {budget.max_iterations} iterations")
+    return result.state.w
+
+
 def proposition1_check(spec: RiskSpec, base: Dataset, m: int, draws: int,
                        seed: int = 0) -> CheckReport:
     """Warm-start suboptimality after doubling vs its closed-form bound, in the mean."""
@@ -279,9 +291,7 @@ def proposition1_check(spec: RiskSpec, base: Dataset, m: int, draws: int,
     sup = {m: 0.0, n - m: 0.0, n: 0.0}
     for perm, l_full, l_m, l_nm in _nested_draws(spec.loss, base, m, n, draws, seed):
         nested = _shuffled_copy(base, perm, n)
-        # stage-m solve from zero under the gradient-norm rule, tight-constant steps
-        w_m = bench.reference_optimum(spec, nested.prefix(m),
-                                      tolerance=schedule.stop_threshold(spec, m)).w_star_n
+        w_m = _threshold_solve(spec, nested.prefix(m), schedule.stop_threshold(spec, m))
         ref_n = bench.reference_optimum(spec, nested.full_view(), tolerance=1e-9)
         lhs_values.append(erm.risk_value(spec, w_m, nested.full_view()) - ref_n.risk_star)
         sup[m] += float(np.max(np.abs(l_full - l_m)))

@@ -1,15 +1,17 @@
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from adasize import RiskSpec, RunConfig, effective_passes, emit_csv, reference_optimum, \
     risk_value, statistical_accuracy
-from adasize import bench
+from adasize import bench, solvers
 from adasize.bench import CompareRow, Trace, TraceEvent, compare_matrix, format_summary_table, \
     load_trace_csv, write_summary_csv
 from adasize.data import generate_synthetic, normalize
+from adasize.erm import smoothness_constant
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +52,43 @@ class TestReferenceOptimum:
         ds, spec = squared_problem
         with pytest.raises(ValueError):
             reference_optimum(spec, ds.full_view(), tolerance=0.0)
+
+    def test_unreachable_tolerance_raises(self, squared_problem):
+        ds, spec = squared_problem
+        with pytest.raises(solvers.BudgetError, match=f"n={ds.n_samples}"):
+            reference_optimum(spec, ds.full_view(), tolerance=1e-30)
+
+
+def _cross_check_problems():
+    """Dense logistic and squared, a sparse wide view, and the normal-equations problem."""
+    dense, _ = generate_synthetic(300, 20, 1.0, seed=5)
+    dense = normalize(dense).full_view()
+    wide, _ = generate_synthetic(400, 6000, 0.01, seed=6, feature_decay=0.5)
+    small, _ = generate_synthetic(64, 6, 1.0, seed=2)  # the squared_problem fixture's data
+    return [
+        pytest.param(RiskSpec(loss="logistic", gamma=0.5), dense, 1e-10, id="logistic_dense"),
+        pytest.param(RiskSpec(loss="squared", gamma=0.5), dense, 1e-10, id="squared_dense"),
+        pytest.param(RiskSpec(loss="logistic"), normalize(wide).full_view(), 1e-10,
+                     id="logistic_sparse"),
+        pytest.param(RiskSpec(loss="squared"), normalize(small).full_view(), 1e-12,
+                     id="normal_equations"),
+    ]
+
+
+@pytest.mark.parametrize("spec,view,tol", _cross_check_problems())
+def test_reference_optimum_agrees_with_agd(spec, view, tol):
+    # the oracle (L-BFGS, Newton-CG finish) against the solvers it judges,
+    # run from zero to the same gradient-norm tolerance
+    ref = reference_optimum(spec, view, tolerance=tol)
+    agd = solvers.solve(solvers.init_state("agd", view.dim),
+                        replace(spec, M=smoothness_constant(spec.loss, view)), view,
+                        solvers.StepBudget("until_threshold", threshold=tol,
+                                           max_iterations=10**7))
+    assert not agd.budget_exhausted
+    assert abs(ref.risk_star - agd.exit.risk) <= 1e-15
+    # both gradients are within tol, so strong convexity puts each within tol/(cV_n) of w*
+    cv = spec.c * statistical_accuracy(spec, view.count)
+    assert np.linalg.norm(ref.w_star_n - agd.state.w) <= 2 * tol / cv
 
 
 class TestEffectivePasses:

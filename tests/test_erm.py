@@ -7,7 +7,7 @@ from adasize import Dataset, RiskSpec, empirical_loss_and_grad, risk_value, \
     risk_value_and_grad, smoothness_constant
 from adasize.erm import test_error as classification_error
 from adasize.data import generate_synthetic, normalize, parse_sparse_text
-from adasize.erm import EmptyViewError, _loss_terms, sample_loss_coef
+from adasize.erm import EmptyViewError, _loss_terms, risk_hessian, sample_loss_coef
 from adasize.verify import _risk_value_scalar
 
 # log1p(exp(-50)) at 40 decimal digits
@@ -103,6 +103,20 @@ def test_gradient_matches_finite_differences(small_train, rng):
             wm[j] -= h
             fd = (risk_value(spec, wp, view) - risk_value(spec, wm, view)) / (2 * h)
             assert fd == pytest.approx(grad[j], rel=1e-5, abs=1e-9)
+
+
+@pytest.mark.parametrize("loss", ["logistic", "squared"])
+def test_hessian_vector_matches_finite_differences(loss, small_train, rng):
+    # central differences of the analytic gradient along v
+    spec = RiskSpec(loss=loss, c=0.7, alpha=0.75, gamma=1.3, M=1.0)
+    view = small_train.prefix(300)
+    h = 1e-5
+    for _ in range(5):
+        w = rng.uniform(-2, 2, small_train.dim)
+        v = rng.standard_normal(small_train.dim)
+        fd = (risk_value_and_grad(spec, w + h * v, view)[1]
+              - risk_value_and_grad(spec, w - h * v, view)[1]) / (2 * h)
+        np.testing.assert_allclose(risk_hessian(spec, w, view)(v), fd, rtol=1e-6, atol=1e-9)
 
 
 def test_risk_at_origin_equals_loss(spec, small_train):
