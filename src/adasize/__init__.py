@@ -19,8 +19,7 @@ from .schedule import StagePlan, WstarEstimate, agd_params, build_stage_plans, \
     total_complexity_svrg, warm_start_bound, warm_start_bound_doubled
 from .solvers import DivergenceError, SolverState, StepBudget, agd_step, gd_step, \
     init_state, solve, svrg_epoch
-from .driver import RunConfig, StageReport, Trace, TraceEvent, adaptive_run, bootstrap, \
-    fixed_run
+from .driver import RunConfig, StageReport, Trace, TraceEvent, adaptive_run, fixed_run
 from .bench import ReferenceOptimum, compare_matrix, effective_passes, emit_csv, \
     reference_optimum
 from .verify import CheckReport, fd_gradient_check, lemma1_check, lemma2_check, \

@@ -89,9 +89,7 @@ def _fmt(x: float) -> str:
 
 def emit_csv(trace: Trace, ref: ReferenceOptimum, sink) -> None:
     """Write the trace as CSV; suboptimality is measured against ref and clamped at 0."""
-    N = trace.meta.get("N")
-    if N is None:
-        raise ValueError("trace meta missing N")
+    N = trace.N
     if ref.n != N:
         raise ValueError(f"reference optimum is for n={ref.n}, trace final stage is N={N}")
     sink.write(TRACE_CSV_HEADER + "\n")

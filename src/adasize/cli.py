@@ -29,6 +29,10 @@ class UsageError(Exception):
     pass
 
 
+# the names `verify --checks` accepts; `all` selects every one
+_CHECK_NAMES = ("fd", "svrg_direction", "lemma1", "lemma2", "proposition1", "theorem")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems exit 1, not argparse's default 2
         raise UsageError(message)
@@ -145,7 +149,7 @@ def build_parser(file_defaults: dict | None = None) -> _Parser:
     p_ver.add_argument("--draws", type=int, default=200)
     p_ver.add_argument("--trials", type=int, default=100)
     p_ver.add_argument("--checks", default="all",
-                       help="comma list: fd,svrg_direction,lemma1,lemma2,proposition1,theorem")
+                       help=f"all, or a comma list of: {','.join(_CHECK_NAMES)}")
 
     if file_defaults:
         for p in common:
@@ -165,6 +169,14 @@ def _write_atomic(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text)
     os.replace(tmp, path)
+
+
+def _from_flags(make, *args, **kwargs):
+    """make(*args, **kwargs); its range checks on flag values become usage errors."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _parse_gen(spec_str: str):
@@ -217,11 +229,10 @@ def _load_dataset(args) -> tuple[data.Dataset, str]:
 def _prepare_experiment(args):
     ds, digest = _load_dataset(args)
     N = args.N or ds.n_samples
-    if N > ds.n_samples:
-        raise UsageError(f"--N {N} exceeds dataset size {ds.n_samples}")
-    train, test = data.shuffle_and_split(ds, N, seed=args.seed)
+    train, test = _from_flags(data.shuffle_and_split, ds, N, seed=args.seed)
     m = 1.0 if args.m_mode == "paper" else erm.smoothness_constant(args.loss, train)
-    spec = RiskSpec(loss=args.loss, c=args.c, alpha=args.alpha, gamma=args.gamma, M=m)
+    spec = _from_flags(RiskSpec, loss=args.loss, c=args.c, alpha=args.alpha, gamma=args.gamma,
+                       M=m)
     return train, test, spec, N, digest
 
 
@@ -241,7 +252,8 @@ def _manifest_text(args, digest: str, outputs: list[str], extra: dict | None = N
 
 
 def _run_config_from_args(args, N: int, adaptive: bool, method: str) -> RunConfig:
-    return RunConfig(
+    return _from_flags(
+        RunConfig,
         method=method,
         adaptive=adaptive,
         m0=min(args.m0, N),
@@ -315,9 +327,10 @@ def cmd_compare(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    spec = RiskSpec(loss="logistic", c=args.c, alpha=args.alpha, gamma=args.gamma, M=args.M)
-    wstar = WstarEstimate(args.wstar)
-    plans = schedule.build_stage_plans(spec, args.N, args.m0, wstar)
+    spec = _from_flags(RiskSpec, loss="logistic", c=args.c, alpha=args.alpha, gamma=args.gamma,
+                       M=args.M)
+    wstar = _from_flags(WstarEstimate, args.wstar)
+    plans = _from_flags(schedule.build_stage_plans, spec, args.N, args.m0, wstar)
     headers = ["n", "V_n", "threshold", "agd_eta", "agd_beta", "svrg_q", "svrg_eta",
                "svrg_rho", "s_generic", "s_agd", "s_svrg"]
     rows = [headers]
@@ -350,11 +363,17 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    selected = _CHECK_NAMES if args.checks == "all" else args.checks.split(",")
+    unknown = [name for name in selected if name not in _CHECK_NAMES]
+    if unknown:
+        raise UsageError(f"unknown --checks name(s) {unknown}; "
+                         f"give all or a comma list of {', '.join(_CHECK_NAMES)}")
+    for flag in ("m0", "draws", "trials"):
+        if getattr(args, flag) < 1:
+            raise UsageError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
     if not args.dataset and not args.gen:
         args.gen = "8192,20,1.0"
     train, _, spec, N, digest = _prepare_experiment(args)
-    selected = args.checks.split(",") if args.checks != "all" else [
-        "fd", "svrg_direction", "lemma1", "lemma2", "proposition1", "theorem"]
     m0 = min(args.m0, N // 4 if N >= 4 else N)
     reports: list[verify.CheckReport] = []
     small = train.prefix(min(128, N))

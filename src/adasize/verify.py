@@ -325,7 +325,7 @@ def theorem_sn_sufficiency_check(method: str, spec: RiskSpec, base: Dataset, m0:
                                  draws: int, seed: int = 0) -> CheckReport:
     """Run the fixed-iteration schedule; per-stage mean suboptimality must be within accuracy.
 
-    The bootstrap stage is excluded: its guarantee comes from the threshold
+    The first stage is excluded: its guarantee comes from the threshold
     rule, not from the per-stage iteration count.
     """
     if method not in ("agd", "svrg"):
@@ -350,16 +350,14 @@ def theorem_sn_sufficiency_check(method: str, spec: RiskSpec, base: Dataset, m0:
             eval_every=10**9,
             wstar_norm_sq=wsq,
         )
-        exits: list[tuple[int, np.ndarray]] = []
-        driver.adaptive_run(cfg, spec, shuffled,
-                            on_stage_exit=lambda st, rep: exits.append((rep.n, st.w.copy())))
+        _, _, reports = driver.adaptive_run(cfg, spec, shuffled)
         draw_bad = False
-        for stage_n, w_exit in exits[1:]:  # skip bootstrap
-            view = shuffled.prefix(stage_n)
+        for rep in reports[1:]:  # skip the first stage
+            view = shuffled.prefix(rep.n)
             ref = bench.reference_optimum(spec, view, tolerance=1e-9)
-            gap = erm.risk_value(spec, w_exit, view) - ref.risk_star
-            per_stage.setdefault(stage_n, []).append(gap)
-            if gap > schedule.statistical_accuracy(spec, stage_n):
+            gap = erm.risk_value(spec, rep.w, view) - ref.risk_star
+            per_stage.setdefault(rep.n, []).append(gap)
+            if gap > schedule.statistical_accuracy(spec, rep.n):
                 draw_bad = True
         if draw_bad:
             per_draw_violations += 1

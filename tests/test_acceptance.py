@@ -75,18 +75,14 @@ def test_criterion_3_stage_certificates():
         train, spec = _suite_base(seed=seed)
         refs = {}
         for method in ("gd", "agd", "svrg"):
-            exits = {}
             cfg = RunConfig(method=method, adaptive=True, m0=256, N=8192, seed=seed)
-            _, _, reports = adaptive_run(
-                cfg, spec, train,
-                on_stage_exit=lambda st, rep: exits.update({rep.n: st.w.copy()}))
+            _, _, reports = adaptive_run(cfg, spec, train)
             for rep in reports:
                 assert not rep.budget_exhausted, (seed, method, rep)
                 if rep.n not in refs:
                     refs[rep.n] = bench.reference_optimum(
                         spec, train.prefix(rep.n), tolerance=1e-10)
-                gap = a.risk_value(spec, exits[rep.n], train.prefix(rep.n)) \
-                    - refs[rep.n].risk_star
+                gap = a.risk_value(spec, rep.w, train.prefix(rep.n)) - refs[rep.n].risk_star
                 v_n = a.statistical_accuracy(spec, rep.n)
                 assert gap <= v_n + 1e-9, (seed, method, rep.n, gap, v_n)
                 checked += 1

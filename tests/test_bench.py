@@ -118,7 +118,7 @@ def _tiny_ref(n=4):
 
 class TestCsv:
     def test_header_and_rows(self):
-        trace = Trace(meta={"N": 4})
+        trace = Trace(N=4)
         trace.append(TraceEvent(2, 2, 0.75, 0.1, None))
         trace.append(TraceEvent(4, 4, 0.6, 0.05, 0.25))
         out = io.StringIO()
@@ -130,18 +130,18 @@ class TestCsv:
 
     def test_empty_trace_header_only(self):
         out = io.StringIO()
-        emit_csv(Trace(meta={"N": 4}), _tiny_ref(), out)
+        emit_csv(Trace(N=4), _tiny_ref(), out)
         assert out.getvalue().count("\n") == 1
 
     def test_suboptimality_clamped(self):
-        trace = Trace(meta={"N": 4})
+        trace = Trace(N=4)
         trace.append(TraceEvent(1, 4, 0.5 - 1e-13, 0.1, None))
         out = io.StringIO()
         emit_csv(trace, _tiny_ref(), out)
         assert float(out.getvalue().splitlines()[1].split(",")[3]) == 0.0
 
     def test_round_trip(self):
-        trace = Trace(meta={"N": 4})
+        trace = Trace(N=4)
         trace.append(TraceEvent(2, 2, 0.75, 0.1, None))
         trace.append(TraceEvent(4, 4, 0.6, 1.0 / 3.0, 0.125))
         out = io.StringIO()
@@ -153,12 +153,12 @@ class TestCsv:
         assert rows[1]["effective_passes"] == 1.0
 
     def test_stage_mismatch_rejected(self):
-        trace = Trace(meta={"N": 8})
+        trace = Trace(N=8)
         with pytest.raises(ValueError):
             emit_csv(trace, _tiny_ref(n=4), io.StringIO())
 
     def test_trace_append_rules(self):
-        trace = Trace()
+        trace = Trace(N=1)
         trace.append(TraceEvent(1, 1, 0.1, 0.1))
         trace.append(TraceEvent(1, 1, 0.2, 0.2))  # supersedes, same counter
         assert len(trace.events) == 1 and trace.events[0].risk_value == 0.2

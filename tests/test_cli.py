@@ -33,6 +33,36 @@ def test_malformed_label_map_is_usage_error(tmp_path, capsys, label_map):
     assert "--label-map" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--m0", "0"],
+    ["run", "--eval-every", "0"],
+    ["run", "--N", "-5"],
+    ["run", "--gamma", "-1"],
+    ["run", "--alpha", "2"],
+    ["run", "--c", "0"],
+    ["run", "--pass-cap", "-1"],
+    ["run", "--wstar", "-1"],  # also under the threshold budget, which never reads it
+    ["compare", "--m0", "0"],
+    ["verify", "--m0", "0"],
+    ["verify", "--N", "-5"],
+    ["verify", "--draws", "0"],
+    ["verify", "--trials", "0"],
+    ["bounds", "--m0", "0"],
+    ["bounds", "--wstar", "-1"],
+], ids=" ".join)
+def test_out_of_range_flag_is_usage_error(tmp_path, capsys, argv):
+    data = ["--N", "64", "--m0", "16"] if argv[0] == "bounds" else ["--gen", "64,4,1.0"]
+    assert run_cli(argv[:1] + data + argv[1:] + ["--out", str(tmp_path)]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_pass_cap_zero_is_valid(tmp_path):
+    assert run_cli(["run", "--gen", "64,4,1.0", "--method", "gd", "--pass-cap", "0",
+                    "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "trace_gd_fix_seed0.csv").read_text().count("\n") == 1
+
+
 class TestGen:
     def test_writes_parseable_file(self, tmp_path, capsys):
         assert run_cli(["gen", "--gen", "50,6,1.0", "--seed", "3",
@@ -162,6 +192,14 @@ class TestVerifyCommand:
         report = (tmp_path / "checks_seed3.csv").read_text().splitlines()
         assert report[0] == "name,trials,violations,worst_margin,passed"
         assert len(report) == 3  # logistic + squared
+
+    @pytest.mark.parametrize("checks", ["lema1", "", "fd,"])
+    def test_unknown_check_name_is_usage_error(self, tmp_path, capsys, checks):
+        code = run_cli(["verify", "--gen", "256,8,1.0", "--checks", checks,
+                        "--trials", "10", "--out", str(tmp_path)])
+        assert code == 1
+        assert "proposition1" in capsys.readouterr().err  # the valid names are listed
+        assert not (tmp_path / "checks_seed0.csv").exists()
 
     def test_direction_check(self, tmp_path, capsys):
         code = run_cli(["verify", "--gen", "128,6,1.0", "--checks", "svrg_direction",

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from adasize import RiskSpec, RunConfig, adaptive_run, bootstrap, fixed_run, \
-    generate_synthetic, normalize, reference_optimum, risk_value, \
-    statistical_accuracy, stop_threshold
+from adasize import RiskSpec, RunConfig, adaptive_run, fixed_run, generate_synthetic, \
+    normalize, reference_optimum, risk_value, risk_value_and_grad, statistical_accuracy, \
+    stop_threshold
 from adasize import driver as driver_mod
 from adasize import solvers
 from adasize.schedule import iterations_svrg
@@ -54,48 +54,47 @@ def test_warm_start_chain_bitwise(train_2k, spec, monkeypatch):
         return real_solve(state, spec_, view, budget, callback)
 
     monkeypatch.setattr(driver_mod.solvers, "solve", spying_solve)
-    exits = []
     cfg = RunConfig(method="agd", adaptive=True, m0=256, N=2048, seed=3)
-    adaptive_run(cfg, spec, train_2k,
-                 on_stage_exit=lambda st, rep: exits.append(st.w.copy()))
-    assert len(entries) == len(exits)
+    w, _, reports = adaptive_run(cfg, spec, train_2k)
+    assert len(entries) == len(reports)
     np.testing.assert_array_equal(entries[0][1], np.zeros(train_2k.dim))
     for k in range(1, len(entries)):
-        np.testing.assert_array_equal(entries[k][1], exits[k - 1])
+        np.testing.assert_array_equal(entries[k][1], reports[k - 1].w)
+    np.testing.assert_array_equal(w, reports[-1].w)
 
 
 def test_bootstrap_certificate(spec):
     ds, _ = generate_synthetic(512, 10, 1.0, seed=1)
     train = normalize(ds)
     cfg = RunConfig(method="agd", adaptive=True, m0=64, N=512, seed=1)
-    state, report = bootstrap(cfg, spec, train)
+    _, _, reports = adaptive_run(cfg, spec, train)
+    report = reports[0]
     assert report.n == 64
     assert not report.budget_exhausted
     assert report.exit_grad_norm <= stop_threshold(spec, 64)
-    assert state.grad_evals == report.grad_evals_at_exit
+    # the report's counter and norm are those of its exit iterate: one AGD
+    # step from zero costs 64 gradient evaluations
+    assert report.grad_evals_at_exit == 64 * report.iterations
+    assert risk_value_and_grad(spec, report.w, train.prefix(64))[2] == report.exit_grad_norm
 
 
 def test_bootstrap_zero_iterations_under_loose_accuracy(train_2k):
     spec = RiskSpec(loss="logistic", c=1.0, alpha=0.5, gamma=50.0, M=1.0)
     cfg = RunConfig(method="gd", adaptive=True, m0=128, N=2048, seed=0)
-    _, report = bootstrap(cfg, spec, train_2k)
-    assert report.iterations == 0
+    _, _, reports = adaptive_run(cfg, spec, train_2k)
+    assert reports[0].iterations == 0
 
 
 @pytest.mark.parametrize("method", ["gd", "agd", "svrg"])
 def test_threshold_stages_certify_suboptimality(train_2k, spec, method):
     cfg = RunConfig(method=method, adaptive=True, m0=256, N=2048, seed=7)
     _, _, reports = adaptive_run(cfg, spec, train_2k)
-    exits = {}
-    cfg2 = RunConfig(method=method, adaptive=True, m0=256, N=2048, seed=7)
-    adaptive_run(cfg2, spec, train_2k,
-                 on_stage_exit=lambda st, rep: exits.update({rep.n: st.w.copy()}))
     for rep in reports:
         assert not rep.budget_exhausted
         assert rep.exit_grad_norm <= rep.threshold
         view = train_2k.prefix(rep.n)
         ref = reference_optimum(spec, view, tolerance=1e-10)
-        gap = risk_value(spec, exits[rep.n], view) - ref.risk_star
+        gap = risk_value(spec, rep.w, view) - ref.risk_star
         assert gap <= statistical_accuracy(spec, rep.n) + 1e-9
 
 
@@ -105,7 +104,7 @@ def test_theoretical_budget_svrg_constant_epochs(train_2k, spec):
     _, _, reports = adaptive_run(cfg, spec, train_2k)
     expected = iterations_svrg(spec)
     assert expected == 3
-    for rep in reports[1:]:  # bootstrap uses the threshold rule
+    for rep in reports[1:]:  # the first stage uses the threshold rule
         assert rep.iterations == expected
 
 
@@ -120,15 +119,12 @@ def test_trace_grad_evals_strictly_increase(train_2k, spec):
 def test_trace_risk_is_full_set_risk_at_every_stage(train_2k, spec, method):
     # on a stage below N the trace must evaluate R_N; on the N stage it reuses
     # the solver's R_n, which must be the same number
-    exits = []
     cfg = RunConfig(method=method, adaptive=True, m0=256, N=2048, seed=2)
-    _, trace, reports = adaptive_run(
-        cfg, spec, train_2k,
-        on_stage_exit=lambda st, rep: exits.append((st.grad_evals, rep.n, st.w.copy())))
-    assert [n for _, n, _ in exits] == [r.n for r in reports] and len(exits) > 1
+    _, trace, reports = adaptive_run(cfg, spec, train_2k)
+    assert len(reports) > 1
     events = {ev.grad_evals: ev for ev in trace.events}
     # a stage that exits without a step supersedes the event at the same counter
-    last_exits = {grad_evals: (n, w) for grad_evals, n, w in exits}
+    last_exits = {rep.grad_evals_at_exit: (rep.n, rep.w) for rep in reports}
     for grad_evals, (n, w) in last_exits.items():
         ev = events[grad_evals]
         assert ev.stage_n == n
@@ -154,6 +150,16 @@ def test_eval_every_stride(train_2k, spec):
 
 
 class TestFixedRun:
+    @pytest.mark.parametrize("method", ["gd", "agd", "svrg"])
+    def test_equals_one_stage_adaptive_run(self, train_2k, spec, method):
+        w_fix, trace_fix = fixed_run(
+            RunConfig(method=method, adaptive=False, m0=128, N=2048, seed=5), spec, train_2k)
+        w_ada, trace_ada, reports = adaptive_run(
+            RunConfig(method=method, adaptive=True, m0=2048, N=2048, seed=5), spec, train_2k)
+        assert len(reports) == 1
+        np.testing.assert_array_equal(w_fix, w_ada)
+        assert trace_fix.events == trace_ada.events
+
     def test_deterministic(self, train_2k, spec):
         runs = []
         for _ in range(2):
@@ -192,3 +198,7 @@ def test_config_validation():
         RunConfig(method="gd", N=100, eval_every=0)
     with pytest.raises(ValueError):
         RunConfig(method="gd", N=100, budget_mode="exact")
+    with pytest.raises(ValueError):
+        RunConfig(method="gd", N=100, pass_cap=-1)
+    with pytest.raises(ValueError):  # checked under the threshold budget too
+        RunConfig(method="gd", N=100, wstar_norm_sq=-1.0)
