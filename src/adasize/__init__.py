@@ -14,9 +14,9 @@ from .data import Dataset, DatasetView, generate_synthetic, normalize, parse_spa
 from .erm import RiskSpec, empirical_loss_and_grad, risk_value, risk_value_and_grad, \
     smoothness_constant, test_error
 from .schedule import StagePlan, WstarEstimate, agd_params, build_stage_plans, \
-    iterations_agd, iterations_generic, iterations_svrg, next_sample_size, \
-    statistical_accuracy, stop_threshold, svrg_params, total_complexity_agd, \
-    total_complexity_svrg, warm_start_bound, warm_start_bound_doubled
+    iterations_agd, iterations_generic, iterations_svrg, statistical_accuracy, \
+    stop_threshold, svrg_params, total_complexity_agd, total_complexity_svrg, \
+    warm_start_bound
 from .solvers import DivergenceError, SolverState, StepBudget, agd_step, gd_step, \
     init_state, solve, svrg_epoch
 from .driver import RunConfig, StageReport, Trace, TraceEvent, adaptive_run, fixed_run

@@ -9,7 +9,6 @@ per-sample gradient evaluations where N is the full training-set size.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 from dataclasses import dataclass
@@ -37,7 +36,6 @@ class ReferenceOptimum:
     w_star_n: np.ndarray
     risk_star: float
     grad_norm_at_star: float
-    tolerance: float
 
 
 def reference_optimum(spec: RiskSpec, view: DatasetView,
@@ -73,7 +71,7 @@ def reference_optimum(spec: RiskSpec, view: DatasetView,
             f"reference solve at n={view.count} did not reach tolerance {tolerance}: "
             f"||grad R_n|| = {grad_norm}")
     return ReferenceOptimum(n=view.count, w_star_n=w, risk_star=risk,
-                            grad_norm_at_star=grad_norm, tolerance=tolerance)
+                            grad_norm_at_star=grad_norm)
 
 
 def effective_passes(grad_evals: int, N: int) -> float:
@@ -110,25 +108,6 @@ def trace_csv_text(trace: Trace, ref: ReferenceOptimum) -> str:
     out = io.StringIO()
     emit_csv(trace, ref, out)
     return out.getvalue()
-
-
-def load_trace_csv(source) -> list[dict]:
-    """Parse an emitted trace CSV back into rows of numbers (None for empty cells)."""
-    if isinstance(source, str):
-        source = io.StringIO(source)
-    rows = []
-    for rec in csv.DictReader(source):
-        rows.append(
-            {
-                "effective_passes": float(rec["effective_passes"]),
-                "grad_evals": int(rec["grad_evals"]),
-                "stage_n": int(rec["stage_n"]),
-                "suboptimality": float(rec["suboptimality"]),
-                "grad_norm": float(rec["grad_norm"]),
-                "test_error": float(rec["test_error"]) if rec["test_error"] else None,
-            }
-        )
-    return rows
 
 
 @dataclass

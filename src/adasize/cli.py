@@ -31,6 +31,8 @@ class UsageError(Exception):
 
 # the names `verify --checks` accepts; `all` selects every one
 _CHECK_NAMES = ("fd", "svrg_direction", "lemma1", "lemma2", "proposition1", "theorem")
+# the checks whose subset sizes come from N // 4, so they need N >= 4
+_SUBSET_CHECKS = {"lemma1", "lemma2", "proposition1", "theorem"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -153,6 +155,11 @@ def build_parser(file_defaults: dict | None = None) -> _Parser:
 
     if file_defaults:
         for p in common:
+            for a in p._actions:  # argparse checks choices on the command line only
+                if a.choices and a.dest in file_defaults \
+                        and file_defaults[a.dest] not in a.choices:
+                    raise UsageError(f"config key {a.dest} = {file_defaults[a.dest]!r} is not "
+                                     f"one of {', '.join(a.choices)}")
             known = {a.dest for a in p._actions}
             p.set_defaults(**{k: v for k, v in file_defaults.items() if k in known})
     return parser
@@ -286,9 +293,9 @@ def cmd_run(args) -> int:
     train, test, spec, N, digest = _prepare_experiment(args)
     cfg = _run_config_from_args(args, N, args.adaptive, args.method)
     if cfg.adaptive:
-        _, trace, _ = driver.adaptive_run(cfg, spec, train, test if test.n_samples else None)
+        _, trace, _ = driver.adaptive_run(cfg, spec, train, test)
     else:
-        _, trace = driver.fixed_run(cfg, spec, train, test if test.n_samples else None)
+        _, trace = driver.fixed_run(cfg, spec, train, test)
     ref = bench.reference_optimum(spec, train.prefix(N))
     out_dir = _out_dir(args)
     trace_file = _trace_name(args.method, cfg.adaptive, args.seed)
@@ -306,8 +313,7 @@ def cmd_compare(args) -> int:
         for method in ("gd", "agd", "svrg")
         for adaptive in (False, True)
     ]
-    rows, traces, ref = bench.compare_matrix(configs, spec, train,
-                                             test if test.n_samples else None)
+    rows, traces, ref = bench.compare_matrix(configs, spec, train, test)
     out_dir = _out_dir(args)
     outputs = []
     for cfg, trace in traces:
@@ -374,7 +380,10 @@ def cmd_verify(args) -> int:
     if not args.dataset and not args.gen:
         args.gen = "8192,20,1.0"
     train, _, spec, N, digest = _prepare_experiment(args)
-    m0 = min(args.m0, N // 4 if N >= 4 else N)
+    if N < 4 and _SUBSET_CHECKS.intersection(selected):
+        raise UsageError(f"--N must be >= 4 for the {', '.join(sorted(_SUBSET_CHECKS))} "
+                         f"checks, got {N}")
+    m0 = min(args.m0, N // 4)
     reports: list[verify.CheckReport] = []
     small = train.prefix(min(128, N))
     if "fd" in selected:
@@ -418,21 +427,21 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    file_defaults = None
-    if "--config" in argv:
-        cfg_path = argv[argv.index("--config") + 1] if argv.index("--config") + 1 < len(argv) \
-            else None
-        if cfg_path is None:
-            print("error: --config needs a file path", file=sys.stderr)
-            return 1
-        try:
-            file_defaults = _parse_config_file(cfg_path)
-        except (OSError, UsageError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-    parser = build_parser(file_defaults)
+    # the config file sets the parser's defaults, so its path is read first; no
+    # abbreviations here, or --c (the regularization constant) would match --config
+    pre = _Parser(add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
     try:
+        cfg_path = pre.parse_known_args(argv)[0].config
+        file_defaults = None if cfg_path is None else _parse_config_file(cfg_path)
+    except (OSError, UsageError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    try:
+        parser = build_parser(file_defaults)
         args = parser.parse_args(argv)
+        if args.config not in (None, cfg_path):
+            raise UsageError("write --config in full")
         if args.command is None:
             parser.print_help(sys.stderr)
             return 1

@@ -31,7 +31,7 @@ class EmptyDatasetError(ValueError):
 class Dataset:
     """Immutable ordered sample collection over a fixed feature dimension."""
 
-    def __init__(self, x: sparse.csr_matrix, y: np.ndarray, name: str = "", dim: int | None = None):
+    def __init__(self, x: sparse.csr_matrix, y: np.ndarray, name: str = ""):
         x = sparse.csr_matrix(x)
         x.sum_duplicates()  # canonical rows: sorted, each column at most once
         y = np.asarray(y, dtype=np.float64)
@@ -39,10 +39,6 @@ class Dataset:
             raise ValueError("feature matrix and labels disagree on sample count")
         if y.size and not np.all(np.isin(y, (-1.0, 1.0))):
             raise ValueError("labels must be exactly -1 or +1")
-        if dim is not None and dim < x.shape[1]:
-            raise ValueError(f"dim={dim} smaller than max feature index {x.shape[1]}")
-        if dim is not None and dim != x.shape[1]:
-            x = sparse.csr_matrix((x.data, x.indices, x.indptr), shape=(x.shape[0], dim))
         for arr in (x.data, x.indices, x.indptr, y):
             arr.setflags(write=False)
         self.x = x
@@ -56,9 +52,6 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.x.shape[1]
-
-    def __len__(self) -> int:
-        return self.n_samples
 
     def prefix(self, n: int) -> "DatasetView":
         return DatasetView(self, n)
@@ -273,6 +266,6 @@ def shuffle_and_split(d: Dataset, train_count: int, seed: int = 0) -> tuple[Data
     perm = np.random.default_rng(seed).permutation(d.n_samples)
     x = d.x[perm]
     y = d.y[perm]
-    train = Dataset(x[:train_count], y[:train_count], name=f"{d.name}-train", dim=d.dim)
-    test = Dataset(x[train_count:], y[train_count:], name=f"{d.name}-test", dim=d.dim)
+    train = Dataset(x[:train_count], y[:train_count], name=f"{d.name}-train")
+    test = Dataset(x[train_count:], y[train_count:], name=f"{d.name}-test")
     return train, test

@@ -71,13 +71,6 @@ def statistical_accuracy(spec: "RiskSpec", n: int) -> float:
     return spec.gamma / n**spec.alpha
 
 
-def next_sample_size(m: int, N: int) -> int:
-    """Doubling growth clamped at the full set: min(2m, N)."""
-    if not 1 <= m <= N:
-        raise ValueError(f"need 1 <= m <= N, got m={m}, N={N}")
-    return min(2 * m, N)
-
-
 def stop_threshold(spec: "RiskSpec", n: int) -> float:
     """Gradient-norm level certifying suboptimality <= V_n on the cV_n-strongly-convex risk."""
     return math.sqrt(2.0 * spec.c) * statistical_accuracy(spec, n)
@@ -199,18 +192,16 @@ def total_complexity_svrg(spec: "RiskSpec", N: int, wstar: WstarEstimate | None 
     return 4.0 * N * math.log2(_doubling_log_argument(spec, wstar))
 
 
-def warm_start_bound(spec: "RiskSpec", m: int, n: int, delta_m: float,
-                     wstar: WstarEstimate | None = None) -> float:
-    """Expected suboptimality of the stage-m exit iterate on the stage-n risk.
+def warm_start_bound(spec: "RiskSpec", m: int, n: int, delta_m: float, v_m: float,
+                     v_nm: float, v_n: float, wstar: WstarEstimate | None = None) -> float:
+    """Proposition 1: expected suboptimality of the stage-m exit iterate on the stage-n risk.
 
-    delta_m + (2(n-m)/n)(V_{n-m} + V_m) + 2(V_m - V_n) + (c(V_m - V_n)/2)||w*||^2.
+    delta_m + (2(n-m)/n)(V_{n-m} + V_m) + 2(V_m - V_n) + (c(V_m - V_n)/2)||w*||^2,
+    at the accuracy levels v_m, v_nm, v_n of m, n - m and n samples.
     """
     if m >= n:
         raise ValueError(f"need m < n, got m={m}, n={n}")
     wstar = wstar or WstarEstimate()
-    v_m = statistical_accuracy(spec, m)
-    v_n = statistical_accuracy(spec, n)
-    v_nm = statistical_accuracy(spec, n - m)
     return (
         delta_m
         + (2.0 * (n - m) / n) * (v_nm + v_m)
@@ -219,25 +210,13 @@ def warm_start_bound(spec: "RiskSpec", m: int, n: int, delta_m: float,
     )
 
 
-def warm_start_coefficient(spec: "RiskSpec", wstar: WstarEstimate | None = None) -> float:
-    """Multiplier of V_m in the simplified doubled-stage (n = 2m) warm-start bound."""
-    wstar = wstar or WstarEstimate()
-    return 2.0 + (1.0 - 2.0**-spec.alpha) * (2.0 + 0.5 * spec.c * wstar.norm_sq)
-
-
-def warm_start_bound_doubled(spec: "RiskSpec", m: int, delta_m: float,
-                             wstar: WstarEstimate | None = None) -> float:
-    """Simplified n = 2m form: delta_m + coefficient * V_m."""
-    return delta_m + warm_start_coefficient(spec, wstar) * statistical_accuracy(spec, m)
-
-
 def stage_sizes(m0: int, N: int) -> list[int]:
     """m0, 2*m0, 4*m0, ..., N (last stage clamped), each size exactly once."""
     if not 1 <= m0 <= N:
         raise ValueError(f"need 1 <= m0 <= N, got m0={m0}, N={N}")
     sizes = [m0]
     while sizes[-1] < N:
-        sizes.append(next_sample_size(sizes[-1], N))
+        sizes.append(min(2 * sizes[-1], N))
     return sizes
 
 

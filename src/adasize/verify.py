@@ -32,6 +32,11 @@ PROBE_COUNT = 32
 LEMMA1_SLACK = 0.25
 LEMMA2_SLACK = 0.10
 PROP1_SLACK = 0.25
+FD_ABS_TOL = 1e-9
+FD_STEP = 1e-6
+FD_COORDS_PER_TRIAL = 5
+SVRG_DIRECTION_ABS_TOL = 1e-12
+PROXY_L2 = 1e-10
 
 
 @dataclass
@@ -39,7 +44,7 @@ class CheckReport:
     """Outcome of one check; margin is (bound - observed), so >= 0 passes.
 
     worst_margin is the smallest margin seen across the check's inequality
-    instances; violations counts instances with a negative margin.
+    instances; violations counts instances whose margin is negative or NaN.
     """
 
     name: str
@@ -55,6 +60,13 @@ class CheckReport:
     def csv_line(self) -> str:
         return (f"{self.name},{self.trials},{self.violations},"
                 f"{self.worst_margin:.6g},{str(self.passed).lower()}")
+
+
+def _report(name: str, trials: int, margins, notes: str) -> CheckReport:
+    """The one violation rule: every margin that is not >= 0 (NaN too) is a violation."""
+    margins = np.asarray(margins, dtype=float)
+    return CheckReport(name=name, trials=trials, violations=int(np.sum(~(margins >= 0))),
+                       worst_margin=float(np.min(margins, initial=math.inf)), notes=notes)
 
 
 def _risk_value_scalar(spec: RiskSpec, w: np.ndarray, view: DatasetView) -> float:
@@ -74,20 +86,19 @@ def _risk_value_scalar(spec: RiskSpec, w: np.ndarray, view: DatasetView) -> floa
 
 
 def fd_gradient_check(spec: RiskSpec, view: DatasetView, trials: int, seed: int = 0,
-                      rel_tol: float = 1e-5, abs_tol: float = 1e-9,
-                      h: float = 1e-6, coords_per_trial: int = 5) -> CheckReport:
+                      rel_tol: float = 1e-5) -> CheckReport:
     """Central finite differences vs the analytic risk gradient.
 
-    A coordinate passes when |fd - analytic| <= abs_tol + rel_tol * |analytic|;
+    A coordinate passes when |fd - analytic| <= FD_ABS_TOL + rel_tol * |analytic|;
     the absolute floor covers coordinates whose analytic partial vanishes.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     dim = view.dim
-    k = min(coords_per_trial, dim)
-    violations = 0
-    worst = math.inf
+    k = min(FD_COORDS_PER_TRIAL, dim)
+    h = FD_STEP
+    margins = []
     for _ in range(trials):
         w = rng.uniform(-1.0, 1.0, dim)
         _, grad, _ = erm.risk_value_and_grad(spec, w, view)
@@ -98,21 +109,13 @@ def fd_gradient_check(spec: RiskSpec, view: DatasetView, trials: int, seed: int 
             wm[j] -= h
             fd = (_risk_value_scalar(spec, wp, view) - _risk_value_scalar(spec, wm, view)) / (2 * h)
             err = abs(fd - grad[j])
-            margin = abs_tol + rel_tol * abs(grad[j]) - err
-            worst = min(worst, margin)
-            if margin < 0:
-                violations += 1
-    return CheckReport(
-        name=f"fd_gradient_{spec.loss}",
-        trials=trials,
-        violations=violations,
-        worst_margin=worst,
-        notes=f"{trials} weight draws x {k} coordinates, h={h:g}, rel_tol={rel_tol:g}",
-    )
+            margins.append(FD_ABS_TOL + rel_tol * abs(grad[j]) - err)
+    return _report(f"fd_gradient_{spec.loss}", trials, margins,
+                   f"{trials} weight draws x {k} coordinates, h={h:g}, rel_tol={rel_tol:g}")
 
 
 def svrg_direction_check(spec: RiskSpec, view: DatasetView, trials: int,
-                         seed: int = 0, abs_tol: float = 1e-12) -> CheckReport:
+                         seed: int = 0) -> CheckReport:
     """Enumerate every inner index: the mean direction must equal the risk gradient."""
     n = view.count
     if n > 50:
@@ -120,8 +123,7 @@ def svrg_direction_check(spec: RiskSpec, view: DatasetView, trials: int,
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
-    violations = 0
-    worst = math.inf
+    margins = []
     for _ in range(trials):
         w_hat = rng.uniform(-1.0, 1.0, view.dim)
         anchor = rng.uniform(-1.0, 1.0, view.dim)
@@ -131,18 +133,9 @@ def svrg_direction_check(spec: RiskSpec, view: DatasetView, trials: int,
             mean_dir += solvers.svrg_direction(spec, view, i, w_hat, anchor, full_grad)
         mean_dir /= n
         _, grad_hat, _ = erm.risk_value_and_grad(spec, w_hat, view)
-        err = float(np.max(np.abs(mean_dir - grad_hat)))
-        margin = abs_tol - err
-        worst = min(worst, margin)
-        if margin < 0:
-            violations += 1
-    return CheckReport(
-        name=f"svrg_direction_n{n}",
-        trials=trials,
-        violations=violations,
-        worst_margin=worst,
-        notes=f"exact enumeration over {n} indices, abs_tol={abs_tol:g}",
-    )
+        margins.append(SVRG_DIRECTION_ABS_TOL - float(np.max(np.abs(mean_dir - grad_hat))))
+    return _report(f"svrg_direction_n{n}", trials, margins,
+                   f"exact enumeration over {n} indices, abs_tol={SVRG_DIRECTION_ABS_TOL:g}")
 
 
 def _probe_grid(dim: int, seed: int, count: int = PROBE_COUNT) -> np.ndarray:
@@ -168,16 +161,16 @@ def _loss_matrix(loss: str, base: Dataset, probes: np.ndarray) -> np.ndarray:
 
 def _shuffled_copy(base: Dataset, perm: np.ndarray, k: int | None = None) -> Dataset:
     k = base.n_samples if k is None else k
-    return Dataset(base.x[perm[:k]], base.y[perm[:k]], name=base.name, dim=base.dim)
+    return Dataset(base.x[perm[:k]], base.y[perm[:k]], name=base.name)
 
 
-def unregularized_optimum_proxy(loss: str, base: Dataset, l2: float = 1e-10):
-    """Stand-in for the statistical optimum: full-base loss minimizer, tiny ridge."""
+def unregularized_optimum_proxy(loss: str, base: Dataset):
+    """Stand-in for the statistical optimum: full-base loss minimizer, ridge PROXY_L2."""
     view = base.full_view()
 
     def fg(w):
         value, grad = erm.empirical_loss_and_grad(loss, w, view)
-        return value + 0.5 * l2 * float(w @ w), grad + l2 * w
+        return value + 0.5 * PROXY_L2 * float(w @ w), grad + PROXY_L2 * w
 
     res = optimize.minimize(fg, np.zeros(base.dim), jac=True, method="L-BFGS-B",
                             options={"maxiter": 5000, "gtol": 1e-8, "ftol": 1e-16})
@@ -223,17 +216,10 @@ def lemma1_check(spec: RiskSpec, base: Dataset, m: int, n: int, draws: int,
     v_m_hat = sup_m_total / draws
     v_nm_hat = sup_nm_total / draws
     bound = ((n - m) / n) * (v_nm_hat + v_m_hat) * (1.0 + LEMMA1_SLACK)
-    mean_diff = sum_diff / draws
-    margins = bound - mean_diff
-    violations = int(np.sum(margins < 0))
-    return CheckReport(
-        name=f"lemma1_m{m}_n{n}",
-        trials=PROBE_COUNT,
-        violations=violations,
-        worst_margin=float(np.min(margins)),
-        notes=(f"{draws} draws; V_hat({m})={v_m_hat:.4g}, V_hat({n - m})={v_nm_hat:.4g}, "
-               f"slack {LEMMA1_SLACK:.0%}"),
-    )
+    margins = bound - sum_diff / draws
+    return _report(f"lemma1_m{m}_n{n}", PROBE_COUNT, margins,
+                   f"{draws} draws; V_hat({m})={v_m_hat:.4g}, V_hat({n - m})={v_nm_hat:.4g}, "
+                   f"slack {LEMMA1_SLACK:.0%}")
 
 
 def lemma2_check(spec: RiskSpec, base: Dataset, n: int, draws: int,
@@ -253,17 +239,10 @@ def lemma2_check(spec: RiskSpec, base: Dataset, n: int, draws: int,
         norms.append(float(ref.w_star_n @ ref.w_star_n))
     mean_norm = float(np.mean(norms))
     raw_bound = 4.0 / spec.c + wsq
-    bound = raw_bound * (1.0 + LEMMA2_SLACK)
-    margin = bound - mean_norm
     exceed = sum(1 for v in norms if v > raw_bound)
-    return CheckReport(
-        name=f"lemma2_n{n}",
-        trials=draws,
-        violations=0 if margin >= 0 else 1,
-        worst_margin=margin,
-        notes=(f"mean ||w_n*||^2 = {mean_norm:.4g} vs 4/c + ||w*||^2 = {raw_bound:.4g}; "
-               f"{exceed}/{draws} draws above the unslacked bound"),
-    )
+    return _report(f"lemma2_n{n}", draws, [raw_bound * (1.0 + LEMMA2_SLACK) - mean_norm],
+                   f"mean ||w_n*||^2 = {mean_norm:.4g} vs 4/c + ||w*||^2 = {raw_bound:.4g}; "
+                   f"{exceed}/{draws} draws above the unslacked bound")
 
 
 def _threshold_solve(spec: RiskSpec, view: DatasetView, threshold: float) -> np.ndarray:
@@ -288,37 +267,27 @@ def proposition1_check(spec: RiskSpec, base: Dataset, m: int, draws: int,
         raise ValueError("draws must be >= 1")
     _, wsq = unregularized_optimum_proxy(spec.loss, base)
     lhs_values = []
-    sup = {m: 0.0, n - m: 0.0, n: 0.0}
+    # V_hat(m) and V_hat(n - m) share one accumulator, because n - m = m here, so both
+    # read about twice their value; ROADMAP item 4 gives each its own estimate.
+    sup_m = 0.0
+    sup_n = 0.0
     for perm, l_full, l_m, l_nm in _nested_draws(spec.loss, base, m, n, draws, seed):
         nested = _shuffled_copy(base, perm, n)
         w_m = _threshold_solve(spec, nested.prefix(m), schedule.stop_threshold(spec, m))
         ref_n = bench.reference_optimum(spec, nested.full_view(), tolerance=1e-9)
         lhs_values.append(erm.risk_value(spec, w_m, nested.full_view()) - ref_n.risk_star)
-        sup[m] += float(np.max(np.abs(l_full - l_m)))
-        sup[n - m] += float(np.max(np.abs(l_full - l_nm)))
-        sup[n] += float(np.max(np.abs(l_full - (m * l_m + (n - m) * l_nm) / n)))
-    v_m_hat = sup[m] / draws
-    v_nm_hat = sup[n - m] / draws
-    v_n_hat = sup[n] / draws
+        sup_m += float(np.max(np.abs(l_full - l_m)))
+        sup_m += float(np.max(np.abs(l_full - l_nm)))
+        sup_n += float(np.max(np.abs(l_full - (m * l_m + (n - m) * l_nm) / n)))
+    v_m_hat = sup_m / draws
     delta_m = schedule.statistical_accuracy(spec, m)  # certified by the threshold rule
-    bound = (
-        delta_m
-        + (2.0 * (n - m) / n) * (v_nm_hat + v_m_hat)
-        + 2.0 * (v_m_hat - v_n_hat)
-        + 0.5 * spec.c * (v_m_hat - v_n_hat) * wsq
-    )
-    slacked = bound * (1.0 + PROP1_SLACK)
+    bound = schedule.warm_start_bound(spec, m, n, delta_m, v_m_hat, v_m_hat, sup_n / draws,
+                                      schedule.WstarEstimate(wsq))
     mean_lhs = float(np.mean(lhs_values))
-    margin = slacked - mean_lhs
     exceed = sum(1 for v in lhs_values if v > bound)
-    return CheckReport(
-        name=f"proposition1_m{m}",
-        trials=draws,
-        violations=0 if margin >= 0 else 1,
-        worst_margin=margin,
-        notes=(f"mean warm-start gap {mean_lhs:.4g} vs bound {bound:.4g} "
-               f"(slack {PROP1_SLACK:.0%}); {exceed}/{draws} draws above the raw bound"),
-    )
+    return _report(f"proposition1_m{m}", draws, [bound * (1.0 + PROP1_SLACK) - mean_lhs],
+                   f"mean warm-start gap {mean_lhs:.4g} vs bound {bound:.4g} "
+                   f"(slack {PROP1_SLACK:.0%}); {exceed}/{draws} draws above the raw bound")
 
 
 def theorem_sn_sufficiency_check(method: str, spec: RiskSpec, base: Dataset, m0: int,
@@ -362,25 +331,15 @@ def theorem_sn_sufficiency_check(method: str, spec: RiskSpec, base: Dataset, m0:
         if draw_bad:
             per_draw_violations += 1
 
-    violations = 0
-    worst = math.inf
+    margins = []
     stage_notes = []
     for stage_n in sorted(per_stage):
         mean_gap = float(np.mean(per_stage[stage_n]))
         v_n = schedule.statistical_accuracy(spec, stage_n)
-        margin = v_n - mean_gap
-        worst = min(worst, margin)
-        if margin < 0:
-            violations += 1
+        margins.append(v_n - mean_gap)
         stage_notes.append(f"n={stage_n}: mean {mean_gap:.3g} vs {v_n:.3g}")
     notes = f"{draws} draws; per-draw excursions {per_draw_violations}/{draws}; " + \
         "; ".join(stage_notes)
     if draws == 1:
         notes = "LOW POWER (single draw); " + notes
-    return CheckReport(
-        name=f"theorem_sn_{method}",
-        trials=draws,
-        violations=violations,
-        worst_margin=worst,
-        notes=notes,
-    )
+    return _report(f"theorem_sn_{method}", draws, margins, notes)

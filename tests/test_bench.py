@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 from dataclasses import replace
@@ -9,7 +10,7 @@ from adasize import RiskSpec, RunConfig, effective_passes, emit_csv, reference_o
     risk_value, statistical_accuracy
 from adasize import bench, solvers
 from adasize.bench import CompareRow, Trace, TraceEvent, compare_matrix, format_summary_table, \
-    load_trace_csv, write_summary_csv
+    write_summary_csv
 from adasize.data import generate_synthetic, normalize
 from adasize.erm import smoothness_constant
 
@@ -113,7 +114,7 @@ class TestEffectivePasses:
 
 def _tiny_ref(n=4):
     return bench.ReferenceOptimum(n=n, w_star_n=np.zeros(2), risk_star=0.5,
-                                  grad_norm_at_star=1e-12, tolerance=1e-10)
+                                  grad_norm_at_star=1e-12)
 
 
 class TestCsv:
@@ -146,11 +147,12 @@ class TestCsv:
         trace.append(TraceEvent(4, 4, 0.6, 1.0 / 3.0, 0.125))
         out = io.StringIO()
         emit_csv(trace, _tiny_ref(), out)
-        rows = load_trace_csv(out.getvalue())
-        assert rows[0]["test_error"] is None
-        assert rows[1]["grad_norm"] == 1.0 / 3.0
-        assert rows[1]["suboptimality"] == 0.6 - 0.5
-        assert rows[1]["effective_passes"] == 1.0
+        rows = list(csv.DictReader(io.StringIO(out.getvalue())))
+        assert rows[0]["test_error"] == ""
+        assert float(rows[1]["grad_norm"]) == 1.0 / 3.0
+        assert float(rows[1]["suboptimality"]) == 0.6 - 0.5
+        assert float(rows[1]["effective_passes"]) == 1.0
+        assert float(rows[1]["test_error"]) == 0.125
 
     def test_stage_mismatch_rejected(self):
         trace = Trace(N=8)

@@ -164,6 +164,35 @@ class TestConfigFile:
         cfg.write_text("method svrg\n")
         assert run_cli(["run", "--gen", "64,4,1.0", "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize("joined", [False, True], ids=["space", "equals"])
+    def test_both_spellings_read_the_file(self, tmp_path, capsys, joined):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("method = svrg\nseed = 13\n")
+        flag = [f"--config={cfg}"] if joined else ["--config", str(cfg)]
+        assert run_cli(["run", "--gen", "256,6,1.0", "--adaptive", *flag,
+                        "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "trace_svrg_ada_seed13.csv").exists()
+
+    def test_config_without_path_fails(self, capsys):
+        assert run_cli(["run", "--gen", "64,4,1.0", "--config"]) == 1
+
+    def test_abbreviated_config_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("method = svrg\n")
+        assert run_cli(["run", "--gen", "64,4,1.0", "--conf", str(cfg),
+                        "--out", str(tmp_path)]) == 1
+        assert "--config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["m_mode = bogus", "budget = bogus", "method = sgd"])
+    def test_value_outside_choices_is_usage_error(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "out"
+        assert run_cli(["run", "--gen", "64,4,1.0", "--config", str(cfg),
+                        "--out", str(out)]) == 1
+        assert line.split()[0] in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCompare:
     def test_six_traces_and_summary(self, tmp_path, capsys):
@@ -200,6 +229,37 @@ class TestVerifyCommand:
         assert code == 1
         assert "proposition1" in capsys.readouterr().err  # the valid names are listed
         assert not (tmp_path / "checks_seed0.csv").exists()
+
+    @pytest.mark.parametrize("checks", ["all", "lemma1", "lemma2", "proposition1", "theorem"])
+    def test_N_below_four_is_usage_error(self, tmp_path, capsys, checks):
+        code = run_cli(["verify", "--gen", "64,4,1.0", "--N", "3", "--checks", checks,
+                        "--out", str(tmp_path)])
+        assert code == 1
+        assert "--N" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_N_below_four_runs_the_other_checks(self, tmp_path, capsys):
+        code = run_cli(["verify", "--gen", "64,4,1.0", "--N", "3", "--checks",
+                        "fd,svrg_direction", "--trials", "5", "--out", str(tmp_path)])
+        assert code == 0
+        assert len((tmp_path / "checks_seed0.csv").read_text().splitlines()) == 4
+
+    def test_report_is_pinned(self, tmp_path, capsys):
+        # three draws, so a change in the order of the accuracy sums shows
+        code = run_cli(["verify", "--gen", "1024,10,1.0", "--m-mode", "tight", "--draws", "3",
+                        "--trials", "5", "--out", str(tmp_path)])
+        assert code == 0
+        assert (tmp_path / "checks_seed0.csv").read_text().splitlines() == [
+            "name,trials,violations,worst_margin,passed",
+            "fd_gradient_logistic,5,0,3.24997e-08,true",
+            "fd_gradient_squared,5,0,9.64602e-10,true",
+            "svrg_direction_n17,5,0,9.99889e-13,true",
+            "lemma1_m256_n512,32,0,0.026626,true",
+            "lemma2_n256,3,0,58.4159,true",
+            "proposition1_m256,3,0,1.30929,true",
+            "theorem_sn_agd,3,0,0.0312498,true",
+            "theorem_sn_svrg,3,0,0.03125,true",
+        ]
 
     def test_direction_check(self, tmp_path, capsys):
         code = run_cli(["verify", "--gen", "128,6,1.0", "--checks", "svrg_direction",

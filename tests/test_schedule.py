@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from adasize import RiskSpec, WstarEstimate, agd_params, build_stage_plans, \
-    iterations_agd, iterations_generic, iterations_svrg, next_sample_size, \
-    statistical_accuracy, stop_threshold, svrg_params, total_complexity_agd, \
-    total_complexity_svrg, warm_start_bound, warm_start_bound_doubled
-from adasize.schedule import gd_contraction_factor, stage_sizes, warm_start_coefficient
+    iterations_agd, iterations_generic, iterations_svrg, statistical_accuracy, \
+    stop_threshold, svrg_params, total_complexity_agd, total_complexity_svrg, \
+    warm_start_bound
+from adasize.schedule import gd_contraction_factor, stage_sizes
 
 UNIT = RiskSpec(loss="logistic", c=1.0, alpha=0.5, gamma=1.0, M=1.0)
 
@@ -42,19 +42,19 @@ class TestAccuracyAndThreshold:
 
 class TestGrowth:
     def test_doubling(self):
-        assert next_sample_size(400, 10000) == 800
+        assert stage_sizes(400, 800) == [400, 800]
 
     def test_clamp(self):
-        assert next_sample_size(6000, 10000) == 10000
+        assert stage_sizes(6000, 10000) == [6000, 10000]
 
     def test_fixed_point(self):
-        assert next_sample_size(10000, 10000) == 10000
+        assert stage_sizes(10000, 10000) == [10000]
 
     def test_range_check(self):
         with pytest.raises(ValueError):
-            next_sample_size(0, 10)
+            stage_sizes(0, 10)
         with pytest.raises(ValueError):
-            next_sample_size(11, 10)
+            stage_sizes(11, 10)
 
     def test_stage_sizes_protocol(self):
         assert stage_sizes(400, 10000) == [400, 800, 1600, 3200, 6400, 10000]
@@ -175,40 +175,45 @@ class TestTotals:
             4 * 5000 * math.log2(arg), rel=1e-12)
 
 
+def _bound_at_levels(spec, m, n, delta_m, wstar=None):
+    """warm_start_bound at the closed-form accuracy levels V_m, V_{n-m}, V_n."""
+    return warm_start_bound(spec, m, n, delta_m, statistical_accuracy(spec, m),
+                            statistical_accuracy(spec, n - m), statistical_accuracy(spec, n),
+                            wstar)
+
+
 class TestWarmStartBound:
     def test_doubled_with_delta_equal_accuracy(self):
         v_m = statistical_accuracy(UNIT, 200)
-        bound = warm_start_bound_doubled(UNIT, 200, delta_m=v_m)
+        bound = _bound_at_levels(UNIT, 200, 400, delta_m=v_m)
         assert bound == pytest.approx(3.5857864376269049 * v_m, rel=1e-12)
 
     def test_doubled_alpha_one(self):
         spec = RiskSpec(alpha=1.0)
         v_m = statistical_accuracy(spec, 100)
-        assert warm_start_bound_doubled(spec, 100, delta_m=0.0) == pytest.approx(
+        assert _bound_at_levels(spec, 100, 200, delta_m=0.0) == pytest.approx(
             3.0 * v_m, rel=1e-12)
 
     def test_general_equals_doubled(self):
+        # at n = 2m the bound is delta_m + (2 + (1 - 2^-a)(2 + (c/2)||w*||^2)) V_m
         for alpha in (0.5, 0.75, 1.0):
             for wsq in (0.0, 2.5):
                 spec = RiskSpec(c=1.3, alpha=alpha, gamma=1.7)
-                ws = WstarEstimate(wsq)
+                coefficient = 2.0 + (1.0 - 2.0**-alpha) * (2.0 + 0.5 * spec.c * wsq)
                 for m in (100, 537):
-                    general = warm_start_bound(spec, m, 2 * m, 0.01, ws)
-                    doubled = warm_start_bound_doubled(spec, m, 0.01, ws)
+                    general = _bound_at_levels(spec, m, 2 * m, 0.01, WstarEstimate(wsq))
+                    doubled = 0.01 + coefficient * statistical_accuracy(spec, m)
                     assert general == pytest.approx(doubled, rel=1e-12)
 
     def test_general_continuity_toward_equal_sizes(self):
         # as m -> n the extra terms vanish and only delta_m remains
         n = 10**9
-        bound = warm_start_bound(UNIT, n - 1, n, delta_m=0.125)
+        bound = _bound_at_levels(UNIT, n - 1, n, delta_m=0.125)
         assert bound == pytest.approx(0.125, abs=1e-6)
 
     def test_order_check(self):
         with pytest.raises(ValueError):
-            warm_start_bound(UNIT, 100, 100, 0.0)
-
-    def test_coefficient_value(self):
-        assert warm_start_coefficient(RiskSpec(alpha=1.0)) == pytest.approx(3.0)
+            warm_start_bound(UNIT, 100, 100, 0.0, 0.1, 0.1, 0.1)
 
 
 class TestStagePlans:

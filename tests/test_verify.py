@@ -3,7 +3,7 @@ import pytest
 
 from adasize import RiskSpec
 from adasize.data import generate_synthetic, normalize, parse_sparse_text
-from adasize.verify import CheckReport, fd_gradient_check, lemma1_check, lemma2_check, \
+from adasize.verify import CheckReport, _report, fd_gradient_check, lemma1_check, lemma2_check, \
     proposition1_check, svrg_direction_check, theorem_sn_sufficiency_check, \
     unregularized_optimum_proxy
 
@@ -149,6 +149,14 @@ def test_report_csv_line():
     failed = CheckReport(name="y", trials=10, violations=2, worst_margin=-0.5)
     assert not failed.passed
     assert failed.csv_line() == "y,10,2,-0.5,false"
+
+
+def test_one_violation_rule():
+    rep = _report("x", 3, [0.5, -0.25, 0.0], "")
+    assert (rep.violations, rep.worst_margin) == (1, -0.25)
+    assert _report("x", 2, [0.5, float("nan")], "").violations == 1  # NaN fails closed
+    empty = _report("x", 1, [], "")
+    assert (empty.violations, empty.worst_margin) == (0, float("inf"))
 
 
 def test_checks_deterministic(tight_spec, base_2k):
