@@ -47,8 +47,8 @@ def _version() -> str:
         return "0.0.0+unpackaged"
 
 
-def _parse_config_file(path: str) -> dict:
-    values: dict[str, object] = {}
+def _parse_config_file(path: str) -> dict[str, str]:
+    values: dict[str, str] = {}
     for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -56,20 +56,33 @@ def _parse_config_file(path: str) -> dict:
         if "=" not in line:
             raise UsageError(f"{path}:{line_no}: expected 'key = value'")
         key, _, val = line.partition("=")
-        key = key.strip().replace("-", "_")
-        val = val.strip()
-        if val.lower() in ("true", "false"):
-            values[key] = val.lower() == "true"
-            continue
-        for conv in (int, float):
-            try:
-                values[key] = conv(val)
-                break
-            except ValueError:
-                continue
-        else:
-            values[key] = val
+        values[key.strip().replace("-", "_")] = val.strip()
     return values
+
+
+def _config_defaults(p: argparse.ArgumentParser, file_values: dict[str, str]) -> dict:
+    """The file's values for p's flags, converted and checked as the command line would."""
+    out = {}
+    for a in p._actions:
+        if a.dest not in file_values:
+            continue
+        raw = file_values[a.dest]
+        if isinstance(a, argparse._StoreTrueAction):
+            if raw.lower() not in ("true", "false"):
+                raise UsageError(f"config key {a.dest} = {raw!r} is not true or false")
+            val = raw.lower() == "true"
+        elif a.type is not None:
+            try:
+                val = a.type(raw)
+            except ValueError:
+                raise UsageError(f"config key {a.dest} = {raw!r} is not "
+                                 f"a valid {a.type.__name__}") from None
+        else:
+            val = raw
+        if a.choices and val not in a.choices:  # argparse checks choices on the command line only
+            raise UsageError(f"config key {a.dest} = {raw!r} is not one of {', '.join(a.choices)}")
+        out[a.dest] = val
+    return out
 
 
 def _add_spec_flags(p: argparse.ArgumentParser) -> None:
@@ -113,7 +126,8 @@ def build_parser(file_defaults: dict | None = None) -> _Parser:
 
     def subparser(name, help_text):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="flat key = value defaults file")
+        # no default here, so a top-level abbreviation such as --conf survives to the check in main
+        p.add_argument("--config", default=argparse.SUPPRESS, help="flat key = value defaults file")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output directory (default $ADASIZE_OUT or .)")
         common.append(p)
@@ -155,13 +169,7 @@ def build_parser(file_defaults: dict | None = None) -> _Parser:
 
     if file_defaults:
         for p in common:
-            for a in p._actions:  # argparse checks choices on the command line only
-                if a.choices and a.dest in file_defaults \
-                        and file_defaults[a.dest] not in a.choices:
-                    raise UsageError(f"config key {a.dest} = {file_defaults[a.dest]!r} is not "
-                                     f"one of {', '.join(a.choices)}")
-            known = {a.dest for a in p._actions}
-            p.set_defaults(**{k: v for k, v in file_defaults.items() if k in known})
+            p.set_defaults(**_config_defaults(p, file_defaults))
     return parser
 
 

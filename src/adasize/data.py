@@ -9,11 +9,16 @@ construction.
 
 from __future__ import annotations
 
-import io
+import warnings
 
 import numpy as np
 from scipy import sparse
 from scipy.special import expit
+
+
+# to_sparse_text formats this many rows with one % operation, so the argument
+# tuple stays small beside the text
+_FORMAT_BATCH_ROWS = 1024
 
 
 class SparseTextError(ValueError):
@@ -64,15 +69,19 @@ class Dataset:
         return np.sqrt(sq)
 
     def to_sparse_text(self) -> str:
-        out = io.StringIO()
-        x = self.x
-        for i in range(self.n_samples):
-            lo, hi = x.indptr[i], x.indptr[i + 1]
-            fields = ["+1" if self.y[i] > 0 else "-1"]
-            fields.extend(f"{int(j) + 1}:{v:.17g}" for j, v in zip(x.indices[lo:hi], x.data[lo:hi]))
-            out.write(" ".join(fields))
-            out.write("\n")
-        return out.getvalue()
+        """One `<+1|-1> <idx>:<val> ...` line per sample; one `%` operation per batch of rows."""
+        x, pieces = self.x, []
+        for lo in range(0, self.n_samples, _FORMAT_BATCH_ROWS):
+            hi = min(lo + _FORMAT_BATCH_ROWS, self.n_samples)
+            signs = np.where(self.y[lo:hi] > 0, "+1", "-1").tolist()
+            counts = np.diff(x.indptr[lo:hi + 1]).tolist()
+            fmt = "".join([f"{sign}{' %d:%.17g' * k}\n" for sign, k in zip(signs, counts)])
+            a, b = x.indptr[lo], x.indptr[hi]
+            pairs = np.empty((b - a, 2))  # %d prints a float index exactly
+            pairs[:, 0] = x.indices[a:b] + 1
+            pairs[:, 1] = x.data[a:b]
+            pieces.append(fmt % tuple(pairs.ravel().tolist()))
+        return "".join(pieces)
 
     def __eq__(self, other) -> bool:
         # name is metadata; equality is over samples and dimension
@@ -144,15 +153,33 @@ def parse_sparse_text(text, label_map: dict | None = None, dim: int | None = Non
     `label_map` (keyed by the numeric raw label); without a map, labels must
     already be -1 or +1.  `dim` overrides the inferred dimensionality (the
     max index observed).
+
+    Clean input is parsed in bulk, block by block.  Input the bulk pass does
+    not accept (comments, other characters, any malformed field) goes through
+    the line parser, which reports the first bad line.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     lmap = None
     if label_map is not None:
         lmap = {float(k): float(v) for k, v in label_map.items()}
         if not all(v in (-1.0, 1.0) for v in lmap.values()):
             raise ValueError("label_map must map onto {-1, +1}")
+    parts = _parse_bulk(text, lmap)
+    if parts is None:
+        parts = _parse_lines(text, lmap)
+    labels, indptr, indices, data, max_idx = parts
+    if not labels.size:
+        raise EmptyDatasetError("no samples in input")
+    use_dim = max_idx if dim is None else dim
+    if use_dim < max_idx:
+        raise ValueError(f"dim={use_dim} smaller than max feature index {max_idx}")
+    x = sparse.csr_matrix((data, indices, indptr), shape=(labels.size, max(use_dim, 1)))
+    return Dataset(x, labels, name=name)
 
+
+def _parse_lines(text, lmap: dict | None):
+    """(labels, indptr, 0-based indices, values, max index), line by line; raises on the first bad line."""
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
     data: list[float] = []
     indices: list[int] = []
     indptr: list[int] = [0]
@@ -199,17 +226,107 @@ def parse_sparse_text(text, label_map: dict | None = None, dim: int | None = Non
         max_idx = max(max_idx, prev)
         indptr.append(len(data))
         labels.append(label)
+    return (np.asarray(labels), np.asarray(indptr, dtype=np.int32),
+            np.asarray(indices, dtype=np.int32), np.asarray(data), max_idx)
 
-    if not labels:
-        raise EmptyDatasetError("no samples in input")
-    use_dim = max_idx if dim is None else dim
-    if use_dim < max_idx:
-        raise ValueError(f"dim={use_dim} smaller than max feature index {max_idx}")
-    x = sparse.csr_matrix(
-        (np.asarray(data), np.asarray(indices, dtype=np.int32), np.asarray(indptr, dtype=np.int32)),
-        shape=(len(labels), max(use_dim, 1)),
-    )
-    return Dataset(x, np.asarray(labels), name=name)
+
+# The bulk parser converts blocks of about this many bytes, cut after a newline,
+# so its temporary arrays stay small beside the input.
+_PARSE_BLOCK_BYTES = 1 << 20
+# A block holding any other byte goes to the line parser.
+_BULK_BYTES = b"0123456789+-.eE: \t\n"
+_TO_SPACE = bytes.maketrans(b":\t\n", b"   ")
+_COLON, _NEWLINE = ord(":"), ord("\n")
+
+
+def _parse_bulk(text, lmap: dict | None):
+    """What `_parse_lines` returns, from array operations per block; None if any block fails."""
+    keys = values = None
+    if lmap is not None:
+        keys = np.array(list(lmap))
+        order = np.argsort(keys)
+        keys, values = keys[order], np.array(list(lmap.values()))[order]
+    newline = b"\n" if isinstance(text, bytes) else "\n"
+    parts, pos = [], 0
+    while pos < len(text):
+        cut = text.find(newline, pos + _PARSE_BLOCK_BYTES)
+        cut = len(text) if cut < 0 else cut + 1
+        block = text[pos:cut]
+        if isinstance(block, str):
+            if not block.isascii():
+                return None
+            block = block.encode("ascii")
+        part = _parse_block(block, keys, values)
+        if part is None:
+            return None
+        parts.append(part)
+        pos = cut
+    if not parts:
+        return None
+    labels, counts, indices, data, max_idx = zip(*parts)
+    if sum(d.size for d in data) > np.iinfo(np.int32).max:
+        return None  # more nonzeros than an int32 indptr holds
+    labels = np.concatenate(labels)
+    indptr = np.zeros(labels.size + 1, dtype=np.int32)
+    np.cumsum(np.concatenate(counts), out=indptr[1:])
+    return labels, indptr, np.concatenate(indices), np.concatenate(data), max(max_idx)
+
+
+def _parse_block(block: bytes, keys, values):
+    """(labels, nonzeros per row, 0-based indices, values, max index) of whole lines, or None."""
+    if block.translate(None, _BULK_BYTES):
+        return None
+    a = np.frombuffer(b"\n" + block + b"\n", dtype=np.uint8)  # every number has two neighbours
+    in_number = (a > ord(" ")) & (a != _COLON)  # all bytes but whitespace and ':' are left
+    edge = np.diff(in_number.view(np.int8))
+    starts = np.flatnonzero(edge == 1) + 1  # first byte of each number
+    ends = np.flatnonzero(edge == -1) + 1  # the byte after it
+    is_idx = a[ends] == _COLON
+    is_val = a[starts - 1] == _COLON
+    is_label = np.zeros(starts.size + 1, dtype=bool)  # the first number after a newline
+    is_label[np.searchsorted(starts, np.flatnonzero(a == _NEWLINE))] = True
+    is_label = is_label[:-1]
+    colons = np.count_nonzero(a == _COLON)
+    # Each ':' joins the number before it to the one after it (not `3:`, `:5`, `3::5`).
+    # A line is a bare label (not `1:2`), then numbers that are each an index or a value
+    # (not `3:4:5`, not a second bare number).
+    if (np.count_nonzero(is_idx) != colons or np.count_nonzero(is_val) != colons
+            or np.any(is_label & is_idx) or np.any(~is_label & (is_idx == is_val))):
+        return None
+    # an index is plain digits: int() rejects `1e2` and `1.0`, which convert as floats
+    not_digit = np.flatnonzero(in_number & ((a < ord("0")) | (a > ord("9"))))
+    if is_idx[np.searchsorted(starts, not_digit, side="right") - 1].any():
+        return None
+    if starts.size:
+        with warnings.catch_warnings():
+            # numpy 2 raises on text it cannot convert; numpy 1 warns and stops short
+            warnings.simplefilter("error")
+            try:
+                nums = np.fromstring(block.translate(_TO_SPACE), sep=" ")
+            except (ValueError, Warning):
+                return None
+        if nums.size != starts.size:
+            return None
+    else:
+        nums = np.empty(0)  # fromstring reads whitespace alone as [-1.]
+    raw, idx, val = nums[is_label], nums[is_idx], nums[is_val]
+    if keys is None:
+        if not np.all((raw == 1.0) | (raw == -1.0)):
+            return None
+        labels = raw
+    else:
+        at = np.searchsorted(keys, raw)
+        if np.any(at == keys.size) or not np.array_equal(keys[at], raw):
+            return None
+        labels = values[at]
+    row = (np.cumsum(is_label) - 1)[is_idx]
+    same_row = row[1:] == row[:-1]
+    if idx.size and (idx.min() < 1 or idx.max() > np.iinfo(np.int32).max
+                     or np.any(idx[1:][same_row] <= idx[:-1][same_row])):
+        return None
+    keep = val != 0.0
+    return (labels, np.bincount(row[keep], minlength=labels.size),
+            (idx[keep] - 1).astype(np.int32), val[keep], int(idx.max()) if idx.size else 0)
 
 
 def generate_synthetic(n: int, dim: int, sparsity: float = 1.0, seed: int = 0,

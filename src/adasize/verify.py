@@ -268,7 +268,7 @@ def proposition1_check(spec: RiskSpec, base: Dataset, m: int, draws: int,
     _, wsq = unregularized_optimum_proxy(spec.loss, base)
     lhs_values = []
     # V_hat(m) and V_hat(n - m) share one accumulator, because n - m = m here, so both
-    # read about twice their value; ROADMAP item 4 gives each its own estimate.
+    # read about twice their value; ROADMAP item 3 gives each its own estimate.
     sup_m = 0.0
     sup_n = 0.0
     for perm, l_full, l_m, l_nm in _nested_draws(spec.loss, base, m, n, draws, seed):

@@ -194,6 +194,49 @@ class TestConfigFile:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("line", ["adaptive = no", "adaptive = yes", "adaptive = 1",
+                                      "seed = 1.5", "m0 = 16.0", "gamma = fast", "N = ten"])
+    def test_value_not_of_the_flag_type_is_usage_error(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "out"
+        assert run_cli(["run", "--gen", "64,4,1.0", "--m0", "16", "--config", str(cfg),
+                        "--out", str(out)]) == 1
+        assert f"config key {line.split()[0]} = " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_values_take_the_flag_types(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("adaptive = TRUE\ngamma = 2\nm0 = 16\nseed = 3\n")
+        assert run_cli(["run", "--gen", "64,4,1.0", "--config", str(cfg),
+                        "--out", str(tmp_path / "file")]) == 0
+        assert run_cli(["run", "--gen", "64,4,1.0", "--adaptive", "--gamma", "2", "--m0", "16",
+                        "--seed", "3", "--out", str(tmp_path / "flags")]) == 0
+        manifest = "manifest_run_seed3.txt"
+        assert (tmp_path / "file" / manifest).read_text() == \
+            (tmp_path / "flags" / manifest).read_text()
+        cfg.write_text("adaptive = false\n")
+        assert run_cli(["run", "--gen", "64,4,1.0", "--m0", "16", "--config", str(cfg),
+                        "--out", str(tmp_path / "fixed")]) == 0
+        assert (tmp_path / "fixed" / "trace_agd_fix_seed0.csv").exists()
+
+    def test_top_level_config_reads_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("method = svrg\n")
+        out = tmp_path / "out"
+        assert run_cli(["--config", str(cfg), "run", "--gen", "256,6,1.0", "--adaptive",
+                        "--out", str(out)]) == 0
+        assert (out / "trace_svrg_ada_seed0.csv").exists()
+
+    def test_top_level_abbreviation_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("method = svrg\n")
+        out = tmp_path / "out"
+        assert run_cli(["--conf", str(cfg), "run", "--gen", "256,6,1.0", "--adaptive",
+                        "--out", str(out)]) == 1
+        assert "--config" in capsys.readouterr().err
+        assert not out.exists()
+
 class TestCompare:
     def test_six_traces_and_summary(self, tmp_path, capsys):
         code = run_cli(["compare", "--gen", "512,10,1.0", "--m0", "128",

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy import sparse
 
-from adasize import generate_synthetic, normalize, parse_sparse_text, shuffle_and_split
-from adasize.data import EmptyDatasetError, SparseTextError
+from adasize import data, generate_synthetic, normalize, parse_sparse_text, shuffle_and_split
+from adasize.data import Dataset, EmptyDatasetError, SparseTextError
 
 
 class TestParser:
@@ -63,6 +66,218 @@ class TestParser:
     def test_bytes_input(self):
         ds = parse_sparse_text(b"+1 1:1\n")
         assert ds.n_samples == 1
+
+
+LABEL_MAP = {0: -1, 8: 1, 3: -1}
+
+
+def _outcome(text, **kwargs):
+    """The parsed Dataset's arrays (NaN equal to NaN), or (exception type, message)."""
+    try:
+        d = parse_sparse_text(text, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+    return _Same(d)
+
+
+class _Same:
+    """`==` over a Dataset's shape and arrays, where the line parser's NaN values are equal."""
+
+    def __init__(self, d: Dataset):
+        self.d = d
+
+    def __eq__(self, other):
+        if not isinstance(other, _Same):
+            return NotImplemented
+        a, b = self.d, other.d
+        return a.x.shape == b.x.shape and all(
+            np.array_equal(u, v, equal_nan=True) for u, v in (
+                (a.y, b.y), (a.x.indptr, b.x.indptr), (a.x.indices, b.x.indices),
+                (a.x.data, b.x.data)))
+
+    def __repr__(self):
+        return repr(self.d)
+
+
+def _line_outcome(text, monkeypatch, **kwargs):
+    with monkeypatch.context() as m:
+        m.setattr(data, "_parse_bulk", lambda text, lmap: None)
+        return _outcome(text, **kwargs)
+
+
+def _random_text(rng, mapped: bool) -> str:
+    """A valid file: odd spacing, blank lines, empty rows, explicit zeros, varied number forms."""
+    labels = ["0", "8", "3", "3.0", "8e0", "-0", "+0."] if mapped else \
+        ["+1", "-1", "1", "1.0", "-1e0", "+1.", ".1e1", "-10E-1"]
+    values = ["0", "-0", "0.0", "1e-400", "3", "-2.5E+3", ".5", "5.", "+7e-3", "1e308"]
+    gaps = [" ", "\t", "  ", " \t ", "\t\t"]
+    lines = []
+    for _ in range(rng.integers(1, 25)):
+        if rng.random() < 0.15:
+            lines.append(str(rng.choice(["", " ", "\t", "  \t "])))
+            continue
+        fields = [str(rng.choice(labels))]
+        for j in np.sort(rng.choice(np.arange(1, 80), size=rng.integers(0, 9), replace=False)):
+            idx = f"0{j}" if rng.random() < 0.1 else str(j)
+            val = str(rng.choice(values)) if rng.random() < 0.3 else repr(float(rng.normal()))
+            fields.append(f"{idx}:{val}")
+        line = "".join(f + str(rng.choice(gaps)) for f in fields[:-1]) + fields[-1]
+        lines.append(str(rng.choice(["", " ", "\t"])) + line + str(rng.choice(["", " ", "\t "])))
+    if not any(line.strip() for line in lines):
+        lines.append("+1" if not mapped else "8")
+    return "\n".join(lines) + ("\n" if rng.random() < 0.7 else "")
+
+
+def _mutate(text: str, rng) -> str:
+    """One malformed or unusual field, line break or comment in a random sample line."""
+    lines = text.split("\n")
+    rows = [i for i, line in enumerate(lines) if line.strip()]
+    i = int(rng.choice(rows))
+    fields = lines[i].split()
+    feats = fields[1:]
+    kind = rng.integers(0, 16)
+    if kind == 0:
+        fields[0] = str(rng.choice(["nan", "inf", "1_0", "0x1", "2", "1:1", "+-1", "1e", "."]))
+    elif kind == 1 and feats:
+        k = rng.integers(1, len(fields))
+        val = fields[k].split(":")[1]
+        fields[k] = str(rng.choice(["1.0", "1e2", "+3", "01", "0", "00", "-2", "1_0", "0x1",
+                                    " ", "99999999999", "2147483648", "2147483647"])) + ":" + val
+    elif kind == 2 and feats:
+        k = rng.integers(1, len(fields))
+        fields[k] = fields[k].split(":")[0] + ":" + str(rng.choice(
+            ["nan", "inf", "-inf", "1_0", "0x1", "1e", "1e+", "--1", "1.5.5", "1-2", ".", "+", ""]))
+    elif kind == 3:
+        fields.insert(rng.integers(1, len(fields) + 1),
+                      str(rng.choice(["3:4:5", ":5", "3:", ":", "3::5", "4", "1 :2", "1: 2"])))
+    elif kind == 4 and len(feats) >= 2:
+        k = rng.integers(1, len(fields) - 1)
+        fields[k], fields[k + 1] = fields[k + 1], fields[k]  # decreasing
+    elif kind == 5 and feats:
+        k = rng.integers(1, len(fields))
+        fields.insert(k, fields[k])  # equal
+    elif kind == 6:
+        return text.replace("\n", "\r\n")
+    elif kind == 7:
+        fields.append("# a comment")
+    elif kind == 8:
+        fields.append("\u00e9")
+    elif kind == 9:
+        fields.insert(1, "\x0b")
+    else:
+        fields.append(str(rng.choice(["1e2:1", "+3:1", "01:1", "1.0:1"])))
+    lines[i] = " ".join(fields)
+    return "\n".join(lines)
+
+
+class TestBulkParser:
+    """The bulk pass of parse_sparse_text against the line parser it falls back to."""
+
+    @pytest.mark.parametrize("block_bytes", [1, 7, 64, data._PARSE_BLOCK_BYTES])
+    @pytest.mark.parametrize("mapped", [False, True], ids=["pm1", "label_map"])
+    def test_random_valid_files_match_the_line_parser(self, monkeypatch, block_bytes, mapped):
+        monkeypatch.setattr(data, "_PARSE_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(block_bytes + mapped)
+        kwargs = {"label_map": LABEL_MAP} if mapped else {}
+        lmap = {float(k): float(v) for k, v in LABEL_MAP.items()} if mapped else None
+        for _ in range(60):
+            text = _random_text(rng, mapped)
+            assert data._parse_bulk(text, lmap) is not None, text
+            bulk = parse_sparse_text(text, **kwargs)
+            assert _Same(bulk) == _line_outcome(text, monkeypatch, **kwargs), text
+            assert bulk == parse_sparse_text(text.encode(), **kwargs)
+
+    @pytest.mark.parametrize("block_bytes", [1, 64, data._PARSE_BLOCK_BYTES])
+    @pytest.mark.parametrize("mapped", [False, True], ids=["pm1", "label_map"])
+    def test_mutated_files_match_the_line_parser(self, monkeypatch, block_bytes, mapped):
+        monkeypatch.setattr(data, "_PARSE_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(100 + block_bytes + mapped)
+        kwargs = {"label_map": LABEL_MAP} if mapped else {}
+        for _ in range(150):
+            text = _mutate(_random_text(rng, mapped), rng)
+            expected = _line_outcome(text, monkeypatch, **kwargs)
+            assert _outcome(text, **kwargs) == expected, text
+            assert _outcome(text.encode(), **kwargs) == _line_outcome(
+                text.encode(), monkeypatch, **kwargs), text
+
+    @pytest.mark.parametrize("text", [
+        "+1 1e2:1\n", "+1 1.0:1\n", "+1 +3:1\n", "+1 01:1\n", "+1 3:4:5\n", "+1 :5\n",
+        "+1 3:\n", "+1 0:1\n", "+1 3:1 2:1\n", "+1 3:1 3:1\n", "+1 1:nan\n", "+1 1_0:1\n",
+        "+1 1:0x1\n", "+1 1:1\r\n-1 2:1\r\n", "+1 1:1 # c\n", "nan 1:1\n", "+1 4\n",
+        "1:1 2:1\n", "\n\n", "", "  \t\n", "+1 2147483648:1\n", "+1 1:1e\n", "+1 1:1-2\n",
+    ])
+    def test_listed_mutations_match_the_line_parser(self, monkeypatch, text):
+        assert _outcome(text) == _line_outcome(text, monkeypatch)
+
+    @pytest.mark.parametrize("label_map", [{}, {8: 1}, {0: -1}, {-0.0: 1, 8: -1},
+                                           {float("inf"): 1, float("nan"): -1}])
+    def test_label_maps_match_the_line_parser(self, monkeypatch, label_map):
+        text = "8 1:1\n\n0 2:1\n-0 3:1\n1e999 4:1\n"
+        assert _outcome(text, label_map=label_map) == _line_outcome(text, monkeypatch,
+                                                                    label_map=label_map)
+
+    def test_clean_input_never_reaches_the_line_parser(self, monkeypatch):
+        def refuse(text, lmap):
+            raise AssertionError("line parser used on clean input")
+        monkeypatch.setattr(data, "_parse_lines", refuse)
+        monkeypatch.setattr(data, "_PARSE_BLOCK_BYTES", 16)
+        ds, _ = generate_synthetic(300, 12, 0.4, seed=4)
+        assert parse_sparse_text(ds.to_sparse_text()) == ds
+        assert parse_sparse_text(ds.to_sparse_text().encode()) == ds
+
+    @pytest.mark.parametrize("warns", [True, False], ids=["warning", "silent"])
+    def test_short_numpy_1_conversion_falls_back(self, monkeypatch, warns):
+        # numpy 1.x warns and returns the numbers before the text it could not
+        # convert, where numpy 2 raises; no warning may reach the caller
+        def numpy1_fromstring(string, sep):
+            if warns:
+                warnings.warn("string or file could not be read to its end", DeprecationWarning)
+            return np.array([1.0])
+        monkeypatch.setattr(data.np, "fromstring", numpy1_fromstring)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert data._parse_bulk("+1 1:2 3:4\n", None) is None
+            assert _outcome("+1 1:2 3:4\n") == _line_outcome("+1 1:2 3:4\n", monkeypatch)
+            with pytest.raises(SparseTextError, match="line 1"):
+                parse_sparse_text("+1 1:2e\n")
+        assert caught == []
+
+    def test_malformed_text_warns_nothing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for text in ("+1 1:1e\n", "+1 1:1-2\n", "+1 1:.\n", "  \n"):
+                assert isinstance(_outcome(text), tuple)
+
+
+def _old_to_sparse_text(d: Dataset) -> str:
+    """The per-row formatter the batched one replaced."""
+    out = []
+    for i in range(d.n_samples):
+        lo, hi = d.x.indptr[i], d.x.indptr[i + 1]
+        fields = ["+1" if d.y[i] > 0 else "-1"]
+        fields.extend(f"{int(j) + 1}:{v:.17g}" for j, v in zip(d.x.indices[lo:hi], d.x.data[lo:hi]))
+        out.append(" ".join(fields) + "\n")
+    return "".join(out)
+
+
+class TestSerializer:
+    @pytest.mark.parametrize("batch_rows", [1, 3, data._FORMAT_BATCH_ROWS])
+    def test_bytes_match_the_per_row_formatter(self, monkeypatch, batch_rows):
+        monkeypatch.setattr(data, "_FORMAT_BATCH_ROWS", batch_rows)
+        rng = np.random.default_rng(batch_rows)
+        bits = rng.integers(0, 2**64, size=400, dtype=np.uint64).view(np.float64)
+        vals = np.concatenate([bits[np.isfinite(bits)], [0.1, 1e16, 1e17, 5e-324, -1e-300, 2.0]])
+        x = sparse.random(57, 3000, density=0.01, format="csr", random_state=batch_rows)
+        x.data = rng.choice(vals, size=x.nnz)
+        x.data[x.indptr[5]:x.indptr[6]] = 0.0  # an empty row
+        x.eliminate_zeros()
+        d = Dataset(x, rng.choice([-1.0, 1.0], size=57))
+        assert d.to_sparse_text() == _old_to_sparse_text(d)
+        assert parse_sparse_text(d.to_sparse_text(), dim=3000) == d
+
+    def test_generated_data(self):
+        d, _ = generate_synthetic(2100, 9, 0.5, seed=2)
+        assert d.to_sparse_text() == _old_to_sparse_text(d)
 
 
 class TestSynthetic:
