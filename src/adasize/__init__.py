@@ -13,12 +13,11 @@ from .data import Dataset, DatasetView, generate_synthetic, normalize, parse_spa
     shuffle_and_split
 from .erm import RiskSpec, empirical_loss_and_grad, risk_value, risk_value_and_grad, \
     smoothness_constant, test_error
-from .schedule import StagePlan, WstarEstimate, agd_params, build_stage_plans, \
-    iterations_agd, iterations_generic, iterations_svrg, statistical_accuracy, \
-    stop_threshold, svrg_params, total_complexity_agd, total_complexity_svrg, \
-    warm_start_bound
-from .solvers import DivergenceError, SolverState, StepBudget, agd_step, gd_step, \
-    init_state, solve, svrg_epoch
+from .schedule import StagePlan, agd_params, build_stage_plans, iterations_agd, \
+    iterations_generic, iterations_svrg, statistical_accuracy, stop_threshold, svrg_params, \
+    total_complexity_agd, total_complexity_svrg, warm_start_bound
+from .solvers import DivergenceError, SolverState, agd_step, gd_step, init_state, solve, \
+    svrg_epoch
 from .driver import RunConfig, StageReport, Trace, TraceEvent, adaptive_run, fixed_run
 from .bench import ReferenceOptimum, compare_matrix, effective_passes, emit_csv, \
     reference_optimum

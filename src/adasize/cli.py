@@ -22,7 +22,6 @@ from pathlib import Path
 from . import bench, data, driver, erm, schedule, verify
 from .driver import RunConfig
 from .erm import RiskSpec
-from .schedule import WstarEstimate
 
 
 class UsageError(Exception):
@@ -241,13 +240,13 @@ def _load_dataset(args) -> tuple[data.Dataset, str]:
     return ds, digest
 
 
-def _prepare_experiment(args):
+def _prepare_experiment(args, wstar_sq: float = 0.0):
     ds, digest = _load_dataset(args)
     N = args.N or ds.n_samples
     train, test = _from_flags(data.shuffle_and_split, ds, N, seed=args.seed)
     m = 1.0 if args.m_mode == "paper" else erm.smoothness_constant(args.loss, train)
     spec = _from_flags(RiskSpec, loss=args.loss, c=args.c, alpha=args.alpha, gamma=args.gamma,
-                       M=m)
+                       M=m, wstar_sq=wstar_sq)
     return train, test, spec, N, digest
 
 
@@ -273,11 +272,10 @@ def _run_config_from_args(args, N: int, adaptive: bool, method: str) -> RunConfi
         adaptive=adaptive,
         m0=min(args.m0, N),
         N=N,
-        budget_mode="until_threshold" if args.budget == "threshold" else "theoretical_s_n",
+        budget_mode=args.budget,
         seed=args.seed,
         eval_every=args.eval_every,
         pass_cap=args.pass_cap,
-        wstar_norm_sq=args.wstar,
     )
 
 
@@ -298,7 +296,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_run(args) -> int:
-    train, test, spec, N, digest = _prepare_experiment(args)
+    train, test, spec, N, digest = _prepare_experiment(args, args.wstar)
     cfg = _run_config_from_args(args, N, args.adaptive, args.method)
     if cfg.adaptive:
         _, trace, _ = driver.adaptive_run(cfg, spec, train, test)
@@ -315,7 +313,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    train, test, spec, N, digest = _prepare_experiment(args)
+    train, test, spec, N, digest = _prepare_experiment(args, args.wstar)
     configs = [
         _run_config_from_args(args, N, adaptive, method)
         for method in ("gd", "agd", "svrg")
@@ -342,9 +340,8 @@ def cmd_compare(args) -> int:
 
 def cmd_bounds(args) -> int:
     spec = _from_flags(RiskSpec, loss="logistic", c=args.c, alpha=args.alpha, gamma=args.gamma,
-                       M=args.M)
-    wstar = _from_flags(WstarEstimate, args.wstar)
-    plans = _from_flags(schedule.build_stage_plans, spec, args.N, args.m0, wstar)
+                       M=args.M, wstar_sq=args.wstar)
+    plans = _from_flags(schedule.build_stage_plans, spec, args.N, args.m0)
     headers = ["n", "V_n", "threshold", "agd_eta", "agd_beta", "svrg_q", "svrg_eta",
                "svrg_rho", "s_generic", "s_agd", "s_svrg"]
     rows = [headers]
@@ -363,9 +360,9 @@ def cmd_bounds(args) -> int:
         print(f"total_agd_grad_evals = n/a (N/m0 = {args.N / args.m0:g} is not a power of two; "
               "the run itself clamps the last stage to N)")
     else:
-        total_agd = schedule.total_complexity_agd(spec, args.N, args.m0, wstar)
+        total_agd = schedule.total_complexity_agd(spec, args.N, args.m0)
         print(f"total_agd_grad_evals = {total_agd:.6g}")
-    total_svrg = schedule.total_complexity_svrg(spec, args.N, wstar)
+    total_svrg = schedule.total_complexity_svrg(spec, args.N)
     print(f"total_svrg_grad_evals = {total_svrg:.6g}")
     if args.csv:
         out = io.StringIO()
@@ -417,6 +414,7 @@ def cmd_verify(args) -> int:
     for rep in reports:
         lines.append(rep.csv_line())
         print(rep.csv_line())
+        print(f"{rep.name}: {rep.notes}", file=sys.stderr)
     out_dir = _out_dir(args)
     _write_atomic(out_dir / f"checks_seed{args.seed}.csv", "\n".join(lines) + "\n")
     manifest = _manifest_text(args, digest, [f"checks_seed{args.seed}.csv"])

@@ -5,8 +5,11 @@ Both runs walk one stage loop over a list of sample sizes: m0, 2 m0, 4 m0,
 The first stage starts from the zero vector; each later stage warm-starts
 at the previous stage's exit iterate.  Stages stop either on the
 gradient-norm rule ||grad R_n|| <= sqrt(2c) V_n, which certifies
-suboptimality within statistical accuracy, or after the closed-form
-iteration count for the chosen method.
+suboptimality within statistical accuracy (budget "threshold"), or, after
+the first stage, after the closed-form iteration count for the chosen
+method (budget "theory").  An adaptive stage that does not meet its
+threshold within solvers.MAX_ITERATIONS steps raises BudgetError; a fixed
+run stops at its pass cap.
 """
 
 from __future__ import annotations
@@ -18,10 +21,9 @@ import numpy as np
 from . import erm, schedule, solvers
 from .data import Dataset
 from .erm import RiskSpec
-from .schedule import WstarEstimate
-from .solvers import Measurement, SolverState, StepBudget
+from .solvers import Measurement, SolverState
 
-BUDGET_MODES = ("until_threshold", "theoretical_s_n")
+BUDGET_MODES = ("threshold", "theory")
 
 
 @dataclass
@@ -30,11 +32,10 @@ class RunConfig:
     adaptive: bool = True
     m0: int = 400
     N: int = 0
-    budget_mode: str = "until_threshold"
+    budget_mode: str = "threshold"  # or "theory": closed-form counts after the first stage
     seed: int = 0
     eval_every: int = 1
     pass_cap: int = 100            # fixed runs stop after this many effective passes
-    wstar_norm_sq: float = 0.0     # feeds the theoretical iteration counts
 
     def __post_init__(self):
         if self.method not in solvers.METHODS:
@@ -47,7 +48,6 @@ class RunConfig:
             raise ValueError(f"need 1 <= m0 <= N, got m0={self.m0}, N={self.N}")
         if self.pass_cap < 0:
             raise ValueError(f"pass_cap must be >= 0, got {self.pass_cap}")
-        WstarEstimate(self.wstar_norm_sq)  # its range check, whatever the budget mode
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,6 @@ class StageReport:
     grad_evals_at_exit: int
     exit_grad_norm: float
     threshold: float
-    budget_exhausted: bool
     w: np.ndarray = field(repr=False, compare=False)  # exit iterate
 
 
@@ -111,22 +110,22 @@ class _Recorder:
 
 
 def _theoretical_iterations(config: RunConfig, spec: RiskSpec, n: int) -> int:
-    wstar = WstarEstimate(config.wstar_norm_sq)
     if config.method == "agd":
-        return schedule.iterations_agd(spec, n, wstar)
+        return schedule.iterations_agd(spec, n)
     if config.method == "svrg":
-        return schedule.iterations_svrg(spec, wstar)
-    return schedule.iterations_generic(schedule.gd_contraction_factor(spec, n), spec, wstar)
+        return schedule.iterations_svrg(spec)
+    return schedule.iterations_generic(schedule.gd_contraction_factor(spec, n), spec)
 
 
 def _run_stages(config: RunConfig, spec: RiskSpec, train: Dataset, test: Dataset | None,
-                sizes: list[int], max_iterations: int = StepBudget.max_iterations
+                sizes: list[int], max_iterations: int
                 ) -> tuple[np.ndarray, Trace, list[StageReport]]:
     """Solve the stages in order, the first from zero, each later one from the last exit.
 
     The first stage always uses the threshold rule: it must establish the
-    entry certificate the later fixed-count stages rely on.  With no stages
-    the zero vector and an empty trace come back.
+    entry certificate the later fixed-count stages rely on.  A fixed run
+    stops at max_iterations, its pass cap; an adaptive stage that stops there
+    above its threshold raises BudgetError.  No stages give zero and an empty trace.
     """
     if train.n_samples < config.N:
         raise ValueError(f"training set has {train.n_samples} samples, config.N={config.N}")
@@ -141,13 +140,16 @@ def _run_stages(config: RunConfig, spec: RiskSpec, train: Dataset, test: Dataset
     for n in sizes:
         state = solvers.reset_aux(state)  # warm start: aux sequences re-anchored at w
         threshold = schedule.stop_threshold(spec, n)
-        if reports and config.budget_mode == "theoretical_s_n":
-            budget = StepBudget(mode="fixed_iterations", max_iterations=max_iterations,
-                                iterations=_theoretical_iterations(config, spec, n))
-        else:
-            budget = StepBudget(mode="until_threshold", threshold=threshold,
-                                max_iterations=max_iterations)
-        result = solvers.solve(state, spec, train.prefix(n), budget, callback=cb)
+        counted = bool(reports) and config.budget_mode == "theory"
+        result = solvers.solve(
+            state, spec, train.prefix(n),
+            threshold=None if counted else threshold,
+            iterations=_theoretical_iterations(config, spec, n) if counted else None,
+            max_iterations=max_iterations, callback=cb)
+        if result.budget_exhausted and config.adaptive:
+            raise solvers.BudgetError(
+                f"stage n={n} stopped after {result.iterations} iterations at "
+                f"||grad R_n|| = {result.exit.grad_norm:.6g}, above its threshold {threshold:.6g}")
         state = result.state
         rec.record(state, result.exit)
         reports.append(StageReport(
@@ -156,7 +158,6 @@ def _run_stages(config: RunConfig, spec: RiskSpec, train: Dataset, test: Dataset
             grad_evals_at_exit=state.grad_evals,
             exit_grad_norm=result.exit.grad_norm,
             threshold=threshold,
-            budget_exhausted=result.budget_exhausted,
             w=state.w,
         ))
     return state.w, rec.trace, reports
@@ -172,7 +173,8 @@ def adaptive_run(config: RunConfig, spec: RiskSpec, train: Dataset,
     """
     if not config.adaptive:
         raise ValueError("adaptive_run requires config.adaptive")
-    return _run_stages(config, spec, train, test, schedule.stage_sizes(config.m0, config.N))
+    return _run_stages(config, spec, train, test, schedule.stage_sizes(config.m0, config.N),
+                       solvers.MAX_ITERATIONS)
 
 
 def fixed_run(config: RunConfig, spec: RiskSpec, train: Dataset,

@@ -38,7 +38,9 @@ class RiskSpec:
 
     c scales the adaptive regularizer, alpha in [0.5, 1] is the statistical
     accuracy decay exponent, gamma its numerator, and M the gradient
-    Lipschitz constant used by solver step sizes.
+    Lipschitz constant used by solver step sizes.  wstar_sq = ||w*||^2 of the
+    unobservable statistical optimum is user-supplied; only the warm-start
+    bound and the closed-form iteration counts read it (0 gives the smallest).
     """
 
     loss: str = "logistic"
@@ -46,6 +48,7 @@ class RiskSpec:
     alpha: float = 0.5
     gamma: float = 1.0
     M: float = 1.0
+    wstar_sq: float = 0.0
 
     def __post_init__(self):
         _check_loss(self.loss)
@@ -54,6 +57,8 @@ class RiskSpec:
         for field in ("c", "gamma", "M"):
             if getattr(self, field) <= 0:
                 raise ValueError(f"{field} must be positive, got {getattr(self, field)}")
+        if self.wstar_sq < 0:
+            raise ValueError(f"wstar_sq must be nonnegative, got {self.wstar_sq}")
 
 
 def _loss_terms(loss: str, margins: np.ndarray, y: np.ndarray):

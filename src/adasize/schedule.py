@@ -1,10 +1,11 @@
 """Sample-size schedules, per-stage solver parameters, and iteration bounds.
 
-Everything here is a closed-form function of the risk parameters:
-statistical accuracy V_n = gamma / n^alpha, the gradient-norm stopping
-threshold sqrt(2c) * V_n, AGD/SVRG step parameters, the per-stage iteration
-counts that suffice to re-enter statistical accuracy after doubling, and
-the end-to-end gradient-evaluation totals they imply.
+Everything here is a closed-form function of the risk parameters in a
+`RiskSpec`: statistical accuracy V_n = gamma / n^alpha, the gradient-norm
+stopping threshold sqrt(2c) * V_n, AGD/SVRG step parameters, the per-stage
+iteration counts that suffice to re-enter statistical accuracy after
+doubling, and the end-to-end gradient-evaluation totals they imply.  The
+last two, and the warm-start bound, read ||w*||^2 from spec.wstar_sq.
 """
 
 from __future__ import annotations
@@ -24,21 +25,6 @@ SVRG_PRECONDITION_RATIO = 0.02
 # floor(bound)+1 integerization: snap bounds this close to an integer onto it
 # so exact-power arguments (e.g. log2 of 8) do not straddle the floor.
 _INT_SNAP = 1e-9
-
-
-@dataclass(frozen=True)
-class WstarEstimate:
-    """Squared norm of the statistical optimum used inside iteration bounds.
-
-    The statistical optimum is unobservable, so the value is user-supplied;
-    the zero default yields the smallest valid iteration counts.
-    """
-
-    norm_sq: float = 0.0
-
-    def __post_init__(self):
-        if self.norm_sq < 0:
-            raise ValueError(f"norm_sq must be nonnegative, got {self.norm_sq}")
 
 
 @dataclass(frozen=True)
@@ -128,40 +114,37 @@ def _floor_plus_one(bound: float) -> int:
     return int(math.floor(bound)) + 1
 
 
-def _doubling_log_argument(spec: "RiskSpec", wstar: WstarEstimate) -> float:
+def _doubling_log_argument(spec: "RiskSpec") -> float:
     """3*2^a + (2^a - 1)(2 + (c/2)||w*||^2): warm-start error over target after doubling."""
     two_a = 2.0**spec.alpha
-    return 3.0 * two_a + (two_a - 1.0) * (2.0 + 0.5 * spec.c * wstar.norm_sq)
+    return 3.0 * two_a + (two_a - 1.0) * (2.0 + 0.5 * spec.c * spec.wstar_sq)
 
 
-def _agd_log_argument(spec: "RiskSpec", wstar: WstarEstimate) -> float:
+def _agd_log_argument(spec: "RiskSpec") -> float:
     """AGD variant carries an extra factor two: 6*2^a + (2^a - 1)(4 + c||w*||^2)."""
-    return 2.0 * _doubling_log_argument(spec, wstar)
+    return 2.0 * _doubling_log_argument(spec)
 
 
-def iterations_generic(rho_n: float, spec: "RiskSpec", wstar: WstarEstimate | None = None) -> int:
+def iterations_generic(rho_n: float, spec: "RiskSpec") -> int:
     """Iterations sufficient per stage for any method contracting suboptimality by rho_n."""
     if not 0.0 < rho_n < 1.0:
         raise ValueError(f"contraction factor must lie in (0, 1), got {rho_n}")
-    wstar = wstar or WstarEstimate()
-    bound = -math.log(_doubling_log_argument(spec, wstar)) / math.log(rho_n)
+    bound = -math.log(_doubling_log_argument(spec)) / math.log(rho_n)
     return _floor_plus_one(bound)
 
 
-def iterations_agd(spec: "RiskSpec", n: int, wstar: WstarEstimate | None = None) -> int:
+def iterations_agd(spec: "RiskSpec", n: int) -> int:
     """AGD iterations sufficient at stage n: sqrt((n^a M + c g)/(c g)) * ln(argument)."""
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    wstar = wstar or WstarEstimate()
     kappa_root = math.sqrt((n**spec.alpha * spec.M + spec.c * spec.gamma) / (spec.c * spec.gamma))
-    bound = kappa_root * math.log(_agd_log_argument(spec, wstar))
+    bound = kappa_root * math.log(_agd_log_argument(spec))
     return _floor_plus_one(bound)
 
 
-def iterations_svrg(spec: "RiskSpec", wstar: WstarEstimate | None = None) -> int:
+def iterations_svrg(spec: "RiskSpec") -> int:
     """SVRG epochs sufficient per stage; constant in n because rho < 1/2."""
-    wstar = wstar or WstarEstimate()
-    return _floor_plus_one(math.log2(_doubling_log_argument(spec, wstar)))
+    return _floor_plus_one(math.log2(_doubling_log_argument(spec)))
 
 
 def check_power_of_two_ratio(N: int, m0: int) -> int:
@@ -171,10 +154,8 @@ def check_power_of_two_ratio(N: int, m0: int) -> int:
     return (N // m0).bit_length() - 1
 
 
-def total_complexity_agd(spec: "RiskSpec", N: int, m0: int,
-                         wstar: WstarEstimate | None = None) -> float:
+def total_complexity_agd(spec: "RiskSpec", N: int, m0: int) -> float:
     """Closed-form total per-sample gradient evaluations of the adaptive AGD scheme."""
-    wstar = wstar or WstarEstimate()
     q = check_power_of_two_ratio(N, m0)
     root_two_a = math.sqrt(2.0**spec.alpha)
     bracket = (
@@ -183,17 +164,16 @@ def total_complexity_agd(spec: "RiskSpec", N: int, m0: int,
         + (root_two_a / (root_two_a - 1.0))
         * math.sqrt(N**spec.alpha * spec.M / (spec.c * spec.gamma))
     )
-    return N * bracket * math.log(_agd_log_argument(spec, wstar))
+    return N * bracket * math.log(_agd_log_argument(spec))
 
 
-def total_complexity_svrg(spec: "RiskSpec", N: int, wstar: WstarEstimate | None = None) -> float:
+def total_complexity_svrg(spec: "RiskSpec", N: int) -> float:
     """Closed-form total per-sample gradient evaluations of the adaptive SVRG scheme: linear in N."""
-    wstar = wstar or WstarEstimate()
-    return 4.0 * N * math.log2(_doubling_log_argument(spec, wstar))
+    return 4.0 * N * math.log2(_doubling_log_argument(spec))
 
 
 def warm_start_bound(spec: "RiskSpec", m: int, n: int, delta_m: float, v_m: float,
-                     v_nm: float, v_n: float, wstar: WstarEstimate | None = None) -> float:
+                     v_nm: float, v_n: float) -> float:
     """Proposition 1: expected suboptimality of the stage-m exit iterate on the stage-n risk.
 
     delta_m + (2(n-m)/n)(V_{n-m} + V_m) + 2(V_m - V_n) + (c(V_m - V_n)/2)||w*||^2,
@@ -201,12 +181,11 @@ def warm_start_bound(spec: "RiskSpec", m: int, n: int, delta_m: float, v_m: floa
     """
     if m >= n:
         raise ValueError(f"need m < n, got m={m}, n={n}")
-    wstar = wstar or WstarEstimate()
     return (
         delta_m
         + (2.0 * (n - m) / n) * (v_nm + v_m)
         + 2.0 * (v_m - v_n)
-        + 0.5 * spec.c * (v_m - v_n) * wstar.norm_sq
+        + 0.5 * spec.c * (v_m - v_n) * spec.wstar_sq
     )
 
 
@@ -220,10 +199,8 @@ def stage_sizes(m0: int, N: int) -> list[int]:
     return sizes
 
 
-def build_stage_plans(spec: "RiskSpec", N: int, m0: int,
-                      wstar: WstarEstimate | None = None) -> list[StagePlan]:
+def build_stage_plans(spec: "RiskSpec", N: int, m0: int) -> list[StagePlan]:
     """Per-stage plan table for the doubling schedule from m0 to N."""
-    wstar = wstar or WstarEstimate()
     plans = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -240,9 +217,9 @@ def build_stage_plans(spec: "RiskSpec", N: int, m0: int,
                     svrg_q=q,
                     svrg_eta=s_eta,
                     svrg_rho=rho,
-                    iters_generic=iterations_generic(gd_contraction_factor(spec, n), spec, wstar),
-                    iters_agd=iterations_agd(spec, n, wstar),
-                    iters_svrg=iterations_svrg(spec, wstar),
+                    iters_generic=iterations_generic(gd_contraction_factor(spec, n), spec),
+                    iters_agd=iterations_agd(spec, n),
+                    iters_svrg=iterations_svrg(spec),
                 )
             )
     return plans

@@ -20,6 +20,7 @@ from .data import DatasetView
 from .erm import RiskSpec
 
 METHODS = ("gd", "agd", "svrg")
+MAX_ITERATIONS = 10**6  # default step cap of one solve
 
 
 class DivergenceError(RuntimeError):
@@ -64,30 +65,6 @@ def reset_aux(state: SolverState) -> SolverState:
     return state
 
 
-@dataclass
-class StepBudget:
-    """Either run until a gradient-norm threshold or for a fixed iteration count."""
-
-    mode: str  # until_threshold | fixed_iterations
-    threshold: float | None = None
-    iterations: int | None = None
-    max_iterations: int = 10**6
-
-    def __post_init__(self):
-        if self.mode == "until_threshold":
-            if self.threshold is None or self.iterations is not None:
-                raise BudgetError("until_threshold budget needs threshold only")
-        elif self.mode == "fixed_iterations":
-            if self.iterations is None or self.threshold is not None:
-                raise BudgetError("fixed_iterations budget needs iterations only")
-            if self.iterations < 0:
-                raise BudgetError(f"iterations must be >= 0, got {self.iterations}")
-        else:
-            raise BudgetError(f"unknown budget mode {self.mode!r}")
-        if self.max_iterations < 1:
-            raise BudgetError(f"max_iterations must be >= 1, got {self.max_iterations}")
-
-
 class Measurement:
     """(R_n, grad R_n, ||grad R_n||) at w on the view, evaluated once on first use; uncounted."""
 
@@ -107,7 +84,7 @@ class SolveResult(NamedTuple):
     state: SolverState
     iterations: int
     exit: Measurement  # at state.w
-    budget_exhausted: bool
+    budget_exhausted: bool  # the threshold rule still failed at max_iterations
 
 
 def _ensure_finite(w: np.ndarray, context: str) -> None:
@@ -210,30 +187,36 @@ _STEPPERS: dict[str, Callable[..., SolverState]] = {
 }
 
 
-def solve(state: SolverState, spec: RiskSpec, view: DatasetView, budget: StepBudget,
+def solve(state: SolverState, spec: RiskSpec, view: DatasetView, *,
+          threshold: float | None = None, iterations: int | None = None,
+          max_iterations: int = MAX_ITERATIONS,
           callback: Callable[[SolverState, int, Measurement], None] | None = None
           ) -> SolveResult:
-    """Run the state's method on the view under the given budget.
+    """Run the state's method on the view until its stop rule holds.
 
-    One uncounted measurement per iterate serves the stop test, the step and
-    the trace; it is evaluated on first use only, so a fixed-count AGD stage
-    evaluates it only where it is read.  In until_threshold mode the
-    gradient norm is checked before every step; hitting max_iterations sets
-    the exhausted flag rather than raising.  The callback, if given, runs
-    after every step with the state, the iteration count and its measurement.
+    Exactly one rule is given: `threshold` steps until ||grad R_n|| <= threshold,
+    tested before every step, and stops with the exhausted flag set if
+    max_iterations steps do not reach it; `iterations` takes exactly that
+    many steps, at most max_iterations.  One uncounted measurement per
+    iterate serves the stop test, the step and the trace; it is evaluated on
+    first use only, so a fixed-count AGD solve evaluates it only where it is
+    read.  The callback, if given, runs after every step with the state, the
+    step count and its measurement.
     """
-    fixed = budget.mode == "fixed_iterations"
-    if fixed and budget.iterations > budget.max_iterations:
-        raise BudgetError(
-            f"fixed iteration count {budget.iterations} exceeds cap {budget.max_iterations}")
-    iterations = 0
+    if (threshold is None) == (iterations is None):
+        raise BudgetError("give exactly one of threshold and iterations")
+    if max_iterations < 1:
+        raise BudgetError(f"max_iterations must be >= 1, got {max_iterations}")
+    if iterations is not None and not 0 <= iterations <= max_iterations:
+        raise BudgetError(f"iterations must lie in [0, {max_iterations}], got {iterations}")
+    k = 0
     at_w = Measurement(spec, state.w, view)
-    while not (iterations == budget.iterations if fixed else at_w.grad_norm <= budget.threshold):
-        if iterations >= budget.max_iterations:  # never in fixed mode: the cap is checked above
-            return SolveResult(state, iterations, at_w, True)
+    while not (k == iterations if threshold is None else at_w.grad_norm <= threshold):
+        if k >= max_iterations:  # the threshold rule only: a count is checked above
+            return SolveResult(state, k, at_w, True)
         state = _STEPPERS[state.method](state, spec, view, at_w)
-        iterations += 1
+        k += 1
         at_w = Measurement(spec, state.w, view)
         if callback is not None:
-            callback(state, iterations, at_w)
-    return SolveResult(state, iterations, at_w, False)
+            callback(state, k, at_w)
+    return SolveResult(state, k, at_w, False)

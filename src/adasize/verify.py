@@ -164,8 +164,8 @@ def _shuffled_copy(base: Dataset, perm: np.ndarray, k: int | None = None) -> Dat
     return Dataset(base.x[perm[:k]], base.y[perm[:k]], name=base.name)
 
 
-def unregularized_optimum_proxy(loss: str, base: Dataset):
-    """Stand-in for the statistical optimum: full-base loss minimizer, ridge PROXY_L2."""
+def unregularized_optimum_proxy(loss: str, base: Dataset) -> float:
+    """||w||^2 at the full-base loss minimizer (ridge PROXY_L2), a stand-in for ||w*||^2."""
     view = base.full_view()
 
     def fg(w):
@@ -175,7 +175,7 @@ def unregularized_optimum_proxy(loss: str, base: Dataset):
     res = optimize.minimize(fg, np.zeros(base.dim), jac=True, method="L-BFGS-B",
                             options={"maxiter": 5000, "gtol": 1e-8, "ftol": 1e-16})
     w = np.asarray(res.x)
-    return w, float(w @ w)
+    return float(w @ w)
 
 
 def _nested_draws(loss: str, base: Dataset, m: int, n: int, draws: int, seed: int):
@@ -229,7 +229,7 @@ def lemma2_check(spec: RiskSpec, base: Dataset, n: int, draws: int,
         raise ValueError(f"need n <= base/4 to keep the proxy held out, got n={n}")
     if draws < 1:
         raise ValueError("draws must be >= 1")
-    _, wsq = unregularized_optimum_proxy(spec.loss, base)
+    wsq = unregularized_optimum_proxy(spec.loss, base)
     rng = np.random.default_rng(seed)
     norms = []
     for _ in range(draws):
@@ -248,12 +248,12 @@ def lemma2_check(spec: RiskSpec, base: Dataset, n: int, draws: int,
 def _threshold_solve(spec: RiskSpec, view: DatasetView, threshold: float) -> np.ndarray:
     """Stage solve from zero under the gradient-norm rule: AGD, tight-constant steps."""
     tight_spec = replace(spec, M=erm.smoothness_constant(spec.loss, view))
-    budget = solvers.StepBudget(mode="until_threshold", threshold=threshold)
-    result = solvers.solve(solvers.init_state("agd", view.dim), tight_spec, view, budget)
+    result = solvers.solve(solvers.init_state("agd", view.dim), tight_spec, view,
+                           threshold=threshold)
     if result.budget_exhausted:
         raise solvers.BudgetError(
             f"stage solve at n={view.count} did not reach {threshold} "
-            f"within {budget.max_iterations} iterations")
+            f"within {result.iterations} iterations")
     return result.state.w
 
 
@@ -265,7 +265,7 @@ def proposition1_check(spec: RiskSpec, base: Dataset, m: int, draws: int,
         raise ValueError(f"need 2m <= base size, got m={m}, base={base.n_samples}")
     if draws < 1:
         raise ValueError("draws must be >= 1")
-    _, wsq = unregularized_optimum_proxy(spec.loss, base)
+    wsq = unregularized_optimum_proxy(spec.loss, base)
     lhs_values = []
     # V_hat(m) and V_hat(n - m) share one accumulator, because n - m = m here, so both
     # read about twice their value; ROADMAP item 3 gives each its own estimate.
@@ -281,8 +281,8 @@ def proposition1_check(spec: RiskSpec, base: Dataset, m: int, draws: int,
         sup_n += float(np.max(np.abs(l_full - (m * l_m + (n - m) * l_nm) / n)))
     v_m_hat = sup_m / draws
     delta_m = schedule.statistical_accuracy(spec, m)  # certified by the threshold rule
-    bound = schedule.warm_start_bound(spec, m, n, delta_m, v_m_hat, v_m_hat, sup_n / draws,
-                                      schedule.WstarEstimate(wsq))
+    bound = schedule.warm_start_bound(replace(spec, wstar_sq=wsq), m, n, delta_m, v_m_hat,
+                                      v_m_hat, sup_n / draws)
     mean_lhs = float(np.mean(lhs_values))
     exceed = sum(1 for v in lhs_values if v > bound)
     return _report(f"proposition1_m{m}", draws, [bound * (1.0 + PROP1_SLACK) - mean_lhs],
@@ -294,14 +294,15 @@ def theorem_sn_sufficiency_check(method: str, spec: RiskSpec, base: Dataset, m0:
                                  draws: int, seed: int = 0) -> CheckReport:
     """Run the fixed-iteration schedule; per-stage mean suboptimality must be within accuracy.
 
-    The first stage is excluded: its guarantee comes from the threshold
-    rule, not from the per-stage iteration count.
+    The counts are evaluated at wstar_sq = the proxy's ||w*||^2.  The first
+    stage is excluded: its guarantee comes from the threshold rule, not from
+    the per-stage iteration count.
     """
     if method not in ("agd", "svrg"):
         raise ValueError(f"iteration-count guarantee covers agd and svrg, got {method!r}")
     if draws < 1:
         raise ValueError("draws must be >= 1")
-    _, wsq = unregularized_optimum_proxy(spec.loss, base)
+    counted_spec = replace(spec, wstar_sq=unregularized_optimum_proxy(spec.loss, base))
     rng = np.random.default_rng(seed)
     N = base.n_samples
     per_stage: dict[int, list[float]] = {}
@@ -314,12 +315,11 @@ def theorem_sn_sufficiency_check(method: str, spec: RiskSpec, base: Dataset, m0:
             adaptive=True,
             m0=m0,
             N=N,
-            budget_mode="theoretical_s_n",
+            budget_mode="theory",
             seed=int(rng.integers(2**62)),
             eval_every=10**9,
-            wstar_norm_sq=wsq,
         )
-        _, _, reports = driver.adaptive_run(cfg, spec, shuffled)
+        _, _, reports = driver.adaptive_run(cfg, counted_spec, shuffled)
         draw_bad = False
         for rep in reports[1:]:  # skip the first stage
             view = shuffled.prefix(rep.n)

@@ -83,8 +83,7 @@ def test_reference_optimum_agrees_with_agd(spec, view, tol):
     ref = reference_optimum(spec, view, tolerance=tol)
     agd = solvers.solve(solvers.init_state("agd", view.dim),
                         replace(spec, M=smoothness_constant(spec.loss, view)), view,
-                        solvers.StepBudget("until_threshold", threshold=tol,
-                                           max_iterations=10**7))
+                        threshold=tol, max_iterations=10**7)
     assert not agd.budget_exhausted
     assert abs(ref.risk_star - agd.exit.risk) <= 1e-15
     # both gradients are within tol, so strong convexity puts each within tol/(cV_n) of w*

@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from adasize import solvers
 from adasize.cli import main
 from adasize.data import parse_sparse_text
 
@@ -54,6 +55,15 @@ def test_out_of_range_flag_is_usage_error(tmp_path, capsys, argv):
     data = ["--N", "64", "--m0", "16"] if argv[0] == "bounds" else ["--gen", "64,4,1.0"]
     assert run_cli(argv[:1] + data + argv[1:] + ["--out", str(tmp_path)]) == 1
     assert "usage error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_exhausted_adaptive_stage_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(solvers, "MAX_ITERATIONS", 50)
+    assert run_cli(["run", "--gen", "256,4,1.0", "--m0", "128", "--gamma", "1e-30", "--adaptive",
+                    "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "n=128 stopped after 50 iterations" in err and "above its threshold" in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -303,6 +313,18 @@ class TestVerifyCommand:
             "theorem_sn_agd,3,0,0.0312498,true",
             "theorem_sn_svrg,3,0,0.03125,true",
         ]
+
+    def test_notes_go_to_stderr(self, tmp_path, capsys):
+        code = run_cli(["verify", "--gen", "1024,10,1.0", "--checks", "theorem", "--draws", "1",
+                        "--out", str(tmp_path)])
+        assert code == 0
+        captured = capsys.readouterr()
+        rows = (tmp_path / "checks_seed0.csv").read_text().splitlines()
+        assert captured.out.splitlines() == rows[1:]
+        notes = [line for line in captured.err.splitlines() if line.startswith("theorem_sn_")]
+        assert [line.split(": ", 1)[0] for line in notes] == ["theorem_sn_agd", "theorem_sn_svrg"]
+        for line in notes:
+            assert line.split(": ", 1)[1].startswith("LOW POWER (single draw); 1 draws; ")
 
     def test_direction_check(self, tmp_path, capsys):
         code = run_cli(["verify", "--gen", "128,6,1.0", "--checks", "svrg_direction",

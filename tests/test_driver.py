@@ -49,9 +49,9 @@ def test_warm_start_chain_bitwise(train_2k, spec, monkeypatch):
     entries = []
     real_solve = solvers.solve
 
-    def spying_solve(state, spec_, view, budget, callback=None):
+    def spying_solve(state, spec_, view, **rule):
         entries.append((view.count, state.w.copy()))
-        return real_solve(state, spec_, view, budget, callback)
+        return real_solve(state, spec_, view, **rule)
 
     monkeypatch.setattr(driver_mod.solvers, "solve", spying_solve)
     cfg = RunConfig(method="agd", adaptive=True, m0=256, N=2048, seed=3)
@@ -70,7 +70,6 @@ def test_bootstrap_certificate(spec):
     _, _, reports = adaptive_run(cfg, spec, train)
     report = reports[0]
     assert report.n == 64
-    assert not report.budget_exhausted
     assert report.exit_grad_norm <= stop_threshold(spec, 64)
     # the report's counter and norm are those of its exit iterate: one AGD
     # step from zero costs 64 gradient evaluations
@@ -90,7 +89,6 @@ def test_threshold_stages_certify_suboptimality(train_2k, spec, method):
     cfg = RunConfig(method=method, adaptive=True, m0=256, N=2048, seed=7)
     _, _, reports = adaptive_run(cfg, spec, train_2k)
     for rep in reports:
-        assert not rep.budget_exhausted
         assert rep.exit_grad_norm <= rep.threshold
         view = train_2k.prefix(rep.n)
         ref = reference_optimum(spec, view, tolerance=1e-10)
@@ -100,7 +98,7 @@ def test_threshold_stages_certify_suboptimality(train_2k, spec, method):
 
 def test_theoretical_budget_svrg_constant_epochs(train_2k, spec):
     cfg = RunConfig(method="svrg", adaptive=True, m0=256, N=2048, seed=2,
-                    budget_mode="theoretical_s_n", wstar_norm_sq=0.0)
+                    budget_mode="theory")
     _, _, reports = adaptive_run(cfg, spec, train_2k)
     expected = iterations_svrg(spec)
     assert expected == 3
@@ -200,5 +198,30 @@ def test_config_validation():
         RunConfig(method="gd", N=100, budget_mode="exact")
     with pytest.raises(ValueError):
         RunConfig(method="gd", N=100, pass_cap=-1)
-    with pytest.raises(ValueError):  # checked under the threshold budget too
-        RunConfig(method="gd", N=100, wstar_norm_sq=-1.0)
+    with pytest.raises(ValueError, match="wstar_sq"):
+        RiskSpec(wstar_sq=-1.0)
+
+
+class TestExhaustedStage:
+    """An adaptive stage that stops at solvers.MAX_ITERATIONS above its threshold is an error."""
+
+    SPEC = RiskSpec(loss="logistic", c=1.0, alpha=0.5, gamma=1e-6, M=1.0)
+
+    @pytest.mark.parametrize("budget_mode", ["threshold", "theory"])
+    def test_adaptive_run_raises(self, train_2k, monkeypatch, budget_mode):
+        monkeypatch.setattr(solvers, "MAX_ITERATIONS", 3)
+        cfg = RunConfig(method="agd", adaptive=True, m0=1024, N=2048, seed=0,
+                        budget_mode=budget_mode)
+        threshold = stop_threshold(self.SPEC, 1024)
+        with pytest.raises(solvers.BudgetError,
+                           match=rf"n=1024 stopped after 3 iterations at \|\|grad R_n\|\| = "
+                                 rf"[0-9.e+-]+, above its threshold {threshold:.6g}$"):
+            adaptive_run(cfg, self.SPEC, train_2k)
+
+    def test_fixed_run_stops_at_its_pass_cap(self, train_2k, monkeypatch):
+        # the pass cap is the fixed run's budget, even above MAX_ITERATIONS
+        monkeypatch.setattr(solvers, "MAX_ITERATIONS", 3)
+        cfg = RunConfig(method="gd", adaptive=False, m0=128, N=2048, seed=0, pass_cap=5)
+        _, trace = fixed_run(cfg, self.SPEC, train_2k)
+        assert trace.events[-1].grad_evals == 5 * 2048
+        assert trace.events[-1].grad_norm > stop_threshold(self.SPEC, 2048)

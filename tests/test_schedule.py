@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from adasize import RiskSpec, WstarEstimate, agd_params, build_stage_plans, \
+from adasize import RiskSpec, agd_params, build_stage_plans, \
     iterations_agd, iterations_generic, iterations_svrg, statistical_accuracy, \
     stop_threshold, svrg_params, total_complexity_agd, total_complexity_svrg, \
     warm_start_bound
@@ -113,8 +114,8 @@ class TestIterationCounts:
             s = iterations_generic(rho, UNIT)
             assert s >= prev
             prev = s
-        a = iterations_generic(0.5, UNIT, WstarEstimate(0.0))
-        b = iterations_generic(0.5, UNIT, WstarEstimate(50.0))
+        a = iterations_generic(0.5, replace(UNIT, wstar_sq=0.0))
+        b = iterations_generic(0.5, replace(UNIT, wstar_sq=50.0))
         assert b >= a
 
     def test_generic_rho_range(self):
@@ -139,7 +140,7 @@ class TestIterationCounts:
     def test_svrg_frozen(self):
         assert iterations_svrg(UNIT) == 3
         assert iterations_svrg(RiskSpec(alpha=1.0)) == 4
-        assert iterations_svrg(UNIT, WstarEstimate(4.0)) == 3
+        assert iterations_svrg(replace(UNIT, wstar_sq=4.0)) == 3
 
     def test_svrg_independent_of_sample_size(self):
         # no sample-size argument exists; the count is a constant of the spec
@@ -169,17 +170,15 @@ class TestTotals:
             2 * total_complexity_svrg(UNIT, 10000), rel=1e-12)
 
     def test_svrg_total_matches_unfloored_count(self):
-        wstar = WstarEstimate(3.0)
         arg = 3 * math.sqrt(2) + (math.sqrt(2) - 1) * (2 + 1.5)
-        assert total_complexity_svrg(UNIT, 5000, wstar) == pytest.approx(
+        assert total_complexity_svrg(replace(UNIT, wstar_sq=3.0), 5000) == pytest.approx(
             4 * 5000 * math.log2(arg), rel=1e-12)
 
 
-def _bound_at_levels(spec, m, n, delta_m, wstar=None):
+def _bound_at_levels(spec, m, n, delta_m):
     """warm_start_bound at the closed-form accuracy levels V_m, V_{n-m}, V_n."""
     return warm_start_bound(spec, m, n, delta_m, statistical_accuracy(spec, m),
-                            statistical_accuracy(spec, n - m), statistical_accuracy(spec, n),
-                            wstar)
+                            statistical_accuracy(spec, n - m), statistical_accuracy(spec, n))
 
 
 class TestWarmStartBound:
@@ -198,10 +197,10 @@ class TestWarmStartBound:
         # at n = 2m the bound is delta_m + (2 + (1 - 2^-a)(2 + (c/2)||w*||^2)) V_m
         for alpha in (0.5, 0.75, 1.0):
             for wsq in (0.0, 2.5):
-                spec = RiskSpec(c=1.3, alpha=alpha, gamma=1.7)
+                spec = RiskSpec(c=1.3, alpha=alpha, gamma=1.7, wstar_sq=wsq)
                 coefficient = 2.0 + (1.0 - 2.0**-alpha) * (2.0 + 0.5 * spec.c * wsq)
                 for m in (100, 537):
-                    general = _bound_at_levels(spec, m, 2 * m, 0.01, WstarEstimate(wsq))
+                    general = _bound_at_levels(spec, m, 2 * m, 0.01)
                     doubled = 0.01 + coefficient * statistical_accuracy(spec, m)
                     assert general == pytest.approx(doubled, rel=1e-12)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from adasize import RiskSpec, StepBudget, init_state, risk_value, risk_value_and_grad, solve
+from adasize import RiskSpec, init_state, risk_value, risk_value_and_grad, solve
 from adasize import erm, schedule, solvers
 from adasize.data import Dataset, generate_synthetic, normalize, parse_sparse_text
 from adasize.solvers import BudgetError, DivergenceError, Measurement, agd_step, gd_step, \
@@ -229,7 +229,7 @@ class TestSolve:
     def test_threshold_met_at_entry(self, spec, small_train):
         view = small_train.prefix(50)
         state = init_state("gd", small_train.dim)
-        result = solve(state, spec, view, StepBudget("until_threshold", threshold=10.0))
+        result = solve(state, spec, view, threshold=10.0)
         assert result.iterations == 0
         assert not result.budget_exhausted
         np.testing.assert_array_equal(result.state.w, np.zeros(small_train.dim))
@@ -237,40 +237,39 @@ class TestSolve:
     def test_threshold_reached(self, spec, small_train):
         view = small_train.prefix(200)
         thr = schedule.stop_threshold(spec, 200)
-        result = solve(init_state("agd", small_train.dim), spec, view,
-                       StepBudget("until_threshold", threshold=thr))
+        result = solve(init_state("agd", small_train.dim), spec, view, threshold=thr)
         assert result.exit.grad_norm <= thr
         assert not result.budget_exhausted
 
     def test_fixed_iterations_exact(self, spec, small_train):
         view = small_train.prefix(25)
-        result = solve(init_state("gd", small_train.dim), spec, view,
-                       StepBudget("fixed_iterations", iterations=7))
+        result = solve(init_state("gd", small_train.dim), spec, view, iterations=7)
         assert result.iterations == 7
         assert result.state.grad_evals == 7 * 25
 
     def test_budget_exhaustion_flag(self, spec, small_train):
         view = small_train.prefix(200)
-        result = solve(init_state("gd", small_train.dim), spec, view,
-                       StepBudget("until_threshold", threshold=1e-14, max_iterations=3))
+        result = solve(init_state("gd", small_train.dim), spec, view, threshold=1e-14,
+                       max_iterations=3)
         assert result.budget_exhausted
         assert result.iterations == 3
 
-    def test_invalid_budgets(self):
+    @pytest.mark.parametrize("rule", [
+        pytest.param({"threshold": 0.1, "iterations": 5}, id="both"),
+        pytest.param({}, id="neither"),
+        pytest.param({"iterations": -1}, id="negative_iterations"),
+        pytest.param({"iterations": 4, "max_iterations": 3}, id="iterations_above_cap"),
+        pytest.param({"threshold": 0.1, "max_iterations": 0}, id="zero_cap"),
+    ])
+    def test_invalid_budgets(self, spec, small_train, rule):
+        state = init_state("gd", small_train.dim)
         with pytest.raises(BudgetError):
-            StepBudget("until_threshold", threshold=0.1, max_iterations=0)
-        with pytest.raises(BudgetError):
-            StepBudget("until_threshold", threshold=0.1, iterations=5)
-        with pytest.raises(BudgetError):
-            StepBudget("fixed_iterations")
-        with pytest.raises(BudgetError):
-            StepBudget("sideways", threshold=0.1)
+            solve(state, spec, small_train.prefix(8), **rule)
 
     def test_callback_sees_every_iteration(self, spec, small_train):
         seen = []
         solve(init_state("gd", small_train.dim), spec, small_train.prefix(30),
-              StepBudget("fixed_iterations", iterations=4),
-              callback=lambda st, it, at_w: seen.append((it, st.grad_evals)))
+              iterations=4, callback=lambda st, it, at_w: seen.append((it, st.grad_evals)))
         assert seen == [(1, 30), (2, 60), (3, 90), (4, 120)]
 
     @pytest.mark.parametrize("method", ["gd", "agd", "svrg"])
@@ -287,9 +286,8 @@ class TestSolve:
             return real(*args)
 
         monkeypatch.setattr(erm, "risk_value_and_grad", counting)
-        budget = StepBudget(mode, threshold=1e-3) \
-            if mode == "until_threshold" else StepBudget(mode, iterations=3)
-        result = solve(init_state(method, small_train.dim, seed=5), spec, view, budget)
+        rule = {"threshold": 1e-3} if mode == "until_threshold" else {"iterations": 3}
+        result = solve(init_state(method, small_train.dim, seed=5), spec, view, **rule)
         result.exit.grad_norm  # every caller reads the exit measurement
         k = result.iterations
         assert k >= 1
@@ -299,8 +297,7 @@ class TestSolve:
     def test_agd_callback_measures_w_not_y(self, spec, small_train):
         view = small_train.prefix(64)
         seen = []
-        solve(init_state("agd", small_train.dim), spec, view,
-              StepBudget("fixed_iterations", iterations=3),
+        solve(init_state("agd", small_train.dim), spec, view, iterations=3,
               callback=lambda st, it, at_w: seen.append((st.w, st.agd_y, at_w)))
         assert len(seen) == 3
         for w, y, at_w in seen:
@@ -314,8 +311,7 @@ class TestSolve:
         ds = parse_sparse_text("+1 1:40\n")
         spec = RiskSpec(loss="squared", c=1.0, alpha=0.5, gamma=1e-9, M=1e-9)
         with pytest.raises(DivergenceError):
-            solve(init_state("gd", 1), spec, ds.full_view(),
-                  StepBudget("fixed_iterations", iterations=2000))
+            solve(init_state("gd", 1), spec, ds.full_view(), iterations=2000)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):

@@ -94,7 +94,7 @@ class TestLemma2:
         lines = "".join(f"{'+1' if yi > 0 else '-1'} 1:{xi:.17g}\n" for xi, yi in zip(x, y))
         ds = parse_sparse_text(lines)
         spec = RiskSpec(loss="squared", c=1.0, alpha=0.5, gamma=1.0, M=4.0)
-        _, wsq_proxy = unregularized_optimum_proxy("squared", ds)
+        wsq_proxy = unregularized_optimum_proxy("squared", ds)
         wsq_closed = (float(np.mean(x * y)) / float(np.mean(x * x))) ** 2
         assert wsq_proxy == pytest.approx(wsq_closed, rel=1e-6)
         n = 128
