@@ -119,6 +119,7 @@ class CompareRow:
     min_test_error: float | None = None
     speedup_vs_fixed: float | None = None
     diverged: bool = False
+    exhausted: bool = False  # an adaptive stage reached solvers.MAX_ITERATIONS above its threshold
 
 
 def _scan_trace(trace: Trace, ref: ReferenceOptimum, target: float, N: int):
@@ -141,7 +142,7 @@ def compare_matrix(configs: list, spec: RiskSpec, train: Dataset,
 
     Rows for adaptive configs carry the speedup ratio against the fixed run
     of the same method when both reached the target.  Returns the rows, the
-    (config, trace) pairs (trace None for diverged runs) and the reference
+    (config, trace) pairs (trace None for diverged or exhausted runs) and the reference
     optimum of the full-set risk that suboptimality was measured against.
     """
     N_values = {cfg.N for cfg in configs}
@@ -155,7 +156,7 @@ def compare_matrix(configs: list, spec: RiskSpec, train: Dataset,
     rows = []
     traces = []
     for cfg in configs:
-        row = CompareRow(method=cfg.method, adaptive=cfg.adaptive)
+        row, trace = CompareRow(method=cfg.method, adaptive=cfg.adaptive), None
         try:
             if cfg.adaptive:
                 _, trace, _ = driver.adaptive_run(cfg, spec, train, test)
@@ -163,11 +164,11 @@ def compare_matrix(configs: list, spec: RiskSpec, train: Dataset,
                 _, trace = driver.fixed_run(cfg, spec, train, test)
         except solvers.DivergenceError:
             row.diverged = True
-            rows.append(row)
-            traces.append((cfg, None))
-            continue
-        row.passes_to_target, row.passes_to_min_test_error, row.min_test_error = _scan_trace(
-            trace, ref, target, N)
+        except solvers.BudgetError:
+            row.exhausted = True
+        else:
+            row.passes_to_target, row.passes_to_min_test_error, row.min_test_error = \
+                _scan_trace(trace, ref, target, N)
         rows.append(row)
         traces.append((cfg, trace))
 
@@ -186,8 +187,8 @@ def compare_matrix(configs: list, spec: RiskSpec, train: Dataset,
 def _summary_cells(r: CompareRow, fmt: str, speedup_fmt: str) -> list[str]:
     """One summary row's cells, numbers in the given format specs, empty where unknown."""
     head = [r.method, str(r.adaptive).lower()]
-    if r.diverged:
-        return head + ["diverged", "", "", ""]
+    if r.diverged or r.exhausted:
+        return head + ["diverged" if r.diverged else "exhausted", "", "", ""]
     values = ((r.passes_to_target, fmt), (r.passes_to_min_test_error, fmt),
               (r.min_test_error, fmt), (r.speedup_vs_fixed, speedup_fmt))
     return head + ["" if v is None else format(v, f) for v, f in values]

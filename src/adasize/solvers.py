@@ -5,6 +5,14 @@ gradient-evaluation cost to the state counter: n for a GD or AGD step, 2n
 for an SVRG epoch (full gradient at the anchor plus n inner steps).  One
 uncounted `Measurement` per iterate serves the stop test, the step and the
 trace; the counter is the unit the complexity bounds are written in.
+
+The n inner steps of an SVRG epoch run in a small C kernel, `svrg_kernel.c`,
+called through ctypes.  The first epoch of a process compiles it with the
+system C compiler (sysconfig's CC where installed, else `cc`) into this
+package's `__pycache__` directory, or loads the copy an earlier process left
+there.  If there is no compiler, the directory cannot be written or the
+library does not load, the epoch runs the same steps in a numpy loop instead.
+`svrg_kernel.reason` says which path the process took and why.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import erm, schedule
+from . import erm, schedule, svrg_kernel
 from .data import DatasetView
 from .erm import RiskSpec
 
@@ -135,6 +143,30 @@ def svrg_direction(spec: RiskSpec, view: DatasetView, i: int, w_hat: np.ndarray,
     return d
 
 
+def _pick_loop(x, picks: np.ndarray, coef_anchor: np.ndarray, xb: np.ndarray, y: np.ndarray,
+               loss: str, a: float, eta: float, u: np.ndarray) -> tuple[float, float]:
+    """The epoch's inner steps in numpy, used where the C kernel is not available.
+
+    Runs the picks on u in place from s = 1, r = 0 and returns (s, r), as
+    `svrg_kernel.Kernel.pick_loop` does.
+    """
+    coef_anchor, xb, y = coef_anchor.tolist(), xb.tolist(), y.tolist()
+    indptr, indices, data = x.indptr.tolist(), x.indices, x.data
+    s, r = 1.0, 0.0
+    for i in picks.tolist():
+        lo, hi = indptr[i], indptr[i + 1]
+        idx, vals = indices[lo:hi], data[lo:hi]
+        u_idx = u.take(idx)
+        coef = erm.sample_loss_coef(loss, s * float(vals @ u_idx) + r * xb[i], y[i])
+        s *= a
+        r = a * r + 1.0
+        u.put(idx, u_idx - (eta * (coef - coef_anchor[i]) / s) * vals)
+        if s < 1e-100:
+            u *= s
+            s = 1.0
+    return s, r
+
+
 def svrg_epoch(state: SolverState, spec: RiskSpec, view: DatasetView,
                at_w: Measurement) -> SolverState:
     """One outer loop: full gradient at the anchor, then n variance-reduced inner steps.
@@ -151,30 +183,28 @@ def svrg_epoch(state: SolverState, spec: RiskSpec, view: DatasetView,
     u on the sample's nonzeros only, so it costs O(nnz of the sample).  The
     sample margins of b and the anchor coefficients are computed once per
     epoch; s is folded into u before it can underflow (a >= 0.9).
+
+    The indices are drawn before the steps run, and the steps run in the C
+    kernel of `svrg_kernel` where it loaded, else in the numpy loop
+    `_pick_loop`; both take the same steps, so the generator stream and
+    grad_evals do not depend on the path, and the exit iterates agree to
+    rounding (the kernel sums each sparse dot product in another order).
     """
     if state.method != "svrg" or state.rng is None:
         raise ValueError("svrg_epoch needs an svrg state with its generator set")
     n = view.count
     q, eta, _ = schedule.svrg_params(spec, n)
     cv = spec.c * schedule.statistical_accuracy(spec, n)
-    anchor, x, loss = state.w, view.x, spec.loss
+    anchor, x = state.w, view.x
     a = 1.0 - eta * cv
     b = eta * (cv * anchor - at_w.grad)
-    _, coef_anchor = erm._loss_terms(loss, x @ anchor, view.y)
-    coef_anchor, xb, y = coef_anchor.tolist(), (x @ b).tolist(), view.y.tolist()
-    indptr, indices, data = x.indptr.tolist(), x.indices, x.data
-    u, s, r = anchor.copy(), 1.0, 0.0
-    for i in state.rng.integers(0, n, size=q).tolist():
-        lo, hi = indptr[i], indptr[i + 1]
-        idx, vals = indices[lo:hi], data[lo:hi]
-        u_idx = u.take(idx)
-        coef = erm.sample_loss_coef(loss, s * float(vals @ u_idx) + r * xb[i], y[i])
-        s *= a
-        r = a * r + 1.0
-        u.put(idx, u_idx - (eta * (coef - coef_anchor[i]) / s) * vals)
-        if s < 1e-100:
-            u *= s
-            s = 1.0
+    _, coef_anchor = erm._loss_terms(spec.loss, x @ anchor, view.y)
+    xb = x @ b
+    picks = state.rng.integers(0, n, size=q)
+    u = anchor.copy()
+    kernel = svrg_kernel.get()
+    pick_loop = _pick_loop if kernel is None else kernel.pick_loop
+    s, r = pick_loop(x, picks, coef_anchor, xb, view.y, spec.loss, a, eta, u)
     w = s * u + r * b
     _ensure_finite(w, f"svrg epoch at n={n}")
     return replace(state, w=w, grad_evals=state.grad_evals + 2 * n)

@@ -1,0 +1,68 @@
+/* The pick loop of one SVRG epoch, the compiled twin of the numpy loop in
+ * solvers.svrg_epoch; svrg_kernel.py builds this file on first use.
+ *
+ * The inner iterate is w = s*u + r*b.  For each pick i the step reads the
+ * sample's margin s*(x_i . u) + r*(x_i . b), scales s by a, sets r to a*r + 1
+ * and moves u on the sample's nonzeros only; s is folded into u before it
+ * can underflow.  Every expression keeps the numpy loop's order of
+ * operations, and -ffp-contract=off stops the compiler from fusing a multiply
+ * and an add into one rounding, so only the order of the sparse dot product's
+ * sum may differ.
+ */
+
+#include <math.h>
+#include <stdint.h>
+
+/* d(loss)/d(margin) of one sample: erm.sample_loss_coef, with its two
+ * overflow-safe logistic branches (exp of a non-positive argument only). */
+double svrg_loss_coef(int logistic, double margin, double label)
+{
+    if (!logistic)
+        return margin - label;
+    double z = label * margin;
+    if (z >= 0.0) {
+        double e = exp(-z);
+        return -label * e / (1.0 + e);
+    }
+    return -label / (1.0 + exp(z));
+}
+
+/* Runs the picks in order, updating u in place; sr holds s and r in and out.
+ * Returns 0, or -1 at the first pick, row bound or column index out of range
+ * (u and sr are then partly updated and must be discarded). */
+int svrg_pick_loop(const int64_t *indptr, const int32_t *indices, const double *data,
+                   int64_t n_rows, int64_t nnz, int64_t dim,
+                   const int64_t *picks, int64_t n_picks,
+                   const double *coef_anchor, const double *xb, const double *y,
+                   int logistic, double a, double eta, double *u, double *sr)
+{
+    double s = sr[0], r = sr[1];
+    for (int64_t p = 0; p < n_picks; p++) {
+        int64_t i = picks[p];
+        if (i < 0 || i >= n_rows)
+            return -1;
+        int64_t lo = indptr[i], hi = indptr[i + 1];
+        if (lo < 0 || hi < lo || hi > nnz)
+            return -1;
+        double dot = 0.0;
+        for (int64_t k = lo; k < hi; k++) {
+            if (indices[k] < 0 || indices[k] >= dim)
+                return -1;
+            dot += data[k] * u[indices[k]];
+        }
+        double coef = svrg_loss_coef(logistic, s * dot + r * xb[i], y[i]);
+        s *= a;
+        r = a * r + 1.0;
+        double g = eta * (coef - coef_anchor[i]) / s;
+        for (int64_t k = lo; k < hi; k++)
+            u[indices[k]] = u[indices[k]] - g * data[k];
+        if (s < 1e-100) {
+            for (int64_t j = 0; j < dim; j++)
+                u[j] *= s;
+            s = 1.0;
+        }
+    }
+    sr[0] = s;
+    sr[1] = r;
+    return 0;
+}

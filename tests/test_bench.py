@@ -234,11 +234,14 @@ class TestSummaryFormat:
             CompareRow("gd", False, passes_to_target=4.0, min_test_error=0.125,
                        passes_to_min_test_error=3.0),
             CompareRow("gd", True, diverged=True),
+            CompareRow("agd", True, exhausted=True),
         ]
         out = io.StringIO()
         write_summary_csv(rows, out)
         lines = out.getvalue().splitlines()
         assert lines[1].startswith("gd,false,4")
         assert lines[2] == "gd,true,diverged,,,"
+        assert lines[3] == "agd,true,exhausted,,,"
         table = format_summary_table(rows)
         assert "diverged" in table and table.splitlines()[0].startswith("method")
+        assert "exhausted" in table

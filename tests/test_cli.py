@@ -263,6 +263,21 @@ class TestCompare:
         assert table.splitlines()[0].startswith("method")
         assert (tmp_path / "manifest_compare_seed4.txt").exists()
 
+    def test_exhausted_config_gets_its_own_row(self, tmp_path, capsys, monkeypatch):
+        # every adaptive stage stops at the cap far above its threshold; the
+        # fixed runs still finish and are written
+        monkeypatch.setattr(solvers, "MAX_ITERATIONS", 200)
+        assert run_cli(["compare", "--gen", "256,4,1.0", "--m0", "128", "--gamma", "1e-30",
+                        "--adaptive", "--out", str(tmp_path)]) == 0
+        summary = (tmp_path / "summary_seed0.csv").read_text().splitlines()
+        for method in ("gd", "agd", "svrg"):
+            assert f"{method},true,exhausted,,," in summary
+            assert (tmp_path / f"trace_{method}_fix_seed0.csv").exists()
+            assert not (tmp_path / f"trace_{method}_ada_seed0.csv").exists()
+        manifest = (tmp_path / "manifest_compare_seed0.txt").read_text()
+        assert "output = summary_seed0.csv" in manifest
+        assert "exhausted" in capsys.readouterr().out
+
 
 class TestVerifyCommand:
     def test_fd_only(self, tmp_path, capsys):

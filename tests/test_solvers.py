@@ -1,5 +1,8 @@
 import copy
 import math
+import shlex
+import shutil
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +10,7 @@ import pytest
 from scipy import sparse
 
 from adasize import RiskSpec, init_state, risk_value, risk_value_and_grad, solve
-from adasize import erm, schedule, solvers
+from adasize import erm, schedule, solvers, svrg_kernel
 from adasize.data import Dataset, generate_synthetic, normalize, parse_sparse_text
 from adasize.solvers import BudgetError, DivergenceError, Measurement, agd_step, gd_step, \
     svrg_epoch
@@ -23,6 +26,36 @@ def _reference_epoch(state, spec, view):
     for i in state.rng.integers(0, n, size=n):
         w_hat -= eta * solvers.svrg_direction(spec, view, int(i), w_hat, anchor, full_grad)
     return w_hat
+
+
+def _svrg_case(data, loss):
+    """(dataset, spec) of the SVRG epoch tests.
+
+    "dense" is 512 x 20 generated data, "sparse" has about 4 nonzeros per row
+    over 6000 columns, and "renormalized" is long enough (a^n < 1e-100) that
+    every epoch folds s into u; without the fold s would underflow to 0.
+    """
+    if data == "sparse":
+        rng = np.random.default_rng(8)
+        x = sparse.random(400, 6000, density=4 / 6000, format="csr", random_state=rng,
+                          data_rvs=rng.standard_normal)
+        ds = normalize(Dataset(x, np.where(rng.random(400) < 0.5, 1.0, -1.0)))
+    else:
+        n, seed = (512, 2) if data == "dense" else (8000, 3)
+        ds = normalize(generate_synthetic(n, 20, 1.0, seed=seed)[0])
+    c = 1000.0 if data == "renormalized" else 1.0
+    spec = RiskSpec(loss=loss, c=c, gamma=1.0, M=0.25)
+    n = ds.n_samples
+    a = 1.0 - schedule.svrg_params(spec, n).eta * c * schedule.statistical_accuracy(spec, n)
+    assert (a**n < 1e-100) == (data == "renormalized")
+    assert (a**n == 0.0) == (data == "renormalized")
+    return ds, spec
+
+
+def _epochs(state, spec, view, count):
+    for _ in range(count):
+        state = svrg_epoch(state, spec, view, Measurement(spec, state.w, view))
+    return state
 
 
 def _one_sample_squared(cv_target=1e-12):
@@ -171,23 +204,12 @@ class TestSvrg:
                                       "renormalized"])
     def test_epoch_matches_dense_reference(self, case):
         # svrg_epoch keeps w as s*u + r*b; the reference applies svrg_direction densely
-        if case.startswith("dense"):
-            ds = normalize(generate_synthetic(512, 20, 1.0, seed=2)[0])
-            spec = RiskSpec(loss=case.split("_")[1], c=1.0, gamma=1.0, M=0.25)
-        elif case == "wide_sparse":  # about 4 nonzeros per row over 6000 columns
-            rng = np.random.default_rng(8)
-            x = sparse.random(400, 6000, density=4 / 6000, format="csr", random_state=rng,
-                              data_rvs=rng.standard_normal)
-            ds = normalize(Dataset(x, np.where(rng.random(400) < 0.5, 1.0, -1.0)))
-            spec = RiskSpec(loss="logistic", c=1.0, gamma=1.0, M=0.25)
-        else:
-            ds = normalize(generate_synthetic(3000, 20, 1.0, seed=3)[0])
-            spec = RiskSpec(loss="logistic", c=1000.0, gamma=1.0, M=0.25)
+        data, loss = {"dense_logistic": ("dense", "logistic"),
+                      "dense_squared": ("dense", "squared"),
+                      "wide_sparse": ("sparse", "logistic"),
+                      "renormalized": ("renormalized", "logistic")}[case]
+        ds, spec = _svrg_case(data, loss)
         view = ds.full_view()
-        n = view.count
-        a = 1.0 - schedule.svrg_params(spec, n).eta * spec.c * \
-            schedule.statistical_accuracy(spec, n)
-        assert (a**n < 1e-100) == (case == "renormalized")
         fast = init_state("svrg", ds.dim, seed=6)
         fast.w = np.random.default_rng(7).uniform(-1, 1, ds.dim)
         for _ in range(2):  # the second epoch anchors at an iterate the first one moved
@@ -223,6 +245,92 @@ class TestSvrg:
                 state = svrg_epoch(state, spec, view, Measurement(spec, state.w, view))
             runs.append(state.w.copy())
         np.testing.assert_array_equal(runs[0], runs[1])
+
+
+def _kernel_or_skip():
+    kernel = svrg_kernel.get()
+    if kernel is None:
+        pytest.skip(f"no C kernel in this process: {svrg_kernel.reason}")
+    return kernel
+
+
+class TestSvrgKernel:
+    """The compiled pick loop against the numpy loop it replaces, and its loader."""
+
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("loss", ["logistic", "squared"])
+    @pytest.mark.parametrize("data", ["dense", "sparse", "renormalized"])
+    def test_kernel_matches_numpy_loop(self, data, loss, index_dtype, monkeypatch):
+        kernel = _kernel_or_skip()
+        ds, spec = _svrg_case(data, loss)
+        view = ds.full_view()
+        # scipy builds the view's matrix with int32 indices; int64 ones take the
+        # kernel's conversion route
+        view.x.indices = view.x.indices.astype(index_dtype)
+        view.x.indptr = view.x.indptr.astype(index_dtype)
+        start = init_state("svrg", ds.dim, seed=6)
+        start.w = np.random.default_rng(7).uniform(-1, 1, ds.dim)
+        ends = []
+        for path in (kernel, None):
+            monkeypatch.setattr(svrg_kernel, "get", lambda path=path: path)
+            ends.append(_epochs(replace(start, rng=copy.deepcopy(start.rng)), spec, view, 3))
+        compiled, numpy_loop = ends
+        assert compiled.grad_evals == numpy_loop.grad_evals == 6 * ds.n_samples
+        np.testing.assert_equal(compiled.rng.bit_generator.state,
+                                numpy_loop.rng.bit_generator.state)
+        scale = float(np.max(np.abs(numpy_loop.w)))
+        assert np.max(np.abs(compiled.w - numpy_loop.w)) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("loss", ["logistic", "squared"])
+    def test_loss_coef_is_sample_loss_coef(self, loss):
+        kernel = _kernel_or_skip()
+        for label in (1.0, -1.0):
+            for margin in (0.0, 1e-8, -1e-8, 1.0, -1.0, 30.0, -30.0, 800.0, -800.0):
+                assert kernel.loss_coef(loss, margin, label) == \
+                    erm.sample_loss_coef(loss, margin, label), (label, margin)
+
+    def test_kernel_loads_where_a_compiler_exists(self, tmp_path):
+        compiler = shlex.split(svrg_kernel.default_compiler())[0]
+        if shutil.which(compiler) is None:
+            pytest.skip(f"no C compiler {compiler!r} on PATH")
+        # the process's own kernel: a silent fall back to the numpy loop fails here
+        assert svrg_kernel.get() is not None, svrg_kernel.reason
+        kernel, reason = svrg_kernel.load(cache_dir=tmp_path)
+        assert kernel is not None and reason.startswith("C kernel: built"), reason
+        assert [p.suffix for p in tmp_path.iterdir()] == [".so"]  # no temporary file left
+        kernel, reason = svrg_kernel.load(cache_dir=tmp_path)
+        assert kernel is not None and reason.startswith("C kernel: loaded"), reason
+
+    @pytest.mark.parametrize("failure", ["no_compiler", "compiler_fails", "unwritable_cache"])
+    def test_failed_load_runs_the_numpy_loop(self, failure, tmp_path, monkeypatch):
+        cache_dir = tmp_path / "cache"
+        compiler = None
+        if failure == "no_compiler":
+            compiler = str(tmp_path / "no-such-cc")
+        elif failure == "compiler_fails":
+            compiler = shlex.join([sys.executable, "-c", "raise SystemExit(3)"])
+        else:  # a path below a regular file cannot be created, whatever the user
+            (tmp_path / "file").write_text("")
+            cache_dir = tmp_path / "file" / "cache"
+        kernel, reason = svrg_kernel.load(compiler=compiler, cache_dir=cache_dir)
+        assert kernel is None and reason.startswith("numpy loop: "), reason
+        if failure != "unwritable_cache":
+            assert list(cache_dir.iterdir()) == []  # the temporary file is removed
+
+        # a process whose first epoch meets that failure runs the numpy loop
+        ds, spec = _svrg_case("dense", "logistic")
+        view = ds.full_view()
+        start = init_state("svrg", ds.dim, seed=6)
+        monkeypatch.setattr(svrg_kernel, "get", lambda: None)
+        expected = _epochs(replace(start, rng=copy.deepcopy(start.rng)), spec, view, 2)
+        monkeypatch.undo()
+        for name, value in (("_tried", False), ("kernel", None), ("reason", "not loaded yet"),
+                            ("load", lambda: (kernel, reason))):
+            monkeypatch.setattr(svrg_kernel, name, value)
+        got = _epochs(start, spec, view, 2)
+        assert svrg_kernel.kernel is None and svrg_kernel.reason == reason
+        np.testing.assert_array_equal(got.w, expected.w)
+        assert got.grad_evals == expected.grad_evals
 
 
 class TestSolve:
