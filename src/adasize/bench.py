@@ -1,10 +1,10 @@
 """Measurement utilities: reference optima, effective passes, trace CSVs, comparisons.
 
 Suboptimality is always measured against a high-accuracy reference
-minimizer computed once per risk: L-BFGS from zero, finished by Newton-CG
-steps, to a measured gradient 2-norm at most the tolerance.  It shares no
-step rule with the GD/AGD/SVRG solvers it judges.  One effective pass is N
-per-sample gradient evaluations where N is the full training-set size.
+minimizer computed once per risk: damped Newton-CG from zero, to a measured
+gradient 2-norm at most the tolerance.  It shares no step rule with the
+GD/AGD/SVRG solvers it judges.  One effective pass is N per-sample gradient
+evaluations where N is the full training-set size.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 from scipy.sparse import linalg as sparse_linalg
 
 from . import driver, erm, schedule, solvers
@@ -26,8 +25,10 @@ TRACE_CSV_HEADER = "effective_passes,grad_evals,stage_n,suboptimality,grad_norm,
 SUMMARY_COLUMNS = ("method", "adaptive", "passes_to_VN", "passes_to_min_test_error",
                    "min_test_error", "speedup_vs_fixed")
 SUMMARY_CSV_HEADER = ",".join(SUMMARY_COLUMNS)
-NEWTON_FINISH_STEPS = 3
 NEWTON_CG_RTOL = 1e-3
+NEWTON_SIGMA = 1e-4
+NEWTON_MIN_STEP = 2.0**-20
+NEWTON_MAX_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -42,30 +43,34 @@ def reference_optimum(spec: RiskSpec, view: DatasetView,
                       tolerance: float = 1e-10) -> ReferenceOptimum:
     """High-accuracy minimizer of the view's risk, used as the suboptimality oracle.
 
-    L-BFGS from zero with gtol = tolerance/sqrt(dim), so that its
-    infinity-norm stop implies ||grad R_n||_2 <= tolerance, and ftol = 0.
-    Near the optimum R_n is rounding noise and the line search may stop
-    above the tolerance, so at most NEWTON_FINISH_STEPS unit Newton steps
-    follow, each solving H d = -grad R_n by conjugate gradients on
-    Hessian-vector products; they never read a function value.  The
-    returned grad_norm_at_star is the 2-norm measured at w_star_n and is
-    <= tolerance, so any w has suboptimality R_n(w) - risk_star accurate to
-    tolerance^2 / (2 c V_n); otherwise BudgetError.
+    Newton's method for grad R_n = 0 from zero: each step solves H d = -grad R_n
+    by conjugate gradients on Hessian-vector products, then halves t from 1
+    until ||grad R_n(w + t d)||^2 <= (1 - 2 NEWTON_SIGMA t) ||grad R_n(w)||^2.
+    It never reads R_n, which is rounding noise near the optimum.  The 2-norm
+    grad_norm_at_star measured at w_star_n is <= tolerance, so R_n(w) - risk_star
+    is accurate to tolerance^2 / (2 c V_n) for any w; otherwise (t below
+    NEWTON_MIN_STEP, or NEWTON_MAX_STEPS steps) BudgetError.
     """
     if tolerance <= 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
-    res = optimize.minimize(lambda w: erm.risk_value_and_grad(spec, w, view)[:2],
-                            np.zeros(view.dim), jac=True, method="L-BFGS-B",
-                            options={"gtol": tolerance / math.sqrt(view.dim), "ftol": 0.0})
-    w = res.x
+    w = np.zeros(view.dim)
     risk, grad, grad_norm = erm.risk_value_and_grad(spec, w, view)
-    for _ in range(NEWTON_FINISH_STEPS):
+    for _ in range(NEWTON_MAX_STEPS):
         if grad_norm <= tolerance:
             break
         hess = sparse_linalg.LinearOperator((view.dim, view.dim), dtype=float,
                                             matvec=erm.risk_hessian(spec, w, view))
-        w = w + sparse_linalg.cg(hess, -grad, rtol=NEWTON_CG_RTOL)[0]
-        risk, grad, grad_norm = erm.risk_value_and_grad(spec, w, view)
+        d = sparse_linalg.cg(hess, -grad, rtol=NEWTON_CG_RTOL)[0]
+        t = 1.0
+        while t >= NEWTON_MIN_STEP:
+            trial = erm.risk_value_and_grad(spec, w + t * d, view)
+            if trial[2] ** 2 <= (1.0 - 2.0 * NEWTON_SIGMA * t) * grad_norm**2:
+                break
+            t /= 2.0
+        else:  # no step down to the floor lowers the merit: rounding noise
+            break
+        w = w + t * d
+        risk, grad, grad_norm = trial
     if grad_norm > tolerance:
         raise solvers.BudgetError(
             f"reference solve at n={view.count} did not reach tolerance {tolerance}: "

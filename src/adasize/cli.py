@@ -32,6 +32,8 @@ class UsageError(Exception):
 _CHECK_NAMES = ("fd", "svrg_direction", "lemma1", "lemma2", "proposition1", "theorem")
 # the checks whose subset sizes come from N // 4, so they need N >= 4
 _SUBSET_CHECKS = {"lemma1", "lemma2", "proposition1", "theorem"}
+# the checks that read ||w*||^2, which cmd_verify sets to the proxy once per run
+_PROXY_CHECKS = {"lemma2", "proposition1", "theorem"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -402,6 +404,8 @@ def cmd_verify(args) -> int:
     if "lemma1" in selected:
         reports.append(verify.lemma1_check(spec, train, m0, 2 * m0,
                                            max(args.draws, 100), seed=args.seed))
+    if _PROXY_CHECKS.intersection(selected):
+        spec = replace(spec, wstar_sq=verify.unregularized_optimum_proxy(spec.loss, train))
     if "lemma2" in selected:
         reports.append(verify.lemma2_check(spec, train, N // 4, args.draws, seed=args.seed))
     if "proposition1" in selected:

@@ -9,6 +9,7 @@ construction.
 
 from __future__ import annotations
 
+import os
 import warnings
 
 import numpy as np
@@ -19,6 +20,9 @@ from scipy.special import expit
 # to_sparse_text formats this many rows with one % operation, so the argument
 # tuple stays small beside the text
 _FORMAT_BATCH_ROWS = 1024
+# generate_synthetic's peak per matrix entry: the scaled float64 features, the
+# float64 keep draw, its bool mask and the float64 np.where result, all live at once
+_DENSE_DRAW_BYTES_PER_ENTRY = 8 + 8 + 1 + 8
 
 
 class SparseTextError(ValueError):
@@ -341,12 +345,19 @@ def generate_synthetic(n: int, dim: int, sparsity: float = 1.0, seed: int = 0,
     data.  w_true is scaled so the margin standard deviation is
     `margin_scale`: large enough for an informative classifier, small
     enough that label noise keeps the problem non-separable.  Fully
-    deterministic in `seed`.
+    deterministic in `seed`.  The draw is dense, so a shape whose arrays
+    would not fit in physical memory is refused before anything is allocated.
     """
     if n < 1 or dim < 1:
         raise ValueError(f"need n >= 1 and dim >= 1, got n={n}, dim={dim}")
     if not 0.0 < sparsity <= 1.0:
         raise ValueError(f"sparsity must be in (0, 1], got {sparsity}")
+    need = _DENSE_DRAW_BYTES_PER_ENTRY * n * dim
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(f"a dense {n} x {dim} draw needs about {need} bytes, more than the "
+                         f"{have} bytes of physical memory; give data this large as a sparse "
+                         "text file (--dataset)")
     rng = np.random.default_rng(seed)
     col_scale = (np.arange(1, dim + 1)) ** -float(feature_decay)
     w_true = rng.standard_normal(dim)

@@ -148,7 +148,8 @@ def _pick_loop(x, picks: np.ndarray, coef_anchor: np.ndarray, xb: np.ndarray, y:
     """The epoch's inner steps in numpy, used where the C kernel is not available.
 
     Runs the picks on u in place from s = 1, r = 0 and returns (s, r), as
-    `svrg_kernel.Kernel.pick_loop` does.
+    `svrg_kernel.Kernel.pick_loop` does, bit for bit: each sparse dot product
+    is summed left to right in Python floats, as the kernel sums it.
     """
     coef_anchor, xb, y = coef_anchor.tolist(), xb.tolist(), y.tolist()
     indptr, indices, data = x.indptr.tolist(), x.indices, x.data
@@ -157,7 +158,10 @@ def _pick_loop(x, picks: np.ndarray, coef_anchor: np.ndarray, xb: np.ndarray, y:
         lo, hi = indptr[i], indptr[i + 1]
         idx, vals = indices[lo:hi], data[lo:hi]
         u_idx = u.take(idx)
-        coef = erm.sample_loss_coef(loss, s * float(vals @ u_idx) + r * xb[i], y[i])
+        dot = 0.0
+        for v, u_j in zip(vals.tolist(), u_idx.tolist()):
+            dot += v * u_j
+        coef = erm.sample_loss_coef(loss, s * dot + r * xb[i], y[i])
         s *= a
         r = a * r + 1.0
         u.put(idx, u_idx - (eta * (coef - coef_anchor[i]) / s) * vals)
@@ -186,9 +190,9 @@ def svrg_epoch(state: SolverState, spec: RiskSpec, view: DatasetView,
 
     The indices are drawn before the steps run, and the steps run in the C
     kernel of `svrg_kernel` where it loaded, else in the numpy loop
-    `_pick_loop`; both take the same steps, so the generator stream and
-    grad_evals do not depend on the path, and the exit iterates agree to
-    rounding (the kernel sums each sparse dot product in another order).
+    `_pick_loop`; both take the same steps in the same order of operations,
+    so the generator stream, grad_evals and the exit iterate do not depend
+    on the path.
     """
     if state.method != "svrg" or state.rng is None:
         raise ValueError("svrg_epoch needs an svrg state with its generator set")

@@ -5,9 +5,9 @@
  * sample's margin s*(x_i . u) + r*(x_i . b), scales s by a, sets r to a*r + 1
  * and moves u on the sample's nonzeros only; s is folded into u before it
  * can underflow.  Every expression keeps the numpy loop's order of
- * operations, and -ffp-contract=off stops the compiler from fusing a multiply
- * and an add into one rounding, so only the order of the sparse dot product's
- * sum may differ.
+ * operations, the sparse dot product included (summed left to right from 0),
+ * and -ffp-contract=off stops the compiler from fusing a multiply and an add
+ * into one rounding, so both loops give the same bits.
  */
 
 #include <math.h>

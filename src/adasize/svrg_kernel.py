@@ -3,7 +3,7 @@
 `get()` builds the shared library on its first call in a process, or loads it
 when an earlier process built it, and returns the `Kernel`, or None when it
 cannot: `solvers.svrg_epoch` then runs its numpy loop, which computes the same
-steps.  The compiler is sysconfig's CC where it is installed, else `cc`, with
+steps to the same bits.  The compiler is sysconfig's CC where it is installed, else `cc`, with
 the flags in FLAGS.  The library goes to this package's `__pycache__`
 directory, beside the bytecode Python writes there, under a name keyed by the
 SHA-256 of the source and the compile command; it is written under a temporary

@@ -12,7 +12,9 @@ The statistical-accuracy level of a k-sample set is not observable, so the
 checks estimate it empirically against the full base set as a stand-in for
 the expectation, over a fixed 32-point probe grid (the supremum over all
 weight vectors is not computable; this is a documented limitation).  Slack
-factors absorb the proxy error.
+factors absorb the proxy error.  ||w*||^2 is read from spec.wstar_sq; the
+proxy for it, `unregularized_optimum_proxy`, is the reference solver's
+minimizer of the full-base loss under a tiny ridge.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize
 
 from . import bench, driver, erm, schedule, solvers
 from .data import Dataset, DatasetView
@@ -165,16 +166,12 @@ def _shuffled_copy(base: Dataset, perm: np.ndarray, k: int | None = None) -> Dat
 
 
 def unregularized_optimum_proxy(loss: str, base: Dataset) -> float:
-    """||w||^2 at the full-base loss minimizer (ridge PROXY_L2), a stand-in for ||w*||^2."""
-    view = base.full_view()
+    """||w||^2 at the full-base loss minimizer, a stand-in for ||w*||^2.
 
-    def fg(w):
-        value, grad = erm.empirical_loss_and_grad(loss, w, view)
-        return value + 0.5 * PROXY_L2 * float(w @ w), grad + PROXY_L2 * w
-
-    res = optimize.minimize(fg, np.zeros(base.dim), jac=True, method="L-BFGS-B",
-                            options={"maxiter": 5000, "gtol": 1e-8, "ftol": 1e-16})
-    w = np.asarray(res.x)
+    alpha = 1 and gamma = n make V_n = 1, so the ridge weight is PROXY_L2.
+    """
+    spec = RiskSpec(loss, c=PROXY_L2, alpha=1.0, gamma=float(base.n_samples))
+    w = bench.reference_optimum(spec, base.full_view(), tolerance=1e-8).w_star_n
     return float(w @ w)
 
 
@@ -224,12 +221,11 @@ def lemma1_check(spec: RiskSpec, base: Dataset, m: int, n: int, draws: int,
 
 def lemma2_check(spec: RiskSpec, base: Dataset, n: int, draws: int,
                  seed: int = 0) -> CheckReport:
-    """Mean squared norm of the regularized optimum vs 4/c + ||w*||^2 (proxy)."""
+    """Mean squared norm of the regularized optimum vs 4/c + spec.wstar_sq (the proxy)."""
     if n > base.n_samples // 4:
         raise ValueError(f"need n <= base/4 to keep the proxy held out, got n={n}")
     if draws < 1:
         raise ValueError("draws must be >= 1")
-    wsq = unregularized_optimum_proxy(spec.loss, base)
     rng = np.random.default_rng(seed)
     norms = []
     for _ in range(draws):
@@ -238,7 +234,7 @@ def lemma2_check(spec: RiskSpec, base: Dataset, n: int, draws: int,
         ref = bench.reference_optimum(spec, subset.full_view(), tolerance=1e-8)
         norms.append(float(ref.w_star_n @ ref.w_star_n))
     mean_norm = float(np.mean(norms))
-    raw_bound = 4.0 / spec.c + wsq
+    raw_bound = 4.0 / spec.c + spec.wstar_sq
     exceed = sum(1 for v in norms if v > raw_bound)
     return _report(f"lemma2_n{n}", draws, [raw_bound * (1.0 + LEMMA2_SLACK) - mean_norm],
                    f"mean ||w_n*||^2 = {mean_norm:.4g} vs 4/c + ||w*||^2 = {raw_bound:.4g}; "
@@ -259,13 +255,15 @@ def _threshold_solve(spec: RiskSpec, view: DatasetView, threshold: float) -> np.
 
 def proposition1_check(spec: RiskSpec, base: Dataset, m: int, draws: int,
                        seed: int = 0) -> CheckReport:
-    """Warm-start suboptimality after doubling vs its closed-form bound, in the mean."""
+    """Warm-start suboptimality after doubling vs its closed-form bound, in the mean.
+
+    The bound reads ||w*||^2 as spec.wstar_sq, which `verify` sets to the proxy.
+    """
     n = 2 * m
     if n > base.n_samples:
         raise ValueError(f"need 2m <= base size, got m={m}, base={base.n_samples}")
     if draws < 1:
         raise ValueError("draws must be >= 1")
-    wsq = unregularized_optimum_proxy(spec.loss, base)
     lhs_values = []
     # V_hat(m) and V_hat(n - m) share one accumulator, because n - m = m here, so both
     # read about twice their value; ROADMAP item 3 gives each its own estimate.
@@ -281,8 +279,7 @@ def proposition1_check(spec: RiskSpec, base: Dataset, m: int, draws: int,
         sup_n += float(np.max(np.abs(l_full - (m * l_m + (n - m) * l_nm) / n)))
     v_m_hat = sup_m / draws
     delta_m = schedule.statistical_accuracy(spec, m)  # certified by the threshold rule
-    bound = schedule.warm_start_bound(replace(spec, wstar_sq=wsq), m, n, delta_m, v_m_hat,
-                                      v_m_hat, sup_n / draws)
+    bound = schedule.warm_start_bound(spec, m, n, delta_m, v_m_hat, v_m_hat, sup_n / draws)
     mean_lhs = float(np.mean(lhs_values))
     exceed = sum(1 for v in lhs_values if v > bound)
     return _report(f"proposition1_m{m}", draws, [bound * (1.0 + PROP1_SLACK) - mean_lhs],
@@ -294,15 +291,14 @@ def theorem_sn_sufficiency_check(method: str, spec: RiskSpec, base: Dataset, m0:
                                  draws: int, seed: int = 0) -> CheckReport:
     """Run the fixed-iteration schedule; per-stage mean suboptimality must be within accuracy.
 
-    The counts are evaluated at wstar_sq = the proxy's ||w*||^2.  The first
-    stage is excluded: its guarantee comes from the threshold rule, not from
-    the per-stage iteration count.
+    The counts are evaluated at spec.wstar_sq, which `verify` sets to the
+    proxy's ||w*||^2.  The first stage is excluded: its guarantee comes from
+    the threshold rule, not from the per-stage iteration count.
     """
     if method not in ("agd", "svrg"):
         raise ValueError(f"iteration-count guarantee covers agd and svrg, got {method!r}")
     if draws < 1:
         raise ValueError("draws must be >= 1")
-    counted_spec = replace(spec, wstar_sq=unregularized_optimum_proxy(spec.loss, base))
     rng = np.random.default_rng(seed)
     N = base.n_samples
     per_stage: dict[int, list[float]] = {}
@@ -319,7 +315,7 @@ def theorem_sn_sufficiency_check(method: str, spec: RiskSpec, base: Dataset, m0:
             seed=int(rng.integers(2**62)),
             eval_every=10**9,
         )
-        _, _, reports = driver.adaptive_run(cfg, counted_spec, shuffled)
+        _, _, reports = driver.adaptive_run(cfg, spec, shuffled)
         draw_bad = False
         for rep in reports[1:]:  # skip the first stage
             view = shuffled.prefix(rep.n)

@@ -96,21 +96,23 @@ def test_criterion_3_stage_certificates():
 def test_criterion_4_theoretical_iteration_sufficiency(suite):
     train, spec = suite
     start = time.time()
-    rep_agd = verify.theorem_sn_sufficiency_check("agd", spec, train, 256, draws=50, seed=40)
-    rep_svrg = verify.theorem_sn_sufficiency_check("svrg", spec, train, 256, draws=50, seed=41)
+    wsq = verify.unregularized_optimum_proxy(spec.loss, train)
+    counted = replace(spec, wstar_sq=wsq)
+    rep_agd = verify.theorem_sn_sufficiency_check("agd", counted, train, 256, draws=50, seed=40)
+    rep_svrg = verify.theorem_sn_sufficiency_check("svrg", counted, train, 256, draws=50,
+                                                   seed=41)
     assert rep_agd.passed, rep_agd.notes
     assert rep_svrg.passed, rep_svrg.notes
 
     # the adaptive SVRG epoch count per stage must equal the closed-form
     # constant evaluated at the same squared-norm proxy
-    wsq = verify.unregularized_optimum_proxy(spec.loss, train)
-    expected = iterations_svrg(replace(spec, wstar_sq=wsq))
+    expected = iterations_svrg(counted)
     two_a = 2.0**spec.alpha
     by_hand = math.floor(math.log2(3 * two_a + (two_a - 1) * (2 + 0.5 * spec.c * wsq))) + 1
     assert expected == by_hand
     cfg = RunConfig(method="svrg", adaptive=True, m0=256, N=8192, seed=4,
                     budget_mode="theory")
-    _, _, reports = adaptive_run(cfg, replace(spec, wstar_sq=wsq), train)
+    _, _, reports = adaptive_run(cfg, counted, train)
     stage_epochs = {rep.n: rep.iterations for rep in reports[1:]}
     assert all(it == expected for it in stage_epochs.values()), stage_epochs
     elapsed = time.time() - start
@@ -233,6 +235,7 @@ def test_criterion_8_monte_carlo_lemma_suite(suite):
     train, spec = suite
     start = time.time()
     r1 = verify.lemma1_check(spec, train, 256, 512, draws=500, seed=81)
+    spec = replace(spec, wstar_sq=verify.unregularized_optimum_proxy(spec.loss, train))
     r2 = verify.lemma2_check(spec, train, 2048, draws=500, seed=82)
     r3 = verify.proposition1_check(spec, train, 256, draws=500, seed=83)
     elapsed = time.time() - start

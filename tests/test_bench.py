@@ -5,9 +5,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from adasize import RiskSpec, RunConfig, effective_passes, emit_csv, reference_optimum, \
-    risk_value, statistical_accuracy
+    risk_value, risk_value_and_grad, statistical_accuracy
 from adasize import bench, solvers
 from adasize.bench import CompareRow, Trace, TraceEvent, compare_matrix, format_summary_table, \
     write_summary_csv
@@ -59,6 +60,23 @@ class TestReferenceOptimum:
         with pytest.raises(solvers.BudgetError, match=f"n={ds.n_samples}"):
             reference_optimum(spec, ds.full_view(), tolerance=1e-30)
 
+    def test_step_halving(self, monkeypatch):
+        # nearly separable data under a tiny ridge: after ten unit steps, the next unit
+        # Newton step would raise ||grad R_n|| from 3.38e-4 to 4.12e-4, so it is halved
+        ds, _ = generate_synthetic(200, 5, 1.0, seed=0, margin_scale=20.0)
+        spec = RiskSpec(loss="logistic", gamma=1e-6)
+        view = ds.full_view()
+        ref = reference_optimum(spec, view, tolerance=1e-10)
+        assert ref.grad_norm_at_star <= 1e-10
+        # an independent quasi-Newton solve, here only, agrees on R_n*
+        lbfgs = optimize.minimize(lambda w: risk_value_and_grad(spec, w, view)[:2],
+                                  np.zeros(view.dim), jac=True, method="L-BFGS-B",
+                                  options={"gtol": 1e-12, "ftol": 0.0, "maxiter": 10**4})
+        assert abs(lbfgs.fun - ref.risk_star) <= 1e-16
+        monkeypatch.setattr(bench, "NEWTON_MIN_STEP", 1.0)  # unit steps only
+        with pytest.raises(solvers.BudgetError, match="n=200"):
+            reference_optimum(spec, view, tolerance=1e-10)
+
 
 def _cross_check_problems():
     """Dense logistic and squared, a sparse wide view, and the normal-equations problem."""
@@ -78,7 +96,7 @@ def _cross_check_problems():
 
 @pytest.mark.parametrize("spec,view,tol", _cross_check_problems())
 def test_reference_optimum_agrees_with_agd(spec, view, tol):
-    # the oracle (L-BFGS, Newton-CG finish) against the solvers it judges,
+    # the oracle (damped Newton-CG) against the solvers it judges,
     # run from zero to the same gradient-norm tolerance
     ref = reference_optimum(spec, view, tolerance=tol)
     agd = solvers.solve(solvers.init_state("agd", view.dim),

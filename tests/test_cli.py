@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from adasize import solvers
+from adasize import solvers, verify
 from adasize.cli import main
 from adasize.data import parse_sparse_text
 
@@ -64,6 +64,15 @@ def test_exhausted_adaptive_stage_exits_2(tmp_path, capsys, monkeypatch):
                     "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "n=128 stopped after 50 iterations" in err and "above its threshold" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_paper_scale_gen_exits_2_before_allocating(tmp_path, capsys):
+    # 25 TB of dense arrays: refused by the size check, never allocated
+    assert run_cli(["run", "--gen", "1000000,1000000,0.001", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "needs about 25000000000000 bytes" in err and "physical memory" in err
+    assert "--dataset" in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -328,6 +337,18 @@ class TestVerifyCommand:
             "theorem_sn_agd,3,0,0.0312498,true",
             "theorem_sn_svrg,3,0,0.03125,true",
         ]
+
+    @pytest.mark.parametrize("checks,solves", [("fd,svrg_direction,lemma1", 0),
+                                               ("lemma2,proposition1,theorem", 1)])
+    def test_proxy_solved_once_when_read(self, tmp_path, capsys, monkeypatch, checks, solves):
+        calls = []
+        proxy = verify.unregularized_optimum_proxy
+        monkeypatch.setattr(verify, "unregularized_optimum_proxy",
+                            lambda *args: calls.append(args) or proxy(*args))
+        code = run_cli(["verify", "--gen", "256,6,1.0", "--m-mode", "tight", "--checks", checks,
+                        "--draws", "1", "--trials", "2", "--out", str(tmp_path)])
+        assert code == 0
+        assert len(calls) == solves
 
     def test_notes_go_to_stderr(self, tmp_path, capsys):
         code = run_cli(["verify", "--gen", "1024,10,1.0", "--checks", "theorem", "--draws", "1",

@@ -305,6 +305,14 @@ class TestSynthetic:
         frac_nonzero = ds.x.nnz / (200 * 50)
         assert 0.05 < frac_nonzero < 0.15
 
+    def test_memory_limit_is_the_draw_peak(self, monkeypatch):
+        # with room for exactly 100 x 10 entries, the next row is refused
+        monkeypatch.setattr(data.os, "sysconf", lambda name: 1 if name == "SC_PAGE_SIZE"
+                            else data._DENSE_DRAW_BYTES_PER_ENTRY * 100 * 10)
+        assert generate_synthetic(100, 10, 0.5, seed=1)[0].n_samples == 100
+        with pytest.raises(ValueError, match="physical memory"):
+            generate_synthetic(101, 10, 0.5, seed=1)
+
 
 class TestNormalize:
     def test_three_four_five(self):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,12 @@ def tight_spec(base_2k):
 
     m = smoothness_constant("logistic", base_2k)
     return RiskSpec(loss="logistic", c=1.0, alpha=0.5, gamma=1.0, M=m)
+
+
+@pytest.fixture(scope="module")
+def proxy_spec(tight_spec, base_2k):
+    """tight_spec with ||w*||^2 set to the proxy, as `verify` passes it to the checks."""
+    return replace(tight_spec, wstar_sq=unregularized_optimum_proxy("logistic", base_2k))
 
 
 class TestFdCheck:
@@ -80,8 +88,8 @@ class TestLemma1:
 
 
 class TestLemma2:
-    def test_passes_on_synthetic(self, tight_spec, base_2k):
-        rep = lemma2_check(tight_spec, base_2k, n=256, draws=40, seed=9)
+    def test_passes_on_synthetic(self, proxy_spec, base_2k):
+        rep = lemma2_check(proxy_spec, base_2k, n=256, draws=40, seed=9)
         assert rep.passed, rep.notes
 
     def test_one_dimensional_closed_form(self):
@@ -112,8 +120,8 @@ class TestLemma2:
 
 
 class TestProposition1:
-    def test_passes_on_synthetic(self, tight_spec, base_2k):
-        rep = proposition1_check(tight_spec, base_2k, m=128, draws=40, seed=13)
+    def test_passes_on_synthetic(self, proxy_spec, base_2k):
+        rep = proposition1_check(proxy_spec, base_2k, m=128, draws=40, seed=13)
         assert rep.passed, rep.notes
 
     def test_size_precondition(self, tight_spec, base_2k):
@@ -122,13 +130,13 @@ class TestProposition1:
 
 
 class TestTheoremSufficiency:
-    def test_agd_small(self, tight_spec, base_2k):
-        rep = theorem_sn_sufficiency_check("agd", tight_spec, base_2k, m0=256,
+    def test_agd_small(self, proxy_spec, base_2k):
+        rep = theorem_sn_sufficiency_check("agd", proxy_spec, base_2k, m0=256,
                                            draws=4, seed=2)
         assert rep.passed, rep.notes
 
-    def test_svrg_small(self, tight_spec, base_2k):
-        rep = theorem_sn_sufficiency_check("svrg", tight_spec, base_2k, m0=256,
+    def test_svrg_small(self, proxy_spec, base_2k):
+        rep = theorem_sn_sufficiency_check("svrg", proxy_spec, base_2k, m0=256,
                                            draws=4, seed=2)
         assert rep.passed, rep.notes
 
@@ -136,8 +144,8 @@ class TestTheoremSufficiency:
         with pytest.raises(ValueError):
             theorem_sn_sufficiency_check("gd", tight_spec, base_2k, m0=256, draws=2)
 
-    def test_single_draw_flagged(self, tight_spec, base_2k):
-        rep = theorem_sn_sufficiency_check("agd", tight_spec, base_2k, m0=512,
+    def test_single_draw_flagged(self, proxy_spec, base_2k):
+        rep = theorem_sn_sufficiency_check("agd", proxy_spec, base_2k, m0=512,
                                            draws=1, seed=2)
         assert "LOW POWER" in rep.notes
 
