@@ -222,7 +222,12 @@ def _parse_label_map(text: str | None) -> dict | None:
 
 
 def _load_dataset(args) -> tuple[data.Dataset, str]:
-    """Dataset plus a content hash for the manifest."""
+    """Dataset plus a content hash for the manifest.
+
+    A --dataset file is hashed as its bytes.  A --gen set is hashed before
+    normalization by `Dataset.array_sha256`, over its arrays, so it is never
+    formatted as text; that value is not the SHA-256 of the file `gen` writes.
+    """
     if args.dataset and args.gen:
         raise UsageError("give either --dataset or --gen, not both")
     if args.dataset:
@@ -234,7 +239,7 @@ def _load_dataset(args) -> tuple[data.Dataset, str]:
         n, dim, sparsity = _parse_gen(args.gen)
         ds, _ = data.generate_synthetic(n, dim, sparsity, seed=args.seed,
                                         name=f"synthetic_{n}x{dim}")
-        digest = hashlib.sha256(ds.to_sparse_text().encode()).hexdigest()
+        digest = ds.array_sha256()
     else:
         raise UsageError("a dataset is required: pass --dataset FILE or --gen N,DIM,SPARSITY")
     if not args.no_normalize:

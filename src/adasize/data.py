@@ -9,6 +9,7 @@ construction.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import warnings
 
@@ -86,6 +87,18 @@ class Dataset:
             pairs[:, 1] = x.data[a:b]
             pieces.append(fmt % tuple(pairs.ravel().tolist()))
         return "".join(pieces)
+
+    def array_sha256(self) -> str:
+        """SHA-256 of the arrays, in one canonical layout, without formatting them.
+
+        The layout is (n_samples, dim), then `indptr` and `indices`, all as
+        little-endian int64, then `data` and `y` as little-endian float64.
+        """
+        h = hashlib.sha256()
+        for arr, dtype in ((self.x.shape, "<i8"), (self.x.indptr, "<i8"),
+                           (self.x.indices, "<i8"), (self.x.data, "<f8"), (self.y, "<f8")):
+            h.update(np.asarray(arr, dtype=dtype).tobytes())
+        return h.hexdigest()
 
     def __eq__(self, other) -> bool:
         # name is metadata; equality is over samples and dimension

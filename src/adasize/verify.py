@@ -1,12 +1,14 @@
 """Empirical checks of the scheme's guarantees against independent oracles.
 
 Gradient correctness is checked by central finite differences through a
-scalar summation path that is independent of the vectorized evaluation.
-The variance-reduced direction is checked by exact enumeration over inner
-indices.  The statistical inequalities (loss-difference bound, optimum-norm
-bound, warm-start bound, sufficiency of the per-stage iteration counts)
-are checked at the level of Monte-Carlo means, because that is the level
-at which they hold; per-draw excursions are reported as diagnostics only.
+reference risk that is independent of the vectorized evaluation: its
+margins are summed from the CSR arrays by `np.bincount` and its loss terms
+are added by the compensated `math.fsum`.  The variance-reduced direction
+is checked by exact enumeration over inner indices.  The statistical
+inequalities (loss-difference bound, optimum-norm bound, warm-start bound,
+sufficiency of the per-stage iteration counts) are checked at the level of
+Monte-Carlo means, because that is the level at which they hold; per-draw
+excursions are reported as diagnostics only.
 
 The statistical-accuracy level of a k-sample set is not observable, so the
 checks estimate it empirically against the full base set as a stand-in for
@@ -71,19 +73,24 @@ def _report(name: str, trials: int, margins, notes: str) -> CheckReport:
 
 
 def _risk_value_scalar(spec: RiskSpec, w: np.ndarray, view: DatasetView) -> float:
-    """Compensated scalar risk evaluation, independent of the vectorized path."""
-    terms = []
-    for i in range(view.count):
-        idx, vals, y = view.sample_arrays(i)
-        t = float(vals @ w[idx])
-        if spec.loss == "logistic":
-            z = -y * t
-            # softplus(z), branch keeps exp bounded
-            terms.append(z + math.log1p(math.exp(-z)) if z > 0 else math.log1p(math.exp(z)))
-        else:
-            terms.append(0.5 * (t - y) ** 2)
-    v_n = schedule.statistical_accuracy(spec, view.count)
-    return math.fsum(terms) / view.count + 0.5 * spec.c * v_n * float(w @ w)
+    """Compensated risk evaluation, independent of the vectorized path.
+
+    Each margin is summed straight from the CSR arrays by `np.bincount`, left
+    to right, not by the sparse product `erm` uses; the logistic term is
+    max(z, 0) + log1p(exp(-|z|)), so exp never overflows; the terms are
+    added by `math.fsum`.  `minlength` keeps empty rows as zero margins.
+    """
+    x, count = view.base.x, view.count
+    nnz = x.indptr[count]
+    row_ids = np.repeat(np.arange(count), np.diff(x.indptr[:count + 1]))
+    t = np.bincount(row_ids, weights=x.data[:nnz] * w[x.indices[:nnz]], minlength=count)
+    if spec.loss == "logistic":
+        z = -view.y * t
+        terms = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+    else:
+        terms = 0.5 * (t - view.y) ** 2
+    v_n = schedule.statistical_accuracy(spec, count)
+    return math.fsum(terms.tolist()) / count + 0.5 * spec.c * v_n * float(w @ w)
 
 
 def fd_gradient_check(spec: RiskSpec, view: DatasetView, trials: int, seed: int = 0,
@@ -221,9 +228,14 @@ def lemma1_check(spec: RiskSpec, base: Dataset, m: int, n: int, draws: int,
 
 def lemma2_check(spec: RiskSpec, base: Dataset, n: int, draws: int,
                  seed: int = 0) -> CheckReport:
-    """Mean squared norm of the regularized optimum vs 4/c + spec.wstar_sq (the proxy)."""
+    """Mean squared norm of the regularized optimum vs 4/c + spec.wstar_sq (the proxy).
+
+    The proxy `verify` passes in is solved on the whole base, these subsets
+    included, so it is not held out.  n <= base/4 keeps each subset a small
+    part of the base that stands in for the population.
+    """
     if n > base.n_samples // 4:
-        raise ValueError(f"need n <= base/4 to keep the proxy held out, got n={n}")
+        raise ValueError(f"need n <= base size / 4, got n={n} with base size {base.n_samples}")
     if draws < 1:
         raise ValueError("draws must be >= 1")
     rng = np.random.default_rng(seed)

@@ -1,10 +1,12 @@
+import hashlib
 import os
 
+import numpy as np
 import pytest
 
 from adasize import solvers, verify
 from adasize.cli import main
-from adasize.data import parse_sparse_text
+from adasize.data import Dataset, generate_synthetic, parse_sparse_text
 
 
 def run_cli(args):
@@ -367,3 +369,44 @@ class TestVerifyCommand:
                         "--trials", "10", "--seed", "3", "--out", str(tmp_path)])
         assert code == 0
         assert capsys.readouterr().out.startswith("svrg_direction_n17,10,0,")
+
+
+def _gen_sha256(out, *flags, seed="5"):
+    assert run_cli(["run", "--gen", "64,4,0.5", "--method", "gd", "--m0", "32", "--seed", seed,
+                    *flags, "--out", str(out)]) == 0
+    manifest = (out / f"manifest_run_seed{seed}.txt").read_text()
+    (line,) = [ln for ln in manifest.splitlines() if ln.startswith("dataset_sha256 = ")]
+    return line.split(" = ")[1]
+
+
+class TestGenHash:
+    def test_same_flags_same_hash(self, tmp_path):
+        assert _gen_sha256(tmp_path / "a") == _gen_sha256(tmp_path / "b")
+
+    def test_other_seed_other_hash(self, tmp_path):
+        assert _gen_sha256(tmp_path / "a") != _gen_sha256(tmp_path / "b", seed="6")
+
+    def test_normalization_does_not_change_it(self, tmp_path):
+        assert _gen_sha256(tmp_path / "a") == _gen_sha256(tmp_path / "b", "--no-normalize")
+
+    def test_equals_the_documented_layout(self, tmp_path):
+        ds, _ = generate_synthetic(64, 4, 0.5, seed=5)
+        h = hashlib.sha256()
+        h.update(np.array([64, 4], dtype="<i8").tobytes())
+        h.update(ds.x.indptr.astype("<i8").tobytes())
+        h.update(ds.x.indices.astype("<i8").tobytes())
+        h.update(ds.x.data.astype("<f8").tobytes())
+        h.update(ds.y.astype("<f8").tobytes())
+        assert _gen_sha256(tmp_path) == h.hexdigest()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--method", "svrg", "--adaptive", "--m0", "64"],
+        ["compare", "--m0", "64", "--m-mode", "tight"],
+        ["verify", "--checks", "fd,svrg_direction", "--trials", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_gen_is_never_formatted(self, tmp_path, monkeypatch, argv):
+        def formatted(self):
+            raise AssertionError("a --gen set was formatted as text")
+
+        monkeypatch.setattr(Dataset, "to_sparse_text", formatted)
+        assert run_cli(argv[:1] + ["--gen", "256,6,1.0"] + argv[1:] + ["--out", str(tmp_path)]) == 0

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from adasize import Dataset, RiskSpec, empirical_loss_and_grad, risk_value, \
     risk_value_and_grad, smoothness_constant
 from adasize.erm import test_error as classification_error
 from adasize.data import generate_synthetic, normalize, parse_sparse_text
 from adasize.erm import EmptyViewError, _loss_terms, risk_hessian, sample_loss_coef
+from adasize.schedule import statistical_accuracy
 from adasize.verify import _risk_value_scalar
 
 # log1p(exp(-50)) at 40 decimal digits
@@ -88,6 +90,40 @@ def test_single_sample_view_matches_scalar_oracle(small_train, rng):
     for loss in ("logistic", "squared"):
         vectorized, scalar = _losses(loss, w, small_train)
         assert vectorized == pytest.approx(scalar)
+
+
+def _risk_value_loop(spec, w, view):
+    """The per-row loop the vectorized `_risk_value_scalar` replaced, kept as its reference."""
+    terms = []
+    for i in range(view.count):
+        idx, vals, y = view.sample_arrays(i)
+        t = float(vals @ w[idx])
+        if spec.loss == "logistic":
+            z = -y * t
+            terms.append(z + math.log1p(math.exp(-z)) if z > 0 else math.log1p(math.exp(z)))
+        else:
+            terms.append(0.5 * (t - y) ** 2)
+    v_n = statistical_accuracy(spec, view.count)
+    return math.fsum(terms) / view.count + 0.5 * spec.c * v_n * float(w @ w)
+
+
+@pytest.mark.parametrize("loss", ["logistic", "squared"])
+def test_scalar_oracle_matches_per_row_loop(loss):
+    rng = np.random.default_rng(11)
+    dense = rng.uniform(-1.0, 1.0, (12, 6)) * (rng.random((12, 6)) < 0.5)
+    dense[:4] = 0.0
+    dense[:4, 0] = 1.0  # rows 0-3 have margin w[0]: +-800 below, under both labels
+    dense[[4, 8]] = 0.0  # all-zero rows, each the last row of a prefix view below
+    y = np.array([1.0, -1.0, 1.0, -1.0] + [1.0 if v else -1.0 for v in rng.random(8) < 0.5])
+    ds = Dataset(sparse.csr_matrix(dense), y)
+    assert ds.x.indptr[5] == ds.x.indptr[4] and ds.x.indptr[9] == ds.x.indptr[8]
+    spec = RiskSpec(loss=loss)
+    for w0 in (800.0, -800.0, 0.3):
+        w = rng.uniform(-2.0, 2.0, 6)
+        w[0] = w0
+        for view in (ds.full_view(), ds.prefix(9), ds.prefix(5), ds.prefix(1)):
+            expected = _risk_value_loop(spec, w, view)
+            assert _risk_value_scalar(spec, w, view) == pytest.approx(expected, rel=1e-14)
 
 
 def test_gradient_matches_finite_differences(small_train, rng):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from adasize import RiskSpec
-from adasize.data import generate_synthetic, normalize, parse_sparse_text
+from adasize.data import DatasetView, generate_synthetic, normalize, parse_sparse_text
 from adasize.verify import CheckReport, _report, fd_gradient_check, lemma1_check, lemma2_check, \
     proposition1_check, svrg_direction_check, theorem_sn_sufficiency_check, \
     unregularized_optimum_proxy
@@ -44,6 +44,14 @@ class TestFdCheck:
     def test_zero_trials_rejected(self, tight_spec, base_2k):
         with pytest.raises(ValueError):
             fd_gradient_check(tight_spec, base_2k.prefix(16), trials=0)
+
+    def test_reference_makes_no_per_row_call(self, tight_spec, base_2k, monkeypatch):
+        def per_row(self, i):
+            raise AssertionError("the finite-difference reference read one row")
+
+        monkeypatch.setattr(DatasetView, "sample_arrays", per_row)
+        rep = fd_gradient_check(tight_spec, base_2k.prefix(128), trials=5, seed=1)
+        assert rep.passed
 
     def test_deterministic(self, tight_spec, base_2k):
         a = fd_gradient_check(tight_spec, base_2k.prefix(64), trials=10, seed=7)
@@ -114,9 +122,10 @@ class TestLemma2:
             draws.append(w_n**2)
         assert np.mean(draws) <= 4.0 / spec.c + wsq_closed
 
-    def test_holdout_precondition(self, tight_spec, base_2k):
-        with pytest.raises(ValueError):
-            lemma2_check(tight_spec, base_2k, n=1024, draws=10)
+    def test_quarter_base_precondition(self, tight_spec, base_2k):
+        with pytest.raises(ValueError, match=r"need n <= base size / 4, got n=513 with base "
+                                             r"size 2048"):
+            lemma2_check(tight_spec, base_2k, n=513, draws=10)
 
 
 class TestProposition1:
