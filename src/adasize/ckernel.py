@@ -1,17 +1,20 @@
-"""The compiled SVRG pick loop: svrg_kernel.c, built with the system C compiler on first use.
+"""The compiled parts of adasize: ckernel.c, built with the system C compiler on first use.
 
-`get()` builds the shared library on its first call in a process, or loads it
-when an earlier process built it, and returns the `Kernel`, or None when it
-cannot: `solvers.svrg_epoch` then runs its numpy loop, which computes the same
-steps to the same bits.  The compiler is sysconfig's CC where it is installed, else `cc`, with
-the flags in FLAGS.  The library goes to this package's `__pycache__`
-directory, beside the bytecode Python writes there, under a name keyed by the
-SHA-256 of the source and the compile command; it is written under a temporary
-name and then renamed into place, so a concurrent or interrupted build never
-leaves a partial file.
+The library holds two things: the pick loop of an SVRG epoch and a one-pass
+parser of clean sparse text.  `get()` builds the shared library on its first
+call in a process, or loads it when an earlier process built it, and returns
+the `Kernel`, or None when it cannot.  Then `solvers.svrg_epoch` runs its
+numpy loop, which computes the same steps to the same bits, and
+`data.parse_sparse_text` its line parser, which gives the same arrays.  The
+compiler is sysconfig's CC where it is installed, else `cc`, with the flags
+in FLAGS.  The library goes to this package's `__pycache__` directory, beside
+the bytecode Python writes there, under a name keyed by the SHA-256 of the
+source and the compile command; it is written under a temporary name and
+then renamed into place, so a concurrent or interrupted build never leaves a
+partial file.
 `reason` says which path the process took and why, for example:
 
-    python -c "from adasize import svrg_kernel as k; k.get(); print(k.reason)"
+    python -c "from adasize import ckernel as k; k.get(); print(k.reason)"
 """
 
 from __future__ import annotations
@@ -28,9 +31,9 @@ from pathlib import Path
 
 import numpy as np
 
-SOURCE = Path(__file__).with_name("svrg_kernel.c")
+SOURCE = Path(__file__).with_name("ckernel.c")
 CACHE_DIR = Path(__file__).with_name("__pycache__")
-# no -ffast-math or -march: the kernel must round as the numpy loop does on any host
+# no -ffast-math or -march: the pick loop must round as the numpy loop does on any host
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 BUILD_TIMEOUT_S = 120
 
@@ -44,7 +47,7 @@ def _array(dtype, writeable: bool = False):
 
 
 class Kernel:
-    """The two C functions of a loaded library, with their argument types declared."""
+    """The C functions of a loaded library, with their argument types declared."""
 
     def __init__(self, lib: ctypes.CDLL):
         self._lib = lib
@@ -59,6 +62,14 @@ class Kernel:
             _array(np.float64, writeable=True), _array(np.float64, writeable=True),  # u, [s, r]
         )
         lib.svrg_pick_loop.restype = _c_int
+        lib.parse_sparse_text.argtypes = (
+            ctypes.c_char_p, _c_int64,                                   # text, len
+            _array(np.float64, writeable=True), _array(np.int32, writeable=True),  # labels, indptr
+            _c_int64,                                                    # max_rows
+            _array(np.int32, writeable=True), _array(np.float64, writeable=True),  # indices, values
+            _c_int64, _array(np.int64, writeable=True),                  # max_nnz, out
+        )
+        lib.parse_sparse_text.restype = _c_int
 
     def loss_coef(self, loss: str, margin: float, label: float) -> float:
         """The C twin of erm.sample_loss_coef."""
@@ -99,6 +110,29 @@ class Kernel:
             raise ValueError("pick, row bound or column index out of range in the pick loop")
         return float(sr[0]), float(sr[1])
 
+    def parse_sparse_text(self, text: bytes):
+        """(raw labels, indptr, 0-based indices, values, max index) of clean text, or None.
+
+        Clean text is what ckernel.c's parse_sparse_text accepts; None means
+        the text is something else and nothing was parsed.  Labels are
+        returned as read, for the caller to check or map.  text must be a
+        `bytes` object: CPython keeps a NUL after its data, where the C
+        strtod of the last number stops.
+        """
+        if not isinstance(text, bytes):
+            raise TypeError(f"text must be bytes, not {type(text).__name__}")
+        max_rows, max_nnz = text.count(b"\n") + 1, text.count(b":")
+        if max_nnz >= _INT32_LIMIT:
+            return None  # more nonzeros than an int32 indptr holds
+        labels, indptr = np.empty(max_rows), np.empty(max_rows + 1, dtype=np.int32)
+        indices, values = np.empty(max_nnz, dtype=np.int32), np.empty(max_nnz)
+        out = np.zeros(3, dtype=np.int64)
+        if self._lib.parse_sparse_text(text, len(text), labels, indptr, max_rows,
+                                       indices, values, max_nnz, out) != 0:
+            return None
+        rows, nnz, max_idx = out.tolist()
+        return labels[:rows], indptr[:rows + 1], indices[:nnz], values[:nnz], max_idx
+
 
 def default_compiler() -> str:
     """sysconfig's CC where its program is on PATH, else `cc`."""
@@ -117,7 +151,7 @@ def load(compiler: str | None = None,
     try:
         source = SOURCE.read_bytes()
         key = hashlib.sha256(source + "\0".join(command).encode()).hexdigest()[:16]
-        path = cache_dir / f"svrg_kernel.{key}.so"
+        path = cache_dir / f"ckernel.{key}.so"
         how = "loaded"
         if not path.is_file():
             cache_dir.mkdir(parents=True, exist_ok=True)
@@ -128,7 +162,7 @@ def load(compiler: str | None = None,
                                       capture_output=True, timeout=BUILD_TIMEOUT_S)
                 if proc.returncode != 0:
                     err = proc.stderr.decode(errors="replace").strip()[-500:]
-                    return None, f"numpy loop: `{shlex.join(command)}` exited " \
+                    return None, f"no C kernel: `{shlex.join(command)}` exited " \
                                  f"{proc.returncode}: {err}"
                 os.replace(tmp, path)
             finally:
@@ -137,16 +171,16 @@ def load(compiler: str | None = None,
             how = "built"
         return Kernel(ctypes.CDLL(str(path))), f"C kernel: {how} {path}"
     except (OSError, subprocess.SubprocessError, AttributeError) as exc:
-        return None, f"numpy loop: {type(exc).__name__}: {exc}"
+        return None, f"no C kernel: {type(exc).__name__}: {exc}"
 
 
 kernel: Kernel | None = None
-reason = "not loaded yet: the first SVRG epoch loads it"
+reason = "not loaded yet: the first SVRG epoch or text parse loads it"
 _tried = False
 
 
 def get() -> Kernel | None:
-    """The process's kernel, built or loaded on the first call; None selects the numpy loop."""
+    """The process's kernel, built or loaded on the first call; None selects the Python paths."""
     global kernel, reason, _tried
     if not _tried:
         _tried = True

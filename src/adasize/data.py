@@ -5,18 +5,24 @@ Datasets are immutable collections of sparse feature rows with labels in
 subsets S_m < S_n are realized as prefix views over a once-shuffled sample
 order, so subset construction is O(1) and the nesting property holds by
 construction.
+
+Sparse text is read in one pass of C where the compiled library of `ckernel`
+loaded and the text is clean: only digits, `+-.eE:`, blanks and newlines,
+in well-formed fields.  Everything else, and all text where the library did
+not load, goes through the line parser `_parse_lines`, which gives the same
+arrays and is the only path that reports errors.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import warnings
 
 import numpy as np
 from scipy import sparse
 from scipy.special import expit
 
+from . import ckernel
 
 # to_sparse_text formats this many rows with one % operation, so the argument
 # tuple stays small beside the text
@@ -24,6 +30,10 @@ _FORMAT_BATCH_ROWS = 1024
 # generate_synthetic's peak per matrix entry: the scaled float64 features, the
 # float64 keep draw, its bool mask and the float64 np.where result, all live at once
 _DENSE_DRAW_BYTES_PER_ENTRY = 8 + 8 + 1 + 8
+# CSR arrays hold 0-based indices as int32
+_INT32_MAX = np.iinfo(np.int32).max
+# the labels a file may hold without a label map
+_PLUS_MINUS_ONE = {1.0: 1.0, -1.0: -1.0}
 
 
 class SparseTextError(ValueError):
@@ -130,6 +140,7 @@ class DatasetView:
         self.base = base
         self.count = count
         self._x: sparse.csr_matrix | None = None
+        self._xt: sparse.csc_matrix | None = None
 
     @property
     def x(self) -> sparse.csr_matrix:
@@ -142,6 +153,13 @@ class DatasetView:
                 copy=False,
             )
         return self._x
+
+    @property
+    def xt(self) -> sparse.csc_matrix:
+        """The transpose of `x`, built once: products with it need no per-call transpose."""
+        if self._xt is None:
+            self._xt = self.x.T
+        return self._xt
 
     @property
     def y(self) -> np.ndarray:
@@ -171,16 +189,17 @@ def parse_sparse_text(text, label_map: dict | None = None, dim: int | None = Non
     already be -1 or +1.  `dim` overrides the inferred dimensionality (the
     max index observed).
 
-    Clean input is parsed in bulk, block by block.  Input the bulk pass does
-    not accept (comments, other characters, any malformed field) goes through
-    the line parser, which reports the first bad line.
+    Clean input is parsed in one pass of the C kernel (`ckernel`).  Input it
+    does not accept (comments, other characters, any malformed field), and
+    all input where the kernel did not load, goes through the line parser,
+    which reports the first bad line.
     """
     lmap = None
     if label_map is not None:
         lmap = {float(k): float(v) for k, v in label_map.items()}
         if not all(v in (-1.0, 1.0) for v in lmap.values()):
             raise ValueError("label_map must map onto {-1, +1}")
-    parts = _parse_bulk(text, lmap)
+    parts = _parse_clean(text, lmap)
     if parts is None:
         parts = _parse_lines(text, lmap)
     labels, indptr, indices, data, max_idx = parts
@@ -236,6 +255,8 @@ def _parse_lines(text, lmap: dict | None):
                 raise SparseTextError(line_no, f"feature index {idx} is not 1-based")
             if idx <= prev:
                 raise SparseTextError(line_no, f"indices not strictly increasing at {idx}")
+            if idx - 1 > _INT32_MAX:
+                raise SparseTextError(line_no, f"feature index {idx} is above {_INT32_MAX + 1}")
             prev = idx
             if val != 0.0:
                 indices.append(idx - 1)
@@ -247,103 +268,28 @@ def _parse_lines(text, lmap: dict | None):
             np.asarray(indices, dtype=np.int32), np.asarray(data), max_idx)
 
 
-# The bulk parser converts blocks of about this many bytes, cut after a newline,
-# so its temporary arrays stay small beside the input.
-_PARSE_BLOCK_BYTES = 1 << 20
-# A block holding any other byte goes to the line parser.
-_BULK_BYTES = b"0123456789+-.eE: \t\n"
-_TO_SPACE = bytes.maketrans(b":\t\n", b"   ")
-_COLON, _NEWLINE = ord(":"), ord("\n")
+def _parse_clean(text, lmap: dict | None):
+    """What `_parse_lines` returns, from one pass of the C kernel; None where that does not apply.
 
-
-def _parse_bulk(text, lmap: dict | None):
-    """What `_parse_lines` returns, from array operations per block; None if any block fails."""
-    keys = values = None
-    if lmap is not None:
-        keys = np.array(list(lmap))
-        order = np.argsort(keys)
-        keys, values = keys[order], np.array(list(lmap.values()))[order]
-    newline = b"\n" if isinstance(text, bytes) else "\n"
-    parts, pos = [], 0
-    while pos < len(text):
-        cut = text.find(newline, pos + _PARSE_BLOCK_BYTES)
-        cut = len(text) if cut < 0 else cut + 1
-        block = text[pos:cut]
-        if isinstance(block, str):
-            if not block.isascii():
-                return None
-            block = block.encode("ascii")
-        part = _parse_block(block, keys, values)
-        if part is None:
+    None when the kernel did not load, the text is not ASCII, the kernel does
+    not accept it, or a label is not one that `_parse_lines` accepts.
+    """
+    kernel = ckernel.get()
+    if kernel is None:
+        return None
+    if isinstance(text, str):
+        if not text.isascii():
             return None
-        parts.append(part)
-        pos = cut
-    if not parts:
+        text = text.encode("ascii")
+    parts = kernel.parse_sparse_text(text)
+    if parts is None:
         return None
-    labels, counts, indices, data, max_idx = zip(*parts)
-    if sum(d.size for d in data) > np.iinfo(np.int32).max:
-        return None  # more nonzeros than an int32 indptr holds
-    labels = np.concatenate(labels)
-    indptr = np.zeros(labels.size + 1, dtype=np.int32)
-    np.cumsum(np.concatenate(counts), out=indptr[1:])
-    return labels, indptr, np.concatenate(indices), np.concatenate(data), max(max_idx)
-
-
-def _parse_block(block: bytes, keys, values):
-    """(labels, nonzeros per row, 0-based indices, values, max index) of whole lines, or None."""
-    if block.translate(None, _BULK_BYTES):
+    raw, indptr, indices, values, max_idx = parts
+    distinct, inverse = np.unique(raw, return_inverse=True)
+    mapped = [(_PLUS_MINUS_ONE if lmap is None else lmap).get(v) for v in distinct.tolist()]
+    if None in mapped:
         return None
-    a = np.frombuffer(b"\n" + block + b"\n", dtype=np.uint8)  # every number has two neighbours
-    in_number = (a > ord(" ")) & (a != _COLON)  # all bytes but whitespace and ':' are left
-    edge = np.diff(in_number.view(np.int8))
-    starts = np.flatnonzero(edge == 1) + 1  # first byte of each number
-    ends = np.flatnonzero(edge == -1) + 1  # the byte after it
-    is_idx = a[ends] == _COLON
-    is_val = a[starts - 1] == _COLON
-    is_label = np.zeros(starts.size + 1, dtype=bool)  # the first number after a newline
-    is_label[np.searchsorted(starts, np.flatnonzero(a == _NEWLINE))] = True
-    is_label = is_label[:-1]
-    colons = np.count_nonzero(a == _COLON)
-    # Each ':' joins the number before it to the one after it (not `3:`, `:5`, `3::5`).
-    # A line is a bare label (not `1:2`), then numbers that are each an index or a value
-    # (not `3:4:5`, not a second bare number).
-    if (np.count_nonzero(is_idx) != colons or np.count_nonzero(is_val) != colons
-            or np.any(is_label & is_idx) or np.any(~is_label & (is_idx == is_val))):
-        return None
-    # an index is plain digits: int() rejects `1e2` and `1.0`, which convert as floats
-    not_digit = np.flatnonzero(in_number & ((a < ord("0")) | (a > ord("9"))))
-    if is_idx[np.searchsorted(starts, not_digit, side="right") - 1].any():
-        return None
-    if starts.size:
-        with warnings.catch_warnings():
-            # numpy 2 raises on text it cannot convert; numpy 1 warns and stops short
-            warnings.simplefilter("error")
-            try:
-                nums = np.fromstring(block.translate(_TO_SPACE), sep=" ")
-            except (ValueError, Warning):
-                return None
-        if nums.size != starts.size:
-            return None
-    else:
-        nums = np.empty(0)  # fromstring reads whitespace alone as [-1.]
-    raw, idx, val = nums[is_label], nums[is_idx], nums[is_val]
-    if keys is None:
-        if not np.all((raw == 1.0) | (raw == -1.0)):
-            return None
-        labels = raw
-    else:
-        at = np.searchsorted(keys, raw)
-        if np.any(at == keys.size) or not np.array_equal(keys[at], raw):
-            return None
-        labels = values[at]
-    row = (np.cumsum(is_label) - 1)[is_idx]
-    same_row = row[1:] == row[:-1]
-    if idx.size and (idx.min() < 1 or idx.max() > np.iinfo(np.int32).max
-                     or np.any(idx[1:][same_row] <= idx[:-1][same_row])):
-        return None
-    keep = val != 0.0
-    return (labels, np.bincount(row[keep], minlength=labels.size),
-            (idx[keep] - 1).astype(np.int32), val[keep], int(idx.max()) if idx.size else 0)
+    return np.array(mapped, dtype=np.float64)[inverse], indptr, indices, values, max_idx
 
 
 def generate_synthetic(n: int, dim: int, sparsity: float = 1.0, seed: int = 0,

@@ -86,8 +86,8 @@ def risk_hessian(spec: RiskSpec, w: np.ndarray, view: DatasetView):
     else:
         h = 1.0 / view.count
     reg = spec.c * schedule.statistical_accuracy(spec, view.count)
-    x = view.x
-    return lambda v: np.asarray((h * (x @ v)) @ x).ravel() + reg * v
+    x, xt = view.x, view.xt
+    return lambda v: xt @ (h * (x @ v)) + reg * v
 
 
 def empirical_loss_and_grad(loss: str, w: np.ndarray, view: DatasetView):
@@ -98,8 +98,7 @@ def empirical_loss_and_grad(loss: str, w: np.ndarray, view: DatasetView):
     margins = view.x @ w
     values, coefs = _loss_terms(loss, margins, view.y)
     n = view.count
-    grad = (coefs / n) @ view.x
-    return float(values.mean()), np.asarray(grad).ravel()
+    return float(values.mean()), view.xt @ (coefs / n)
 
 
 def risk_value(spec: RiskSpec, w: np.ndarray, view: DatasetView) -> float:

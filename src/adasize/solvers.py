@@ -6,13 +6,13 @@ for an SVRG epoch (full gradient at the anchor plus n inner steps).  One
 uncounted `Measurement` per iterate serves the stop test, the step and the
 trace; the counter is the unit the complexity bounds are written in.
 
-The n inner steps of an SVRG epoch run in a small C kernel, `svrg_kernel.c`,
-called through ctypes.  The first epoch of a process compiles it with the
-system C compiler (sysconfig's CC where installed, else `cc`) into this
+The n inner steps of an SVRG epoch run in the C kernel, `ckernel.c`, called
+through ctypes.  The first epoch or text parse of a process compiles it with
+the system C compiler (sysconfig's CC where installed, else `cc`) into this
 package's `__pycache__` directory, or loads the copy an earlier process left
 there.  If there is no compiler, the directory cannot be written or the
 library does not load, the epoch runs the same steps in a numpy loop instead.
-`svrg_kernel.reason` says which path the process took and why.
+`ckernel.reason` says which path the process took and why.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import erm, schedule, svrg_kernel
+from . import ckernel, erm, schedule
 from .data import DatasetView
 from .erm import RiskSpec
 
@@ -148,7 +148,7 @@ def _pick_loop(x, picks: np.ndarray, coef_anchor: np.ndarray, xb: np.ndarray, y:
     """The epoch's inner steps in numpy, used where the C kernel is not available.
 
     Runs the picks on u in place from s = 1, r = 0 and returns (s, r), as
-    `svrg_kernel.Kernel.pick_loop` does, bit for bit: each sparse dot product
+    `ckernel.Kernel.pick_loop` does, bit for bit: each sparse dot product
     is summed left to right in Python floats, as the kernel sums it.
     """
     coef_anchor, xb, y = coef_anchor.tolist(), xb.tolist(), y.tolist()
@@ -189,7 +189,7 @@ def svrg_epoch(state: SolverState, spec: RiskSpec, view: DatasetView,
     epoch; s is folded into u before it can underflow (a >= 0.9).
 
     The indices are drawn before the steps run, and the steps run in the C
-    kernel of `svrg_kernel` where it loaded, else in the numpy loop
+    kernel of `ckernel` where it loaded, else in the numpy loop
     `_pick_loop`; both take the same steps in the same order of operations,
     so the generator stream, grad_evals and the exit iterate do not depend
     on the path.
@@ -206,7 +206,7 @@ def svrg_epoch(state: SolverState, spec: RiskSpec, view: DatasetView,
     xb = x @ b
     picks = state.rng.integers(0, n, size=q)
     u = anchor.copy()
-    kernel = svrg_kernel.get()
+    kernel = ckernel.get()
     pick_loop = _pick_loop if kernel is None else kernel.pick_loop
     s, r = pick_loop(x, picks, coef_anchor, xb, view.y, spec.loss, a, eta, u)
     w = s * u + r * b

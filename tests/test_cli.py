@@ -36,6 +36,16 @@ def test_malformed_label_map_is_usage_error(tmp_path, capsys, label_map):
     assert "--label-map" in capsys.readouterr().err
 
 
+def test_index_above_int32_exits_2_with_its_line(tmp_path, capsys):
+    data_file = tmp_path / "big_index.svm"
+    data_file.write_text("+1 1:1\n-1 2:1\n+1 99999999999:1\n")
+    out = tmp_path / "out"
+    assert run_cli(["run", "--dataset", str(data_file), "--m0", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 3: feature index 99999999999") and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "--m0", "0"],
     ["run", "--eval-every", "0"],

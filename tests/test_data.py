@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from adasize import data, generate_synthetic, normalize, parse_sparse_text, shuffle_and_split
+from adasize import ckernel, data, generate_synthetic, normalize, parse_sparse_text, shuffle_and_split
 from adasize.data import Dataset, EmptyDatasetError, SparseTextError
 
 
@@ -67,6 +67,15 @@ class TestParser:
         ds = parse_sparse_text(b"+1 1:1\n")
         assert ds.n_samples == 1
 
+    def test_index_above_int32_reports_its_line(self):
+        with pytest.raises(SparseTextError, match="line 2: feature index 99999999999"):
+            parse_sparse_text("+1 1:1\n-1 99999999999:1\n")
+        with pytest.raises(SparseTextError, match="line 1"):
+            data._parse_lines("+1 2147483649:1\n", None)
+        # the largest index whose 0-based form fits in int32
+        _, _, indices, _, max_idx = data._parse_lines("+1 2147483648:1\n", None)
+        assert indices.tolist() == [2**31 - 1] and max_idx == 2**31
+
 
 LABEL_MAP = {0: -1, 8: 1, 3: -1}
 
@@ -101,7 +110,7 @@ class _Same:
 
 def _line_outcome(text, monkeypatch, **kwargs):
     with monkeypatch.context() as m:
-        m.setattr(data, "_parse_bulk", lambda text, lmap: None)
+        m.setattr(data, "_parse_clean", lambda text, lmap: None)
         return _outcome(text, **kwargs)
 
 
@@ -171,27 +180,32 @@ def _mutate(text: str, rng) -> str:
 
 
 class TestBulkParser:
-    """The bulk pass of parse_sparse_text against the line parser it falls back to."""
+    """The C path of parse_sparse_text against the line parser it falls back to."""
 
-    @pytest.mark.parametrize("block_bytes", [1, 7, 64, data._PARSE_BLOCK_BYTES])
+    @pytest.fixture(autouse=True)
+    def _kernel(self):
+        if ckernel.get() is None:
+            pytest.skip(ckernel.reason)
+
+    # the seeds are the block sizes the numpy bulk parser was once run with, so
+    # the random files are the ones it was checked on
+    @pytest.mark.parametrize("seed", [1, 7, 64, 1 << 20])
     @pytest.mark.parametrize("mapped", [False, True], ids=["pm1", "label_map"])
-    def test_random_valid_files_match_the_line_parser(self, monkeypatch, block_bytes, mapped):
-        monkeypatch.setattr(data, "_PARSE_BLOCK_BYTES", block_bytes)
-        rng = np.random.default_rng(block_bytes + mapped)
+    def test_random_valid_files_match_the_line_parser(self, monkeypatch, seed, mapped):
+        rng = np.random.default_rng(seed + mapped)
         kwargs = {"label_map": LABEL_MAP} if mapped else {}
         lmap = {float(k): float(v) for k, v in LABEL_MAP.items()} if mapped else None
         for _ in range(60):
             text = _random_text(rng, mapped)
-            assert data._parse_bulk(text, lmap) is not None, text
-            bulk = parse_sparse_text(text, **kwargs)
-            assert _Same(bulk) == _line_outcome(text, monkeypatch, **kwargs), text
-            assert bulk == parse_sparse_text(text.encode(), **kwargs)
+            assert data._parse_clean(text, lmap) is not None, text
+            fast = parse_sparse_text(text, **kwargs)
+            assert _Same(fast) == _line_outcome(text, monkeypatch, **kwargs), text
+            assert fast == parse_sparse_text(text.encode(), **kwargs)
 
-    @pytest.mark.parametrize("block_bytes", [1, 64, data._PARSE_BLOCK_BYTES])
+    @pytest.mark.parametrize("seed", [1, 64, 1 << 20])
     @pytest.mark.parametrize("mapped", [False, True], ids=["pm1", "label_map"])
-    def test_mutated_files_match_the_line_parser(self, monkeypatch, block_bytes, mapped):
-        monkeypatch.setattr(data, "_PARSE_BLOCK_BYTES", block_bytes)
-        rng = np.random.default_rng(100 + block_bytes + mapped)
+    def test_mutated_files_match_the_line_parser(self, monkeypatch, seed, mapped):
+        rng = np.random.default_rng(100 + seed + mapped)
         kwargs = {"label_map": LABEL_MAP} if mapped else {}
         for _ in range(150):
             text = _mutate(_random_text(rng, mapped), rng)
@@ -205,6 +219,8 @@ class TestBulkParser:
         "+1 3:\n", "+1 0:1\n", "+1 3:1 2:1\n", "+1 3:1 3:1\n", "+1 1:nan\n", "+1 1_0:1\n",
         "+1 1:0x1\n", "+1 1:1\r\n-1 2:1\r\n", "+1 1:1 # c\n", "nan 1:1\n", "+1 4\n",
         "1:1 2:1\n", "\n\n", "", "  \t\n", "+1 2147483648:1\n", "+1 1:1e\n", "+1 1:1-2\n",
+        "+1 99999999999:1\n", "+1 2147483647:1\n", "+1 1:-inf\n", "+1 1: 2\n", "+1 1 :2\n",
+        "+1 4 5\n", "+1 4\t5", "+1 2 0 3:1\n", "+1 1:2:\n", "+1:\n", "-1 1:2x\n",
     ])
     def test_listed_mutations_match_the_line_parser(self, monkeypatch, text):
         assert _outcome(text) == _line_outcome(text, monkeypatch)
@@ -220,27 +236,51 @@ class TestBulkParser:
         def refuse(text, lmap):
             raise AssertionError("line parser used on clean input")
         monkeypatch.setattr(data, "_parse_lines", refuse)
-        monkeypatch.setattr(data, "_PARSE_BLOCK_BYTES", 16)
         ds, _ = generate_synthetic(300, 12, 0.4, seed=4)
         assert parse_sparse_text(ds.to_sparse_text()) == ds
         assert parse_sparse_text(ds.to_sparse_text().encode()) == ds
 
-    @pytest.mark.parametrize("warns", [True, False], ids=["warning", "silent"])
-    def test_short_numpy_1_conversion_falls_back(self, monkeypatch, warns):
-        # numpy 1.x warns and returns the numbers before the text it could not
-        # convert, where numpy 2 raises; no warning may reach the caller
-        def numpy1_fromstring(string, sep):
-            if warns:
-                warnings.warn("string or file could not be read to its end", DeprecationWarning)
-            return np.array([1.0])
-        monkeypatch.setattr(data.np, "fromstring", numpy1_fromstring)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert data._parse_bulk("+1 1:2 3:4\n", None) is None
-            assert _outcome("+1 1:2 3:4\n") == _line_outcome("+1 1:2 3:4\n", monkeypatch)
-            with pytest.raises(SparseTextError, match="line 1"):
-                parse_sparse_text("+1 1:2e\n")
-        assert caught == []
+    @pytest.mark.parametrize("text", ["+1 1:2.5", "+1 1:2.5 3:-1e5", "-1", "+1\n-1 2:7",
+                                      "+1 1:1\n-1 2:7 \t", "+1 3:0"])
+    def test_last_token_may_end_the_input(self, monkeypatch, text):
+        # the kernel's last strtod stops at the NUL CPython keeps after the bytes
+        assert ckernel.get().parse_sparse_text(text.encode()) is not None
+        assert _outcome(text) == _line_outcome(text, monkeypatch)
+
+    @pytest.mark.parametrize("text", ["+1 1:2\x00\n", "+1 1:2\x005\n", "+1\x00 1:2\n",
+                                      "\x00", "+1 1:2\n\x00", "+1 1\x00:2\n"])
+    def test_embedded_nul_falls_back(self, monkeypatch, text):
+        assert ckernel.get().parse_sparse_text(text.encode()) is None
+        assert _outcome(text) == _line_outcome(text, monkeypatch)
+
+    def test_values_are_the_bits_float_reads(self):
+        rng = np.random.default_rng(11)
+        bits = rng.integers(0, 2**64, size=300, dtype=np.uint64).view(np.float64)
+        tokens = [repr(float(v)) for v in bits[np.isfinite(bits)]]
+        tokens += ["%.17g" % v for v in rng.normal(size=100) * 10.0 ** rng.integers(-300, 300, 100)]
+        tokens += ["5e-324", "4.9406564584124654e-324", "2.2250738585072009e-308", "1e-320",
+                   "-2.225073858507201e-308", "1e-400", "-1e-400", "1e308", "1.7976931348623157e308",
+                   "1.7976931348623159e308", "1e309", "-0.0", "0.1", "9007199254740993"]
+        text = "".join(f"+1 1:{t}\n" for t in tokens)
+        assert data._parse_clean(text, None) is not None
+        ds = parse_sparse_text(text)
+        expected = [float(t) for t in tokens]
+        assert ds.x.indptr.tolist() == np.cumsum([0] + [v != 0.0 for v in expected]).tolist()
+        np.testing.assert_array_equal(ds.x.data.view(np.uint64),
+                                      np.array([v for v in expected if v != 0.0]).view(np.uint64))
+
+    @pytest.mark.parametrize("mapped", [False, True], ids=["pm1", "label_map"])
+    def test_no_kernel_gives_an_equal_dataset(self, monkeypatch, mapped):
+        ds, _ = generate_synthetic(500, 30, 0.3, seed=9)
+        text = ds.to_sparse_text()
+        kwargs = {}
+        if mapped:
+            text = "".join(("8" if line[0] == "+" else "0") + line[2:] + "\n"
+                           for line in text.splitlines())
+            kwargs = {"label_map": LABEL_MAP}
+        fast = parse_sparse_text(text, **kwargs)
+        monkeypatch.setattr(ckernel, "get", lambda: None)
+        assert parse_sparse_text(text, **kwargs) == fast == ds
 
     def test_malformed_text_warns_nothing(self):
         with warnings.catch_warnings():

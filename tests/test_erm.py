@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.special import expit
 
 from adasize import Dataset, RiskSpec, empirical_loss_and_grad, risk_value, \
     risk_value_and_grad, smoothness_constant
@@ -153,6 +154,27 @@ def test_hessian_vector_matches_finite_differences(loss, small_train, rng):
         fd = (risk_value_and_grad(spec, w + h * v, view)[1]
               - risk_value_and_grad(spec, w - h * v, view)[1]) / (2 * h)
         np.testing.assert_allclose(risk_hessian(spec, w, view)(v), fd, rtol=1e-6, atol=1e-9)
+
+
+@pytest.mark.parametrize("loss", ["logistic", "squared"])
+@pytest.mark.parametrize("shape", [(256, 20, 1.0), (8192, 20, 1.0), (3000, 500, 0.05)],
+                         ids=["256x20", "8192x20", "3000x500_sparse"])
+def test_transpose_products_are_the_rmatmul_bits(loss, shape, rng):
+    # the gradient and the Hessian product were once `vector @ x`, which scipy
+    # serves through __rmatmul__ by building a transpose on every call
+    ds, _ = generate_synthetic(*shape, seed=5)
+    view = normalize(ds).prefix(shape[0] - 1)
+    spec = RiskSpec(loss=loss, c=0.7, alpha=0.75, gamma=1.3, M=1.0)
+    w, v = rng.normal(size=ds.dim), rng.normal(size=ds.dim)
+    margins = view.x @ w
+    _, coefs = _loss_terms(loss, margins, view.y)
+    old_grad = np.asarray((coefs / view.count) @ view.x).ravel()
+    np.testing.assert_array_equal(empirical_loss_and_grad(loss, w, view)[1], old_grad)
+    h = expit(margins) * expit(-margins) / view.count if loss == "logistic" else 1.0 / view.count
+    reg = spec.c * statistical_accuracy(spec, view.count)
+    old_hv = np.asarray((h * (view.x @ v)) @ view.x).ravel() + reg * v
+    np.testing.assert_array_equal(risk_hessian(spec, w, view)(v), old_hv)
+    assert view.xt is view.xt
 
 
 def test_risk_at_origin_equals_loss(spec, small_train):

@@ -10,7 +10,7 @@ import pytest
 from scipy import sparse
 
 from adasize import RiskSpec, init_state, risk_value, risk_value_and_grad, solve
-from adasize import erm, schedule, solvers, svrg_kernel
+from adasize import erm, schedule, solvers, ckernel
 from adasize.data import Dataset, generate_synthetic, normalize, parse_sparse_text
 from adasize.solvers import BudgetError, DivergenceError, Measurement, agd_step, gd_step, \
     svrg_epoch
@@ -248,9 +248,9 @@ class TestSvrg:
 
 
 def _kernel_or_skip():
-    kernel = svrg_kernel.get()
+    kernel = ckernel.get()
     if kernel is None:
-        pytest.skip(f"no C kernel in this process: {svrg_kernel.reason}")
+        pytest.skip(ckernel.reason)
     return kernel
 
 
@@ -272,7 +272,7 @@ class TestSvrgKernel:
         start.w = np.random.default_rng(7).uniform(-1, 1, ds.dim)
         ends = []
         for path in (kernel, None):
-            monkeypatch.setattr(svrg_kernel, "get", lambda path=path: path)
+            monkeypatch.setattr(ckernel, "get", lambda path=path: path)
             ends.append(_epochs(replace(start, rng=copy.deepcopy(start.rng)), spec, view, 3))
         compiled, numpy_loop = ends
         assert compiled.grad_evals == numpy_loop.grad_evals == 6 * ds.n_samples
@@ -289,15 +289,15 @@ class TestSvrgKernel:
                     erm.sample_loss_coef(loss, margin, label), (label, margin)
 
     def test_kernel_loads_where_a_compiler_exists(self, tmp_path):
-        compiler = shlex.split(svrg_kernel.default_compiler())[0]
+        compiler = shlex.split(ckernel.default_compiler())[0]
         if shutil.which(compiler) is None:
             pytest.skip(f"no C compiler {compiler!r} on PATH")
         # the process's own kernel: a silent fall back to the numpy loop fails here
-        assert svrg_kernel.get() is not None, svrg_kernel.reason
-        kernel, reason = svrg_kernel.load(cache_dir=tmp_path)
+        assert ckernel.get() is not None, ckernel.reason
+        kernel, reason = ckernel.load(cache_dir=tmp_path)
         assert kernel is not None and reason.startswith("C kernel: built"), reason
         assert [p.suffix for p in tmp_path.iterdir()] == [".so"]  # no temporary file left
-        kernel, reason = svrg_kernel.load(cache_dir=tmp_path)
+        kernel, reason = ckernel.load(cache_dir=tmp_path)
         assert kernel is not None and reason.startswith("C kernel: loaded"), reason
 
     @pytest.mark.parametrize("failure", ["no_compiler", "compiler_fails", "unwritable_cache"])
@@ -311,8 +311,8 @@ class TestSvrgKernel:
         else:  # a path below a regular file cannot be created, whatever the user
             (tmp_path / "file").write_text("")
             cache_dir = tmp_path / "file" / "cache"
-        kernel, reason = svrg_kernel.load(compiler=compiler, cache_dir=cache_dir)
-        assert kernel is None and reason.startswith("numpy loop: "), reason
+        kernel, reason = ckernel.load(compiler=compiler, cache_dir=cache_dir)
+        assert kernel is None and reason.startswith("no C kernel: "), reason
         if failure != "unwritable_cache":
             assert list(cache_dir.iterdir()) == []  # the temporary file is removed
 
@@ -320,14 +320,14 @@ class TestSvrgKernel:
         ds, spec = _svrg_case("dense", "logistic")
         view = ds.full_view()
         start = init_state("svrg", ds.dim, seed=6)
-        monkeypatch.setattr(svrg_kernel, "get", lambda: None)
+        monkeypatch.setattr(ckernel, "get", lambda: None)
         expected = _epochs(replace(start, rng=copy.deepcopy(start.rng)), spec, view, 2)
         monkeypatch.undo()
         for name, value in (("_tried", False), ("kernel", None), ("reason", "not loaded yet"),
                             ("load", lambda: (kernel, reason))):
-            monkeypatch.setattr(svrg_kernel, name, value)
+            monkeypatch.setattr(ckernel, name, value)
         got = _epochs(start, spec, view, 2)
-        assert svrg_kernel.kernel is None and svrg_kernel.reason == reason
+        assert ckernel.kernel is None and ckernel.reason == reason
         np.testing.assert_array_equal(got.w, expected.w)
         assert got.grad_evals == expected.grad_evals
 
