@@ -11,9 +11,14 @@
  *
  * parse_sparse_text reads clean sparse text in one pass, the fast path of
  * data.parse_sparse_text; anything it does not accept goes to the line
- * parser there, which gives the same arrays or reports the bad line.
+ * parser there, which gives the same arrays or reports the bad line.  A
+ * number with at most 2^53 in its significant digits and a decimal exponent
+ * of at most 22 either way is converted by one exact multiply or divide
+ * (Clinger's exact case), which rounds once, as strtod does; every other
+ * number goes to strtod.
  */
 
+#include <float.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -77,25 +82,99 @@ static int is_blank(char c)
     return c == ' ' || c == '\t';
 }
 
-static int is_number_byte(char c)
+static int is_digit(char c)
 {
-    return (c >= '0' && c <= '9') || c == '+' || c == '-' || c == '.' || c == 'e' || c == 'E';
+    return c >= '0' && c <= '9';
 }
 
-/* Reads the number at *p: a nonempty run of is_number_byte bytes that strtod
- * converts to its last byte.  Under a locale whose decimal point is not '.',
- * strtod stops short and the text is refused.  A byte after the run other
- * than a blank or newline fails the next field.  Returns 0 and moves *p past
- * the number, or -1. */
+static int is_number_byte(char c)
+{
+    return is_digit(c) || c == '+' || c == '-' || c == '.' || c == 'e' || c == 'E';
+}
+
+#if FLT_EVAL_METHOD == 0
+/* 1e0 to 1e22, each a double exactly (5^22 < 2^53). */
+static const double exact_pow10[] = {
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+    1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+};
+#endif
+
+/* Converts [s, end) when it is [+-] digits [. digits] [(e|E) [+-] digits],
+ * with a digit before or after the point, its digits without the point make
+ * an integer m <= 2^53 and its value is m * 10^k with |k| <= 22 (Clinger's
+ * exact case).  m and 10^|k| are then doubles exactly, so one multiply or
+ * divide rounds m * 10^k once, to the double strtod gives; the sign comes
+ * last, so "-0" is -0.0.  Reading stops once m passes 2^53, or the exponent
+ * 99999, so neither overflows.  Returns 1 and sets *x, or 0 for strtod to
+ * read the run.  Where doubles are evaluated in a wider format, which would
+ * round twice, it always returns 0. */
+static int exact_decimal(const char *s, const char *end, double *x)
+{
+#if FLT_EVAL_METHOD == 0
+    int neg = 0, digits = 0;
+    uint64_t m = 0;
+    int64_t k = 0;
+    if (s < end && (*s == '+' || *s == '-'))
+        neg = *s++ == '-';
+    for (int frac = 0; s < end; s++) {
+        if (*s == '.' && !frac) {
+            frac = 1;
+            continue;
+        }
+        if (!is_digit(*s))
+            break;
+        digits = 1;
+        k -= frac;
+        if ((m = 10 * m + (uint64_t)(*s - '0')) > (UINT64_C(1) << 53))
+            return 0;
+    }
+    if (!digits)
+        return 0;
+    if (s < end && (*s == 'e' || *s == 'E')) {
+        int eneg = 0;
+        int64_t e = 0;
+        if (++s < end && (*s == '+' || *s == '-'))
+            eneg = *s++ == '-';
+        if (s == end || !is_digit(*s))
+            return 0;
+        for (; s < end && is_digit(*s); s++)
+            if ((e = 10 * e + (*s - '0')) > 99999)
+                return 0;
+        k += eneg ? -e : e;
+    }
+    if (s != end || k < -22 || k > 22)
+        return 0;
+    double v = k < 0 ? (double)m / exact_pow10[-k] : (double)m * exact_pow10[k];
+    *x = neg ? -v : v;
+    return 1;
+#else
+    (void)s;
+    (void)end;
+    (void)x;
+    return 0;
+#endif
+}
+
+/* Reads the number at *p: a nonempty run of is_number_byte bytes that
+ * exact_decimal converts, or else strtod converts to its last byte.  Under a
+ * locale whose decimal point is not '.', strtod stops short and the text is
+ * refused, unless exact_decimal read it.  A byte after the run other than a
+ * blank or newline fails the next field.  Returns 0 and moves *p past the
+ * number, or -1. */
 static int read_number(const char **p, const char *end, double *x)
 {
     const char *q = *p;
     char *stop;
     while (q < end && is_number_byte(*q))
         q++;
-    *x = strtod(*p, &stop);
-    if (q == *p || stop != q)
+    if (q == *p)
         return -1;
+    if (!exact_decimal(*p, q, x)) {
+        *x = strtod(*p, &stop);
+        if (stop != q)
+            return -1;
+    }
     *p = q;
     return 0;
 }
@@ -139,7 +218,7 @@ int parse_sparse_text(const char *text, int64_t len, double *labels, int32_t *in
                 break;
             const char *digits = p;
             int64_t idx = 0;
-            while (p < end && *p >= '0' && *p <= '9') {
+            while (p < end && is_digit(*p)) {
                 idx = 10 * idx + (*p - '0');
                 if (idx > INT32_MAX)
                     return -1;

@@ -8,9 +8,14 @@ construction.
 
 Sparse text is read in one pass of C where the compiled library of `ckernel`
 loaded and the text is clean: only digits, `+-.eE:`, blanks and newlines,
-in well-formed fields.  Everything else, and all text where the library did
-not load, goes through the line parser `_parse_lines`, which gives the same
-arrays and is the only path that reports errors.
+in well-formed fields.  There a number whose digits make at most 2^53, with
+a decimal exponent of at most 22 either way (the 6-10 digit values of
+LIBSVM and RCV1-style files), is converted exactly by one multiply or
+divide; longer numbers, such as the 17-digit values `to_sparse_text`
+writes, go through strtod.  Both give float()'s bits.  Everything else, and
+all text where the library did not load, goes through the line parser
+`_parse_lines`, which gives the same arrays and is the only path that
+reports errors.
 """
 
 from __future__ import annotations
@@ -78,10 +83,6 @@ class Dataset:
 
     def full_view(self) -> "DatasetView":
         return DatasetView(self, self.n_samples)
-
-    def row_norms(self) -> np.ndarray:
-        sq = np.asarray(self.x.multiply(self.x).sum(axis=1)).ravel()
-        return np.sqrt(sq)
 
     def to_sparse_text(self) -> str:
         """One `<+1|-1> <idx>:<val> ...` line per sample; one `%` operation per batch of rows."""
@@ -330,11 +331,30 @@ def generate_synthetic(n: int, dim: int, sparsity: float = 1.0, seed: int = 0,
     return Dataset(sparse.csr_matrix(feats), y, name=name), w_true
 
 
+def row_sq_norms(x: sparse.csr_matrix) -> np.ndarray:
+    """Each row's squared Euclidean norm, 0.0 for an empty row.
+
+    The bits of `x.multiply(x).sum(axis=1)` without building that product:
+    the same `np.add.reduceat` over the squares.  The product stores no zero
+    square, and numpy's pairwise sum depends on where its terms sit, so zero
+    squares (stored zeros, underflow) are dropped here too.
+    """
+    sq, indptr = x.data * x.data, x.indptr
+    if not sq.all():
+        kept = sq != 0.0
+        indptr, sq = np.concatenate(([0], np.cumsum(kept)))[indptr], sq[kept]
+    out = np.zeros(x.shape[0])
+    nonempty = np.flatnonzero(np.diff(indptr))
+    if nonempty.size:
+        out[nonempty] = np.add.reduceat(sq, indptr[nonempty])
+    return out
+
+
 def normalize(d: Dataset) -> Dataset:
     """Scale each sample to unit Euclidean norm; zero rows pass through unchanged."""
     if d.n_samples == 0:
         raise EmptyDatasetError("cannot normalize an empty dataset")
-    norms = d.row_norms()
+    norms = np.sqrt(row_sq_norms(d.x))
     scale = np.where(norms > 0.0, norms, 1.0)
     x = d.x.copy()
     per_entry = np.repeat(scale, np.diff(x.indptr))

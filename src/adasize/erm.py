@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import schedule
-from .data import Dataset, DatasetView
+from .data import Dataset, DatasetView, row_sq_norms
 
 LOSSES = ("logistic", "squared")
 
@@ -145,7 +145,7 @@ def smoothness_constant(loss: str, d: Dataset | DatasetView) -> float:
     _check_loss(loss)
     if d.x.shape[0] == 0:
         raise EmptyViewError("smoothness constant needs a nonempty dataset")
-    max_sq = float(np.max(np.asarray(d.x.multiply(d.x).sum(axis=1)).ravel()))
+    max_sq = float(np.max(row_sq_norms(d.x)))
     return max(max_sq / 4.0 if loss == "logistic" else max_sq, 1e-12)
 
 

@@ -1,4 +1,6 @@
+import importlib.util
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,26 @@ from scipy import sparse
 
 from adasize import ckernel, data, generate_synthetic, normalize, parse_sparse_text, shuffle_and_split
 from adasize.data import Dataset, EmptyDatasetError, SparseTextError
+from adasize.erm import smoothness_constant
+
+RCV1_LIKE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "rcv1_like.py"
+
+
+@pytest.fixture(scope="module")
+def rcv1_like():
+    """perfbench/rcv1_like.py, loaded by path."""
+    spec = importlib.util.spec_from_file_location("perfbench_rcv1_like", RCV1_LIKE_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def rcv1_tiny(rcv1_like):
+    """The RCV1-shaped set at 2000 x 3000 (plus 200 held-out rows), seed 3."""
+    indptr, cols, vals, labels = rcv1_like.generate(3, rcv1_like.TINY)
+    x = sparse.csr_matrix((vals, cols, indptr), shape=(indptr.size - 1, rcv1_like.TINY.dim))
+    return Dataset(x, labels.astype(np.float64), name="rcv1-tiny")
 
 
 class TestParser:
@@ -179,6 +201,20 @@ def _mutate(text: str, rng) -> str:
     return "\n".join(lines)
 
 
+def _assert_read_as_float(tokens, monkeypatch):
+    """The C path reads each token, as a label and as a value, to float()'s bits and the line parser's."""
+    expected = np.array([float(t) for t in tokens])
+    labels = ckernel.get().parse_sparse_text("".join(f"{t}\n" for t in tokens).encode())[0]
+    np.testing.assert_array_equal(labels.view(np.uint64), expected.view(np.uint64))
+    text = "".join(f"+1 1:{t}\n" for t in tokens)
+    assert data._parse_clean(text, None) is not None
+    fast, line = parse_sparse_text(text), _line_outcome(text, monkeypatch)
+    assert fast == line.d
+    kept = expected[expected != 0.0].view(np.uint64)
+    np.testing.assert_array_equal(fast.x.data.view(np.uint64), kept)
+    np.testing.assert_array_equal(line.d.x.data.view(np.uint64), kept)
+
+
 class TestBulkParser:
     """The C path of parse_sparse_text against the line parser it falls back to."""
 
@@ -221,6 +257,7 @@ class TestBulkParser:
         "1:1 2:1\n", "\n\n", "", "  \t\n", "+1 2147483648:1\n", "+1 1:1e\n", "+1 1:1-2\n",
         "+1 99999999999:1\n", "+1 2147483647:1\n", "+1 1:-inf\n", "+1 1: 2\n", "+1 1 :2\n",
         "+1 4 5\n", "+1 4\t5", "+1 2 0 3:1\n", "+1 1:2:\n", "+1:\n", "-1 1:2x\n",
+        "+1 1:1.2.3\n", "+1 1:1..5\n", "1.0.0 1:1\n", "+1 1:1e+\n", "+1 1:1.5E-\n", "1e 1:1\n",
     ])
     def test_listed_mutations_match_the_line_parser(self, monkeypatch, text):
         assert _outcome(text) == _line_outcome(text, monkeypatch)
@@ -268,6 +305,48 @@ class TestBulkParser:
         assert ds.x.indptr.tolist() == np.cumsum([0] + [v != 0.0 for v in expected]).tolist()
         np.testing.assert_array_equal(ds.x.data.view(np.uint64),
                                       np.array([v for v in expected if v != 0.0]).view(np.uint64))
+
+    # read_number's exact case: m <= 2^53 significant, |k| <= 22 decimal exponent
+    @pytest.mark.parametrize("tokens", [
+        ["9007199254740992", "9007199254740992e22", "9007199254740992e-22", "900719925474099.2",
+         "-9007199254740992e5", "9007199254740993", "9007199254740993e1", "9007199254740993e22",
+         "900719925474099.3", "90071992547409.93e-8", "9007199254740994e3"],
+        ["123456789012345", "1.23456789012345e-7", "8.765432109876543", "8765432109876543e14",
+         "12345678901234567", "1.2345678901234567e-3", "1234567890123456789",
+         ".1234567890123456789e5", "12345678901234567890", "00000000000000000001234567890123456"],
+        ["1e22", "1e-22", "3e22", "3e-22", "1e23", "1e-23", "3e23", "3e-23", "123456789e23",
+         "7.5e-23", "0.001e25", "100e21", "10e22", "1.0e22", "-4e-22", "99e-24"],
+        ["0000.000123", "0." + "0" * 25 + "1", "5.", ".5", "+.5e+3", "1e022",
+         "1e0000000000000000001", "-0", "-0.0e5", "+0", "0.000", "00", "-.5E-2", "1E+05",
+         "0.000000000000000000000000000001e300", "1e99999", "1e100000", "-1e-100000"],
+    ], ids=["2^53", "digits", "exponent", "forms"])
+    def test_exact_decimals_are_the_bits_float_reads(self, monkeypatch, tokens):
+        _assert_read_as_float(tokens, monkeypatch)
+
+    def test_random_short_decimals_are_the_bits_float_reads(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        tokens = []
+        for _ in range(5000):
+            digits = "".join(map(str, rng.integers(0, 10, rng.integers(1, 20))))
+            k = int(rng.integers(-30, 31))
+            sign = str(rng.choice(["", "-", "+"]))
+            if rng.random() < 0.5:
+                tokens.append(f"{sign}{digits[:1]}.{digits[1:]}e{k - len(digits) + 1}"
+                              if rng.random() < 0.5 else f"{sign}{digits}E{k:+}")
+            elif k >= 0:
+                tokens.append(f"{sign}{digits}{'0' * k}")
+            else:
+                padded = digits.rjust(1 - k, "0")
+                tokens.append(f"{sign}{padded[:k]}.{padded[k:]}")
+        _assert_read_as_float(tokens, monkeypatch)
+
+    def test_rcv1_shaped_file_is_the_line_parsers_bits(self, monkeypatch, rcv1_like, rcv1_tiny):
+        # the file's "%.9g" values all take the exact case
+        x = rcv1_tiny.x
+        text = rcv1_like.to_text(x.indptr, x.indices, x.data, rcv1_tiny.y)
+        fast, line = parse_sparse_text(text), _line_outcome(text, monkeypatch)
+        assert fast == line.d
+        np.testing.assert_array_equal(fast.x.data.view(np.uint64), line.d.x.data.view(np.uint64))
 
     @pytest.mark.parametrize("mapped", [False, True], ids=["pm1", "label_map"])
     def test_no_kernel_gives_an_equal_dataset(self, monkeypatch, mapped):
@@ -375,7 +454,68 @@ class TestNormalize:
 
     def test_max_norm_bound(self):
         ds, _ = generate_synthetic(300, 8, 0.7, seed=5)
-        assert normalize(ds).row_norms().max() <= 1 + 1e-12
+        assert np.sqrt(data.row_sq_norms(normalize(ds).x)).max() <= 1 + 1e-12
+
+
+def _old_row_sq_norms(x):
+    return np.asarray(x.multiply(x).sum(axis=1)).ravel()
+
+
+def _row_norm_case(name, request):
+    """A Dataset or view with the named feature: empty rows, stored zeros, underflowing squares, ..."""
+    if name == "edges":
+        # rows: empty, short, stored zero and 1e-200 among others, 30 long with both, all 1e-200, empty
+        rng = np.random.default_rng(2)
+        long_row = rng.normal(size=30)
+        long_row[[3, 11, 12]] = 0.0
+        long_row[[5, 20]] = 1e-200
+        rows = [[], [3.0, 4.0], [0.0, 1e-200, 2.0, -0.5], list(long_row), [1e-200, -1e-200], []]
+        indptr = np.cumsum([0] + [len(r) for r in rows])
+        x = sparse.csr_matrix((np.concatenate(rows), np.concatenate([np.arange(len(r)) for r in rows]),
+                               indptr), shape=(len(rows), 30))
+        return Dataset(x, np.ones(len(rows)))
+    if name == "stored_zeros":
+        rng = np.random.default_rng(3)
+        x = sparse.random(60, 90, density=0.3, format="csr", random_state=4)
+        x.data[rng.random(x.nnz) < 0.25] = 0.0
+        return Dataset(x, np.ones(60))
+    if name == "prefix_view":
+        return generate_synthetic(300, 40, 0.5, seed=6)[0].prefix(123)
+    if name == "8192x20":
+        return generate_synthetic(8192, 20, 1.0, seed=7)[0]
+    return request.getfixturevalue("rcv1_tiny")
+
+
+class TestRowSqNorms:
+    """data.row_sq_norms against the x.multiply(x).sum(axis=1) it replaced, bit for bit."""
+
+    CASES = ["edges", "stored_zeros", "prefix_view", "8192x20", "rcv1_2000x3000"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_bits_of_the_elementwise_product_sum(self, request, case):
+        d = _row_norm_case(case, request)
+        if case in ("edges", "stored_zeros"):
+            assert (d.x.data == 0.0).any()
+        np.testing.assert_array_equal(data.row_sq_norms(d.x).view(np.uint64),
+                                      _old_row_sq_norms(d.x).view(np.uint64))
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_normalize_bits(self, request, case):
+        d = _row_norm_case(case, request)
+        d = Dataset(d.x, d.y)
+        norms = np.sqrt(_old_row_sq_norms(d.x))
+        scale = np.repeat(np.where(norms > 0.0, norms, 1.0), np.diff(d.x.indptr))
+        np.testing.assert_array_equal(normalize(d).x.data.view(np.uint64),
+                                      (d.x.data / scale).view(np.uint64))
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("loss", ["logistic", "squared"])
+    def test_smoothness_constant_bits(self, request, case, loss):
+        d = _row_norm_case(case, request)
+        max_sq = float(np.max(_old_row_sq_norms(d.x)))
+        old = max(max_sq / 4.0 if loss == "logistic" else max_sq, 1e-12)
+        assert np.float64(smoothness_constant(loss, d)).view(np.uint64) == \
+            np.float64(old).view(np.uint64)
 
 
 class TestSplitAndPrefix:
