@@ -3,8 +3,9 @@
 Suboptimality is always measured against a high-accuracy reference
 minimizer computed once per risk: damped Newton-CG from zero, to a measured
 gradient 2-norm at most the tolerance.  It shares no step rule with the
-GD/AGD/SVRG solvers it judges.  One effective pass is N per-sample gradient
-evaluations where N is the full training-set size.
+GD/AGD/SVRG solvers it judges, only the risk oracle `erm.Measurement`.  One
+effective pass is N per-sample gradient evaluations where N is the full
+training-set size.
 """
 
 from __future__ import annotations
@@ -46,37 +47,37 @@ def reference_optimum(spec: RiskSpec, view: DatasetView,
     Newton's method for grad R_n = 0 from zero: each step solves H d = -grad R_n
     by conjugate gradients on Hessian-vector products, then halves t from 1
     until ||grad R_n(w + t d)||^2 <= (1 - 2 NEWTON_SIGMA t) ||grad R_n(w)||^2.
-    It never reads R_n, which is rounding noise near the optimum.  The 2-norm
-    grad_norm_at_star measured at w_star_n is <= tolerance, so R_n(w) - risk_star
-    is accurate to tolerance^2 / (2 c V_n) for any w; otherwise (t below
-    NEWTON_MIN_STEP, or NEWTON_MAX_STEPS steps) BudgetError.
+    The steps never read R_n, which is rounding noise near the optimum; it is
+    computed once, at w_star_n, and each Hessian takes the margins of the
+    accepted trial's measurement.  The 2-norm grad_norm_at_star measured at
+    w_star_n is <= tolerance, so R_n(w) - risk_star is accurate to
+    tolerance^2 / (2 c V_n) for any w; otherwise (t below NEWTON_MIN_STEP, or
+    NEWTON_MAX_STEPS steps) BudgetError.
     """
     if tolerance <= 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
-    w = np.zeros(view.dim)
-    risk, grad, grad_norm = erm.risk_value_and_grad(spec, w, view)
+    at = erm.Measurement(spec, np.zeros(view.dim), view)
     for _ in range(NEWTON_MAX_STEPS):
-        if grad_norm <= tolerance:
+        if at.grad_norm <= tolerance:
             break
         hess = sparse_linalg.LinearOperator((view.dim, view.dim), dtype=float,
-                                            matvec=erm.risk_hessian(spec, w, view))
-        d = sparse_linalg.cg(hess, -grad, rtol=NEWTON_CG_RTOL)[0]
+                                            matvec=erm.risk_hessian(at))
+        d = sparse_linalg.cg(hess, -at.grad, rtol=NEWTON_CG_RTOL)[0]
         t = 1.0
         while t >= NEWTON_MIN_STEP:
-            trial = erm.risk_value_and_grad(spec, w + t * d, view)
-            if trial[2] ** 2 <= (1.0 - 2.0 * NEWTON_SIGMA * t) * grad_norm**2:
+            trial = erm.Measurement(spec, at.w + t * d, view)
+            if trial.grad_norm ** 2 <= (1.0 - 2.0 * NEWTON_SIGMA * t) * at.grad_norm**2:
                 break
             t /= 2.0
         else:  # no step down to the floor lowers the merit: rounding noise
             break
-        w = w + t * d
-        risk, grad, grad_norm = trial
-    if grad_norm > tolerance:
+        at = trial
+    if at.grad_norm > tolerance:
         raise solvers.BudgetError(
             f"reference solve at n={view.count} did not reach tolerance {tolerance}: "
-            f"||grad R_n|| = {grad_norm}")
-    return ReferenceOptimum(n=view.count, w_star_n=w, risk_star=risk,
-                            grad_norm_at_star=grad_norm)
+            f"||grad R_n|| = {at.grad_norm}")
+    return ReferenceOptimum(n=view.count, w_star_n=at.w, risk_star=at.risk,
+                            grad_norm_at_star=at.grad_norm)
 
 
 def effective_passes(grad_evals: int, N: int) -> float:

@@ -128,6 +128,19 @@ class Dataset:
         return f"Dataset(name={self.name!r}, n={self.n_samples}, dim={self.dim})"
 
 
+def row_block(x: sparse.csr_matrix, lo: int, hi: int) -> sparse.csr_matrix:
+    """Rows lo..hi-1 of x as a CSR matrix over x's own data and indices.
+
+    Only indptr is copied, and only for lo > 0, to shift it to start at 0.
+    Its product with a vector gives the bits of those rows of `x @ w`: a
+    CSR product sums each row on its own, left to right.
+    """
+    a, b = x.indptr[lo], x.indptr[hi]
+    indptr = x.indptr[lo:hi + 1]
+    return sparse.csr_matrix((x.data[a:b], x.indices[a:b], indptr - a if lo else indptr),
+                             shape=(hi - lo, x.shape[1]), copy=False)
+
+
 class DatasetView:
     """Read-only view of the first `count` samples of a dataset.
 
@@ -146,13 +159,7 @@ class DatasetView:
     @property
     def x(self) -> sparse.csr_matrix:
         if self._x is None:
-            b = self.base.x
-            nnz = b.indptr[self.count]
-            self._x = sparse.csr_matrix(
-                (b.data[:nnz], b.indices[:nnz], b.indptr[: self.count + 1]),
-                shape=(self.count, self.base.dim),
-                copy=False,
-            )
+            self._x = row_block(self.base.x, 0, self.count)
         return self._x
 
     @property

@@ -10,6 +10,10 @@ the first stage, after the closed-form iteration count for the chosen
 method (budget "theory").  An adaptive stage that does not meet its
 threshold within solvers.MAX_ITERATIONS steps raises BudgetError; a fixed
 run stops at its pass cap.
+
+The trace records every eval_every-th iterate of a stage and its exit, each
+once: the stage measurement's margins give R_N with one more product over
+rows n..N only.
 """
 
 from __future__ import annotations
@@ -19,9 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import erm, schedule, solvers
-from .data import Dataset
-from .erm import RiskSpec
-from .solvers import Measurement, SolverState
+from .data import Dataset, row_block
+from .erm import Measurement, RiskSpec
+from .solvers import SolverState
 
 BUDGET_MODES = ("threshold", "theory")
 
@@ -88,7 +92,12 @@ class StageReport:
 
 
 class _Recorder:
-    """Builds the trace: full-set risk, stage gradient norm, optional test error."""
+    """Builds the trace: full-set risk, stage gradient norm, optional test error.
+
+    R_N at a stage-n iterate takes the stage measurement's n margins and a
+    product over rows n..N, through a CSR of those rows built once per stage;
+    the first n margins of x_N @ w are the bits of x_n @ w.
+    """
 
     def __init__(self, config: RunConfig, spec: RiskSpec, train: Dataset,
                  test: Dataset | None):
@@ -97,16 +106,20 @@ class _Recorder:
         self.test = test
         self.eval_every = config.eval_every
         self.trace = Trace(config.N)
+        self._tail = None  # (n, rows n..N of the full set)
 
     def record(self, state: SolverState, at_w: Measurement) -> None:
-        n = at_w.view.count
-        # on the full set the stage risk is R_N itself, bit for bit
-        risk = at_w.risk if n == self.full_view.count else \
-            erm.risk_value(self.spec, state.w, self.full_view)
+        n, full = at_w.view.count, self.full_view
+        at_full = at_w  # on the full set the stage risk is R_N itself
+        if n < full.count:
+            if self._tail is None or self._tail[0] != n:
+                self._tail = (n, row_block(full.base.x, n, full.count))
+            margins = np.concatenate((at_w.margins, self._tail[1] @ state.w))
+            at_full = Measurement(self.spec, state.w, full, margins)
         err = None
         if self.test is not None and self.test.n_samples:
             err = erm.test_error(self.spec.loss, state.w, self.test)
-        self.trace.append(TraceEvent(state.grad_evals, n, risk, at_w.grad_norm, err))
+        self.trace.append(TraceEvent(state.grad_evals, n, at_full.risk, at_w.grad_norm, err))
 
 
 def _theoretical_iterations(config: RunConfig, spec: RiskSpec, n: int) -> int:
@@ -151,7 +164,8 @@ def _run_stages(config: RunConfig, spec: RiskSpec, train: Dataset, test: Dataset
                 f"stage n={n} stopped after {result.iterations} iterations at "
                 f"||grad R_n|| = {result.exit.grad_norm:.6g}, above its threshold {threshold:.6g}")
         state = result.state
-        rec.record(state, result.exit)
+        if result.iterations == 0 or result.iterations % rec.eval_every:
+            rec.record(state, result.exit)  # no callback recorded the exit iterate
         reports.append(StageReport(
             n=n,
             iterations=result.iterations,

@@ -7,12 +7,17 @@ The risk over the first n training samples is
 where L_n is the average per-sample loss and V_n = gamma / n^alpha is the
 statistical-accuracy level of an n-sample set.  R_n is strongly convex with
 modulus c*V_n and has (M + c*V_n)-Lipschitz gradients.
+
+`Measurement` is the one risk oracle: it computes the margins x_n @ w once
+and everything else on first read, the loss values only where R_n itself is
+read.  `risk_value`, `risk_value_and_grad` and `risk_hessian` are built on it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import expit
@@ -61,32 +66,74 @@ class RiskSpec:
             raise ValueError(f"wstar_sq must be nonnegative, got {self.wstar_sq}")
 
 
-def _loss_terms(loss: str, margins: np.ndarray, y: np.ndarray):
-    """Per-sample loss values and d(loss)/d(margin) coefficients."""
+def _loss_values(loss: str, margins: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-sample loss values."""
     if loss == "logistic":
-        values = np.logaddexp(0.0, -y * margins)
-        coefs = -y * expit(-y * margins)
-    else:
-        resid = margins - y
-        values = 0.5 * resid**2
-        coefs = resid
-    return values, coefs
+        return np.logaddexp(0.0, -y * margins)
+    return 0.5 * (margins - y) ** 2
 
 
-def risk_hessian(spec: RiskSpec, w: np.ndarray, view: DatasetView):
-    """The Hessian-vector product v -> grad^2 R_n(w) v = X^T (h * Xv) / n + cV_n v.
+def _loss_coefs(loss: str, margins: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-sample d(loss)/d(margin) coefficients; the per-sample gradient is coef * x."""
+    if loss == "logistic":
+        return -y * expit(-y * margins)
+    return margins - y
+
+
+class Measurement:
+    """R_n, grad R_n and ||grad R_n|| at w on the view: the one risk oracle; uncounted.
+
+    The margins view.x @ w are computed once, or taken from the caller when
+    it already holds them, and every other quantity on its first read: the
+    gradient needs only the loss coefficients, so the loss values are
+    computed only where `risk` is read.
+    """
+
+    def __init__(self, spec: RiskSpec, w: np.ndarray, view: DatasetView,
+                 margins: np.ndarray | None = None):
+        self.spec, self.w, self.view = spec, w, view
+        if margins is not None:
+            self.margins = margins
+
+    @cached_property
+    def margins(self) -> np.ndarray:
+        return self.view.x @ self.w
+
+    @cached_property
+    def coefs(self) -> np.ndarray:
+        return _loss_coefs(self.spec.loss, self.margins, self.view.y)
+
+    @cached_property
+    def _reg(self) -> float:
+        return self.spec.c * schedule.statistical_accuracy(self.spec, self.view.count)
+
+    @cached_property
+    def grad(self) -> np.ndarray:
+        return self.view.xt @ (self.coefs / self.view.count) + self._reg * self.w
+
+    @cached_property
+    def grad_norm(self) -> float:
+        return float(np.linalg.norm(self.grad))
+
+    @cached_property
+    def risk(self) -> float:
+        values = _loss_values(self.spec.loss, self.margins, self.view.y)
+        return float(values.mean()) + 0.5 * self._reg * float(self.w @ self.w)
+
+
+def risk_hessian(at: Measurement):
+    """The Hessian-vector product v -> grad^2 R_n(w) v = X^T (h * Xv) / n + cV_n v at at.w.
 
     h is the per-sample d^2(loss)/d(margin)^2 at w: sigmoid(t)(1 - sigmoid(t))
     for logistic, written as sigmoid(t) sigmoid(-t) so it stays accurate in
-    both tails, and 1 for squared.  The margins are computed once, here.
+    both tails, and 1 for squared.  The logistic margins are the measurement's.
     """
-    if spec.loss == "logistic":
-        margins = view.x @ w
-        h = expit(margins) * expit(-margins) / view.count
+    view = at.view
+    if at.spec.loss == "logistic":
+        h = expit(at.margins) * expit(-at.margins) / view.count
     else:
         h = 1.0 / view.count
-    reg = spec.c * schedule.statistical_accuracy(spec, view.count)
-    x, xt = view.x, view.xt
+    reg, x, xt = at._reg, view.x, view.xt
     return lambda v: xt @ (h * (x @ v)) + reg * v
 
 
@@ -96,33 +143,25 @@ def empirical_loss_and_grad(loss: str, w: np.ndarray, view: DatasetView):
     if w.shape[0] != view.dim:
         raise ValueError(f"weight dim {w.shape[0]} != feature dim {view.dim}")
     margins = view.x @ w
-    values, coefs = _loss_terms(loss, margins, view.y)
-    n = view.count
-    return float(values.mean()), view.xt @ (coefs / n)
+    values = _loss_values(loss, margins, view.y)
+    return float(values.mean()), view.xt @ (_loss_coefs(loss, margins, view.y) / view.count)
 
 
 def risk_value(spec: RiskSpec, w: np.ndarray, view: DatasetView) -> float:
-    """R_n(w) without the gradient (cheap measurement path)."""
-    margins = view.x @ w
-    values, _ = _loss_terms(spec.loss, margins, view.y)
-    v_n = schedule.statistical_accuracy(spec, view.count)
-    return float(values.mean()) + 0.5 * spec.c * v_n * float(w @ w)
+    """R_n(w) without the gradient."""
+    return Measurement(spec, w, view).risk
 
 
 def risk_value_and_grad(spec: RiskSpec, w: np.ndarray, view: DatasetView):
     """(R_n(w), grad R_n(w), ||grad R_n(w)||)."""
-    l_n, g = empirical_loss_and_grad(spec.loss, w, view)
-    v_n = schedule.statistical_accuracy(spec, view.count)
-    reg = spec.c * v_n
-    r_n = l_n + 0.5 * reg * float(w @ w)
-    g = g + reg * w
-    return r_n, g, float(np.linalg.norm(g))
+    at = Measurement(spec, w, view)
+    return at.risk, at.grad, at.grad_norm
 
 
 def sample_loss_coef(loss: str, margin: float, label: float) -> float:
     """d(loss)/d(margin) for one sample; the per-sample gradient is coef * x.
 
-    The scalar twin of `_loss_terms`: the logistic coefficient is
+    The scalar twin of `_loss_coefs`: the logistic coefficient is
     -y * sigmoid(-y*t), evaluated with exp of a non-positive argument only,
     so no margin overflows.
     """

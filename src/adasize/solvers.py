@@ -3,8 +3,9 @@
 Each update returns a fresh state and adds its exact per-sample
 gradient-evaluation cost to the state counter: n for a GD or AGD step, 2n
 for an SVRG epoch (full gradient at the anchor plus n inner steps).  One
-uncounted `Measurement` per iterate serves the stop test, the step and the
-trace; the counter is the unit the complexity bounds are written in.
+uncounted `erm.Measurement` per iterate serves the stop test, the step, the
+SVRG anchor and the trace; the counter is the unit the complexity bounds
+are written in.
 
 The n inner steps of an SVRG epoch run in the C kernel, `ckernel.c`, called
 through ctypes.  The first epoch or text parse of a process compiles it with
@@ -18,14 +19,13 @@ library does not load, the epoch runs the same steps in a numpy loop instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import ckernel, erm, schedule
 from .data import DatasetView
-from .erm import RiskSpec
+from .erm import Measurement, RiskSpec
 
 METHODS = ("gd", "agd", "svrg")
 MAX_ITERATIONS = 10**6  # default step cap of one solve
@@ -71,21 +71,6 @@ def reset_aux(state: SolverState) -> SolverState:
     if state.method == "agd":
         return replace(state, agd_y=state.w.copy())
     return state
-
-
-class Measurement:
-    """(R_n, grad R_n, ||grad R_n||) at w on the view, evaluated once on first use; uncounted."""
-
-    def __init__(self, spec: RiskSpec, w: np.ndarray, view: DatasetView):
-        self.spec, self.w, self.view = spec, w, view
-
-    @cached_property
-    def _values(self) -> tuple[float, np.ndarray, float]:
-        return erm.risk_value_and_grad(self.spec, self.w, self.view)
-
-    risk = property(lambda self: self._values[0])
-    grad = property(lambda self: self._values[1])
-    grad_norm = property(lambda self: self._values[2])
 
 
 class SolveResult(NamedTuple):
@@ -185,8 +170,9 @@ def svrg_epoch(state: SolverState, spec: RiskSpec, view: DatasetView,
     both fixed for the epoch.  So the inner iterate is kept as w = s*u + r*b
     with scalars s and r: a step scales s by a, sets r to a*r + 1 and updates
     u on the sample's nonzeros only, so it costs O(nnz of the sample).  The
-    sample margins of b and the anchor coefficients are computed once per
-    epoch; s is folded into u before it can underflow (a >= 0.9).
+    anchor coefficients are at_w's, so the epoch's one product of its own
+    gives the sample margins of b; s is folded into u before it can
+    underflow (a >= 0.9).
 
     The indices are drawn before the steps run, and the steps run in the C
     kernel of `ckernel` where it loaded, else in the numpy loop
@@ -202,13 +188,12 @@ def svrg_epoch(state: SolverState, spec: RiskSpec, view: DatasetView,
     anchor, x = state.w, view.x
     a = 1.0 - eta * cv
     b = eta * (cv * anchor - at_w.grad)
-    _, coef_anchor = erm._loss_terms(spec.loss, x @ anchor, view.y)
     xb = x @ b
     picks = state.rng.integers(0, n, size=q)
     u = anchor.copy()
     kernel = ckernel.get()
     pick_loop = _pick_loop if kernel is None else kernel.pick_loop
-    s, r = pick_loop(x, picks, coef_anchor, xb, view.y, spec.loss, a, eta, u)
+    s, r = pick_loop(x, picks, at_w.coefs, xb, view.y, spec.loss, a, eta, u)
     w = s * u + r * b
     _ensure_finite(w, f"svrg epoch at n={n}")
     return replace(state, w=w, grad_evals=state.grad_evals + 2 * n)

@@ -109,7 +109,7 @@ def fd_gradient_check(spec: RiskSpec, view: DatasetView, trials: int, seed: int 
     margins = []
     for _ in range(trials):
         w = rng.uniform(-1.0, 1.0, dim)
-        _, grad, _ = erm.risk_value_and_grad(spec, w, view)
+        grad = erm.Measurement(spec, w, view).grad
         for j in rng.choice(dim, size=k, replace=False):
             wp = w.copy()
             wp[j] += h
@@ -135,12 +135,12 @@ def svrg_direction_check(spec: RiskSpec, view: DatasetView, trials: int,
     for _ in range(trials):
         w_hat = rng.uniform(-1.0, 1.0, view.dim)
         anchor = rng.uniform(-1.0, 1.0, view.dim)
-        _, full_grad, _ = erm.risk_value_and_grad(spec, anchor, view)
+        full_grad = erm.Measurement(spec, anchor, view).grad
         mean_dir = np.zeros(view.dim)
         for i in range(n):
             mean_dir += solvers.svrg_direction(spec, view, i, w_hat, anchor, full_grad)
         mean_dir /= n
-        _, grad_hat, _ = erm.risk_value_and_grad(spec, w_hat, view)
+        grad_hat = erm.Measurement(spec, w_hat, view).grad
         margins.append(SVRG_DIRECTION_ABS_TOL - float(np.max(np.abs(mean_dir - grad_hat))))
     return _report(f"svrg_direction_n{n}", trials, margins,
                    f"exact enumeration over {n} indices, abs_tol={SVRG_DIRECTION_ABS_TOL:g}")
@@ -163,8 +163,7 @@ def _probe_grid(dim: int, seed: int, count: int = PROBE_COUNT) -> np.ndarray:
 def _loss_matrix(loss: str, base: Dataset, probes: np.ndarray) -> np.ndarray:
     """Per-sample losses at every probe point, shape (n_samples, n_probes)."""
     margins = base.x @ probes
-    values, _ = erm._loss_terms(loss, margins, base.y[:, None])
-    return values
+    return erm._loss_values(loss, margins, base.y[:, None])
 
 
 def _shuffled_copy(base: Dataset, perm: np.ndarray, k: int | None = None) -> Dataset:

@@ -6,6 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy import optimize
+from scipy.sparse import linalg as sparse_linalg
+from scipy.special import expit
 
 from adasize import RiskSpec, RunConfig, effective_passes, emit_csv, reference_optimum, \
     risk_value, risk_value_and_grad, statistical_accuracy
@@ -76,6 +78,67 @@ class TestReferenceOptimum:
         monkeypatch.setattr(bench, "NEWTON_MIN_STEP", 1.0)  # unit steps only
         with pytest.raises(solvers.BudgetError, match="n=200"):
             reference_optimum(spec, view, tolerance=1e-10)
+
+
+def _old_risk_value_and_grad(spec, w, view):
+    """(R_n, grad R_n, ||grad R_n||) as erm computed them before the lazy measurement."""
+    margins = view.x @ w
+    y, n = view.y, view.count
+    if spec.loss == "logistic":
+        values, coefs = np.logaddexp(0.0, -y * margins), -y * expit(-y * margins)
+    else:
+        values, coefs = 0.5 * (margins - y) ** 2, margins - y
+    reg = spec.c * statistical_accuracy(spec, n)
+    g = view.xt @ (coefs / n) + reg * w
+    return float(values.mean()) + 0.5 * reg * float(w @ w), g, float(np.linalg.norm(g))
+
+
+def _old_reference_optimum(spec, view, tolerance):
+    """(w_star_n, risk_star, grad_norm_at_star) of the Newton loop on the old oracle.
+
+    Every line-search trial computes R_n, and each Hessian product starts
+    from a margin product of its own.
+    """
+    n, dim = view.count, view.dim
+    w = np.zeros(dim)
+    risk, grad, grad_norm = _old_risk_value_and_grad(spec, w, view)
+    for _ in range(bench.NEWTON_MAX_STEPS):
+        if grad_norm <= tolerance:
+            break
+        if spec.loss == "logistic":
+            margins = view.x @ w
+            h = expit(margins) * expit(-margins) / n
+        else:
+            h = 1.0 / n
+        reg = spec.c * statistical_accuracy(spec, n)
+        hess = sparse_linalg.LinearOperator(
+            (dim, dim), dtype=float, matvec=lambda v: view.xt @ (h * (view.x @ v)) + reg * v)
+        d = sparse_linalg.cg(hess, -grad, rtol=bench.NEWTON_CG_RTOL)[0]
+        t = 1.0
+        while t >= bench.NEWTON_MIN_STEP:
+            trial = _old_risk_value_and_grad(spec, w + t * d, view)
+            if trial[2] ** 2 <= (1.0 - 2.0 * bench.NEWTON_SIGMA * t) * grad_norm**2:
+                break
+            t /= 2.0
+        else:
+            break
+        w = w + t * d
+        risk, grad, grad_norm = trial
+    return w, risk, grad_norm
+
+
+@pytest.mark.parametrize("loss", ["logistic", "squared"])
+@pytest.mark.parametrize("data", ["dense_8192x20", "rcv1_shaped"])
+def test_reference_optimum_is_the_old_newton_loops_bits(loss, data, rcv1_tiny):
+    if data == "rcv1_shaped":
+        view = normalize(rcv1_tiny).prefix(2000)
+    else:
+        view = normalize(generate_synthetic(8192, 20, 1.0, seed=6)[0]).full_view()
+    spec = RiskSpec(loss=loss, c=1.0, alpha=0.5, gamma=0.5, M=1.0)
+    w, risk, grad_norm = _old_reference_optimum(spec, view, 1e-10)
+    ref = reference_optimum(spec, view, tolerance=1e-10)
+    np.testing.assert_array_equal(ref.w_star_n, w)
+    assert (ref.risk_star, ref.grad_norm_at_star) == (risk, grad_norm)
 
 
 def _cross_check_problems():

@@ -1,6 +1,4 @@
-import importlib.util
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,26 +7,6 @@ from scipy import sparse
 from adasize import ckernel, data, generate_synthetic, normalize, parse_sparse_text, shuffle_and_split
 from adasize.data import Dataset, EmptyDatasetError, SparseTextError
 from adasize.erm import smoothness_constant
-
-RCV1_LIKE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "rcv1_like.py"
-
-
-@pytest.fixture(scope="module")
-def rcv1_like():
-    """perfbench/rcv1_like.py, loaded by path."""
-    spec = importlib.util.spec_from_file_location("perfbench_rcv1_like", RCV1_LIKE_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-@pytest.fixture(scope="module")
-def rcv1_tiny(rcv1_like):
-    """The RCV1-shaped set at 2000 x 3000 (plus 200 held-out rows), seed 3."""
-    indptr, cols, vals, labels = rcv1_like.generate(3, rcv1_like.TINY)
-    x = sparse.csr_matrix((vals, cols, indptr), shape=(indptr.size - 1, rcv1_like.TINY.dim))
-    return Dataset(x, labels.astype(np.float64), name="rcv1-tiny")
-
 
 class TestParser:
     def test_single_line(self):

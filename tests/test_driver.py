@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from adasize import RiskSpec, RunConfig, adaptive_run, fixed_run, generate_synthetic, \
     normalize, reference_optimum, risk_value, risk_value_and_grad, statistical_accuracy, \
     stop_threshold
 from adasize import driver as driver_mod
-from adasize import solvers
+from adasize import erm, schedule, solvers
+from adasize.data import Dataset
+from adasize.driver import Trace, TraceEvent
+from adasize.erm import Measurement
 from adasize.schedule import iterations_svrg
 
 
@@ -145,6 +149,109 @@ def test_eval_every_stride(train_2k, spec):
     # one event per stride plus the stage-boundary event (deduplicated)
     expected = iters // 5 + (0 if iters % 5 == 0 else 1)
     assert len(trace.events) == expected
+
+
+def _old_full_risk(spec, w, view):
+    """R_N as the recorder computed it before tail margins: one product over all N rows."""
+    margins = view.x @ w
+    y = view.y
+    if spec.loss == "logistic":
+        values = np.logaddexp(0.0, -y * margins)
+    else:
+        values = 0.5 * (margins - y) ** 2
+    v_n = statistical_accuracy(spec, view.count)
+    return float(values.mean()) + 0.5 * spec.c * v_n * float(w @ w)
+
+
+def _old_run_stages(config, spec, train, test, sizes, max_iterations):
+    """The trace of the stage loop and recorder before each iterate was evaluated once.
+
+    Every stage records its exit, even where the last callback recorded that
+    same iterate (the trace keeps one event per counter), and R_N is one
+    product over all N rows.
+    """
+    full, trace = train.prefix(config.N), Trace(config.N)
+
+    def record(st, at_w):
+        err = None if test is None else erm.test_error(spec.loss, st.w, test)
+        trace.append(TraceEvent(st.grad_evals, at_w.view.count, _old_full_risk(spec, st.w, full),
+                                at_w.grad_norm, err))
+
+    def cb(st, it, at_w):
+        if it % config.eval_every == 0:
+            record(st, at_w)
+
+    state = solvers.init_state(config.method, train.dim, config.seed)
+    for k, n in enumerate(sizes):
+        state = solvers.reset_aux(state)
+        counted = k > 0 and config.budget_mode == "theory"
+        result = solvers.solve(
+            state, spec, train.prefix(n),
+            threshold=None if counted else stop_threshold(spec, n),
+            iterations=driver_mod._theoretical_iterations(config, spec, n) if counted else None,
+            max_iterations=max_iterations, callback=cb)
+        state = result.state
+        record(state, result.exit)
+    return trace
+
+
+@pytest.mark.parametrize("method", ["gd", "agd", "svrg"])
+@pytest.mark.parametrize("case", ["adaptive", "adaptive_loose", "fixed"])
+@pytest.mark.parametrize("eval_every", [1, 3])
+def test_each_recorded_iterate_is_evaluated_once(split_data, method, case, eval_every,
+                                                 monkeypatch):
+    train, test = split_data
+    # gamma = 50 makes the first adaptive stage exit without a step
+    spec = RiskSpec(loss="logistic", gamma=50.0 if case == "adaptive_loose" else 1.0)
+    adaptive = case != "fixed"
+    cfg = RunConfig(method=method, adaptive=adaptive, m0=64, N=512, seed=4,
+                    eval_every=eval_every, pass_cap=8)
+    if adaptive:
+        old = _old_run_stages(cfg, spec, train, test, schedule.stage_sizes(64, 512),
+                              solvers.MAX_ITERATIONS)
+    else:
+        old = _old_run_stages(cfg, spec, train, test, [512], 8 if method != "svrg" else 4)
+    calls = []
+    real = erm.test_error
+    monkeypatch.setattr(erm, "test_error", lambda *a: calls.append(a) or real(*a))
+    if adaptive:
+        _, trace, reports = adaptive_run(cfg, spec, train, test)
+        iterations = [rep.iterations for rep in reports]
+    else:
+        _, trace = fixed_run(cfg, spec, train, test)
+        iterations = [trace.events[-1].grad_evals // (1024 if method == "svrg" else 512)]
+    if case == "adaptive_loose":
+        assert iterations[0] == 0
+    # one evaluation per callback at the stride, and one for an exit no callback recorded
+    assert len(calls) == sum(k // eval_every + (k == 0 or k % eval_every > 0)
+                             for k in iterations)
+    assert trace.events == old.events
+
+
+@pytest.mark.parametrize("loss", ["logistic", "squared"])
+@pytest.mark.parametrize("data", ["empty_rows", "rcv1_shaped"])
+def test_recorder_tail_margins_give_the_full_risk_bits(loss, data, rcv1_tiny, rng):
+    spec = RiskSpec(loss=loss, c=0.7, alpha=0.75, gamma=1.3, M=1.0)
+    if data == "empty_rows":
+        # rows 95-99 and 200 are empty: stages 100 and 201 begin just after empty
+        # rows, stage 200 at one
+        x = rng.normal(size=(257, 8)) * (rng.random((257, 8)) < 0.6)
+        x[95:100] = 0.0
+        x[200] = 0.0
+        train = Dataset(sparse.csr_matrix(x), np.where(rng.random(257) < 0.5, 1.0, -1.0))
+        N, extra = 257, [100, 200, 201]
+    else:
+        train, N, extra = normalize(rcv1_tiny), 2000, []
+    cfg = RunConfig(method="gd", m0=32, N=N)
+    rec = driver_mod._Recorder(cfg, spec, train, None)
+    full = train.prefix(N)
+    for n in schedule.stage_sizes(32, N) + extra + [N - 1]:
+        for scale in (0.1, 5.0, 40.0):  # 40 puts logistic margins in both tails
+            w = rng.normal(0.0, scale, train.dim)
+            rec.record(solvers.SolverState("gd", w), Measurement(spec, w, train.prefix(n)))
+            risk = rec.trace.events[-1].risk_value
+            assert risk == _old_full_risk(spec, w, full)
+            assert risk == risk_value(spec, w, full)
 
 
 class TestFixedRun:

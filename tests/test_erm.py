@@ -9,7 +9,8 @@ from adasize import Dataset, RiskSpec, empirical_loss_and_grad, risk_value, \
     risk_value_and_grad, smoothness_constant
 from adasize.erm import test_error as classification_error
 from adasize.data import generate_synthetic, normalize, parse_sparse_text
-from adasize.erm import EmptyViewError, _loss_terms, risk_hessian, sample_loss_coef
+from adasize.erm import EmptyViewError, Measurement, _loss_coefs, _loss_values, risk_hessian, \
+    sample_loss_coef
 from adasize.schedule import statistical_accuracy
 from adasize.verify import _risk_value_scalar
 
@@ -59,7 +60,7 @@ def test_squared_exact_fit_is_zero():
 def test_sample_loss_coef_matches_vectorized(loss):
     margins = np.array([0.0, 1.0, -1.0, 50.0, -50.0, 800.0, -800.0])
     for label in (1.0, -1.0):
-        _, coefs = _loss_terms(loss, margins, np.full(margins.size, label))
+        coefs = _loss_coefs(loss, margins, np.full(margins.size, label))
         for t, expected in zip(margins.tolist(), coefs.tolist()):
             assert sample_loss_coef(loss, t, label) == pytest.approx(expected, rel=1e-15, abs=0)
 
@@ -153,7 +154,8 @@ def test_hessian_vector_matches_finite_differences(loss, small_train, rng):
         v = rng.standard_normal(small_train.dim)
         fd = (risk_value_and_grad(spec, w + h * v, view)[1]
               - risk_value_and_grad(spec, w - h * v, view)[1]) / (2 * h)
-        np.testing.assert_allclose(risk_hessian(spec, w, view)(v), fd, rtol=1e-6, atol=1e-9)
+        np.testing.assert_allclose(risk_hessian(Measurement(spec, w, view))(v), fd,
+                                   rtol=1e-6, atol=1e-9)
 
 
 @pytest.mark.parametrize("loss", ["logistic", "squared"])
@@ -167,13 +169,13 @@ def test_transpose_products_are_the_rmatmul_bits(loss, shape, rng):
     spec = RiskSpec(loss=loss, c=0.7, alpha=0.75, gamma=1.3, M=1.0)
     w, v = rng.normal(size=ds.dim), rng.normal(size=ds.dim)
     margins = view.x @ w
-    _, coefs = _loss_terms(loss, margins, view.y)
+    coefs = _loss_coefs(loss, margins, view.y)
     old_grad = np.asarray((coefs / view.count) @ view.x).ravel()
     np.testing.assert_array_equal(empirical_loss_and_grad(loss, w, view)[1], old_grad)
     h = expit(margins) * expit(-margins) / view.count if loss == "logistic" else 1.0 / view.count
     reg = spec.c * statistical_accuracy(spec, view.count)
     old_hv = np.asarray((h * (view.x @ v)) @ view.x).ravel() + reg * v
-    np.testing.assert_array_equal(risk_hessian(spec, w, view)(v), old_hv)
+    np.testing.assert_array_equal(risk_hessian(Measurement(spec, w, view))(v), old_hv)
     assert view.xt is view.xt
 
 
@@ -185,6 +187,65 @@ def test_risk_at_origin_equals_loss(spec, small_train):
     assert r == value
     np.testing.assert_array_equal(g, grad)
     assert gnorm == pytest.approx(float(np.linalg.norm(grad)))
+
+
+def _old_loss_terms(loss, margins, y):
+    """Per-sample loss values and coefficients, as erm computed them in one function."""
+    if loss == "logistic":
+        return np.logaddexp(0.0, -y * margins), -y * expit(-y * margins)
+    resid = margins - y
+    return 0.5 * resid**2, resid
+
+
+def _old_risk_value_and_grad(spec, w, view):
+    """(R_n, grad R_n, ||grad R_n||) as erm computed them before the lazy measurement.
+
+    One margin product gives both the loss values and the coefficients.
+    """
+    n = view.count
+    values, coefs = _old_loss_terms(spec.loss, view.x @ w, view.y)
+    l_n, g = float(values.mean()), view.xt @ (coefs / n)
+    reg = spec.c * statistical_accuracy(spec, n)
+    r_n = l_n + 0.5 * reg * float(w @ w)
+    # the old risk_value wrote the ridge term as 0.5 * c * V_n: the same number
+    assert r_n == l_n + 0.5 * spec.c * statistical_accuracy(spec, n) * float(w @ w)
+    g = g + reg * w
+    return r_n, g, float(np.linalg.norm(g))
+
+
+@pytest.mark.parametrize("loss", ["logistic", "squared"])
+def test_loss_helpers_split_the_old_loss_terms(loss, rng):
+    margins = np.concatenate(([0.0, 50.0, -50.0, 800.0, -800.0], rng.normal(0.0, 5.0, 200)))
+    y = np.where(rng.random(margins.size) < 0.5, 1.0, -1.0)
+    values, coefs = _old_loss_terms(loss, margins, y)
+    np.testing.assert_array_equal(_loss_values(loss, margins, y), values)
+    np.testing.assert_array_equal(_loss_coefs(loss, margins, y), coefs)
+
+
+@pytest.mark.parametrize("loss", ["logistic", "squared"])
+@pytest.mark.parametrize("order", ["risk_first", "risk_last", "risk_never"])
+def test_measurement_is_the_old_oracles_bits(loss, order, small_train, rcv1_tiny, rng):
+    spec = RiskSpec(loss=loss, c=0.7, alpha=0.75, gamma=1.3, M=1.0)
+    rcv1 = normalize(rcv1_tiny)
+    views = [small_train.prefix(1), small_train.prefix(97), small_train.full_view(),
+             rcv1.prefix(1999), rcv1.full_view()]
+    for view in views:
+        for scale in (0.1, 3.0, 40.0):  # 40 puts logistic margins in both tails
+            w = rng.normal(0.0, scale, view.dim)
+            r, g, gnorm = _old_risk_value_and_grad(spec, w, view)
+            at = Measurement(spec, w, view)
+            if order == "risk_first":
+                assert at.risk == r
+            np.testing.assert_array_equal(at.grad, g)
+            assert at.grad_norm == gnorm
+            if order == "risk_last":
+                assert at.risk == r
+            if order == "risk_never":
+                assert "risk" not in vars(at)  # no loss values were computed
+            assert risk_value(spec, w, view) == r
+            r2, g2, gnorm2 = risk_value_and_grad(spec, w, view)
+            assert (r2, gnorm2) == (r, gnorm)
+            np.testing.assert_array_equal(g2, g)
 
 
 @pytest.mark.parametrize("loss", ["logistic", "squared"])

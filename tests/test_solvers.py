@@ -16,6 +16,19 @@ from adasize.solvers import BudgetError, DivergenceError, Measurement, agd_step,
     svrg_epoch
 
 
+class _ProductLog(sparse.csr_matrix):
+    """A view's rows that log every vector they are multiplied with."""
+
+    def __init__(self, x, operands):
+        super().__init__(x)
+        self.operands = operands
+
+    def __matmul__(self, other):
+        if np.ndim(other) == 1:
+            self.operands.append(other)
+        return super().__matmul__(other)
+
+
 def _reference_epoch(state, spec, view):
     """The dense SVRG epoch: n steps along svrg_direction from the entry iterate."""
     n = view.count
@@ -381,25 +394,31 @@ class TestSolve:
 
     @pytest.mark.parametrize("method", ["gd", "agd", "svrg"])
     @pytest.mark.parametrize("mode", ["until_threshold", "fixed_iterations"])
-    def test_one_measurement_per_iterate(self, method, mode, spec, small_train, monkeypatch):
-        # the stop test, the GD step and the SVRG anchor share the measurement at w;
-        # AGD steps from y, so a fixed-count AGD solve reads w's only at the exit
+    def test_one_measurement_per_iterate(self, method, mode, spec, small_train):
+        # the stop test, the GD step and the SVRG anchor share the margins x @ w of
+        # the measurement at w; AGD steps from y, so a fixed-count AGD solve reads
+        # w's only at the exit
         view = small_train.prefix(64)
-        calls = []
-        real = erm.risk_value_and_grad
-
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(erm, "risk_value_and_grad", counting)
+        operands = []
+        view._x = _ProductLog(view.x, operands)
+        state = init_state(method, small_train.dim, seed=5)
+        points = [state.w, state.agd_y]  # every iterate and lookahead, by identity
         rule = {"threshold": 1e-3} if mode == "until_threshold" else {"iterations": 3}
-        result = solve(init_state(method, small_train.dim, seed=5), spec, view, **rule)
+        result = solve(state, spec, view, **rule,
+                       callback=lambda st, it, at_w: points.extend((st.w, st.agd_y)))
         result.exit.grad_norm  # every caller reads the exit measurement
         k = result.iterations
         assert k >= 1
         expected = 2 * k + 1 if (method, mode) == ("agd", "until_threshold") else k + 1
-        assert len(calls) == expected
+        margin_products = [v for v in operands if any(v is p for p in points)]
+        assert len(margin_products) == expected
+        # besides them, only each SVRG epoch's product with its shift b
+        assert len(operands) == expected + (k if method == "svrg" else 0)
+        if method != "agd":
+            # one product per iterate, by value: an SVRG epoch makes no product
+            # of its own for its anchor
+            for w in points[::2]:
+                assert sum(np.array_equal(v, w) for v in operands) == 1
 
     def test_agd_callback_measures_w_not_y(self, spec, small_train):
         view = small_train.prefix(64)
