@@ -19,7 +19,6 @@ from scipy.sparse import linalg as sparse_linalg
 
 from . import driver, erm, schedule, solvers
 from .data import Dataset, DatasetView
-from .driver import Trace, TraceEvent  # noqa: F401  (both stay importable from bench)
 from .erm import RiskSpec
 
 TRACE_CSV_HEADER = "effective_passes,grad_evals,stage_n,suboptimality,grad_norm,test_error"
@@ -91,12 +90,13 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def emit_csv(trace: Trace, ref: ReferenceOptimum, sink) -> None:
-    """Write the trace as CSV; suboptimality is measured against ref and clamped at 0."""
+def trace_csv_text(trace: driver.Trace, ref: ReferenceOptimum) -> str:
+    """The trace as CSV; suboptimality is measured against ref and clamped at 0."""
     N = trace.N
     if ref.n != N:
         raise ValueError(f"reference optimum is for n={ref.n}, trace final stage is N={N}")
-    sink.write(TRACE_CSV_HEADER + "\n")
+    out = io.StringIO()
+    out.write(TRACE_CSV_HEADER + "\n")
     for ev in trace.events:
         sub = max(0.0, ev.risk_value - ref.risk_star)
         cells = [
@@ -107,12 +107,7 @@ def emit_csv(trace: Trace, ref: ReferenceOptimum, sink) -> None:
             _fmt(ev.grad_norm),
             "" if ev.test_error is None else _fmt(ev.test_error),
         ]
-        sink.write(",".join(cells) + "\n")
-
-
-def trace_csv_text(trace: Trace, ref: ReferenceOptimum) -> str:
-    out = io.StringIO()
-    emit_csv(trace, ref, out)
+        out.write(",".join(cells) + "\n")
     return out.getvalue()
 
 
@@ -128,7 +123,7 @@ class CompareRow:
     exhausted: bool = False  # an adaptive stage reached solvers.MAX_ITERATIONS above its threshold
 
 
-def _scan_trace(trace: Trace, ref: ReferenceOptimum, target: float, N: int):
+def _scan_trace(trace: driver.Trace, ref: ReferenceOptimum, target: float, N: int):
     passes_to_target = None
     best_err = None
     passes_at_best = None

@@ -118,12 +118,18 @@ class Kernel:
         returned as read, for the caller to check or map.  text must be a
         `bytes` object: CPython keeps a NUL after its data, where the C
         strtod of the last number stops.
+
+        The arrays are sized from len(text) alone, with no counting pass: a
+        row takes at least 2 bytes ("1\n") and a nonzero at least 4 (" 1:1"),
+        so about 9 times the text's bytes of address space is reserved.  Only
+        the pages the parser writes become resident, and the used prefix of
+        each array is copied out before the rest is freed.  More nonzeros
+        than an int32 indptr holds fail the C parser's capacity check, which
+        sends the text to the line parser.
         """
         if not isinstance(text, bytes):
             raise TypeError(f"text must be bytes, not {type(text).__name__}")
-        max_rows, max_nnz = text.count(b"\n") + 1, text.count(b":")
-        if max_nnz >= _INT32_LIMIT:
-            return None  # more nonzeros than an int32 indptr holds
+        max_rows, max_nnz = len(text) // 2 + 1, min(len(text) // 4, _INT32_LIMIT - 1)
         labels, indptr = np.empty(max_rows), np.empty(max_rows + 1, dtype=np.int32)
         indices, values = np.empty(max_nnz, dtype=np.int32), np.empty(max_nnz)
         out = np.zeros(3, dtype=np.int64)
@@ -131,7 +137,8 @@ class Kernel:
                                        indices, values, max_nnz, out) != 0:
             return None
         rows, nnz, max_idx = out.tolist()
-        return labels[:rows], indptr[:rows + 1], indices[:nnz], values[:nnz], max_idx
+        return (labels[:rows].copy(), indptr[:rows + 1].copy(), indices[:nnz].copy(),
+                values[:nnz].copy(), max_idx)
 
 
 def default_compiler() -> str:

@@ -12,8 +12,12 @@ in well-formed fields.  There a number whose digits make at most 2^53, with
 a decimal exponent of at most 22 either way (the 6-10 digit values of
 LIBSVM and RCV1-style files), is converted exactly by one multiply or
 divide; longer numbers, such as the 17-digit values `to_sparse_text`
-writes, go through strtod.  Both give float()'s bits.  Everything else, and
-all text where the library did not load, goes through the line parser
+writes, go through strtod.  Both give float()'s bits.  The C parser makes
+no counting pass: its arrays are sized from the text's length (a row takes
+at least 2 bytes, a nonzero at least 4), which reserves about 9 times the
+text's bytes of address space.  Only the pages it writes become resident,
+and the used prefix of each array is copied out.  Everything else, and all
+text where the library did not load, goes through the line parser
 `_parse_lines`, which gives the same arrays and is the only path that
 reports errors.
 """
@@ -131,7 +135,8 @@ class Dataset:
 def row_block(x: sparse.csr_matrix, lo: int, hi: int) -> sparse.csr_matrix:
     """Rows lo..hi-1 of x as a CSR matrix over x's own data and indices.
 
-    Only indptr is copied, and only for lo > 0, to shift it to start at 0.
+    indptr is copied for lo > 0, to shift it to start at 0.  scipy copies
+    data and indices too when the block holds under half of x's entries.
     Its product with a vector gives the bits of those rows of `x @ w`: a
     CSR product sums each row on its own, left to right.
     """
@@ -358,28 +363,32 @@ def row_sq_norms(x: sparse.csr_matrix) -> np.ndarray:
 
 
 def normalize(d: Dataset) -> Dataset:
-    """Scale each sample to unit Euclidean norm; zero rows pass through unchanged."""
+    """Scale each sample to unit Euclidean norm; zero rows pass through unchanged.
+
+    Only the values are new arrays; the result shares d's indices and indptr.
+    """
     if d.n_samples == 0:
         raise EmptyDatasetError("cannot normalize an empty dataset")
-    norms = np.sqrt(row_sq_norms(d.x))
+    x = d.x
+    norms = np.sqrt(row_sq_norms(x))
     scale = np.where(norms > 0.0, norms, 1.0)
-    x = d.x.copy()
-    per_entry = np.repeat(scale, np.diff(x.indptr))
-    x.data = x.data / per_entry
-    return Dataset(x, d.y, name=d.name)
+    values = x.data / np.repeat(scale, np.diff(x.indptr))
+    return Dataset(sparse.csr_matrix((values, x.indices, x.indptr), shape=x.shape, copy=False),
+                   d.y, name=d.name)
 
 
 def shuffle_and_split(d: Dataset, train_count: int, seed: int = 0) -> tuple[Dataset, Dataset]:
     """Apply one seeded uniform permutation, then split into (train, test).
 
     Prefixes of the returned training set are exchangeable i.i.d. subsets,
-    which is what the nested-subset growth scheme needs.
+    which is what the nested-subset growth scheme needs.  Train and test are
+    `row_block`s of the one permuted matrix.
     """
     if not 1 <= train_count <= d.n_samples:
         raise ValueError(f"train_count {train_count} out of range [1, {d.n_samples}]")
     perm = np.random.default_rng(seed).permutation(d.n_samples)
     x = d.x[perm]
     y = d.y[perm]
-    train = Dataset(x[:train_count], y[:train_count], name=f"{d.name}-train")
-    test = Dataset(x[train_count:], y[train_count:], name=f"{d.name}-test")
+    train = Dataset(row_block(x, 0, train_count), y[:train_count], name=f"{d.name}-train")
+    test = Dataset(row_block(x, train_count, d.n_samples), y[train_count:], name=f"{d.name}-test")
     return train, test

@@ -137,16 +137,6 @@ def risk_hessian(at: Measurement):
     return lambda v: xt @ (h * (x @ v)) + reg * v
 
 
-def empirical_loss_and_grad(loss: str, w: np.ndarray, view: DatasetView):
-    """Average loss over the view and its exact gradient."""
-    _check_loss(loss)
-    if w.shape[0] != view.dim:
-        raise ValueError(f"weight dim {w.shape[0]} != feature dim {view.dim}")
-    margins = view.x @ w
-    values = _loss_values(loss, margins, view.y)
-    return float(values.mean()), view.xt @ (_loss_coefs(loss, margins, view.y) / view.count)
-
-
 def risk_value(spec: RiskSpec, w: np.ndarray, view: DatasetView) -> float:
     """R_n(w) without the gradient."""
     return Measurement(spec, w, view).risk

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import ckernel, erm, schedule
 from .data import DatasetView
-from .erm import Measurement, RiskSpec
+from .erm import RiskSpec
 
 METHODS = ("gd", "agd", "svrg")
 MAX_ITERATIONS = 10**6  # default step cap of one solve
@@ -76,7 +76,7 @@ def reset_aux(state: SolverState) -> SolverState:
 class SolveResult(NamedTuple):
     state: SolverState
     iterations: int
-    exit: Measurement  # at state.w
+    exit: erm.Measurement  # at state.w
     budget_exhausted: bool  # the threshold rule still failed at max_iterations
 
 
@@ -86,7 +86,7 @@ def _ensure_finite(w: np.ndarray, context: str) -> None:
 
 
 def gd_step(state: SolverState, spec: RiskSpec, view: DatasetView,
-            at_w: Measurement) -> SolverState:
+            at_w: erm.Measurement) -> SolverState:
     """w <- w - eta * grad R_n(w) with eta = 1/(M + cV_n); at_w is the measurement at w."""
     if state.method != "gd":
         raise ValueError(f"gd_step on {state.method!r} state")
@@ -97,7 +97,7 @@ def gd_step(state: SolverState, spec: RiskSpec, view: DatasetView,
 
 
 def agd_step(state: SolverState, spec: RiskSpec, view: DatasetView,
-             at_w: Measurement | None = None) -> SolverState:
+             at_w: erm.Measurement | None = None) -> SolverState:
     """Advance both accelerated sequences one step.
 
     w_{k+1} = y_k - eta * grad R_n(y_k);  y_{k+1} = w_{k+1} + beta (w_{k+1} - w_k).
@@ -106,7 +106,7 @@ def agd_step(state: SolverState, spec: RiskSpec, view: DatasetView,
     if state.method != "agd" or state.agd_y is None:
         raise ValueError("agd_step needs an agd state with the momentum sequence set")
     eta, beta = schedule.agd_params(spec, view.count)
-    w_new = state.agd_y - eta * Measurement(spec, state.agd_y, view).grad
+    w_new = state.agd_y - eta * erm.Measurement(spec, state.agd_y, view).grad
     y_new = w_new + beta * (w_new - state.w)
     _ensure_finite(w_new, f"agd step at n={view.count}")
     return replace(state, w=w_new, agd_y=y_new, grad_evals=state.grad_evals + view.count)
@@ -157,7 +157,7 @@ def _pick_loop(x, picks: np.ndarray, coef_anchor: np.ndarray, xb: np.ndarray, y:
 
 
 def svrg_epoch(state: SolverState, spec: RiskSpec, view: DatasetView,
-               at_w: Measurement) -> SolverState:
+               at_w: erm.Measurement) -> SolverState:
     """One outer loop: full gradient at the anchor, then n variance-reduced inner steps.
 
     The anchor is the entry iterate w (at_w holds its full gradient mu): the
@@ -209,7 +209,7 @@ _STEPPERS: dict[str, Callable[..., SolverState]] = {
 def solve(state: SolverState, spec: RiskSpec, view: DatasetView, *,
           threshold: float | None = None, iterations: int | None = None,
           max_iterations: int = MAX_ITERATIONS,
-          callback: Callable[[SolverState, int, Measurement], None] | None = None
+          callback: Callable[[SolverState, int, erm.Measurement], None] | None = None
           ) -> SolveResult:
     """Run the state's method on the view until its stop rule holds.
 
@@ -229,13 +229,13 @@ def solve(state: SolverState, spec: RiskSpec, view: DatasetView, *,
     if iterations is not None and not 0 <= iterations <= max_iterations:
         raise BudgetError(f"iterations must lie in [0, {max_iterations}], got {iterations}")
     k = 0
-    at_w = Measurement(spec, state.w, view)
+    at_w = erm.Measurement(spec, state.w, view)
     while not (k == iterations if threshold is None else at_w.grad_norm <= threshold):
         if k >= max_iterations:  # the threshold rule only: a count is checked above
             return SolveResult(state, k, at_w, True)
         state = _STEPPERS[state.method](state, spec, view, at_w)
         k += 1
-        at_w = Measurement(spec, state.w, view)
+        at_w = erm.Measurement(spec, state.w, view)
         if callback is not None:
             callback(state, k, at_w)
     return SolveResult(state, k, at_w, False)

@@ -9,11 +9,12 @@ from scipy import optimize
 from scipy.sparse import linalg as sparse_linalg
 from scipy.special import expit
 
-from adasize import RiskSpec, RunConfig, effective_passes, emit_csv, reference_optimum, \
-    risk_value, risk_value_and_grad, statistical_accuracy
+from adasize import RiskSpec, RunConfig, effective_passes, reference_optimum, risk_value, \
+    risk_value_and_grad, statistical_accuracy
 from adasize import bench, solvers
-from adasize.bench import CompareRow, Trace, TraceEvent, compare_matrix, format_summary_table, \
+from adasize.bench import CompareRow, compare_matrix, format_summary_table, trace_csv_text, \
     write_summary_csv
+from adasize.driver import Trace, TraceEvent
 from adasize.data import generate_synthetic, normalize
 from adasize.erm import smoothness_constant
 
@@ -202,32 +203,24 @@ class TestCsv:
         trace = Trace(N=4)
         trace.append(TraceEvent(2, 2, 0.75, 0.1, None))
         trace.append(TraceEvent(4, 4, 0.6, 0.05, 0.25))
-        out = io.StringIO()
-        emit_csv(trace, _tiny_ref(), out)
-        lines = out.getvalue().splitlines()
+        lines = trace_csv_text(trace, _tiny_ref()).splitlines()
         assert lines[0] == "effective_passes,grad_evals,stage_n,suboptimality,grad_norm,test_error"
         assert lines[1].endswith(",")  # empty test_error cell
         assert lines[2].split(",")[0] == "1"  # one full pass
 
     def test_empty_trace_header_only(self):
-        out = io.StringIO()
-        emit_csv(Trace(N=4), _tiny_ref(), out)
-        assert out.getvalue().count("\n") == 1
+        assert trace_csv_text(Trace(N=4), _tiny_ref()).count("\n") == 1
 
     def test_suboptimality_clamped(self):
         trace = Trace(N=4)
         trace.append(TraceEvent(1, 4, 0.5 - 1e-13, 0.1, None))
-        out = io.StringIO()
-        emit_csv(trace, _tiny_ref(), out)
-        assert float(out.getvalue().splitlines()[1].split(",")[3]) == 0.0
+        assert float(trace_csv_text(trace, _tiny_ref()).splitlines()[1].split(",")[3]) == 0.0
 
     def test_round_trip(self):
         trace = Trace(N=4)
         trace.append(TraceEvent(2, 2, 0.75, 0.1, None))
         trace.append(TraceEvent(4, 4, 0.6, 1.0 / 3.0, 0.125))
-        out = io.StringIO()
-        emit_csv(trace, _tiny_ref(), out)
-        rows = list(csv.DictReader(io.StringIO(out.getvalue())))
+        rows = list(csv.DictReader(io.StringIO(trace_csv_text(trace, _tiny_ref()))))
         assert rows[0]["test_error"] == ""
         assert float(rows[1]["grad_norm"]) == 1.0 / 3.0
         assert float(rows[1]["suboptimality"]) == 0.6 - 0.5
@@ -237,7 +230,7 @@ class TestCsv:
     def test_stage_mismatch_rejected(self):
         trace = Trace(N=8)
         with pytest.raises(ValueError):
-            emit_csv(trace, _tiny_ref(n=4), io.StringIO())
+            trace_csv_text(trace, _tiny_ref(n=4))
 
     def test_trace_append_rules(self):
         trace = Trace(N=1)

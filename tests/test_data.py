@@ -345,6 +345,40 @@ class TestBulkParser:
             for text in ("+1 1:1e\n", "+1 1:1-2\n", "+1 1:.\n", "  \n"):
                 assert isinstance(_outcome(text), tuple)
 
+    # the arrays are sized from len(text): len // 2 + 1 rows, len // 4 nonzeros
+    @pytest.mark.parametrize("text", [
+        b"1\n" * 7, b"1\n" * 6 + b"1", b"1", b"1\n",
+        b"1 1:1 2:1 3:1 4:1 5:1 6:1 7:1 8:1 9:1", b"1 1:1 2:1 3:1 4:1 5:1 6:1 7:1 8:1 9:1\n",
+        b"-1 1:1\n1 2:1", b"",
+    ], ids=["rows", "rows_at_bound", "one_byte", "one_row", "nonzeros_at_bound", "nonzeros",
+            "two_rows", "empty"])
+    def test_text_at_the_size_bounds(self, monkeypatch, text):
+        parts = ckernel.get().parse_sparse_text(text)
+        assert parts is not None
+        labels, indptr, indices, values, _ = parts
+        assert labels.size <= len(text) // 2 + 1 and values.size <= len(text) // 4
+        if text in (b"1\n" * 6 + b"1", b"1 1:1 2:1 3:1 4:1 5:1 6:1 7:1 8:1 9:1"):
+            assert labels.size == len(text) // 2 + 1 or values.size == len(text) // 4
+        # the used prefixes are copied out, not views of the reserved arrays
+        assert all(a.base is None for a in (labels, indptr, indices, values))
+        assert indptr.size == labels.size + 1 and indices.size == values.size
+        assert _outcome(text) == _line_outcome(text, monkeypatch)
+
+    def test_more_nonzeros_than_int32_falls_back(self, monkeypatch):
+        text = b"1 1:1 2:1 3:1\n-1 4:2 5:0\n\n1 6:-1.5\n"  # 5 nonzeros
+        fast = parse_sparse_text(text)
+        used = []
+        monkeypatch.setattr(data, "_parse_lines",
+                            lambda text, lmap, parse=data._parse_lines: used.append(1) or
+                            parse(text, lmap))
+        monkeypatch.setattr(ckernel, "_INT32_LIMIT", 6)  # room for exactly 5
+        assert ckernel.get().parse_sparse_text(text) is not None
+        assert _Same(parse_sparse_text(text)) == _Same(fast) and not used
+        monkeypatch.setattr(ckernel, "_INT32_LIMIT", 5)
+        assert ckernel.get().parse_sparse_text(text) is None
+        assert _Same(parse_sparse_text(text)) == _Same(fast) and used == [1]
+        assert _outcome(text) == _line_outcome(text, monkeypatch)
+
 
 def _old_to_sparse_text(d: Dataset) -> str:
     """The per-row formatter the batched one replaced."""
@@ -434,6 +468,20 @@ class TestNormalize:
         ds, _ = generate_synthetic(300, 8, 0.7, seed=5)
         assert np.sqrt(data.row_sq_norms(normalize(ds).x)).max() <= 1 + 1e-12
 
+    def test_input_unchanged_and_result_read_only(self):
+        ds = parse_sparse_text("+1 1:3 2:4\n-1\n+1 3:-2 5:1e-200\n-1 1:0.5\n", dim=6)
+        arrays = (ds.x.data, ds.x.indices, ds.x.indptr, ds.y)
+        before = [a.copy() for a in arrays]
+        nd = normalize(ds)
+        for a, b in zip(arrays, before):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        for a in (nd.x.data, nd.x.indices, nd.x.indptr, nd.y):
+            assert not a.flags.writeable
+        # only the values are new: the structure is the input's own arrays
+        assert np.shares_memory(nd.x.indices, ds.x.indices)
+        assert np.shares_memory(nd.x.indptr, ds.x.indptr)
+        assert not np.shares_memory(nd.x.data, ds.x.data)
+
 
 def _old_row_sq_norms(x):
     return np.asarray(x.multiply(x).sum(axis=1)).ravel()
@@ -496,6 +544,13 @@ class TestRowSqNorms:
             np.float64(old).view(np.uint64)
 
 
+def _owner(a: np.ndarray) -> np.ndarray:
+    """The array that owns a view's memory."""
+    while a.base is not None:
+        a = a.base
+    return a
+
+
 class TestSplitAndPrefix:
     def test_full_train_leaves_empty_test(self):
         ds, _ = generate_synthetic(10, 3, 1.0, seed=1)
@@ -512,6 +567,30 @@ class TestSplitAndPrefix:
         ds, _ = generate_synthetic(11774, 3, 1.0, seed=1)
         train, test = shuffle_and_split(ds, 6000, seed=0)
         assert train.n_samples == 6000 and test.n_samples == 5774
+
+    @pytest.mark.parametrize("n_train", [1, 23, 40, 60], ids=["N=1", "N=23", "N=40", "N=n"])
+    @pytest.mark.parametrize("source", ["synthetic", "parsed"])
+    def test_split_is_the_permuted_matrix_sliced(self, source, n_train):
+        if source == "synthetic":
+            ds = generate_synthetic(60, 9, 0.4, seed=2)[0]
+        else:  # empty rows, int32 index arrays from the parser
+            ds = normalize(parse_sparse_text(
+                "".join(f"{(-1) ** i} " + " ".join(f"{j}:{i + j / 7}" for j in range(1, i % 5 + 1))
+                        + "\n" for i in range(60))))
+        train, test = shuffle_and_split(ds, n_train, seed=4)
+        perm = np.random.default_rng(4).permutation(ds.n_samples)
+        for got, x, y in ((train, ds.x[perm][:n_train], ds.y[perm][:n_train]),
+                          (test, ds.x[perm][n_train:], ds.y[perm][n_train:])):
+            assert got.x.shape == x.shape
+            for a, b in ((got.x.data, x.data), (got.x.indices, x.indices),
+                         (got.x.indptr, x.indptr), (got.y, y)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                assert not a.flags.writeable
+        # row blocks of one permuted matrix: scipy copies only a block holding
+        # under half of its entries
+        for got in (train, test):
+            if 2 * got.x.nnz >= ds.x.nnz:
+                assert _owner(got.x.data).size == _owner(got.x.indices).size == ds.x.nnz
 
     def test_split_range_check(self):
         ds, _ = generate_synthetic(10, 3, 1.0, seed=1)

@@ -5,8 +5,7 @@ import pytest
 from scipy import sparse
 from scipy.special import expit
 
-from adasize import Dataset, RiskSpec, empirical_loss_and_grad, risk_value, \
-    risk_value_and_grad, smoothness_constant
+from adasize import Dataset, RiskSpec, risk_value, risk_value_and_grad, smoothness_constant
 from adasize.erm import test_error as classification_error
 from adasize.data import generate_synthetic, normalize, parse_sparse_text
 from adasize.erm import EmptyViewError, Measurement, _loss_coefs, _loss_values, risk_hessian, \
@@ -18,6 +17,15 @@ from adasize.verify import _risk_value_scalar
 LOGISTIC_AT_MARGIN_50 = 1.928749847963917783e-22
 
 
+def _loss_and_grad(loss, w, view):
+    """The average loss over the view and its gradient: R_n and grad R_n without the ridge.
+
+    Both come from one `Measurement`'s margins and loss coefficients.
+    """
+    at = Measurement(RiskSpec(loss=loss), w, view)
+    return float(_loss_values(loss, at.margins, view.y).mean()), view.xt @ (at.coefs / view.count)
+
+
 def _losses(loss, w, ds, i=0):
     """Sample i's loss through the vectorized path and through the scalar oracle.
 
@@ -25,7 +33,7 @@ def _losses(loss, w, ds, i=0):
     ridge term below the last bit of every loss in these tests.
     """
     view = Dataset(ds.x[i], ds.y[i:i + 1]).full_view()
-    vectorized, _ = empirical_loss_and_grad(loss, w, view)
+    vectorized, _ = _loss_and_grad(loss, w, view)
     return vectorized, _risk_value_scalar(RiskSpec(loss=loss, gamma=1e-300), w, view)
 
 
@@ -67,7 +75,7 @@ def test_sample_loss_coef_matches_vectorized(loss):
 
 def test_unknown_loss_rejected():
     with pytest.raises(ValueError):
-        empirical_loss_and_grad("hinge", np.zeros(1), parse_sparse_text("+1 1:1\n").full_view())
+        _loss_and_grad("hinge", np.zeros(1), parse_sparse_text("+1 1:1\n").full_view())
     with pytest.raises(ValueError):
         RiskSpec(loss="hinge")
 
@@ -75,13 +83,13 @@ def test_unknown_loss_rejected():
 def test_dimension_mismatch():
     ds = parse_sparse_text("+1 3:1\n")
     with pytest.raises(ValueError):
-        empirical_loss_and_grad("logistic", np.zeros(2), ds.full_view())
+        _loss_and_grad("logistic", np.zeros(2), ds.full_view())
 
 
 def test_empirical_loss_at_origin(small_train):
     view = small_train.prefix(200)
     w = np.zeros(small_train.dim)
-    value, grad = empirical_loss_and_grad("logistic", w, view)
+    value, grad = _loss_and_grad("logistic", w, view)
     assert value == pytest.approx(math.log(2))
     expected = -(view.y @ view.x) / (2 * view.count)
     np.testing.assert_allclose(grad, np.asarray(expected).ravel(), rtol=1e-12)
@@ -171,7 +179,7 @@ def test_transpose_products_are_the_rmatmul_bits(loss, shape, rng):
     margins = view.x @ w
     coefs = _loss_coefs(loss, margins, view.y)
     old_grad = np.asarray((coefs / view.count) @ view.x).ravel()
-    np.testing.assert_array_equal(empirical_loss_and_grad(loss, w, view)[1], old_grad)
+    np.testing.assert_array_equal(_loss_and_grad(loss, w, view)[1], old_grad)
     h = expit(margins) * expit(-margins) / view.count if loss == "logistic" else 1.0 / view.count
     reg = spec.c * statistical_accuracy(spec, view.count)
     old_hv = np.asarray((h * (view.x @ v)) @ view.x).ravel() + reg * v
@@ -183,7 +191,7 @@ def test_risk_at_origin_equals_loss(spec, small_train):
     view = small_train.prefix(100)
     w = np.zeros(small_train.dim)
     r, g, gnorm = risk_value_and_grad(spec, w, view)
-    value, grad = empirical_loss_and_grad(spec.loss, w, view)
+    value, grad = _loss_and_grad(spec.loss, w, view)
     assert r == value
     np.testing.assert_array_equal(g, grad)
     assert gnorm == pytest.approx(float(np.linalg.norm(grad)))
@@ -264,11 +272,11 @@ def test_regularizer_weight_matches_protocol(small_train, rng):
     spec = RiskSpec(loss="logistic", c=1.0, alpha=0.5, gamma=2.0, M=1.0)
     view = small_train.prefix(400)
     w = rng.uniform(-1, 1, small_train.dim)
-    value, _ = empirical_loss_and_grad(spec.loss, w, view)
+    value, _ = _loss_and_grad(spec.loss, w, view)
     reg = risk_value(spec, w, view) - value
     assert reg == pytest.approx(0.05 * float(w @ w), rel=1e-12)
     # quadratic homogeneity in w
-    reg2 = risk_value(spec, 2 * w, view) - empirical_loss_and_grad(spec.loss, 2 * w, view)[0]
+    reg2 = risk_value(spec, 2 * w, view) - _loss_and_grad(spec.loss, 2 * w, view)[0]
     assert reg2 == pytest.approx(4 * reg, rel=1e-12)
 
 
@@ -315,8 +323,8 @@ def test_averaging_consistency(small_train, rng):
     # the first m and the next n-m
     w = rng.uniform(-1, 1, small_train.dim)
     m, n = 150, 400
-    l_n, _ = empirical_loss_and_grad("logistic", w, small_train.prefix(n))
-    l_m, _ = empirical_loss_and_grad("logistic", w, small_train.prefix(m))
+    l_n, _ = _loss_and_grad("logistic", w, small_train.prefix(n))
+    l_m, _ = _loss_and_grad("logistic", w, small_train.prefix(m))
     tail = small_train.prefix(n)
     margins = tail.x[m:] @ w
     tail_losses = np.logaddexp(0.0, -small_train.y[m:n] * margins)

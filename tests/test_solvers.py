@@ -12,8 +12,8 @@ from scipy import sparse
 from adasize import RiskSpec, init_state, risk_value, risk_value_and_grad, solve
 from adasize import erm, schedule, solvers, ckernel
 from adasize.data import Dataset, generate_synthetic, normalize, parse_sparse_text
-from adasize.solvers import BudgetError, DivergenceError, Measurement, agd_step, gd_step, \
-    svrg_epoch
+from adasize.erm import Measurement
+from adasize.solvers import BudgetError, DivergenceError, agd_step, gd_step, svrg_epoch
 
 
 class _ProductLog(sparse.csr_matrix):
