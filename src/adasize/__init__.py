@@ -9,9 +9,8 @@ effective passes, and an empirical verification suite for the scheme's
 guarantees.
 """
 
-from .data import Dataset, DatasetView, generate_synthetic, normalize, parse_sparse_text, \
-    shuffle_and_split
-from .erm import RiskSpec, risk_value, risk_value_and_grad, smoothness_constant, test_error
+from .data import Dataset, generate_synthetic, normalize, parse_sparse_text, shuffle_and_split
+from .erm import RiskSpec, smoothness_constant, test_error
 from .schedule import StagePlan, agd_params, build_stage_plans, iterations_agd, \
     iterations_generic, iterations_svrg, statistical_accuracy, stop_threshold, svrg_params, \
     total_complexity_agd, total_complexity_svrg, warm_start_bound

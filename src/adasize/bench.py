@@ -18,7 +18,7 @@ import numpy as np
 from scipy.sparse import linalg as sparse_linalg
 
 from . import driver, erm, schedule, solvers
-from .data import Dataset, DatasetView
+from .data import Dataset
 from .erm import RiskSpec
 
 TRACE_CSV_HEADER = "effective_passes,grad_evals,stage_n,suboptimality,grad_norm,test_error"
@@ -39,7 +39,7 @@ class ReferenceOptimum:
     grad_norm_at_star: float
 
 
-def reference_optimum(spec: RiskSpec, view: DatasetView,
+def reference_optimum(spec: RiskSpec, view: Dataset,
                       tolerance: float = 1e-10) -> ReferenceOptimum:
     """High-accuracy minimizer of the view's risk, used as the suboptimality oracle.
 
@@ -73,9 +73,9 @@ def reference_optimum(spec: RiskSpec, view: DatasetView,
         at = trial
     if at.grad_norm > tolerance:
         raise solvers.BudgetError(
-            f"reference solve at n={view.count} did not reach tolerance {tolerance}: "
+            f"reference solve at n={view.n_samples} did not reach tolerance {tolerance}: "
             f"||grad R_n|| = {at.grad_norm}")
-    return ReferenceOptimum(n=view.count, w_star_n=at.w, risk_star=at.risk,
+    return ReferenceOptimum(n=view.n_samples, w_star_n=at.w, risk_star=at.risk,
                             grad_norm_at_star=at.grad_norm)
 
 
@@ -202,7 +202,6 @@ def format_summary_table(rows: list[CompareRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_summary_csv(rows: list[CompareRow], sink) -> None:
-    sink.write(SUMMARY_CSV_HEADER + "\n")
-    for r in rows:
-        sink.write(",".join(_summary_cells(r, ".17g", ".17g")) + "\n")
+def summary_csv_text(rows: list[CompareRow]) -> str:
+    lines = [SUMMARY_CSV_HEADER] + [",".join(_summary_cells(r, ".17g", ".17g")) for r in rows]
+    return "\n".join(lines) + "\n"

@@ -170,7 +170,11 @@ def build_parser(file_defaults: dict | None = None) -> _Parser:
 
     if file_defaults:
         for p in common:
-            p.set_defaults(**_config_defaults(p, file_defaults))
+            values = _config_defaults(p, file_defaults)
+            for a in p._actions:  # a value from the file fills a required flag too
+                if a.dest in values:
+                    a.required = False
+            p.set_defaults(**values)
     return parser
 
 
@@ -335,9 +339,7 @@ def cmd_compare(args) -> int:
         name = _trace_name(cfg.method, cfg.adaptive, cfg.seed)
         _write_atomic(out_dir / name, bench.trace_csv_text(trace, ref))
         outputs.append(name)
-    summary_io = io.StringIO()
-    bench.write_summary_csv(rows, summary_io)
-    _write_atomic(out_dir / f"summary_seed{args.seed}.csv", summary_io.getvalue())
+    _write_atomic(out_dir / f"summary_seed{args.seed}.csv", bench.summary_csv_text(rows))
     outputs.append(f"summary_seed{args.seed}.csv")
     manifest = _manifest_text(args, digest, outputs, {"spec_M": spec.M})
     _write_atomic(out_dir / f"manifest_compare_seed{args.seed}.txt", manifest)

@@ -1,10 +1,11 @@
-"""Dataset ingestion, synthetic generation, normalization, splits, and prefix views.
+"""Dataset ingestion, synthetic generation, normalization, splits, and prefixes.
 
 Datasets are immutable collections of sparse feature rows with labels in
 {-1, +1}, stored as a CSR matrix plus a label vector.  Growing nested
-subsets S_m < S_n are realized as prefix views over a once-shuffled sample
-order, so subset construction is O(1) and the nesting property holds by
-construction.
+subsets S_m < S_n are the prefixes `Dataset.prefix(m)` and `prefix(n)` of
+one once-shuffled set, so the first m samples of S_n are S_m by
+construction.  A prefix is itself a `Dataset` that shares its base's arrays,
+except where scipy copies a block holding under half of the base's entries.
 
 Sparse text is read in one pass of C where the compiled library of `ckernel`
 loaded and the text is clean: only digits, `+-.eE:`, blanks and newlines,
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -82,11 +84,29 @@ class Dataset:
     def dim(self) -> int:
         return self.x.shape[1]
 
-    def prefix(self, n: int) -> "DatasetView":
-        return DatasetView(self, n)
+    @cached_property
+    def xt(self) -> sparse.csc_matrix:
+        """The transpose of `x`, built once: products with it need no per-call transpose."""
+        return self.x.T
 
-    def full_view(self) -> "DatasetView":
-        return DatasetView(self, self.n_samples)
+    def prefix(self, n: int) -> "Dataset":
+        """The first n samples, the set itself when n is all of them.
+
+        Prefixes are nested: for m <= n, `prefix(m)` holds the first m samples
+        of `prefix(n)`.  A prefix's arrays are its base's, except where scipy
+        copies a block holding under half of the base's entries; either way
+        they are read-only.
+        """
+        if not 1 <= n <= self.n_samples:
+            raise ValueError(f"prefix size {n} out of range [1, {self.n_samples}]")
+        if n == self.n_samples:
+            return self
+        return Dataset(row_block(self.x, 0, n), self.y[:n], name=self.name)
+
+    def sample_arrays(self, i: int):
+        """(0-based indices, values, label) of sample i, no copies."""
+        lo, hi = self.x.indptr[i], self.x.indptr[i + 1]
+        return self.x.indices[lo:hi], self.x.data[lo:hi], float(self.y[i])
 
     def to_sparse_text(self) -> str:
         """One `<+1|-1> <idx>:<val> ...` line per sample; one `%` operation per batch of rows."""
@@ -144,52 +164,6 @@ def row_block(x: sparse.csr_matrix, lo: int, hi: int) -> sparse.csr_matrix:
     indptr = x.indptr[lo:hi + 1]
     return sparse.csr_matrix((x.data[a:b], x.indices[a:b], indptr - a if lo else indptr),
                              shape=(hi - lo, x.shape[1]), copy=False)
-
-
-class DatasetView:
-    """Read-only view of the first `count` samples of a dataset.
-
-    Views over the same base with counts m <= n are nested: the first view's
-    samples are a prefix of the second's.
-    """
-
-    def __init__(self, base: Dataset, count: int):
-        if not 1 <= count <= base.n_samples:
-            raise ValueError(f"view count {count} out of range [1, {base.n_samples}]")
-        self.base = base
-        self.count = count
-        self._x: sparse.csr_matrix | None = None
-        self._xt: sparse.csc_matrix | None = None
-
-    @property
-    def x(self) -> sparse.csr_matrix:
-        if self._x is None:
-            self._x = row_block(self.base.x, 0, self.count)
-        return self._x
-
-    @property
-    def xt(self) -> sparse.csc_matrix:
-        """The transpose of `x`, built once: products with it need no per-call transpose."""
-        if self._xt is None:
-            self._xt = self.x.T
-        return self._xt
-
-    @property
-    def y(self) -> np.ndarray:
-        return self.base.y[: self.count]
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim
-
-    def sample_arrays(self, i: int):
-        """(0-based indices, values, label) of sample i, no copies."""
-        b = self.base.x
-        lo, hi = b.indptr[i], b.indptr[i + 1]
-        return b.indices[lo:hi], b.data[lo:hi], float(self.base.y[i])
-
-    def __repr__(self) -> str:
-        return f"DatasetView({self.base.name!r}, count={self.count})"
 
 
 def parse_sparse_text(text, label_map: dict | None = None, dim: int | None = None,

@@ -102,18 +102,18 @@ class _Recorder:
     def __init__(self, config: RunConfig, spec: RiskSpec, train: Dataset,
                  test: Dataset | None):
         self.spec = spec
-        self.full_view = train.prefix(config.N)
+        self.full = train.prefix(config.N)
         self.test = test
         self.eval_every = config.eval_every
         self.trace = Trace(config.N)
         self._tail = None  # (n, rows n..N of the full set)
 
     def record(self, state: SolverState, at_w: Measurement) -> None:
-        n, full = at_w.view.count, self.full_view
+        n, full = at_w.view.n_samples, self.full
         at_full = at_w  # on the full set the stage risk is R_N itself
-        if n < full.count:
+        if n < full.n_samples:
             if self._tail is None or self._tail[0] != n:
-                self._tail = (n, row_block(full.base.x, n, full.count))
+                self._tail = (n, row_block(full.x, n, full.n_samples))
             margins = np.concatenate((at_w.margins, self._tail[1] @ state.w))
             at_full = Measurement(self.spec, state.w, full, margins)
         err = None

@@ -10,7 +10,7 @@ modulus c*V_n and has (M + c*V_n)-Lipschitz gradients.
 
 `Measurement` is the one risk oracle: it computes the margins x_n @ w once
 and everything else on first read, the loss values only where R_n itself is
-read.  `risk_value`, `risk_value_and_grad` and `risk_hessian` are built on it.
+read.  `risk_hessian` is built on it.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import schedule
-from .data import Dataset, DatasetView, row_sq_norms
+from .data import Dataset, row_sq_norms
 
 LOSSES = ("logistic", "squared")
 
@@ -89,7 +89,7 @@ class Measurement:
     computed only where `risk` is read.
     """
 
-    def __init__(self, spec: RiskSpec, w: np.ndarray, view: DatasetView,
+    def __init__(self, spec: RiskSpec, w: np.ndarray, view: Dataset,
                  margins: np.ndarray | None = None):
         self.spec, self.w, self.view = spec, w, view
         if margins is not None:
@@ -105,11 +105,11 @@ class Measurement:
 
     @cached_property
     def _reg(self) -> float:
-        return self.spec.c * schedule.statistical_accuracy(self.spec, self.view.count)
+        return self.spec.c * schedule.statistical_accuracy(self.spec, self.view.n_samples)
 
     @cached_property
     def grad(self) -> np.ndarray:
-        return self.view.xt @ (self.coefs / self.view.count) + self._reg * self.w
+        return self.view.xt @ (self.coefs / self.view.n_samples) + self._reg * self.w
 
     @cached_property
     def grad_norm(self) -> float:
@@ -130,22 +130,11 @@ def risk_hessian(at: Measurement):
     """
     view = at.view
     if at.spec.loss == "logistic":
-        h = expit(at.margins) * expit(-at.margins) / view.count
+        h = expit(at.margins) * expit(-at.margins) / view.n_samples
     else:
-        h = 1.0 / view.count
+        h = 1.0 / view.n_samples
     reg, x, xt = at._reg, view.x, view.xt
     return lambda v: xt @ (h * (x @ v)) + reg * v
-
-
-def risk_value(spec: RiskSpec, w: np.ndarray, view: DatasetView) -> float:
-    """R_n(w) without the gradient."""
-    return Measurement(spec, w, view).risk
-
-
-def risk_value_and_grad(spec: RiskSpec, w: np.ndarray, view: DatasetView):
-    """(R_n(w), grad R_n(w), ||grad R_n(w)||)."""
-    at = Measurement(spec, w, view)
-    return at.risk, at.grad, at.grad_norm
 
 
 def sample_loss_coef(loss: str, margin: float, label: float) -> float:
@@ -164,7 +153,7 @@ def sample_loss_coef(loss: str, margin: float, label: float) -> float:
     return margin - label
 
 
-def smoothness_constant(loss: str, d: Dataset | DatasetView) -> float:
+def smoothness_constant(loss: str, d: Dataset) -> float:
     """Tight gradient Lipschitz constant of the empirical loss over d's samples.
 
     The per-loss curvature bound (1/4 for logistic, 1 for squared) times the

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import ckernel, erm, schedule
-from .data import DatasetView
+from .data import Dataset
 from .erm import RiskSpec
 
 METHODS = ("gd", "agd", "svrg")
@@ -85,18 +85,18 @@ def _ensure_finite(w: np.ndarray, context: str) -> None:
         raise DivergenceError(f"non-finite iterate during {context}")
 
 
-def gd_step(state: SolverState, spec: RiskSpec, view: DatasetView,
+def gd_step(state: SolverState, spec: RiskSpec, view: Dataset,
             at_w: erm.Measurement) -> SolverState:
     """w <- w - eta * grad R_n(w) with eta = 1/(M + cV_n); at_w is the measurement at w."""
     if state.method != "gd":
         raise ValueError(f"gd_step on {state.method!r} state")
-    eta = schedule.gd_step_size(spec, view.count)
+    eta = schedule.gd_step_size(spec, view.n_samples)
     w_new = state.w - eta * at_w.grad
-    _ensure_finite(w_new, f"gd step at n={view.count}")
-    return replace(state, w=w_new, grad_evals=state.grad_evals + view.count)
+    _ensure_finite(w_new, f"gd step at n={view.n_samples}")
+    return replace(state, w=w_new, grad_evals=state.grad_evals + view.n_samples)
 
 
-def agd_step(state: SolverState, spec: RiskSpec, view: DatasetView,
+def agd_step(state: SolverState, spec: RiskSpec, view: Dataset,
              at_w: erm.Measurement | None = None) -> SolverState:
     """Advance both accelerated sequences one step.
 
@@ -105,14 +105,14 @@ def agd_step(state: SolverState, spec: RiskSpec, view: DatasetView,
     """
     if state.method != "agd" or state.agd_y is None:
         raise ValueError("agd_step needs an agd state with the momentum sequence set")
-    eta, beta = schedule.agd_params(spec, view.count)
+    eta, beta = schedule.agd_params(spec, view.n_samples)
     w_new = state.agd_y - eta * erm.Measurement(spec, state.agd_y, view).grad
     y_new = w_new + beta * (w_new - state.w)
-    _ensure_finite(w_new, f"agd step at n={view.count}")
-    return replace(state, w=w_new, agd_y=y_new, grad_evals=state.grad_evals + view.count)
+    _ensure_finite(w_new, f"agd step at n={view.n_samples}")
+    return replace(state, w=w_new, agd_y=y_new, grad_evals=state.grad_evals + view.n_samples)
 
 
-def svrg_direction(spec: RiskSpec, view: DatasetView, i: int, w_hat: np.ndarray,
+def svrg_direction(spec: RiskSpec, view: Dataset, i: int, w_hat: np.ndarray,
                    anchor: np.ndarray, full_grad: np.ndarray) -> np.ndarray:
     """Variance-reduced direction for inner sample i.
 
@@ -120,7 +120,7 @@ def svrg_direction(spec: RiskSpec, view: DatasetView, i: int, w_hat: np.ndarray,
     its average over i in {1..n} equals grad R_n(w_hat) exactly.
     """
     idx, vals, y = view.sample_arrays(i)
-    cv = spec.c * schedule.statistical_accuracy(spec, view.count)
+    cv = spec.c * schedule.statistical_accuracy(spec, view.n_samples)
     coef_hat = erm.sample_loss_coef(spec.loss, float(vals @ w_hat[idx]), y)
     coef_anchor = erm.sample_loss_coef(spec.loss, float(vals @ anchor[idx]), y)
     d = full_grad + cv * (w_hat - anchor)
@@ -156,7 +156,7 @@ def _pick_loop(x, picks: np.ndarray, coef_anchor: np.ndarray, xb: np.ndarray, y:
     return s, r
 
 
-def svrg_epoch(state: SolverState, spec: RiskSpec, view: DatasetView,
+def svrg_epoch(state: SolverState, spec: RiskSpec, view: Dataset,
                at_w: erm.Measurement) -> SolverState:
     """One outer loop: full gradient at the anchor, then n variance-reduced inner steps.
 
@@ -182,7 +182,7 @@ def svrg_epoch(state: SolverState, spec: RiskSpec, view: DatasetView,
     """
     if state.method != "svrg" or state.rng is None:
         raise ValueError("svrg_epoch needs an svrg state with its generator set")
-    n = view.count
+    n = view.n_samples
     q, eta, _ = schedule.svrg_params(spec, n)
     cv = spec.c * schedule.statistical_accuracy(spec, n)
     anchor, x = state.w, view.x
@@ -206,7 +206,7 @@ _STEPPERS: dict[str, Callable[..., SolverState]] = {
 }
 
 
-def solve(state: SolverState, spec: RiskSpec, view: DatasetView, *,
+def solve(state: SolverState, spec: RiskSpec, view: Dataset, *,
           threshold: float | None = None, iterations: int | None = None,
           max_iterations: int = MAX_ITERATIONS,
           callback: Callable[[SolverState, int, erm.Measurement], None] | None = None

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import bench, driver, erm, schedule, solvers
-from .data import Dataset, DatasetView
+from .data import Dataset
 from .driver import RunConfig
 from .erm import RiskSpec
 
@@ -72,7 +72,7 @@ def _report(name: str, trials: int, margins, notes: str) -> CheckReport:
                        worst_margin=float(np.min(margins, initial=math.inf)), notes=notes)
 
 
-def _risk_value_scalar(spec: RiskSpec, w: np.ndarray, view: DatasetView) -> float:
+def _risk_value_scalar(spec: RiskSpec, w: np.ndarray, view: Dataset) -> float:
     """Compensated risk evaluation, independent of the vectorized path.
 
     Each margin is summed straight from the CSR arrays by `np.bincount`, left
@@ -80,20 +80,19 @@ def _risk_value_scalar(spec: RiskSpec, w: np.ndarray, view: DatasetView) -> floa
     max(z, 0) + log1p(exp(-|z|)), so exp never overflows; the terms are
     added by `math.fsum`.  `minlength` keeps empty rows as zero margins.
     """
-    x, count = view.base.x, view.count
-    nnz = x.indptr[count]
-    row_ids = np.repeat(np.arange(count), np.diff(x.indptr[:count + 1]))
-    t = np.bincount(row_ids, weights=x.data[:nnz] * w[x.indices[:nnz]], minlength=count)
+    x, n = view.x, view.n_samples
+    row_ids = np.repeat(np.arange(n), np.diff(x.indptr))
+    t = np.bincount(row_ids, weights=x.data * w[x.indices], minlength=n)
     if spec.loss == "logistic":
         z = -view.y * t
         terms = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
     else:
         terms = 0.5 * (t - view.y) ** 2
-    v_n = schedule.statistical_accuracy(spec, count)
-    return math.fsum(terms.tolist()) / count + 0.5 * spec.c * v_n * float(w @ w)
+    v_n = schedule.statistical_accuracy(spec, n)
+    return math.fsum(terms.tolist()) / n + 0.5 * spec.c * v_n * float(w @ w)
 
 
-def fd_gradient_check(spec: RiskSpec, view: DatasetView, trials: int, seed: int = 0,
+def fd_gradient_check(spec: RiskSpec, view: Dataset, trials: int, seed: int = 0,
                       rel_tol: float = 1e-5) -> CheckReport:
     """Central finite differences vs the analytic risk gradient.
 
@@ -122,10 +121,10 @@ def fd_gradient_check(spec: RiskSpec, view: DatasetView, trials: int, seed: int 
                    f"{trials} weight draws x {k} coordinates, h={h:g}, rel_tol={rel_tol:g}")
 
 
-def svrg_direction_check(spec: RiskSpec, view: DatasetView, trials: int,
+def svrg_direction_check(spec: RiskSpec, view: Dataset, trials: int,
                          seed: int = 0) -> CheckReport:
     """Enumerate every inner index: the mean direction must equal the risk gradient."""
-    n = view.count
+    n = view.n_samples
     if n > 50:
         raise ValueError(f"enumeration check needs n <= 50, got {n}")
     if trials < 1:
@@ -177,7 +176,7 @@ def unregularized_optimum_proxy(loss: str, base: Dataset) -> float:
     alpha = 1 and gamma = n make V_n = 1, so the ridge weight is PROXY_L2.
     """
     spec = RiskSpec(loss, c=PROXY_L2, alpha=1.0, gamma=float(base.n_samples))
-    w = bench.reference_optimum(spec, base.full_view(), tolerance=1e-8).w_star_n
+    w = bench.reference_optimum(spec, base, tolerance=1e-8).w_star_n
     return float(w @ w)
 
 
@@ -242,7 +241,7 @@ def lemma2_check(spec: RiskSpec, base: Dataset, n: int, draws: int,
     for _ in range(draws):
         perm = rng.permutation(base.n_samples)
         subset = _shuffled_copy(base, perm, n)
-        ref = bench.reference_optimum(spec, subset.full_view(), tolerance=1e-8)
+        ref = bench.reference_optimum(spec, subset, tolerance=1e-8)
         norms.append(float(ref.w_star_n @ ref.w_star_n))
     mean_norm = float(np.mean(norms))
     raw_bound = 4.0 / spec.c + spec.wstar_sq
@@ -252,14 +251,14 @@ def lemma2_check(spec: RiskSpec, base: Dataset, n: int, draws: int,
                    f"{exceed}/{draws} draws above the unslacked bound")
 
 
-def _threshold_solve(spec: RiskSpec, view: DatasetView, threshold: float) -> np.ndarray:
+def _threshold_solve(spec: RiskSpec, view: Dataset, threshold: float) -> np.ndarray:
     """Stage solve from zero under the gradient-norm rule: AGD, tight-constant steps."""
     tight_spec = replace(spec, M=erm.smoothness_constant(spec.loss, view))
     result = solvers.solve(solvers.init_state("agd", view.dim), tight_spec, view,
                            threshold=threshold)
     if result.budget_exhausted:
         raise solvers.BudgetError(
-            f"stage solve at n={view.count} did not reach {threshold} "
+            f"stage solve at n={view.n_samples} did not reach {threshold} "
             f"within {result.iterations} iterations")
     return result.state.w
 
@@ -283,8 +282,8 @@ def proposition1_check(spec: RiskSpec, base: Dataset, m: int, draws: int,
     for perm, l_full, l_m, l_nm in _nested_draws(spec.loss, base, m, n, draws, seed):
         nested = _shuffled_copy(base, perm, n)
         w_m = _threshold_solve(spec, nested.prefix(m), schedule.stop_threshold(spec, m))
-        ref_n = bench.reference_optimum(spec, nested.full_view(), tolerance=1e-9)
-        lhs_values.append(erm.risk_value(spec, w_m, nested.full_view()) - ref_n.risk_star)
+        ref_n = bench.reference_optimum(spec, nested, tolerance=1e-9)
+        lhs_values.append(erm.Measurement(spec, w_m, nested).risk - ref_n.risk_star)
         sup_m += float(np.max(np.abs(l_full - l_m)))
         sup_m += float(np.max(np.abs(l_full - l_nm)))
         sup_n += float(np.max(np.abs(l_full - (m * l_m + (n - m) * l_nm) / n)))
@@ -331,7 +330,7 @@ def theorem_sn_sufficiency_check(method: str, spec: RiskSpec, base: Dataset, m0:
         for rep in reports[1:]:  # skip the first stage
             view = shuffled.prefix(rep.n)
             ref = bench.reference_optimum(spec, view, tolerance=1e-9)
-            gap = erm.risk_value(spec, rep.w, view) - ref.risk_star
+            gap = erm.Measurement(spec, rep.w, view).risk - ref.risk_star
             per_stage.setdefault(rep.n, []).append(gap)
             if gap > schedule.statistical_accuracy(spec, rep.n):
                 draw_bad = True

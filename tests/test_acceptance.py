@@ -83,7 +83,8 @@ def test_criterion_3_stage_certificates():
                 if rep.n not in refs:
                     refs[rep.n] = bench.reference_optimum(
                         spec, train.prefix(rep.n), tolerance=1e-10)
-                gap = a.risk_value(spec, rep.w, train.prefix(rep.n)) - refs[rep.n].risk_star
+                at = a.erm.Measurement(spec, rep.w, train.prefix(rep.n))
+                gap = at.risk - refs[rep.n].risk_star
                 v_n = a.statistical_accuracy(spec, rep.n)
                 assert gap <= v_n + 1e-9, (seed, method, rep.n, gap, v_n)
                 checked += 1

@@ -9,14 +9,14 @@ from scipy import optimize
 from scipy.sparse import linalg as sparse_linalg
 from scipy.special import expit
 
-from adasize import RiskSpec, RunConfig, effective_passes, reference_optimum, risk_value, \
-    risk_value_and_grad, statistical_accuracy
+from adasize import RiskSpec, RunConfig, effective_passes, reference_optimum, \
+    statistical_accuracy
 from adasize import bench, solvers
-from adasize.bench import CompareRow, compare_matrix, format_summary_table, trace_csv_text, \
-    write_summary_csv
+from adasize.bench import CompareRow, compare_matrix, format_summary_table, summary_csv_text, \
+    trace_csv_text
 from adasize.driver import Trace, TraceEvent
 from adasize.data import generate_synthetic, normalize
-from adasize.erm import smoothness_constant
+from adasize.erm import Measurement, smoothness_constant
 
 
 @pytest.fixture(scope="module")
@@ -30,10 +30,10 @@ def squared_problem():
 class TestReferenceOptimum:
     def test_matches_normal_equations(self, squared_problem):
         ds, spec = squared_problem
-        view = ds.full_view()
+        view = ds
         ref = reference_optimum(spec, view, tolerance=1e-12)
         x = view.x.toarray()
-        n = view.count
+        n = view.n_samples
         cv = spec.c * statistical_accuracy(spec, n)
         w_closed = np.linalg.solve(x.T @ x / n + cv * np.eye(ds.dim), x.T @ view.y / n)
         assert np.linalg.norm(ref.w_star_n - w_closed) < 1e-6
@@ -41,39 +41,42 @@ class TestReferenceOptimum:
 
     def test_suboptimality_nonnegative(self, squared_problem, rng):
         ds, spec = squared_problem
-        view = ds.full_view()
+        view = ds
         ref = reference_optimum(spec, view, tolerance=1e-11)
         for _ in range(10):
             w = rng.uniform(-2, 2, ds.dim)
-            assert risk_value(spec, w, view) - ref.risk_star >= -1e-12
+            assert Measurement(spec, w, view).risk - ref.risk_star >= -1e-12
 
     def test_idempotent(self, squared_problem):
         ds, spec = squared_problem
-        a = reference_optimum(spec, ds.full_view(), tolerance=1e-10)
-        b = reference_optimum(spec, ds.full_view(), tolerance=1e-10)
+        a = reference_optimum(spec, ds, tolerance=1e-10)
+        b = reference_optimum(spec, ds, tolerance=1e-10)
         assert abs(a.risk_star - b.risk_star) < 1e-14
 
     def test_tolerance_validation(self, squared_problem):
         ds, spec = squared_problem
         with pytest.raises(ValueError):
-            reference_optimum(spec, ds.full_view(), tolerance=0.0)
+            reference_optimum(spec, ds, tolerance=0.0)
 
     def test_unreachable_tolerance_raises(self, squared_problem):
         ds, spec = squared_problem
         with pytest.raises(solvers.BudgetError, match=f"n={ds.n_samples}"):
-            reference_optimum(spec, ds.full_view(), tolerance=1e-30)
+            reference_optimum(spec, ds, tolerance=1e-30)
 
     def test_step_halving(self, monkeypatch):
         # nearly separable data under a tiny ridge: after ten unit steps, the next unit
         # Newton step would raise ||grad R_n|| from 3.38e-4 to 4.12e-4, so it is halved
         ds, _ = generate_synthetic(200, 5, 1.0, seed=0, margin_scale=20.0)
         spec = RiskSpec(loss="logistic", gamma=1e-6)
-        view = ds.full_view()
+        view = ds
         ref = reference_optimum(spec, view, tolerance=1e-10)
         assert ref.grad_norm_at_star <= 1e-10
         # an independent quasi-Newton solve, here only, agrees on R_n*
-        lbfgs = optimize.minimize(lambda w: risk_value_and_grad(spec, w, view)[:2],
-                                  np.zeros(view.dim), jac=True, method="L-BFGS-B",
+        def risk_and_grad(w):
+            at = Measurement(spec, w, view)
+            return at.risk, at.grad
+
+        lbfgs = optimize.minimize(risk_and_grad, np.zeros(view.dim), jac=True, method="L-BFGS-B",
                                   options={"gtol": 1e-12, "ftol": 0.0, "maxiter": 10**4})
         assert abs(lbfgs.fun - ref.risk_star) <= 1e-16
         monkeypatch.setattr(bench, "NEWTON_MIN_STEP", 1.0)  # unit steps only
@@ -84,7 +87,7 @@ class TestReferenceOptimum:
 def _old_risk_value_and_grad(spec, w, view):
     """(R_n, grad R_n, ||grad R_n||) as erm computed them before the lazy measurement."""
     margins = view.x @ w
-    y, n = view.y, view.count
+    y, n = view.y, view.n_samples
     if spec.loss == "logistic":
         values, coefs = np.logaddexp(0.0, -y * margins), -y * expit(-y * margins)
     else:
@@ -100,7 +103,7 @@ def _old_reference_optimum(spec, view, tolerance):
     Every line-search trial computes R_n, and each Hessian product starts
     from a margin product of its own.
     """
-    n, dim = view.count, view.dim
+    n, dim = view.n_samples, view.dim
     w = np.zeros(dim)
     risk, grad, grad_norm = _old_risk_value_and_grad(spec, w, view)
     for _ in range(bench.NEWTON_MAX_STEPS):
@@ -134,7 +137,7 @@ def test_reference_optimum_is_the_old_newton_loops_bits(loss, data, rcv1_tiny):
     if data == "rcv1_shaped":
         view = normalize(rcv1_tiny).prefix(2000)
     else:
-        view = normalize(generate_synthetic(8192, 20, 1.0, seed=6)[0]).full_view()
+        view = normalize(generate_synthetic(8192, 20, 1.0, seed=6)[0])
     spec = RiskSpec(loss=loss, c=1.0, alpha=0.5, gamma=0.5, M=1.0)
     w, risk, grad_norm = _old_reference_optimum(spec, view, 1e-10)
     ref = reference_optimum(spec, view, tolerance=1e-10)
@@ -145,15 +148,15 @@ def test_reference_optimum_is_the_old_newton_loops_bits(loss, data, rcv1_tiny):
 def _cross_check_problems():
     """Dense logistic and squared, a sparse wide view, and the normal-equations problem."""
     dense, _ = generate_synthetic(300, 20, 1.0, seed=5)
-    dense = normalize(dense).full_view()
+    dense = normalize(dense)
     wide, _ = generate_synthetic(400, 6000, 0.01, seed=6, feature_decay=0.5)
     small, _ = generate_synthetic(64, 6, 1.0, seed=2)  # the squared_problem fixture's data
     return [
         pytest.param(RiskSpec(loss="logistic", gamma=0.5), dense, 1e-10, id="logistic_dense"),
         pytest.param(RiskSpec(loss="squared", gamma=0.5), dense, 1e-10, id="squared_dense"),
-        pytest.param(RiskSpec(loss="logistic"), normalize(wide).full_view(), 1e-10,
+        pytest.param(RiskSpec(loss="logistic"), normalize(wide), 1e-10,
                      id="logistic_sparse"),
-        pytest.param(RiskSpec(loss="squared"), normalize(small).full_view(), 1e-12,
+        pytest.param(RiskSpec(loss="squared"), normalize(small), 1e-12,
                      id="normal_equations"),
     ]
 
@@ -169,7 +172,7 @@ def test_reference_optimum_agrees_with_agd(spec, view, tol):
     assert not agd.budget_exhausted
     assert abs(ref.risk_star - agd.exit.risk) <= 1e-15
     # both gradients are within tol, so strong convexity puts each within tol/(cV_n) of w*
-    cv = spec.c * statistical_accuracy(spec, view.count)
+    cv = spec.c * statistical_accuracy(spec, view.n_samples)
     assert np.linalg.norm(ref.w_star_n - agd.state.w) <= 2 * tol / cv
 
 
@@ -298,9 +301,7 @@ def test_fixed_gd_suboptimality_nonincreasing(compare_setup):
 
 class TestSummaryFormat:
     def test_csv_header_exact(self):
-        out = io.StringIO()
-        write_summary_csv([], out)
-        assert out.getvalue() == ("method,adaptive,passes_to_VN,passes_to_min_test_error,"
+        assert summary_csv_text([]) == ("method,adaptive,passes_to_VN,passes_to_min_test_error,"
                                   "min_test_error,speedup_vs_fixed\n")
 
     def test_rows_and_diverged(self):
@@ -310,9 +311,7 @@ class TestSummaryFormat:
             CompareRow("gd", True, diverged=True),
             CompareRow("agd", True, exhausted=True),
         ]
-        out = io.StringIO()
-        write_summary_csv(rows, out)
-        lines = out.getvalue().splitlines()
+        lines = summary_csv_text(rows).splitlines()
         assert lines[1].startswith("gd,false,4")
         assert lines[2] == "gd,true,diverged,,,"
         assert lines[3] == "agd,true,exhausted,,,"

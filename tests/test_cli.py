@@ -259,6 +259,32 @@ class TestConfigFile:
                         "--out", str(out)]) == 0
         assert (out / "trace_svrg_ada_seed0.csv").exists()
 
+    @pytest.mark.parametrize("command,flags", [
+        ("bounds", ["--N", "1024", "--m0", "128"]),
+        ("gen", ["--gen", "40,5,0.8", "--seed", "9"]),
+    ])
+    def test_file_supplies_required_flags(self, tmp_path, capsys, command, flags):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("".join(f"{k[2:]} = {v}\n" for k, v in zip(flags[::2], flags[1::2])))
+        outputs = {}
+        for name, given in (("flags", flags), ("file", ["--config", str(cfg)])):
+            out = tmp_path / name
+            out.mkdir()
+            sink = ["--csv", str(out / "table.csv")] if command == "bounds" else ["--out", str(out)]
+            assert run_cli([command, *given, *sink]) == 0
+            files = {p.name: p.read_bytes() for p in out.iterdir()}
+            outputs[name] = (capsys.readouterr().out.replace(str(out), "OUT"), files)
+        assert outputs["file"] == outputs["flags"]
+        assert outputs["file"][1]
+
+    @pytest.mark.parametrize("command,missing", [("bounds", "--N, --m0"), ("gen", "--gen")])
+    def test_file_without_required_flags_is_usage_error(self, tmp_path, capsys, command,
+                                                       missing):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("seed = 9\n")
+        assert run_cli([command, "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert f"the following arguments are required: {missing}" in capsys.readouterr().err
+
     def test_top_level_abbreviation_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("method = svrg\n")

@@ -12,7 +12,7 @@ class TestParser:
     def test_single_line(self):
         ds = parse_sparse_text("+1 1:0.5 3:-2\n")
         assert ds.n_samples == 1 and ds.dim == 3
-        indices, values, label = ds.full_view().sample_arrays(0)
+        indices, values, label = ds.sample_arrays(0)
         assert label == 1.0
         np.testing.assert_array_equal(indices, [0, 2])  # stored 0-based
         np.testing.assert_allclose(values, [0.5, -2.0])
@@ -601,8 +601,26 @@ class TestSplitAndPrefix:
 
     def test_prefix_identity(self, small_train):
         view = small_train.prefix(small_train.n_samples)
-        assert view.count == small_train.n_samples
+        assert view.n_samples == small_train.n_samples
         assert view.x.shape == small_train.x.shape
+        assert view is small_train
+
+    @pytest.mark.parametrize("n", [1, 64, 255, 256, 400, 511, 512])
+    def test_prefix_is_the_sliced_matrix(self, n):
+        # scipy copies a row block holding under half of its base's entries
+        # (n = 64 of 512 here); the copies are read-only too
+        d = normalize(generate_synthetic(512, 12, 1.0, seed=11)[0])
+        p = d.prefix(n)
+        assert isinstance(p, Dataset) and p.n_samples == n and p.dim == d.dim
+        x = d.x[:n]
+        for a, b in ((p.x.data, x.data), (p.x.indices, x.indices), (p.x.indptr, x.indptr),
+                     (p.y, d.y[:n])):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert not a.flags.writeable
+        if 2 * p.x.nnz >= d.x.nnz:
+            assert _owner(p.x.data) is _owner(d.x.data)
+        assert "xt" not in vars(p)  # the transpose is built on first read, once
+        assert p.xt is p.xt and (p.xt != p.x.T).nnz == 0
 
     def test_prefix_nesting(self, small_train):
         v400 = small_train.prefix(400)

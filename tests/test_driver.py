@@ -5,8 +5,7 @@ import pytest
 from scipy import sparse
 
 from adasize import RiskSpec, RunConfig, adaptive_run, fixed_run, generate_synthetic, \
-    normalize, reference_optimum, risk_value, risk_value_and_grad, statistical_accuracy, \
-    stop_threshold
+    normalize, reference_optimum, statistical_accuracy, stop_threshold
 from adasize import driver as driver_mod
 from adasize import erm, schedule, solvers
 from adasize.data import Dataset
@@ -54,7 +53,7 @@ def test_warm_start_chain_bitwise(train_2k, spec, monkeypatch):
     real_solve = solvers.solve
 
     def spying_solve(state, spec_, view, **rule):
-        entries.append((view.count, state.w.copy()))
+        entries.append((view.n_samples, state.w.copy()))
         return real_solve(state, spec_, view, **rule)
 
     monkeypatch.setattr(driver_mod.solvers, "solve", spying_solve)
@@ -78,7 +77,7 @@ def test_bootstrap_certificate(spec):
     # the report's counter and norm are those of its exit iterate: one AGD
     # step from zero costs 64 gradient evaluations
     assert report.grad_evals_at_exit == 64 * report.iterations
-    assert risk_value_and_grad(spec, report.w, train.prefix(64))[2] == report.exit_grad_norm
+    assert Measurement(spec, report.w, train.prefix(64)).grad_norm == report.exit_grad_norm
 
 
 def test_bootstrap_zero_iterations_under_loose_accuracy(train_2k):
@@ -96,7 +95,7 @@ def test_threshold_stages_certify_suboptimality(train_2k, spec, method):
         assert rep.exit_grad_norm <= rep.threshold
         view = train_2k.prefix(rep.n)
         ref = reference_optimum(spec, view, tolerance=1e-10)
-        gap = risk_value(spec, rep.w, view) - ref.risk_star
+        gap = Measurement(spec, rep.w, view).risk - ref.risk_star
         assert gap <= statistical_accuracy(spec, rep.n) + 1e-9
 
 
@@ -130,7 +129,7 @@ def test_trace_risk_is_full_set_risk_at_every_stage(train_2k, spec, method):
     for grad_evals, (n, w) in last_exits.items():
         ev = events[grad_evals]
         assert ev.stage_n == n
-        assert ev.risk_value == risk_value(spec, w, train_2k.prefix(2048))
+        assert ev.risk_value == Measurement(spec, w, train_2k.prefix(2048)).risk
 
 
 def test_trace_records_test_error(split_data, spec):
@@ -159,7 +158,7 @@ def _old_full_risk(spec, w, view):
         values = np.logaddexp(0.0, -y * margins)
     else:
         values = 0.5 * (margins - y) ** 2
-    v_n = statistical_accuracy(spec, view.count)
+    v_n = statistical_accuracy(spec, view.n_samples)
     return float(values.mean()) + 0.5 * spec.c * v_n * float(w @ w)
 
 
@@ -174,8 +173,8 @@ def _old_run_stages(config, spec, train, test, sizes, max_iterations):
 
     def record(st, at_w):
         err = None if test is None else erm.test_error(spec.loss, st.w, test)
-        trace.append(TraceEvent(st.grad_evals, at_w.view.count, _old_full_risk(spec, st.w, full),
-                                at_w.grad_norm, err))
+        trace.append(TraceEvent(st.grad_evals, at_w.view.n_samples,
+                                _old_full_risk(spec, st.w, full), at_w.grad_norm, err))
 
     def cb(st, it, at_w):
         if it % config.eval_every == 0:
@@ -251,7 +250,7 @@ def test_recorder_tail_margins_give_the_full_risk_bits(loss, data, rcv1_tiny, rn
             rec.record(solvers.SolverState("gd", w), Measurement(spec, w, train.prefix(n)))
             risk = rec.trace.events[-1].risk_value
             assert risk == _old_full_risk(spec, w, full)
-            assert risk == risk_value(spec, w, full)
+            assert risk == Measurement(spec, w, full).risk
 
 
 class TestFixedRun:

@@ -5,7 +5,7 @@ import pytest
 from scipy import sparse
 from scipy.special import expit
 
-from adasize import Dataset, RiskSpec, risk_value, risk_value_and_grad, smoothness_constant
+from adasize import Dataset, RiskSpec, smoothness_constant
 from adasize.erm import test_error as classification_error
 from adasize.data import generate_synthetic, normalize, parse_sparse_text
 from adasize.erm import EmptyViewError, Measurement, _loss_coefs, _loss_values, risk_hessian, \
@@ -23,7 +23,8 @@ def _loss_and_grad(loss, w, view):
     Both come from one `Measurement`'s margins and loss coefficients.
     """
     at = Measurement(RiskSpec(loss=loss), w, view)
-    return float(_loss_values(loss, at.margins, view.y).mean()), view.xt @ (at.coefs / view.count)
+    return (float(_loss_values(loss, at.margins, view.y).mean()),
+            view.xt @ (at.coefs / view.n_samples))
 
 
 def _losses(loss, w, ds, i=0):
@@ -32,7 +33,7 @@ def _losses(loss, w, ds, i=0):
     The oracle evaluates the risk; its ridge weight gamma=1e-300 keeps the
     ridge term below the last bit of every loss in these tests.
     """
-    view = Dataset(ds.x[i], ds.y[i:i + 1]).full_view()
+    view = Dataset(ds.x[i], ds.y[i:i + 1])
     vectorized, _ = _loss_and_grad(loss, w, view)
     return vectorized, _risk_value_scalar(RiskSpec(loss=loss, gamma=1e-300), w, view)
 
@@ -61,7 +62,7 @@ def test_squared_exact_fit_is_zero():
     assert vectorized == 0.0
     # a zero loss leaves exactly the ridge term on both paths
     spec = RiskSpec(loss="squared")
-    assert _risk_value_scalar(spec, w, ds.full_view()) == risk_value(spec, w, ds.full_view())
+    assert _risk_value_scalar(spec, w, ds) == Measurement(spec, w, ds).risk
 
 
 @pytest.mark.parametrize("loss", ["logistic", "squared"])
@@ -75,7 +76,7 @@ def test_sample_loss_coef_matches_vectorized(loss):
 
 def test_unknown_loss_rejected():
     with pytest.raises(ValueError):
-        _loss_and_grad("hinge", np.zeros(1), parse_sparse_text("+1 1:1\n").full_view())
+        _loss_and_grad("hinge", np.zeros(1), parse_sparse_text("+1 1:1\n"))
     with pytest.raises(ValueError):
         RiskSpec(loss="hinge")
 
@@ -83,7 +84,7 @@ def test_unknown_loss_rejected():
 def test_dimension_mismatch():
     ds = parse_sparse_text("+1 3:1\n")
     with pytest.raises(ValueError):
-        _loss_and_grad("logistic", np.zeros(2), ds.full_view())
+        _loss_and_grad("logistic", np.zeros(2), ds)
 
 
 def test_empirical_loss_at_origin(small_train):
@@ -91,7 +92,7 @@ def test_empirical_loss_at_origin(small_train):
     w = np.zeros(small_train.dim)
     value, grad = _loss_and_grad("logistic", w, view)
     assert value == pytest.approx(math.log(2))
-    expected = -(view.y @ view.x) / (2 * view.count)
+    expected = -(view.y @ view.x) / (2 * view.n_samples)
     np.testing.assert_allclose(grad, np.asarray(expected).ravel(), rtol=1e-12)
 
 
@@ -105,7 +106,7 @@ def test_single_sample_view_matches_scalar_oracle(small_train, rng):
 def _risk_value_loop(spec, w, view):
     """The per-row loop the vectorized `_risk_value_scalar` replaced, kept as its reference."""
     terms = []
-    for i in range(view.count):
+    for i in range(view.n_samples):
         idx, vals, y = view.sample_arrays(i)
         t = float(vals @ w[idx])
         if spec.loss == "logistic":
@@ -113,8 +114,8 @@ def _risk_value_loop(spec, w, view):
             terms.append(z + math.log1p(math.exp(-z)) if z > 0 else math.log1p(math.exp(z)))
         else:
             terms.append(0.5 * (t - y) ** 2)
-    v_n = statistical_accuracy(spec, view.count)
-    return math.fsum(terms) / view.count + 0.5 * spec.c * v_n * float(w @ w)
+    v_n = statistical_accuracy(spec, view.n_samples)
+    return math.fsum(terms) / view.n_samples + 0.5 * spec.c * v_n * float(w @ w)
 
 
 @pytest.mark.parametrize("loss", ["logistic", "squared"])
@@ -131,7 +132,7 @@ def test_scalar_oracle_matches_per_row_loop(loss):
     for w0 in (800.0, -800.0, 0.3):
         w = rng.uniform(-2.0, 2.0, 6)
         w[0] = w0
-        for view in (ds.full_view(), ds.prefix(9), ds.prefix(5), ds.prefix(1)):
+        for view in (ds, ds.prefix(9), ds.prefix(5), ds.prefix(1)):
             expected = _risk_value_loop(spec, w, view)
             assert _risk_value_scalar(spec, w, view) == pytest.approx(expected, rel=1e-14)
 
@@ -141,13 +142,13 @@ def test_gradient_matches_finite_differences(small_train, rng):
     for loss in ("logistic", "squared"):
         spec = RiskSpec(loss=loss, c=1.0, alpha=0.5, gamma=1.0, M=1.0)
         w = rng.uniform(-1, 1, small_train.dim)
-        _, grad, _ = risk_value_and_grad(spec, w, view)
+        grad = Measurement(spec, w, view).grad
         h = 1e-6
         for j in rng.choice(small_train.dim, 4, replace=False):
             wp, wm = w.copy(), w.copy()
             wp[j] += h
             wm[j] -= h
-            fd = (risk_value(spec, wp, view) - risk_value(spec, wm, view)) / (2 * h)
+            fd = (Measurement(spec, wp, view).risk - Measurement(spec, wm, view).risk) / (2 * h)
             assert fd == pytest.approx(grad[j], rel=1e-5, abs=1e-9)
 
 
@@ -160,8 +161,8 @@ def test_hessian_vector_matches_finite_differences(loss, small_train, rng):
     for _ in range(5):
         w = rng.uniform(-2, 2, small_train.dim)
         v = rng.standard_normal(small_train.dim)
-        fd = (risk_value_and_grad(spec, w + h * v, view)[1]
-              - risk_value_and_grad(spec, w - h * v, view)[1]) / (2 * h)
+        fd = (Measurement(spec, w + h * v, view).grad
+              - Measurement(spec, w - h * v, view).grad) / (2 * h)
         np.testing.assert_allclose(risk_hessian(Measurement(spec, w, view))(v), fd,
                                    rtol=1e-6, atol=1e-9)
 
@@ -178,10 +179,11 @@ def test_transpose_products_are_the_rmatmul_bits(loss, shape, rng):
     w, v = rng.normal(size=ds.dim), rng.normal(size=ds.dim)
     margins = view.x @ w
     coefs = _loss_coefs(loss, margins, view.y)
-    old_grad = np.asarray((coefs / view.count) @ view.x).ravel()
+    old_grad = np.asarray((coefs / view.n_samples) @ view.x).ravel()
     np.testing.assert_array_equal(_loss_and_grad(loss, w, view)[1], old_grad)
-    h = expit(margins) * expit(-margins) / view.count if loss == "logistic" else 1.0 / view.count
-    reg = spec.c * statistical_accuracy(spec, view.count)
+    n = view.n_samples
+    h = expit(margins) * expit(-margins) / n if loss == "logistic" else 1.0 / n
+    reg = spec.c * statistical_accuracy(spec, view.n_samples)
     old_hv = np.asarray((h * (view.x @ v)) @ view.x).ravel() + reg * v
     np.testing.assert_array_equal(risk_hessian(Measurement(spec, w, view))(v), old_hv)
     assert view.xt is view.xt
@@ -190,7 +192,8 @@ def test_transpose_products_are_the_rmatmul_bits(loss, shape, rng):
 def test_risk_at_origin_equals_loss(spec, small_train):
     view = small_train.prefix(100)
     w = np.zeros(small_train.dim)
-    r, g, gnorm = risk_value_and_grad(spec, w, view)
+    at = Measurement(spec, w, view)
+    r, g, gnorm = at.risk, at.grad, at.grad_norm
     value, grad = _loss_and_grad(spec.loss, w, view)
     assert r == value
     np.testing.assert_array_equal(g, grad)
@@ -210,7 +213,7 @@ def _old_risk_value_and_grad(spec, w, view):
 
     One margin product gives both the loss values and the coefficients.
     """
-    n = view.count
+    n = view.n_samples
     values, coefs = _old_loss_terms(spec.loss, view.x @ w, view.y)
     l_n, g = float(values.mean()), view.xt @ (coefs / n)
     reg = spec.c * statistical_accuracy(spec, n)
@@ -235,8 +238,8 @@ def test_loss_helpers_split_the_old_loss_terms(loss, rng):
 def test_measurement_is_the_old_oracles_bits(loss, order, small_train, rcv1_tiny, rng):
     spec = RiskSpec(loss=loss, c=0.7, alpha=0.75, gamma=1.3, M=1.0)
     rcv1 = normalize(rcv1_tiny)
-    views = [small_train.prefix(1), small_train.prefix(97), small_train.full_view(),
-             rcv1.prefix(1999), rcv1.full_view()]
+    views = [small_train.prefix(1), small_train.prefix(97), small_train,
+             rcv1.prefix(1999), rcv1]
     for view in views:
         for scale in (0.1, 3.0, 40.0):  # 40 puts logistic margins in both tails
             w = rng.normal(0.0, scale, view.dim)
@@ -250,21 +253,24 @@ def test_measurement_is_the_old_oracles_bits(loss, order, small_train, rcv1_tiny
                 assert at.risk == r
             if order == "risk_never":
                 assert "risk" not in vars(at)  # no loss values were computed
-            assert risk_value(spec, w, view) == r
-            r2, g2, gnorm2 = risk_value_and_grad(spec, w, view)
+            assert Measurement(spec, w, view).risk == r
+            at = Measurement(spec, w, view)
+            r2, g2, gnorm2 = at.risk, at.grad, at.grad_norm
             assert (r2, gnorm2) == (r, gnorm)
             np.testing.assert_array_equal(g2, g)
 
 
 @pytest.mark.parametrize("loss", ["logistic", "squared"])
-def test_risk_value_is_bitwise_the_risk_of_risk_value_and_grad(loss, small_train, rng):
+def test_risk_read_alone_is_bitwise_the_risk_read_after_the_gradient(loss, small_train, rng):
     # the trace reuses the solver's stage risk as R_N when the stage is the full set
     spec = RiskSpec(loss=loss, c=0.7, alpha=0.75, gamma=1.3, M=1.0)
     for n in (1, 97, 512):
         view = small_train.prefix(n)
         for _ in range(5):
             w = rng.normal(0.0, 2.0, small_train.dim)
-            assert risk_value(spec, w, view) == risk_value_and_grad(spec, w, view)[0]
+            after_grad = Measurement(spec, w, view)
+            after_grad.grad
+            assert Measurement(spec, w, view).risk == after_grad.risk
 
 
 def test_regularizer_weight_matches_protocol(small_train, rng):
@@ -273,10 +279,10 @@ def test_regularizer_weight_matches_protocol(small_train, rng):
     view = small_train.prefix(400)
     w = rng.uniform(-1, 1, small_train.dim)
     value, _ = _loss_and_grad(spec.loss, w, view)
-    reg = risk_value(spec, w, view) - value
+    reg = Measurement(spec, w, view).risk - value
     assert reg == pytest.approx(0.05 * float(w @ w), rel=1e-12)
     # quadratic homogeneity in w
-    reg2 = risk_value(spec, 2 * w, view) - _loss_and_grad(spec.loss, 2 * w, view)[0]
+    reg2 = Measurement(spec, 2 * w, view).risk - _loss_and_grad(spec.loss, 2 * w, view)[0]
     assert reg2 == pytest.approx(4 * reg, rel=1e-12)
 
 
@@ -294,13 +300,14 @@ def test_smoothness_constant(small_train):
 
 def test_strong_convexity_property(spec, small_train, rng):
     view = small_train.prefix(128)
-    cv = spec.c * spec.gamma / math.sqrt(view.count)
+    cv = spec.c * spec.gamma / math.sqrt(view.n_samples)
     for _ in range(25):
         w1 = rng.uniform(-1, 1, small_train.dim)
         w2 = rng.uniform(-1, 1, small_train.dim)
         theta = rng.uniform(0.05, 0.95)
-        mid = risk_value(spec, theta * w1 + (1 - theta) * w2, view)
-        chord = theta * risk_value(spec, w1, view) + (1 - theta) * risk_value(spec, w2, view)
+        mid = Measurement(spec, theta * w1 + (1 - theta) * w2, view).risk
+        chord = (theta * Measurement(spec, w1, view).risk
+                 + (1 - theta) * Measurement(spec, w2, view).risk)
         gap = 0.5 * cv * theta * (1 - theta) * float(np.sum((w1 - w2) ** 2))
         assert mid <= chord - gap + 1e-9
 
@@ -309,12 +316,12 @@ def test_gradient_smoothness_property(small_train, rng):
     m_tight = smoothness_constant("logistic", small_train)
     spec = RiskSpec(loss="logistic", c=1.0, alpha=0.5, gamma=1.0, M=m_tight)
     view = small_train.prefix(128)
-    lip = m_tight + spec.c * spec.gamma / math.sqrt(view.count)
+    lip = m_tight + spec.c * spec.gamma / math.sqrt(view.n_samples)
     for _ in range(25):
         w1 = rng.uniform(-2, 2, small_train.dim)
         w2 = rng.uniform(-2, 2, small_train.dim)
-        _, g1, _ = risk_value_and_grad(spec, w1, view)
-        _, g2, _ = risk_value_and_grad(spec, w2, view)
+        g1 = Measurement(spec, w1, view).grad
+        g2 = Measurement(spec, w2, view).grad
         assert np.linalg.norm(g1 - g2) <= lip * np.linalg.norm(w1 - w2) + 1e-9
 
 

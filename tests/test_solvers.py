@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from adasize import RiskSpec, init_state, risk_value, risk_value_and_grad, solve
+from adasize import RiskSpec, init_state, solve
 from adasize import erm, schedule, solvers, ckernel
 from adasize.data import Dataset, generate_synthetic, normalize, parse_sparse_text
 from adasize.erm import Measurement
@@ -31,10 +31,10 @@ class _ProductLog(sparse.csr_matrix):
 
 def _reference_epoch(state, spec, view):
     """The dense SVRG epoch: n steps along svrg_direction from the entry iterate."""
-    n = view.count
+    n = view.n_samples
     _, eta, _ = schedule.svrg_params(spec, n)
     anchor = state.w
-    _, full_grad, _ = risk_value_and_grad(spec, anchor, view)
+    full_grad = Measurement(spec, anchor, view).grad
     w_hat = anchor.copy()
     for i in state.rng.integers(0, n, size=n):
         w_hat -= eta * solvers.svrg_direction(spec, view, int(i), w_hat, anchor, full_grad)
@@ -76,7 +76,7 @@ def _one_sample_squared(cv_target=1e-12):
     ds = parse_sparse_text("+1 1:1\n")
     # pick gamma so that c*V_1 equals cv_target exactly
     spec = RiskSpec(loss="squared", c=1.0, alpha=0.5, gamma=cv_target, M=1.0)
-    return ds.full_view(), spec
+    return ds, spec
 
 
 class TestGd:
@@ -107,10 +107,10 @@ class TestGd:
         view = small_train.prefix(256)
         state = init_state("gd", small_train.dim)
         state.w = rng.uniform(-1, 1, small_train.dim)
-        prev = risk_value(spec, state.w, view)
+        prev = Measurement(spec, state.w, view).risk
         for _ in range(50):
             state = gd_step(state, spec, view, Measurement(spec, state.w, view))
-            cur = risk_value(spec, state.w, view)
+            cur = Measurement(spec, state.w, view).risk
             assert cur <= prev + 1e-10
             prev = cur
 
@@ -148,19 +148,19 @@ class TestAgd:
         # implied by the (M, cV) parameter pair
         ds = parse_sparse_text("+1 1:1\n-1 2:0.4\n")
         spec = RiskSpec(loss="squared", c=1.0, alpha=0.5, gamma=0.02, M=1.0)
-        view = ds.full_view()
+        view = ds
         cv = spec.c * schedule.statistical_accuracy(spec, 2)
         # risk = (1/2n) sum (w.x_i - y_i)^2 + cv/2 |w|^2, Hessian diag
         h = np.array([0.5 * 1.0 + cv, 0.5 * 0.16 + cv])
         b = np.array([0.5 * 1.0, 0.5 * 0.4 * -1.0])
         w_star = b / h
-        r_star = risk_value(spec, w_star, view)
+        r_star = Measurement(spec, w_star, view).risk
         kappa = (spec.M + cv) / cv
         state = init_state("agd", 2)
         gaps = []
         for _ in range(60):
             state = agd_step(state, spec, view)
-            gaps.append(risk_value(spec, state.w, view) - r_star)
+            gaps.append(Measurement(spec, state.w, view).risk - r_star)
         observed = (gaps[49] / gaps[9]) ** (1.0 / 40.0)
         assert observed <= (1.0 - 1.0 / math.sqrt(kappa)) + 0.05
 
@@ -183,18 +183,18 @@ class TestSvrg:
         view = small_train.prefix(5)
         w_hat = rng.uniform(-1, 1, small_train.dim)
         anchor = rng.uniform(-1, 1, small_train.dim)
-        _, full_grad, _ = risk_value_and_grad(spec, anchor, view)
+        full_grad = Measurement(spec, anchor, view).grad
         mean = np.zeros(small_train.dim)
         for i in range(5):
             mean += solvers.svrg_direction(spec, view, i, w_hat, anchor, full_grad)
         mean /= 5
-        _, grad_hat, _ = risk_value_and_grad(spec, w_hat, view)
+        grad_hat = Measurement(spec, w_hat, view).grad
         np.testing.assert_allclose(mean, grad_hat, atol=1e-12)
 
     def test_direction_at_anchor_equals_full_gradient(self, spec, small_train):
         view = small_train.prefix(8)
         w = np.full(small_train.dim, 0.3)
-        _, full_grad, _ = risk_value_and_grad(spec, w, view)
+        full_grad = Measurement(spec, w, view).grad
         for i in range(8):
             d = solvers.svrg_direction(spec, view, i, w, w, full_grad)
             np.testing.assert_array_equal(d, full_grad)
@@ -222,7 +222,7 @@ class TestSvrg:
                       "wide_sparse": ("sparse", "logistic"),
                       "renormalized": ("renormalized", "logistic")}[case]
         ds, spec = _svrg_case(data, loss)
-        view = ds.full_view()
+        view = ds
         fast = init_state("svrg", ds.dim, seed=6)
         fast.w = np.random.default_rng(7).uniform(-1, 1, ds.dim)
         for _ in range(2):  # the second epoch anchors at an iterate the first one moved
@@ -241,12 +241,12 @@ class TestSvrg:
         assert ds.x.has_canonical_format
         np.testing.assert_array_equal(ds.x.toarray(), [[0.5, 0.5], [0.0, 0.8]])
         spec = RiskSpec(loss="squared", c=1.0, gamma=1.0, M=1.0)
-        view = ds.full_view()
+        view = ds
         w_hat, anchor = np.array([0.4, -0.7]), np.array([-0.2, 0.3])
-        _, full_grad, _ = risk_value_and_grad(spec, anchor, view)
+        full_grad = Measurement(spec, anchor, view).grad
         mean = sum(solvers.svrg_direction(spec, view, i, w_hat, anchor, full_grad)
                    for i in range(2)) / 2
-        _, grad_hat, _ = risk_value_and_grad(spec, w_hat, view)
+        grad_hat = Measurement(spec, w_hat, view).grad
         np.testing.assert_allclose(mean, grad_hat, atol=1e-12)
 
     def test_deterministic_given_seed(self, spec, small_train):
@@ -276,7 +276,7 @@ class TestSvrgKernel:
     def test_kernel_matches_numpy_loop(self, data, loss, index_dtype, monkeypatch):
         kernel = _kernel_or_skip()
         ds, spec = _svrg_case(data, loss)
-        view = ds.full_view()
+        view = ds
         # scipy builds the view's matrix with int32 indices; int64 ones take the
         # kernel's conversion route
         view.x.indices = view.x.indices.astype(index_dtype)
@@ -331,7 +331,7 @@ class TestSvrgKernel:
 
         # a process whose first epoch meets that failure runs the numpy loop
         ds, spec = _svrg_case("dense", "logistic")
-        view = ds.full_view()
+        view = ds
         start = init_state("svrg", ds.dim, seed=6)
         monkeypatch.setattr(ckernel, "get", lambda: None)
         expected = _epochs(replace(start, rng=copy.deepcopy(start.rng)), spec, view, 2)
@@ -400,7 +400,7 @@ class TestSolve:
         # w's only at the exit
         view = small_train.prefix(64)
         operands = []
-        view._x = _ProductLog(view.x, operands)
+        view.x = _ProductLog(view.x, operands)
         state = init_state(method, small_train.dim, seed=5)
         points = [state.w, state.agd_y]  # every iterate and lookahead, by identity
         rule = {"threshold": 1e-3} if mode == "until_threshold" else {"iterations": 3}
@@ -428,7 +428,8 @@ class TestSolve:
         assert len(seen) == 3
         for w, y, at_w in seen:
             assert not np.array_equal(w, y)
-            r, g, gnorm = risk_value_and_grad(spec, w, view)
+            at = Measurement(spec, w, view)
+            r, g, gnorm = at.risk, at.grad, at.grad_norm
             assert (at_w.risk, at_w.grad_norm) == (r, gnorm)
             np.testing.assert_array_equal(at_w.grad, g)
 
@@ -437,7 +438,7 @@ class TestSolve:
         ds = parse_sparse_text("+1 1:40\n")
         spec = RiskSpec(loss="squared", c=1.0, alpha=0.5, gamma=1e-9, M=1e-9)
         with pytest.raises(DivergenceError):
-            solve(init_state("gd", 1), spec, ds.full_view(), iterations=2000)
+            solve(init_state("gd", 1), spec, ds, iterations=2000)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from adasize import RiskSpec
-from adasize.data import DatasetView, generate_synthetic, normalize, parse_sparse_text
+from adasize.data import Dataset, generate_synthetic, normalize, parse_sparse_text
 from adasize.verify import CheckReport, _report, fd_gradient_check, lemma1_check, lemma2_check, \
     proposition1_check, svrg_direction_check, theorem_sn_sufficiency_check, \
     unregularized_optimum_proxy
@@ -49,7 +49,7 @@ class TestFdCheck:
         def per_row(self, i):
             raise AssertionError("the finite-difference reference read one row")
 
-        monkeypatch.setattr(DatasetView, "sample_arrays", per_row)
+        monkeypatch.setattr(Dataset, "sample_arrays", per_row)
         rep = fd_gradient_check(tight_spec, base_2k.prefix(128), trials=5, seed=1)
         assert rep.passed
 
