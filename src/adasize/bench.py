@@ -139,19 +139,15 @@ def _scan_trace(trace: driver.Trace, ref: ReferenceOptimum, target: float, N: in
 
 def compare_matrix(configs: list, spec: RiskSpec, train: Dataset,
                    test: Dataset | None = None):
-    """Run every config on the shared data and summarize time-to-target per method.
+    """Run every config on all N training samples and summarize time-to-target per method.
 
     Rows for adaptive configs carry the speedup ratio against the fixed run
     of the same method when both reached the target.  Returns the rows, the
     (config, trace) pairs (trace None for diverged or exhausted runs) and the reference
     optimum of the full-set risk that suboptimality was measured against.
     """
-    N_values = {cfg.N for cfg in configs}
-    if len(N_values) != 1:
-        raise ValueError("all configs in a comparison must share N")
-    N = N_values.pop()
-    full = train.prefix(N)
-    ref = reference_optimum(spec, full)
+    N = train.n_samples
+    ref = reference_optimum(spec, train)
     target = schedule.statistical_accuracy(spec, N)
 
     rows = []

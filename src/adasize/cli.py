@@ -253,12 +253,11 @@ def _load_dataset(args) -> tuple[data.Dataset, str]:
 
 def _prepare_experiment(args, wstar_sq: float = 0.0):
     ds, digest = _load_dataset(args)
-    N = args.N or ds.n_samples
-    train, test = _from_flags(data.shuffle_and_split, ds, N, seed=args.seed)
+    train, test = _from_flags(data.shuffle_and_split, ds, args.N or ds.n_samples, seed=args.seed)
     m = 1.0 if args.m_mode == "paper" else erm.smoothness_constant(args.loss, train)
     spec = _from_flags(RiskSpec, loss=args.loss, c=args.c, alpha=args.alpha, gamma=args.gamma,
                        M=m, wstar_sq=wstar_sq)
-    return train, test, spec, N, digest
+    return train, test, spec, digest
 
 
 def _manifest_text(args, digest: str, outputs: list[str], extra: dict | None = None) -> str:
@@ -282,7 +281,6 @@ def _run_config_from_args(args, N: int, adaptive: bool, method: str) -> RunConfi
         method=method,
         adaptive=adaptive,
         m0=min(args.m0, N),
-        N=N,
         budget_mode=args.budget,
         seed=args.seed,
         eval_every=args.eval_every,
@@ -307,13 +305,13 @@ def cmd_gen(args) -> int:
 
 
 def cmd_run(args) -> int:
-    train, test, spec, N, digest = _prepare_experiment(args, args.wstar)
-    cfg = _run_config_from_args(args, N, args.adaptive, args.method)
+    train, test, spec, digest = _prepare_experiment(args, args.wstar)
+    cfg = _run_config_from_args(args, train.n_samples, args.adaptive, args.method)
     if cfg.adaptive:
         _, trace, _ = driver.adaptive_run(cfg, spec, train, test)
     else:
         _, trace = driver.fixed_run(cfg, spec, train, test)
-    ref = bench.reference_optimum(spec, train.prefix(N))
+    ref = bench.reference_optimum(spec, train)
     out_dir = _out_dir(args)
     trace_file = _trace_name(args.method, cfg.adaptive, args.seed)
     _write_atomic(out_dir / trace_file, bench.trace_csv_text(trace, ref))
@@ -324,9 +322,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    train, test, spec, N, digest = _prepare_experiment(args, args.wstar)
+    train, test, spec, digest = _prepare_experiment(args, args.wstar)
     configs = [
-        _run_config_from_args(args, N, adaptive, method)
+        _run_config_from_args(args, train.n_samples, adaptive, method)
         for method in ("gd", "agd", "svrg")
         for adaptive in (False, True)
     ]
@@ -393,7 +391,8 @@ def cmd_verify(args) -> int:
             raise UsageError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
     if not args.dataset and not args.gen:
         args.gen = "8192,20,1.0"
-    train, _, spec, N, digest = _prepare_experiment(args)
+    train, _, spec, digest = _prepare_experiment(args)
+    N = train.n_samples
     if N < 4 and _SUBSET_CHECKS.intersection(selected):
         raise UsageError(f"--N must be >= 4 for the {', '.join(sorted(_SUBSET_CHECKS))} "
                          f"checks, got {N}")

@@ -63,7 +63,8 @@ class Dataset:
     """Immutable ordered sample collection over a fixed feature dimension."""
 
     def __init__(self, x: sparse.csr_matrix, y: np.ndarray, name: str = ""):
-        x = sparse.csr_matrix(x)
+        if not isinstance(x, sparse.csr_matrix):  # a CSR keeps its canonical-format flag
+            x = sparse.csr_matrix(x)
         x.sum_duplicates()  # canonical rows: sorted, each column at most once
         y = np.asarray(y, dtype=np.float64)
         if x.shape[0] != y.shape[0]:
@@ -157,13 +158,17 @@ def row_block(x: sparse.csr_matrix, lo: int, hi: int) -> sparse.csr_matrix:
 
     indptr is copied for lo > 0, to shift it to start at 0.  scipy copies
     data and indices too when the block holds under half of x's entries.
-    Its product with a vector gives the bits of those rows of `x @ w`: a
-    CSR product sums each row on its own, left to right.
+    The block takes x's canonical-format flag, since the rows of a canonical
+    matrix are canonical, so `Dataset` does not scan it again.  Its product
+    with a vector gives the bits of those rows of `x @ w`: a CSR product
+    sums each row on its own, left to right.
     """
     a, b = x.indptr[lo], x.indptr[hi]
     indptr = x.indptr[lo:hi + 1]
-    return sparse.csr_matrix((x.data[a:b], x.indices[a:b], indptr - a if lo else indptr),
-                             shape=(hi - lo, x.shape[1]), copy=False)
+    block = sparse.csr_matrix((x.data[a:b], x.indices[a:b], indptr - a if lo else indptr),
+                              shape=(hi - lo, x.shape[1]), copy=False)
+    block.has_canonical_format = x.has_canonical_format
+    return block
 
 
 def parse_sparse_text(text, label_map: dict | None = None, dim: int | None = None,

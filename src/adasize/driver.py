@@ -1,15 +1,16 @@
 """The adaptive sample-size mechanism and fixed-size baseline runs.
 
 Both runs walk one stage loop over a list of sample sizes: m0, 2 m0, 4 m0,
-..., N (the last clamped at N) for an adaptive run, [N] for a fixed run.
-The first stage starts from the zero vector; each later stage warm-starts
-at the previous stage's exit iterate.  Stages stop either on the
-gradient-norm rule ||grad R_n|| <= sqrt(2c) V_n, which certifies
-suboptimality within statistical accuracy (budget "threshold"), or, after
-the first stage, after the closed-form iteration count for the chosen
-method (budget "theory").  An adaptive stage that does not meet its
-threshold within solvers.MAX_ITERATIONS steps raises BudgetError; a fixed
-run stops at its pass cap.
+..., N (the last clamped at N) for an adaptive run, [N] for a fixed run,
+where N is the size of the training set a run is given.  The first stage
+starts from the zero vector; each later stage warm-starts at the previous
+stage's exit iterate.  Stages stop either on the gradient-norm rule
+||grad R_n|| <= sqrt(2c) V_n, which certifies suboptimality within
+statistical accuracy (budget "threshold"), or, after the first stage, after
+the closed-form iteration count for the chosen method (budget "theory").
+An adaptive stage that does not meet its threshold within
+solvers.MAX_ITERATIONS steps raises `solvers.solve`'s BudgetError; a fixed
+run gives solve its pass cap as well, and stops there.
 
 The trace records every eval_every-th iterate of a stage and its exit, each
 once: the stage measurement's margins give R_N with one more product over
@@ -35,7 +36,6 @@ class RunConfig:
     method: str = "agd"
     adaptive: bool = True
     m0: int = 400
-    N: int = 0
     budget_mode: str = "threshold"  # or "theory": closed-form counts after the first stage
     seed: int = 0
     eval_every: int = 1
@@ -48,8 +48,8 @@ class RunConfig:
             raise ValueError(f"unknown budget mode {self.budget_mode!r}")
         if self.eval_every < 1:
             raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
-        if self.N and not 1 <= self.m0 <= self.N:
-            raise ValueError(f"need 1 <= m0 <= N, got m0={self.m0}, N={self.N}")
+        if self.m0 < 1:  # m0 <= N is checked when a run knows its training set
+            raise ValueError(f"m0 must be >= 1, got {self.m0}")
         if self.pass_cap < 0:
             raise ValueError(f"pass_cap must be >= 0, got {self.pass_cap}")
 
@@ -102,10 +102,10 @@ class _Recorder:
     def __init__(self, config: RunConfig, spec: RiskSpec, train: Dataset,
                  test: Dataset | None):
         self.spec = spec
-        self.full = train.prefix(config.N)
+        self.full = train
         self.test = test
         self.eval_every = config.eval_every
-        self.trace = Trace(config.N)
+        self.trace = Trace(train.n_samples)
         self._tail = None  # (n, rows n..N of the full set)
 
     def record(self, state: SolverState, at_w: Measurement) -> None:
@@ -131,17 +131,16 @@ def _theoretical_iterations(config: RunConfig, spec: RiskSpec, n: int) -> int:
 
 
 def _run_stages(config: RunConfig, spec: RiskSpec, train: Dataset, test: Dataset | None,
-                sizes: list[int], max_iterations: int
+                sizes: list[int], cap: int | None
                 ) -> tuple[np.ndarray, Trace, list[StageReport]]:
     """Solve the stages in order, the first from zero, each later one from the last exit.
 
     The first stage always uses the threshold rule: it must establish the
     entry certificate the later fixed-count stages rely on.  A fixed run
-    stops at max_iterations, its pass cap; an adaptive stage that stops there
-    above its threshold raises BudgetError.  No stages give zero and an empty trace.
+    gives its pass cap as `cap`, and each threshold stage stops there too;
+    without it, solve raises BudgetError for a stage that stays above its
+    threshold.  No stages give zero and an empty trace.
     """
-    if train.n_samples < config.N:
-        raise ValueError(f"training set has {train.n_samples} samples, config.N={config.N}")
     rec = _Recorder(config, spec, train, test)
 
     def cb(st: SolverState, it: int, at_w: Measurement) -> None:
@@ -157,12 +156,8 @@ def _run_stages(config: RunConfig, spec: RiskSpec, train: Dataset, test: Dataset
         result = solvers.solve(
             state, spec, train.prefix(n),
             threshold=None if counted else threshold,
-            iterations=_theoretical_iterations(config, spec, n) if counted else None,
-            max_iterations=max_iterations, callback=cb)
-        if result.budget_exhausted and config.adaptive:
-            raise solvers.BudgetError(
-                f"stage n={n} stopped after {result.iterations} iterations at "
-                f"||grad R_n|| = {result.exit.grad_norm:.6g}, above its threshold {threshold:.6g}")
+            iterations=_theoretical_iterations(config, spec, n) if counted else cap,
+            callback=cb)
         state = result.state
         if result.iterations == 0 or result.iterations % rec.eval_every:
             rec.record(state, result.exit)  # no callback recorded the exit iterate
@@ -179,7 +174,7 @@ def _run_stages(config: RunConfig, spec: RiskSpec, train: Dataset, test: Dataset
 
 def adaptive_run(config: RunConfig, spec: RiskSpec, train: Dataset,
                  test: Dataset | None = None) -> tuple[np.ndarray, Trace, list[StageReport]]:
-    """Run the doubling scheme m0 -> 2 m0 -> ... -> N with warm starts.
+    """Run the doubling scheme m0 -> 2 m0 -> ... -> N with warm starts, N = train.n_samples.
 
     Every distinct sample size is processed exactly once; the last stage is
     clamped to N.  Returns the final iterate, the trace and one report per
@@ -187,16 +182,17 @@ def adaptive_run(config: RunConfig, spec: RiskSpec, train: Dataset,
     """
     if not config.adaptive:
         raise ValueError("adaptive_run requires config.adaptive")
-    return _run_stages(config, spec, train, test, schedule.stage_sizes(config.m0, config.N),
-                       solvers.MAX_ITERATIONS)
+    return _run_stages(config, spec, train, test,
+                       schedule.stage_sizes(config.m0, train.n_samples), None)
 
 
 def fixed_run(config: RunConfig, spec: RiskSpec, train: Dataset,
               test: Dataset | None = None) -> tuple[np.ndarray, Trace]:
-    """Baseline: the stage loop over the single size N, until threshold or the pass cap."""
+    """Baseline: the stage loop over all N training samples, until threshold or the pass cap."""
     if config.adaptive:
         raise ValueError("fixed_run requires a non-adaptive config")
     # one GD/AGD iteration costs one pass; one SVRG epoch costs two
     cap = config.pass_cap if config.method in ("gd", "agd") else config.pass_cap // 2
-    w, trace, _ = _run_stages(config, spec, train, test, [config.N] if cap >= 1 else [], cap)
+    w, trace, _ = _run_stages(config, spec, train, test,
+                              [train.n_samples] if cap >= 1 else [], cap)
     return w, trace

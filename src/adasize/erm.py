@@ -23,13 +23,9 @@ import numpy as np
 from scipy.special import expit
 
 from . import schedule
-from .data import Dataset, row_sq_norms
+from .data import Dataset, EmptyDatasetError, row_sq_norms
 
 LOSSES = ("logistic", "squared")
-
-
-class EmptyViewError(ValueError):
-    pass
 
 
 def _check_loss(loss: str) -> None:
@@ -162,7 +158,7 @@ def smoothness_constant(loss: str, d: Dataset) -> float:
     """
     _check_loss(loss)
     if d.x.shape[0] == 0:
-        raise EmptyViewError("smoothness constant needs a nonempty dataset")
+        raise EmptyDatasetError("smoothness constant needs a nonempty dataset")
     max_sq = float(np.max(row_sq_norms(d.x)))
     return max(max_sq / 4.0 if loss == "logistic" else max_sq, 1e-12)
 
@@ -171,7 +167,7 @@ def test_error(loss: str, w: np.ndarray, test: Dataset) -> float:
     """Fraction of test samples misclassified by sign(w.x); sign(0) counts as +1."""
     _check_loss(loss)
     if test.n_samples == 0:
-        raise EmptyViewError("test set is empty")
+        raise EmptyDatasetError("test set is empty")
     margins = test.x @ w
     preds = np.where(margins >= 0.0, 1.0, -1.0)
     return float(np.mean(preds != test.y))

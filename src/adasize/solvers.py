@@ -5,7 +5,9 @@ gradient-evaluation cost to the state counter: n for a GD or AGD step, 2n
 for an SVRG epoch (full gradient at the anchor plus n inner steps).  One
 uncounted `erm.Measurement` per iterate serves the stop test, the step, the
 SVRG anchor and the trace; the counter is the unit the complexity bounds
-are written in.
+are written in.  `solve` runs one stage under a gradient-norm threshold, a
+step count or both, and is the one place where a threshold not met within
+MAX_ITERATIONS steps becomes a BudgetError.
 
 The n inner steps of an SVRG epoch run in the C kernel, `ckernel.c`, called
 through ctypes.  The first epoch or text parse of a process compiles it with
@@ -28,7 +30,7 @@ from .data import Dataset
 from .erm import RiskSpec
 
 METHODS = ("gd", "agd", "svrg")
-MAX_ITERATIONS = 10**6  # default step cap of one solve
+MAX_ITERATIONS = 10**6  # step cap of a solve that gives one rule alone
 
 
 class DivergenceError(RuntimeError):
@@ -77,7 +79,6 @@ class SolveResult(NamedTuple):
     state: SolverState
     iterations: int
     exit: erm.Measurement  # at state.w
-    budget_exhausted: bool  # the threshold rule still failed at max_iterations
 
 
 def _ensure_finite(w: np.ndarray, context: str) -> None:
@@ -208,34 +209,38 @@ _STEPPERS: dict[str, Callable[..., SolverState]] = {
 
 def solve(state: SolverState, spec: RiskSpec, view: Dataset, *,
           threshold: float | None = None, iterations: int | None = None,
-          max_iterations: int = MAX_ITERATIONS,
           callback: Callable[[SolverState, int, erm.Measurement], None] | None = None
           ) -> SolveResult:
     """Run the state's method on the view until its stop rule holds.
 
-    Exactly one rule is given: `threshold` steps until ||grad R_n|| <= threshold,
-    tested before every step, and stops with the exhausted flag set if
-    max_iterations steps do not reach it; `iterations` takes exactly that
-    many steps, at most max_iterations.  One uncounted measurement per
-    iterate serves the stop test, the step and the trace; it is evaluated on
-    first use only, so a fixed-count AGD solve evaluates it only where it is
-    read.  The callback, if given, runs after every step with the state, the
-    step count and its measurement.
+    `threshold` steps until ||grad R_n|| <= threshold, tested before every
+    step; alone, it raises BudgetError if MAX_ITERATIONS steps do not reach
+    it.  `iterations` alone takes exactly that many steps, at most
+    MAX_ITERATIONS.  Both stop at whichever comes first, never with an
+    error, so there the count is a cap of any size.  One uncounted
+    measurement per iterate serves the stop test, the step and the trace;
+    it is evaluated on first use only, so a fixed-count AGD solve evaluates
+    it only where it is read.  The callback, if given, runs after every step
+    with the state, the step count and its measurement.
     """
-    if (threshold is None) == (iterations is None):
-        raise BudgetError("give exactly one of threshold and iterations")
-    if max_iterations < 1:
-        raise BudgetError(f"max_iterations must be >= 1, got {max_iterations}")
-    if iterations is not None and not 0 <= iterations <= max_iterations:
-        raise BudgetError(f"iterations must lie in [0, {max_iterations}], got {iterations}")
+    if threshold is None and iterations is None:
+        raise BudgetError("give threshold, iterations or both")
+    limit = MAX_ITERATIONS if threshold is None else np.inf  # beside a threshold, a cap
+    if iterations is not None and not 0 <= iterations <= limit:
+        raise BudgetError(f"iterations must lie in [0, {limit}], got {iterations}")
+    cap = MAX_ITERATIONS if iterations is None else iterations
     k = 0
     at_w = erm.Measurement(spec, state.w, view)
-    while not (k == iterations if threshold is None else at_w.grad_norm <= threshold):
-        if k >= max_iterations:  # the threshold rule only: a count is checked above
-            return SolveResult(state, k, at_w, True)
+    while threshold is None or not at_w.grad_norm <= threshold:
+        if k == cap:
+            if iterations is None:
+                raise BudgetError(
+                    f"stage n={view.n_samples} stopped after {k} iterations at ||grad R_n|| = "
+                    f"{at_w.grad_norm:.6g}, above its threshold {threshold:.6g}")
+            break
         state = _STEPPERS[state.method](state, spec, view, at_w)
         k += 1
         at_w = erm.Measurement(spec, state.w, view)
         if callback is not None:
             callback(state, k, at_w)
-    return SolveResult(state, k, at_w, False)
+    return SolveResult(state, k, at_w)

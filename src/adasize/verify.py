@@ -254,13 +254,8 @@ def lemma2_check(spec: RiskSpec, base: Dataset, n: int, draws: int,
 def _threshold_solve(spec: RiskSpec, view: Dataset, threshold: float) -> np.ndarray:
     """Stage solve from zero under the gradient-norm rule: AGD, tight-constant steps."""
     tight_spec = replace(spec, M=erm.smoothness_constant(spec.loss, view))
-    result = solvers.solve(solvers.init_state("agd", view.dim), tight_spec, view,
-                           threshold=threshold)
-    if result.budget_exhausted:
-        raise solvers.BudgetError(
-            f"stage solve at n={view.n_samples} did not reach {threshold} "
-            f"within {result.iterations} iterations")
-    return result.state.w
+    return solvers.solve(solvers.init_state("agd", view.dim), tight_spec, view,
+                         threshold=threshold).state.w
 
 
 def proposition1_check(spec: RiskSpec, base: Dataset, m: int, draws: int,
@@ -320,7 +315,6 @@ def theorem_sn_sufficiency_check(method: str, spec: RiskSpec, base: Dataset, m0:
             method=method,
             adaptive=True,
             m0=m0,
-            N=N,
             budget_mode="theory",
             seed=int(rng.integers(2**62)),
             eval_every=10**9,

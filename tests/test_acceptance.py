@@ -76,7 +76,7 @@ def test_criterion_3_stage_certificates():
         train, spec = _suite_base(seed=seed)
         refs = {}
         for method in ("gd", "agd", "svrg"):
-            cfg = RunConfig(method=method, adaptive=True, m0=256, N=8192, seed=seed)
+            cfg = RunConfig(method=method, adaptive=True, m0=256, seed=seed)
             _, _, reports = adaptive_run(cfg, spec, train)
             for rep in reports:
                 assert rep.exit_grad_norm <= rep.threshold, (seed, method, rep)
@@ -111,7 +111,7 @@ def test_criterion_4_theoretical_iteration_sufficiency(suite):
     two_a = 2.0**spec.alpha
     by_hand = math.floor(math.log2(3 * two_a + (two_a - 1) * (2 + 0.5 * spec.c * wsq))) + 1
     assert expected == by_hand
-    cfg = RunConfig(method="svrg", adaptive=True, m0=256, N=8192, seed=4,
+    cfg = RunConfig(method="svrg", adaptive=True, m0=256, seed=4,
                     budget_mode="theory")
     _, _, reports = adaptive_run(cfg, counted, train)
     stage_epochs = {rep.n: rep.iterations for rep in reports[1:]}
@@ -143,9 +143,9 @@ def test_criterion_5_speedup_over_fixed():
         ref = bench.reference_optimum(spec, train.prefix(N), tolerance=1e-9)
         target = a.statistical_accuracy(spec, N)
         for method in ("gd", "agd", "svrg"):
-            ca = RunConfig(method=method, adaptive=True, m0=m0, N=N, seed=seed)
+            ca = RunConfig(method=method, adaptive=True, m0=m0, seed=seed)
             _, trace_a, _ = adaptive_run(ca, spec, train)
-            cf = RunConfig(method=method, adaptive=False, m0=m0, N=N, seed=seed,
+            cf = RunConfig(method=method, adaptive=False, m0=m0, seed=seed,
                            pass_cap=400)
             _, trace_f = fixed_run(cf, spec, train)
             pa = _passes_to_target(trace_a, ref, target, N)
@@ -171,7 +171,7 @@ def _paper_scale_speedup(path, label_map, alpha, N, target_kind, target_value):
     ref = bench.reference_optimum(spec, train.prefix(N), tolerance=1e-9)
     passes = {}
     for adaptive in (True, False):
-        cfg = RunConfig(method="agd", adaptive=adaptive, m0=400, N=N, seed=0, pass_cap=200)
+        cfg = RunConfig(method="agd", adaptive=adaptive, m0=400, seed=0, pass_cap=200)
         if adaptive:
             _, trace, _ = adaptive_run(cfg, spec, train, test)
         else:

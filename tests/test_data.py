@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse import _compressed, _sparsetools
 
 from adasize import ckernel, data, generate_synthetic, normalize, parse_sparse_text, shuffle_and_split
 from adasize.data import Dataset, EmptyDatasetError, SparseTextError
@@ -621,6 +622,32 @@ class TestSplitAndPrefix:
             assert _owner(p.x.data) is _owner(d.x.data)
         assert "xt" not in vars(p)  # the transpose is built on first read, once
         assert p.xt is p.xt and (p.xt != p.x.T).nnz == 0
+
+    def test_prefix_makes_no_canonical_format_scan(self, monkeypatch):
+        # the rows of a canonical matrix are canonical: a prefix takes its base's flag
+        d = normalize(generate_synthetic(512, 12, 0.5, seed=11)[0])
+        scans = []
+        for module in (_compressed, _sparsetools):  # scipy looks the scan up in one of them
+            real = getattr(module, "csr_has_canonical_format", None)
+            if real is not None:
+                monkeypatch.setattr(module, "csr_has_canonical_format",
+                                    lambda *a, real=real: scans.append(a) or real(*a))
+        assert sparse.csr_matrix((d.x.data, d.x.indices, d.x.indptr),
+                                 shape=d.x.shape).has_canonical_format
+        assert len(scans) == 1  # the spy sees the scan of a matrix without the flag
+        scans.clear()
+        for n in (1, 64, 255, 256, 511):
+            p = d.prefix(n)
+            assert p.x.has_canonical_format and p.prefix(1).x.has_canonical_format
+        assert scans == []
+
+    def test_row_block_of_a_non_canonical_matrix_is_merged(self):
+        # column 0 twice in row 0: the block keeps the flag False, and Dataset merges it
+        x = sparse.csr_matrix((np.array([0.75, -0.25, 0.5, 0.8]), np.array([0, 0, 1, 1]),
+                               np.array([0, 3, 4])), shape=(2, 2))
+        block = data.row_block(x, 0, 1)
+        assert not block.has_canonical_format
+        np.testing.assert_array_equal(Dataset(block, np.array([1.0])).x.toarray(), [[0.5, 0.5]])
 
     def test_prefix_nesting(self, small_train):
         v400 = small_train.prefix(400)

@@ -30,20 +30,20 @@ def test_stage_size_protocol(train_10k):
     # a loose accuracy level makes every stage exit immediately, so this is a
     # pure structural check of the doubling schedule
     spec = RiskSpec(loss="logistic", c=1.0, alpha=0.5, gamma=100.0, M=1.0)
-    cfg = RunConfig(method="gd", adaptive=True, m0=400, N=10000, seed=0)
+    cfg = RunConfig(method="gd", adaptive=True, m0=400, seed=0)
     _, _, reports = adaptive_run(cfg, spec, train_10k)
     assert [r.n for r in reports] == [400, 800, 1600, 3200, 6400, 10000]
 
 
 def test_stage_count_invariant(train_2k, spec):
     for m0 in (100, 256, 2048):
-        cfg = RunConfig(method="agd", adaptive=True, m0=m0, N=2048, seed=1)
+        cfg = RunConfig(method="agd", adaptive=True, m0=m0, seed=1)
         _, _, reports = adaptive_run(cfg, spec, train_2k)
         assert len(reports) == 1 + math.ceil(math.log2(2048 / m0))
 
 
 def test_single_stage_when_m0_is_N(train_2k, spec):
-    cfg = RunConfig(method="agd", adaptive=True, m0=2048, N=2048, seed=1)
+    cfg = RunConfig(method="agd", adaptive=True, m0=2048, seed=1)
     _, _, reports = adaptive_run(cfg, spec, train_2k)
     assert len(reports) == 1 and reports[0].n == 2048
 
@@ -57,7 +57,7 @@ def test_warm_start_chain_bitwise(train_2k, spec, monkeypatch):
         return real_solve(state, spec_, view, **rule)
 
     monkeypatch.setattr(driver_mod.solvers, "solve", spying_solve)
-    cfg = RunConfig(method="agd", adaptive=True, m0=256, N=2048, seed=3)
+    cfg = RunConfig(method="agd", adaptive=True, m0=256, seed=3)
     w, _, reports = adaptive_run(cfg, spec, train_2k)
     assert len(entries) == len(reports)
     np.testing.assert_array_equal(entries[0][1], np.zeros(train_2k.dim))
@@ -69,7 +69,7 @@ def test_warm_start_chain_bitwise(train_2k, spec, monkeypatch):
 def test_bootstrap_certificate(spec):
     ds, _ = generate_synthetic(512, 10, 1.0, seed=1)
     train = normalize(ds)
-    cfg = RunConfig(method="agd", adaptive=True, m0=64, N=512, seed=1)
+    cfg = RunConfig(method="agd", adaptive=True, m0=64, seed=1)
     _, _, reports = adaptive_run(cfg, spec, train)
     report = reports[0]
     assert report.n == 64
@@ -82,14 +82,14 @@ def test_bootstrap_certificate(spec):
 
 def test_bootstrap_zero_iterations_under_loose_accuracy(train_2k):
     spec = RiskSpec(loss="logistic", c=1.0, alpha=0.5, gamma=50.0, M=1.0)
-    cfg = RunConfig(method="gd", adaptive=True, m0=128, N=2048, seed=0)
+    cfg = RunConfig(method="gd", adaptive=True, m0=128, seed=0)
     _, _, reports = adaptive_run(cfg, spec, train_2k)
     assert reports[0].iterations == 0
 
 
 @pytest.mark.parametrize("method", ["gd", "agd", "svrg"])
 def test_threshold_stages_certify_suboptimality(train_2k, spec, method):
-    cfg = RunConfig(method=method, adaptive=True, m0=256, N=2048, seed=7)
+    cfg = RunConfig(method=method, adaptive=True, m0=256, seed=7)
     _, _, reports = adaptive_run(cfg, spec, train_2k)
     for rep in reports:
         assert rep.exit_grad_norm <= rep.threshold
@@ -100,7 +100,7 @@ def test_threshold_stages_certify_suboptimality(train_2k, spec, method):
 
 
 def test_theoretical_budget_svrg_constant_epochs(train_2k, spec):
-    cfg = RunConfig(method="svrg", adaptive=True, m0=256, N=2048, seed=2,
+    cfg = RunConfig(method="svrg", adaptive=True, m0=256, seed=2,
                     budget_mode="theory")
     _, _, reports = adaptive_run(cfg, spec, train_2k)
     expected = iterations_svrg(spec)
@@ -110,7 +110,7 @@ def test_theoretical_budget_svrg_constant_epochs(train_2k, spec):
 
 
 def test_trace_grad_evals_strictly_increase(train_2k, spec):
-    cfg = RunConfig(method="svrg", adaptive=True, m0=128, N=2048, seed=4, eval_every=1)
+    cfg = RunConfig(method="svrg", adaptive=True, m0=128, seed=4, eval_every=1)
     _, trace, _ = adaptive_run(cfg, spec, train_2k)
     evals = [ev.grad_evals for ev in trace.events]
     assert all(b > a for a, b in zip(evals, evals[1:]))
@@ -120,7 +120,7 @@ def test_trace_grad_evals_strictly_increase(train_2k, spec):
 def test_trace_risk_is_full_set_risk_at_every_stage(train_2k, spec, method):
     # on a stage below N the trace must evaluate R_N; on the N stage it reuses
     # the solver's R_n, which must be the same number
-    cfg = RunConfig(method=method, adaptive=True, m0=256, N=2048, seed=2)
+    cfg = RunConfig(method=method, adaptive=True, m0=256, seed=2)
     _, trace, reports = adaptive_run(cfg, spec, train_2k)
     assert len(reports) > 1
     events = {ev.grad_evals: ev for ev in trace.events}
@@ -134,7 +134,7 @@ def test_trace_risk_is_full_set_risk_at_every_stage(train_2k, spec, method):
 
 def test_trace_records_test_error(split_data, spec):
     train, test = split_data
-    cfg = RunConfig(method="agd", adaptive=True, m0=128, N=512, seed=4)
+    cfg = RunConfig(method="agd", adaptive=True, m0=128, seed=4)
     _, trace, _ = adaptive_run(cfg, spec, train, test)
     assert trace.events
     assert all(ev.test_error is not None for ev in trace.events)
@@ -142,7 +142,7 @@ def test_trace_records_test_error(split_data, spec):
 
 
 def test_eval_every_stride(train_2k, spec):
-    cfg = RunConfig(method="gd", adaptive=True, m0=2048, N=2048, seed=0, eval_every=5)
+    cfg = RunConfig(method="gd", adaptive=True, m0=2048, seed=0, eval_every=5)
     _, trace, reports = adaptive_run(cfg, spec, train_2k)
     iters = reports[0].iterations
     # one event per stride plus the stage-boundary event (deduplicated)
@@ -162,14 +162,14 @@ def _old_full_risk(spec, w, view):
     return float(values.mean()) + 0.5 * spec.c * v_n * float(w @ w)
 
 
-def _old_run_stages(config, spec, train, test, sizes, max_iterations):
+def _old_run_stages(config, spec, train, test, sizes, cap):
     """The trace of the stage loop and recorder before each iterate was evaluated once.
 
     Every stage records its exit, even where the last callback recorded that
     same iterate (the trace keeps one event per counter), and R_N is one
-    product over all N rows.
+    product over all N rows.  A fixed run gives its pass cap, an adaptive run None.
     """
-    full, trace = train.prefix(config.N), Trace(config.N)
+    full, trace = train, Trace(train.n_samples)
 
     def record(st, at_w):
         err = None if test is None else erm.test_error(spec.loss, st.w, test)
@@ -187,8 +187,8 @@ def _old_run_stages(config, spec, train, test, sizes, max_iterations):
         result = solvers.solve(
             state, spec, train.prefix(n),
             threshold=None if counted else stop_threshold(spec, n),
-            iterations=driver_mod._theoretical_iterations(config, spec, n) if counted else None,
-            max_iterations=max_iterations, callback=cb)
+            iterations=driver_mod._theoretical_iterations(config, spec, n) if counted else cap,
+            callback=cb)
         state = result.state
         record(state, result.exit)
     return trace
@@ -203,11 +203,10 @@ def test_each_recorded_iterate_is_evaluated_once(split_data, method, case, eval_
     # gamma = 50 makes the first adaptive stage exit without a step
     spec = RiskSpec(loss="logistic", gamma=50.0 if case == "adaptive_loose" else 1.0)
     adaptive = case != "fixed"
-    cfg = RunConfig(method=method, adaptive=adaptive, m0=64, N=512, seed=4,
+    cfg = RunConfig(method=method, adaptive=adaptive, m0=64, seed=4,
                     eval_every=eval_every, pass_cap=8)
     if adaptive:
-        old = _old_run_stages(cfg, spec, train, test, schedule.stage_sizes(64, 512),
-                              solvers.MAX_ITERATIONS)
+        old = _old_run_stages(cfg, spec, train, test, schedule.stage_sizes(64, 512), None)
     else:
         old = _old_run_stages(cfg, spec, train, test, [512], 8 if method != "svrg" else 4)
     calls = []
@@ -241,9 +240,9 @@ def test_recorder_tail_margins_give_the_full_risk_bits(loss, data, rcv1_tiny, rn
         N, extra = 257, [100, 200, 201]
     else:
         train, N, extra = normalize(rcv1_tiny), 2000, []
-    cfg = RunConfig(method="gd", m0=32, N=N)
-    rec = driver_mod._Recorder(cfg, spec, train, None)
+    cfg = RunConfig(method="gd", m0=32)
     full = train.prefix(N)
+    rec = driver_mod._Recorder(cfg, spec, full, None)
     for n in schedule.stage_sizes(32, N) + extra + [N - 1]:
         for scale in (0.1, 5.0, 40.0):  # 40 puts logistic margins in both tails
             w = rng.normal(0.0, scale, train.dim)
@@ -257,9 +256,9 @@ class TestFixedRun:
     @pytest.mark.parametrize("method", ["gd", "agd", "svrg"])
     def test_equals_one_stage_adaptive_run(self, train_2k, spec, method):
         w_fix, trace_fix = fixed_run(
-            RunConfig(method=method, adaptive=False, m0=128, N=2048, seed=5), spec, train_2k)
+            RunConfig(method=method, adaptive=False, m0=128, seed=5), spec, train_2k)
         w_ada, trace_ada, reports = adaptive_run(
-            RunConfig(method=method, adaptive=True, m0=2048, N=2048, seed=5), spec, train_2k)
+            RunConfig(method=method, adaptive=True, m0=2048, seed=5), spec, train_2k)
         assert len(reports) == 1
         np.testing.assert_array_equal(w_fix, w_ada)
         assert trace_fix.events == trace_ada.events
@@ -267,14 +266,14 @@ class TestFixedRun:
     def test_deterministic(self, train_2k, spec):
         runs = []
         for _ in range(2):
-            cfg = RunConfig(method="svrg", adaptive=False, m0=128, N=2048, seed=11)
+            cfg = RunConfig(method="svrg", adaptive=False, m0=128, seed=11)
             w, trace = fixed_run(cfg, spec, train_2k)
             runs.append((w, [(e.grad_evals, e.risk_value, e.grad_norm) for e in trace.events]))
         np.testing.assert_array_equal(runs[0][0], runs[1][0])
         assert runs[0][1] == runs[1][1]
 
     def test_pass_cap_zero(self, train_2k, spec):
-        cfg = RunConfig(method="gd", adaptive=False, m0=128, N=2048, seed=0, pass_cap=0)
+        cfg = RunConfig(method="gd", adaptive=False, m0=128, seed=0, pass_cap=0)
         w, trace = fixed_run(cfg, spec, train_2k)
         np.testing.assert_array_equal(w, np.zeros(train_2k.dim))
         assert trace.events == []
@@ -282,30 +281,36 @@ class TestFixedRun:
     def test_svrg_pass_cap_halved(self, train_2k):
         # 2 passes per epoch: a cap of 5 passes allows at most 2 epochs
         spec = RiskSpec(loss="logistic", c=1.0, alpha=0.5, gamma=1e-6, M=1.0)
-        cfg = RunConfig(method="svrg", adaptive=False, m0=128, N=2048, seed=0, pass_cap=5)
+        cfg = RunConfig(method="svrg", adaptive=False, m0=128, seed=0, pass_cap=5)
         _, trace = fixed_run(cfg, spec, train_2k)
         assert trace.events[-1].grad_evals == 2 * 2 * 2048
 
     def test_wrong_mode_rejected(self, train_2k, spec):
         with pytest.raises(ValueError):
-            fixed_run(RunConfig(method="gd", adaptive=True, m0=1, N=2048), spec, train_2k)
+            fixed_run(RunConfig(method="gd", adaptive=True, m0=1), spec, train_2k)
         with pytest.raises(ValueError):
-            adaptive_run(RunConfig(method="gd", adaptive=False, m0=1, N=2048), spec, train_2k)
+            adaptive_run(RunConfig(method="gd", adaptive=False, m0=1), spec, train_2k)
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        RunConfig(method="newton", N=100)
+        RunConfig(method="newton")
+    with pytest.raises(ValueError, match="m0 must be >= 1"):
+        RunConfig(method="gd", m0=0)
     with pytest.raises(ValueError):
-        RunConfig(method="gd", m0=200, N=100)
+        RunConfig(method="gd", eval_every=0)
     with pytest.raises(ValueError):
-        RunConfig(method="gd", N=100, eval_every=0)
+        RunConfig(method="gd", budget_mode="exact")
     with pytest.raises(ValueError):
-        RunConfig(method="gd", N=100, budget_mode="exact")
-    with pytest.raises(ValueError):
-        RunConfig(method="gd", N=100, pass_cap=-1)
+        RunConfig(method="gd", pass_cap=-1)
     with pytest.raises(ValueError, match="wstar_sq"):
         RiskSpec(wstar_sq=-1.0)
+
+
+def test_m0_above_the_training_set_rejected(train_2k, spec):
+    # a run's N is its training set's size, so m0 <= N is checked when it starts
+    with pytest.raises(ValueError, match="m0=200, N=100"):
+        adaptive_run(RunConfig(method="gd", m0=200), spec, train_2k.prefix(100))
 
 
 class TestExhaustedStage:
@@ -316,7 +321,7 @@ class TestExhaustedStage:
     @pytest.mark.parametrize("budget_mode", ["threshold", "theory"])
     def test_adaptive_run_raises(self, train_2k, monkeypatch, budget_mode):
         monkeypatch.setattr(solvers, "MAX_ITERATIONS", 3)
-        cfg = RunConfig(method="agd", adaptive=True, m0=1024, N=2048, seed=0,
+        cfg = RunConfig(method="agd", adaptive=True, m0=1024, seed=0,
                         budget_mode=budget_mode)
         threshold = stop_threshold(self.SPEC, 1024)
         with pytest.raises(solvers.BudgetError,
@@ -327,7 +332,7 @@ class TestExhaustedStage:
     def test_fixed_run_stops_at_its_pass_cap(self, train_2k, monkeypatch):
         # the pass cap is the fixed run's budget, even above MAX_ITERATIONS
         monkeypatch.setattr(solvers, "MAX_ITERATIONS", 3)
-        cfg = RunConfig(method="gd", adaptive=False, m0=128, N=2048, seed=0, pass_cap=5)
+        cfg = RunConfig(method="gd", adaptive=False, m0=128, seed=0, pass_cap=5)
         _, trace = fixed_run(cfg, self.SPEC, train_2k)
         assert trace.events[-1].grad_evals == 5 * 2048
         assert trace.events[-1].grad_norm > stop_threshold(self.SPEC, 2048)

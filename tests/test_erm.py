@@ -7,8 +7,8 @@ from scipy.special import expit
 
 from adasize import Dataset, RiskSpec, smoothness_constant
 from adasize.erm import test_error as classification_error
-from adasize.data import generate_synthetic, normalize, parse_sparse_text
-from adasize.erm import EmptyViewError, Measurement, _loss_coefs, _loss_values, risk_hessian, \
+from adasize.data import EmptyDatasetError, generate_synthetic, normalize, parse_sparse_text
+from adasize.erm import Measurement, _loss_coefs, _loss_values, risk_hessian, \
     sample_loss_coef
 from adasize.schedule import statistical_accuracy
 from adasize.verify import _risk_value_scalar
@@ -357,5 +357,7 @@ class TestTestError:
         from adasize.data import shuffle_and_split
 
         _, empty = shuffle_and_split(small_train, small_train.n_samples, seed=0)
-        with pytest.raises(EmptyViewError):
+        with pytest.raises(EmptyDatasetError):
             classification_error("logistic", np.zeros(small_train.dim), empty)
+        with pytest.raises(EmptyDatasetError):
+            smoothness_constant("logistic", empty)

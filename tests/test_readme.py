@@ -20,4 +20,5 @@ def test_python_blocks_run_and_reach_accuracy():
             exec(compile(block, str(README), "exec"), namespace)
     # the quick start prints the suboptimality of its final iterate on R_N
     suboptimality = float(out.getvalue().split()[-1])
-    assert 0.0 <= suboptimality <= ad.statistical_accuracy(namespace["spec"], namespace["cfg"].N)
+    assert 0.0 <= suboptimality <= ad.statistical_accuracy(namespace["spec"],
+                                                           namespace["train"].n_samples)

@@ -351,7 +351,7 @@ class TestSolve:
         state = init_state("gd", small_train.dim)
         result = solve(state, spec, view, threshold=10.0)
         assert result.iterations == 0
-        assert not result.budget_exhausted
+        assert result.exit.grad_norm <= 10.0
         np.testing.assert_array_equal(result.state.w, np.zeros(small_train.dim))
 
     def test_threshold_reached(self, spec, small_train):
@@ -359,7 +359,6 @@ class TestSolve:
         thr = schedule.stop_threshold(spec, 200)
         result = solve(init_state("agd", small_train.dim), spec, view, threshold=thr)
         assert result.exit.grad_norm <= thr
-        assert not result.budget_exhausted
 
     def test_fixed_iterations_exact(self, spec, small_train):
         view = small_train.prefix(25)
@@ -367,19 +366,36 @@ class TestSolve:
         assert result.iterations == 7
         assert result.state.grad_evals == 7 * 25
 
-    def test_budget_exhaustion_flag(self, spec, small_train):
+    def test_threshold_alone_raises_after_max_iterations(self, spec, small_train, monkeypatch):
+        # MAX_ITERATIONS is read when solve runs, not when it is defined
+        monkeypatch.setattr(solvers, "MAX_ITERATIONS", 3)
+        calls = []
+        with pytest.raises(BudgetError, match=r"^stage n=200 stopped after 3 iterations at "
+                                              r"\|\|grad R_n\|\| = [0-9.e+-]+, "
+                                              r"above its threshold 1e-14$"):
+            solve(init_state("gd", small_train.dim), spec, small_train.prefix(200),
+                  threshold=1e-14, callback=lambda st, it, at_w: calls.append(it))
+        assert calls == [1, 2, 3]
+
+    def test_both_rules_stop_at_whichever_holds_first(self, spec, small_train, monkeypatch):
+        # the count is a cap, and may exceed MAX_ITERATIONS: stopping there is no error
+        monkeypatch.setattr(solvers, "MAX_ITERATIONS", 3)
         view = small_train.prefix(200)
-        result = solve(init_state("gd", small_train.dim), spec, view, threshold=1e-14,
-                       max_iterations=3)
-        assert result.budget_exhausted
-        assert result.iterations == 3
+        capped = solve(init_state("gd", small_train.dim), spec, view, threshold=1e-14,
+                       iterations=5)
+        assert capped.iterations == 5 and capped.exit.grad_norm > 1e-14
+        met = solve(init_state("gd", small_train.dim), spec, view, threshold=10.0,
+                    iterations=5)
+        assert met.iterations == 0
+        zero = solve(init_state("gd", small_train.dim), spec, view, threshold=1e-14,
+                     iterations=0)
+        assert zero.iterations == 0
 
     @pytest.mark.parametrize("rule", [
-        pytest.param({"threshold": 0.1, "iterations": 5}, id="both"),
         pytest.param({}, id="neither"),
         pytest.param({"iterations": -1}, id="negative_iterations"),
-        pytest.param({"iterations": 4, "max_iterations": 3}, id="iterations_above_cap"),
-        pytest.param({"threshold": 0.1, "max_iterations": 0}, id="zero_cap"),
+        pytest.param({"iterations": -1, "threshold": 0.1}, id="negative_cap"),
+        pytest.param({"iterations": solvers.MAX_ITERATIONS + 1}, id="iterations_above_cap"),
     ])
     def test_invalid_budgets(self, spec, small_train, rule):
         state = init_state("gd", small_train.dim)

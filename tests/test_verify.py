@@ -3,9 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from adasize import RiskSpec
+from adasize import RiskSpec, solvers
 from adasize.data import Dataset, generate_synthetic, normalize, parse_sparse_text
-from adasize.verify import CheckReport, _report, fd_gradient_check, lemma1_check, lemma2_check, \
+from adasize.verify import CheckReport, _report, _threshold_solve, fd_gradient_check, lemma1_check, lemma2_check, \
     proposition1_check, svrg_direction_check, theorem_sn_sufficiency_check, \
     unregularized_optimum_proxy
 
@@ -136,6 +136,14 @@ class TestProposition1:
     def test_size_precondition(self, tight_spec, base_2k):
         with pytest.raises(ValueError):
             proposition1_check(tight_spec, base_2k, m=2000, draws=10)
+
+    def test_stage_solve_stops_at_max_iterations(self, tight_spec, base_2k, monkeypatch):
+        # the step cap is read when the stage solve runs, and its error is the driver's
+        monkeypatch.setattr(solvers, "MAX_ITERATIONS", 2)
+        with pytest.raises(solvers.BudgetError,
+                           match=r"^stage n=64 stopped after 2 iterations at \|\|grad R_n\|\| = "
+                                 r"[0-9.e+-]+, above its threshold 1e-12$"):
+            _threshold_solve(tight_spec, base_2k.prefix(64), 1e-12)
 
 
 class TestTheoremSufficiency:
