@@ -1,11 +1,12 @@
-"""Measurement utilities: reference optima, effective passes, trace CSVs, comparisons.
+"""Measurement utilities: reference optima, trace CSVs, comparisons.
 
 Suboptimality is always measured against a high-accuracy reference
 minimizer computed once per risk: damped Newton-CG from zero, to a measured
 gradient 2-norm at most the tolerance.  It shares no step rule with the
-GD/AGD/SVRG solvers it judges, only the risk oracle `erm.Measurement`.  One
-effective pass is N per-sample gradient evaluations where N is the full
-training-set size.
+GD/AGD/SVRG solvers it judges, only the risk oracle `erm.Measurement`, which
+is also what it returns.  One effective pass is N per-sample gradient
+evaluations where N is the full training-set size, so a run's work in passes
+is its grad_evals / N.
 """
 
 from __future__ import annotations
@@ -31,27 +32,18 @@ NEWTON_MIN_STEP = 2.0**-20
 NEWTON_MAX_STEPS = 100
 
 
-@dataclass(frozen=True)
-class ReferenceOptimum:
-    n: int
-    w_star_n: np.ndarray
-    risk_star: float
-    grad_norm_at_star: float
-
-
 def reference_optimum(spec: RiskSpec, view: Dataset,
-                      tolerance: float = 1e-10) -> ReferenceOptimum:
-    """High-accuracy minimizer of the view's risk, used as the suboptimality oracle.
+                      tolerance: float = 1e-10) -> erm.Measurement:
+    """The measurement at a high-accuracy minimizer w* of the view's risk: the suboptimality oracle.
 
     Newton's method for grad R_n = 0 from zero: each step solves H d = -grad R_n
     by conjugate gradients on Hessian-vector products, then halves t from 1
     until ||grad R_n(w + t d)||^2 <= (1 - 2 NEWTON_SIGMA t) ||grad R_n(w)||^2.
     The steps never read R_n, which is rounding noise near the optimum; it is
-    computed once, at w_star_n, and each Hessian takes the margins of the
-    accepted trial's measurement.  The 2-norm grad_norm_at_star measured at
-    w_star_n is <= tolerance, so R_n(w) - risk_star is accurate to
-    tolerance^2 / (2 c V_n) for any w; otherwise (t below NEWTON_MIN_STEP, or
-    NEWTON_MAX_STEPS steps) BudgetError.
+    computed once, at w*, and each Hessian takes the margins of the accepted
+    trial's measurement.  The returned `.grad_norm` is <= tolerance, so
+    R_n(w) - `.risk` is accurate to tolerance^2 / (2 c V_n) for any w;
+    otherwise (t below NEWTON_MIN_STEP, or NEWTON_MAX_STEPS steps) BudgetError.
     """
     if tolerance <= 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
@@ -75,32 +67,22 @@ def reference_optimum(spec: RiskSpec, view: Dataset,
         raise solvers.BudgetError(
             f"reference solve at n={view.n_samples} did not reach tolerance {tolerance}: "
             f"||grad R_n|| = {at.grad_norm}")
-    return ReferenceOptimum(n=view.n_samples, w_star_n=at.w, risk_star=at.risk,
-                            grad_norm_at_star=at.grad_norm)
-
-
-def effective_passes(grad_evals: int, N: int) -> float:
-    """Work in units of full-set passes: grad_evals / N."""
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    return grad_evals / N
+    return at
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def trace_csv_text(trace: driver.Trace, ref: ReferenceOptimum) -> str:
-    """The trace as CSV; suboptimality is measured against ref and clamped at 0."""
+def trace_csv_text(trace: driver.Trace, risk_star: float) -> str:
+    """The trace as CSV; suboptimality is measured against risk_star and clamped at 0."""
     N = trace.N
-    if ref.n != N:
-        raise ValueError(f"reference optimum is for n={ref.n}, trace final stage is N={N}")
     out = io.StringIO()
     out.write(TRACE_CSV_HEADER + "\n")
     for ev in trace.events:
-        sub = max(0.0, ev.risk_value - ref.risk_star)
+        sub = max(0.0, ev.risk_value - risk_star)
         cells = [
-            _fmt(effective_passes(ev.grad_evals, N)),
+            _fmt(ev.grad_evals / N),
             str(ev.grad_evals),
             str(ev.stage_n),
             _fmt(sub),
@@ -119,21 +101,22 @@ class CompareRow:
     passes_to_min_test_error: float | None = None
     min_test_error: float | None = None
     speedup_vs_fixed: float | None = None
-    diverged: bool = False
-    exhausted: bool = False  # an adaptive stage reached solvers.MAX_ITERATIONS above its threshold
+    # "diverged", or "exhausted" (an adaptive stage reached solvers.MAX_ITERATIONS above
+    # its threshold); a failed row has no numbers
+    failure: str | None = None
 
 
-def _scan_trace(trace: driver.Trace, ref: ReferenceOptimum, target: float, N: int):
+def _scan_trace(trace: driver.Trace, risk_star: float, target: float, N: int):
     passes_to_target = None
     best_err = None
     passes_at_best = None
     for ev in trace.events:
-        sub = max(0.0, ev.risk_value - ref.risk_star)
+        sub = max(0.0, ev.risk_value - risk_star)
         if passes_to_target is None and sub <= target:
-            passes_to_target = effective_passes(ev.grad_evals, N)
+            passes_to_target = ev.grad_evals / N
         if ev.test_error is not None and (best_err is None or ev.test_error < best_err):
             best_err = ev.test_error
-            passes_at_best = effective_passes(ev.grad_evals, N)
+            passes_at_best = ev.grad_evals / N
     return passes_to_target, passes_at_best, best_err
 
 
@@ -143,8 +126,9 @@ def compare_matrix(configs: list, spec: RiskSpec, train: Dataset,
 
     Rows for adaptive configs carry the speedup ratio against the fixed run
     of the same method when both reached the target.  Returns the rows, the
-    (config, trace) pairs (trace None for diverged or exhausted runs) and the reference
-    optimum of the full-set risk that suboptimality was measured against.
+    (config, trace) pairs (trace None for diverged or exhausted runs) and the
+    `reference_optimum` measurement of the full-set risk that suboptimality
+    was measured against.
     """
     N = train.n_samples
     ref = reference_optimum(spec, train)
@@ -160,20 +144,20 @@ def compare_matrix(configs: list, spec: RiskSpec, train: Dataset,
             else:
                 _, trace = driver.fixed_run(cfg, spec, train, test)
         except solvers.DivergenceError:
-            row.diverged = True
+            row.failure = "diverged"
         except solvers.BudgetError:
-            row.exhausted = True
+            row.failure = "exhausted"
         else:
             row.passes_to_target, row.passes_to_min_test_error, row.min_test_error = \
-                _scan_trace(trace, ref, target, N)
+                _scan_trace(trace, ref.risk, target, N)
         rows.append(row)
         traces.append((cfg, trace))
 
     fixed_passes = {
-        r.method: r.passes_to_target for r in rows if not r.adaptive and not r.diverged
+        r.method: r.passes_to_target for r in rows if not r.adaptive
     }
     for row in rows:
-        if row.adaptive and not row.diverged and row.passes_to_target is not None:
+        if row.adaptive and row.passes_to_target is not None:
             base = fixed_passes.get(row.method)
             if base is not None:
                 row.speedup_vs_fixed = (
@@ -184,8 +168,8 @@ def compare_matrix(configs: list, spec: RiskSpec, train: Dataset,
 def _summary_cells(r: CompareRow, fmt: str, speedup_fmt: str) -> list[str]:
     """One summary row's cells, numbers in the given format specs, empty where unknown."""
     head = [r.method, str(r.adaptive).lower()]
-    if r.diverged or r.exhausted:
-        return head + ["diverged" if r.diverged else "exhausted", "", "", ""]
+    if r.failure:
+        return head + [r.failure, "", "", ""]
     values = ((r.passes_to_target, fmt), (r.passes_to_min_test_error, fmt),
               (r.min_test_error, fmt), (r.speedup_vs_fixed, speedup_fmt))
     return head + ["" if v is None else format(v, f) for v, f in values]

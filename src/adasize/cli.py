@@ -236,13 +236,11 @@ def _load_dataset(args) -> tuple[data.Dataset, str]:
         raise UsageError("give either --dataset or --gen, not both")
     if args.dataset:
         blob = Path(args.dataset).read_bytes()
-        ds = data.parse_sparse_text(blob, label_map=_parse_label_map(args.label_map),
-                                    name=Path(args.dataset).stem)
+        ds = data.parse_sparse_text(blob, label_map=_parse_label_map(args.label_map))
         digest = hashlib.sha256(blob).hexdigest()
     elif args.gen:
         n, dim, sparsity = _parse_gen(args.gen)
-        ds, _ = data.generate_synthetic(n, dim, sparsity, seed=args.seed,
-                                        name=f"synthetic_{n}x{dim}")
+        ds, _ = data.generate_synthetic(n, dim, sparsity, seed=args.seed)
         digest = ds.array_sha256()
     else:
         raise UsageError("a dataset is required: pass --dataset FILE or --gen N,DIM,SPARSITY")
@@ -294,8 +292,7 @@ def _trace_name(method: str, adaptive: bool, seed: int) -> str:
 
 def cmd_gen(args) -> int:
     n, dim, sparsity = _parse_gen(args.gen)
-    ds, _ = data.generate_synthetic(n, dim, sparsity, seed=args.seed,
-                                    name=f"synthetic_{n}x{dim}")
+    ds, _ = data.generate_synthetic(n, dim, sparsity, seed=args.seed)
     if args.normalize:
         ds = data.normalize(ds)
     out = _out_dir(args) / f"synthetic_{n}x{dim}_seed{args.seed}.svm"
@@ -314,7 +311,7 @@ def cmd_run(args) -> int:
     ref = bench.reference_optimum(spec, train)
     out_dir = _out_dir(args)
     trace_file = _trace_name(args.method, cfg.adaptive, args.seed)
-    _write_atomic(out_dir / trace_file, bench.trace_csv_text(trace, ref))
+    _write_atomic(out_dir / trace_file, bench.trace_csv_text(trace, ref.risk))
     manifest = _manifest_text(args, digest, [trace_file], {"spec_M": spec.M})
     _write_atomic(out_dir / f"manifest_run_seed{args.seed}.txt", manifest)
     print(out_dir / trace_file)
@@ -335,7 +332,7 @@ def cmd_compare(args) -> int:
         if trace is None:
             continue
         name = _trace_name(cfg.method, cfg.adaptive, cfg.seed)
-        _write_atomic(out_dir / name, bench.trace_csv_text(trace, ref))
+        _write_atomic(out_dir / name, bench.trace_csv_text(trace, ref.risk))
         outputs.append(name)
     _write_atomic(out_dir / f"summary_seed{args.seed}.csv", bench.summary_csv_text(rows))
     outputs.append(f"summary_seed{args.seed}.csv")
@@ -348,15 +345,19 @@ def cmd_compare(args) -> int:
 def cmd_bounds(args) -> int:
     spec = _from_flags(RiskSpec, loss="logistic", c=args.c, alpha=args.alpha, gamma=args.gamma,
                        M=args.M, wstar_sq=args.wstar)
-    plans = _from_flags(schedule.build_stage_plans, spec, args.N, args.m0)
     headers = ["n", "V_n", "threshold", "agd_eta", "agd_beta", "svrg_q", "svrg_eta",
                "svrg_rho", "s_generic", "s_agd", "s_svrg"]
     rows = [headers]
-    for p in plans:
+    for n in _from_flags(schedule.stage_sizes, args.m0, args.N):
+        eta, beta = schedule.agd_params(spec, n)
+        q, s_eta, rho = schedule.svrg_params(spec, n)  # warns where rho >= 1/2
+        s_generic = _from_flags(schedule.iterations_generic,
+                                schedule.gd_contraction_factor(spec, n), spec)
         rows.append([
-            str(p.n), f"{p.accuracy:.6g}", f"{p.stop_threshold:.6g}", f"{p.agd_eta:.6g}",
-            f"{p.agd_beta:.6g}", str(p.svrg_q), f"{p.svrg_eta:.6g}", f"{p.svrg_rho:.6g}",
-            str(p.iters_generic), str(p.iters_agd), str(p.iters_svrg),
+            str(n), f"{schedule.statistical_accuracy(spec, n):.6g}",
+            f"{schedule.stop_threshold(spec, n):.6g}", f"{eta:.6g}", f"{beta:.6g}", str(q),
+            f"{s_eta:.6g}", f"{rho:.6g}", str(s_generic),
+            str(schedule.iterations_agd(spec, n)), str(schedule.iterations_svrg(spec)),
         ])
     widths = [max(len(r[i]) for r in rows) for i in range(len(headers))]
     for r in rows:
@@ -420,7 +421,7 @@ def cmd_verify(args) -> int:
         for method in ("agd", "svrg"):
             reports.append(verify.theorem_sn_sufficiency_check(
                 method, spec, train, m0, args.draws, seed=args.seed))
-    lines = ["name,trials,violations,worst_margin,passed"]
+    lines = [verify.CHECKS_CSV_HEADER]
     for rep in reports:
         lines.append(rep.csv_line())
         print(rep.csv_line())

@@ -1,7 +1,8 @@
 """Dataset ingestion, synthetic generation, normalization, splits, and prefixes.
 
 Datasets are immutable collections of sparse feature rows with labels in
-{-1, +1}, stored as a CSR matrix plus a label vector.  Growing nested
+{-1, +1}, stored as a CSR matrix plus a label vector and nothing else, so
+two datasets are equal when their samples are.  Growing nested
 subsets S_m < S_n are the prefixes `Dataset.prefix(m)` and `prefix(n)` of
 one once-shuffled set, so the first m samples of S_n are S_m by
 construction.  A prefix is itself a `Dataset` that shares its base's arrays,
@@ -62,7 +63,7 @@ class EmptyDatasetError(ValueError):
 class Dataset:
     """Immutable ordered sample collection over a fixed feature dimension."""
 
-    def __init__(self, x: sparse.csr_matrix, y: np.ndarray, name: str = ""):
+    def __init__(self, x: sparse.csr_matrix, y: np.ndarray):
         if not isinstance(x, sparse.csr_matrix):  # a CSR keeps its canonical-format flag
             x = sparse.csr_matrix(x)
         x.sum_duplicates()  # canonical rows: sorted, each column at most once
@@ -75,7 +76,6 @@ class Dataset:
             arr.setflags(write=False)
         self.x = x
         self.y = y
-        self.name = name
 
     @property
     def n_samples(self) -> int:
@@ -102,7 +102,7 @@ class Dataset:
             raise ValueError(f"prefix size {n} out of range [1, {self.n_samples}]")
         if n == self.n_samples:
             return self
-        return Dataset(row_block(self.x, 0, n), self.y[:n], name=self.name)
+        return Dataset(row_block(self.x, 0, n), self.y[:n])
 
     def sample_arrays(self, i: int):
         """(0-based indices, values, label) of sample i, no copies."""
@@ -137,7 +137,6 @@ class Dataset:
         return h.hexdigest()
 
     def __eq__(self, other) -> bool:
-        # name is metadata; equality is over samples and dimension
         if not isinstance(other, Dataset):
             return NotImplemented
         return (
@@ -150,7 +149,7 @@ class Dataset:
         )
 
     def __repr__(self) -> str:
-        return f"Dataset(name={self.name!r}, n={self.n_samples}, dim={self.dim})"
+        return f"Dataset(n={self.n_samples}, dim={self.dim})"
 
 
 def row_block(x: sparse.csr_matrix, lo: int, hi: int) -> sparse.csr_matrix:
@@ -171,8 +170,7 @@ def row_block(x: sparse.csr_matrix, lo: int, hi: int) -> sparse.csr_matrix:
     return block
 
 
-def parse_sparse_text(text, label_map: dict | None = None, dim: int | None = None,
-                      name: str = "parsed") -> Dataset:
+def parse_sparse_text(text, label_map: dict | None = None, dim: int | None = None) -> Dataset:
     """Parse SVMlight-style sparse text: `<label> <idx>:<val> ...` per line.
 
     Indices are 1-based and must be strictly increasing within a line.  `#`
@@ -201,7 +199,7 @@ def parse_sparse_text(text, label_map: dict | None = None, dim: int | None = Non
     if use_dim < max_idx:
         raise ValueError(f"dim={use_dim} smaller than max feature index {max_idx}")
     x = sparse.csr_matrix((data, indices, indptr), shape=(labels.size, max(use_dim, 1)))
-    return Dataset(x, labels, name=name)
+    return Dataset(x, labels)
 
 
 def _parse_lines(text, lmap: dict | None):
@@ -285,8 +283,8 @@ def _parse_clean(text, lmap: dict | None):
 
 
 def generate_synthetic(n: int, dim: int, sparsity: float = 1.0, seed: int = 0,
-                       margin_scale: float = 2.5, feature_decay: float = 0.0,
-                       name: str = "synthetic") -> tuple[Dataset, np.ndarray]:
+                       margin_scale: float = 2.5,
+                       feature_decay: float = 0.0) -> tuple[Dataset, np.ndarray]:
     """Draw a ground-truth weight vector, features, and logistic-model labels.
 
     Samples are i.i.d.: each feature vector is standard normal with entries
@@ -319,7 +317,7 @@ def generate_synthetic(n: int, dim: int, sparsity: float = 1.0, seed: int = 0,
         feats = np.where(rng.random((n, dim)) < sparsity, feats, 0.0)
     probs = expit(feats @ w_true)
     y = np.where(rng.random(n) < probs, 1.0, -1.0)
-    return Dataset(sparse.csr_matrix(feats), y, name=name), w_true
+    return Dataset(sparse.csr_matrix(feats), y), w_true
 
 
 def row_sq_norms(x: sparse.csr_matrix) -> np.ndarray:
@@ -353,7 +351,7 @@ def normalize(d: Dataset) -> Dataset:
     scale = np.where(norms > 0.0, norms, 1.0)
     values = x.data / np.repeat(scale, np.diff(x.indptr))
     return Dataset(sparse.csr_matrix((values, x.indices, x.indptr), shape=x.shape, copy=False),
-                   d.y, name=d.name)
+                   d.y)
 
 
 def shuffle_and_split(d: Dataset, train_count: int, seed: int = 0) -> tuple[Dataset, Dataset]:
@@ -368,6 +366,6 @@ def shuffle_and_split(d: Dataset, train_count: int, seed: int = 0) -> tuple[Data
     perm = np.random.default_rng(seed).permutation(d.n_samples)
     x = d.x[perm]
     y = d.y[perm]
-    train = Dataset(row_block(x, 0, train_count), y[:train_count], name=f"{d.name}-train")
-    test = Dataset(row_block(x, train_count, d.n_samples), y[train_count:], name=f"{d.name}-test")
+    train = Dataset(row_block(x, 0, train_count), y[:train_count])
+    test = Dataset(row_block(x, train_count, d.n_samples), y[train_count:])
     return train, test

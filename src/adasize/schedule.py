@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -25,23 +24,6 @@ SVRG_PRECONDITION_RATIO = 0.02
 # floor(bound)+1 integerization: snap bounds this close to an integer onto it
 # so exact-power arguments (e.g. log2 of 8) do not straddle the floor.
 _INT_SNAP = 1e-9
-
-
-@dataclass(frozen=True)
-class StagePlan:
-    """Derived quantities for one sample size of the doubling schedule."""
-
-    n: int
-    accuracy: float            # V_n
-    stop_threshold: float      # sqrt(2c) * V_n
-    agd_eta: float
-    agd_beta: float
-    svrg_q: int
-    svrg_eta: float
-    svrg_rho: float
-    iters_generic: int | None  # generic linear-rate count at the GD contraction factor
-    iters_agd: int
-    iters_svrg: int
 
 
 class SvrgParams(NamedTuple):
@@ -197,29 +179,3 @@ def stage_sizes(m0: int, N: int) -> list[int]:
     while sizes[-1] < N:
         sizes.append(min(2 * sizes[-1], N))
     return sizes
-
-
-def build_stage_plans(spec: "RiskSpec", N: int, m0: int) -> list[StagePlan]:
-    """Per-stage plan table for the doubling schedule from m0 to N."""
-    plans = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for n in stage_sizes(m0, N):
-            eta, beta = agd_params(spec, n)
-            q, s_eta, rho = svrg_params(spec, n)
-            plans.append(
-                StagePlan(
-                    n=n,
-                    accuracy=statistical_accuracy(spec, n),
-                    stop_threshold=stop_threshold(spec, n),
-                    agd_eta=eta,
-                    agd_beta=beta,
-                    svrg_q=q,
-                    svrg_eta=s_eta,
-                    svrg_rho=rho,
-                    iters_generic=iterations_generic(gd_contraction_factor(spec, n), spec),
-                    iters_agd=iterations_agd(spec, n),
-                    iters_svrg=iterations_svrg(spec),
-                )
-            )
-    return plans

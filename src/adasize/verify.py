@@ -40,6 +40,7 @@ FD_STEP = 1e-6
 FD_COORDS_PER_TRIAL = 5
 SVRG_DIRECTION_ABS_TOL = 1e-12
 PROXY_L2 = 1e-10
+CHECKS_CSV_HEADER = "name,trials,violations,worst_margin,passed"
 
 
 @dataclass
@@ -61,6 +62,7 @@ class CheckReport:
         return self.violations == 0
 
     def csv_line(self) -> str:
+        """One row under CHECKS_CSV_HEADER."""
         return (f"{self.name},{self.trials},{self.violations},"
                 f"{self.worst_margin:.6g},{str(self.passed).lower()}")
 
@@ -145,8 +147,8 @@ def svrg_direction_check(spec: RiskSpec, view: Dataset, trials: int,
                    f"exact enumeration over {n} indices, abs_tol={SVRG_DIRECTION_ABS_TOL:g}")
 
 
-def _probe_grid(dim: int, seed: int, count: int = PROBE_COUNT) -> np.ndarray:
-    """(dim, count) probe points: origin, a few +/- unit axes, seeded uniform draws."""
+def _probe_grid(dim: int, seed: int) -> np.ndarray:
+    """(dim, PROBE_COUNT) probe points: origin, a few +/- unit axes, seeded uniform draws."""
     rng = np.random.default_rng(seed)
     cols = [np.zeros(dim)]
     axes = rng.choice(dim, size=min(dim, 6), replace=False)
@@ -154,9 +156,9 @@ def _probe_grid(dim: int, seed: int, count: int = PROBE_COUNT) -> np.ndarray:
         e = np.zeros(dim)
         e[j] = 1.0 if pos % 2 == 0 else -1.0
         cols.append(e)
-    while len(cols) < count:
+    while len(cols) < PROBE_COUNT:
         cols.append(rng.uniform(-1.0, 1.0, dim))
-    return np.column_stack(cols[:count])
+    return np.column_stack(cols[:PROBE_COUNT])
 
 
 def _loss_matrix(loss: str, base: Dataset, probes: np.ndarray) -> np.ndarray:
@@ -167,7 +169,7 @@ def _loss_matrix(loss: str, base: Dataset, probes: np.ndarray) -> np.ndarray:
 
 def _shuffled_copy(base: Dataset, perm: np.ndarray, k: int | None = None) -> Dataset:
     k = base.n_samples if k is None else k
-    return Dataset(base.x[perm[:k]], base.y[perm[:k]], name=base.name)
+    return Dataset(base.x[perm[:k]], base.y[perm[:k]])
 
 
 def unregularized_optimum_proxy(loss: str, base: Dataset) -> float:
@@ -176,7 +178,7 @@ def unregularized_optimum_proxy(loss: str, base: Dataset) -> float:
     alpha = 1 and gamma = n make V_n = 1, so the ridge weight is PROXY_L2.
     """
     spec = RiskSpec(loss, c=PROXY_L2, alpha=1.0, gamma=float(base.n_samples))
-    w = bench.reference_optimum(spec, base, tolerance=1e-8).w_star_n
+    w = bench.reference_optimum(spec, base, tolerance=1e-8).w
     return float(w @ w)
 
 
@@ -201,12 +203,11 @@ def _nested_draws(loss: str, base: Dataset, m: int, n: int, draws: int, seed: in
 def lemma1_check(spec: RiskSpec, base: Dataset, m: int, n: int, draws: int,
                  seed: int = 0) -> CheckReport:
     """Mean |L_n - L_m| at each probe vs ((n-m)/n)(V_{n-m} + V_m), estimated accuracies."""
-    if not m < n <= base.n_samples:
-        raise ValueError(f"need m < n <= base size, got m={m}, n={n}, base={base.n_samples}")
+    if not 1 <= m < n <= base.n_samples:
+        raise ValueError(f"need 1 <= m < n <= base size, got m={m}, n={n}, "
+                         f"base={base.n_samples}")
     if draws < 100:
         raise ValueError(f"need draws >= 100 for a usable estimate, got {draws}")
-    if m == 0:
-        raise ValueError("m must be positive")
     sum_diff = np.zeros(PROBE_COUNT)
     sup_m_total = 0.0
     sup_nm_total = 0.0
@@ -241,8 +242,8 @@ def lemma2_check(spec: RiskSpec, base: Dataset, n: int, draws: int,
     for _ in range(draws):
         perm = rng.permutation(base.n_samples)
         subset = _shuffled_copy(base, perm, n)
-        ref = bench.reference_optimum(spec, subset, tolerance=1e-8)
-        norms.append(float(ref.w_star_n @ ref.w_star_n))
+        w = bench.reference_optimum(spec, subset, tolerance=1e-8).w
+        norms.append(float(w @ w))
     mean_norm = float(np.mean(norms))
     raw_bound = 4.0 / spec.c + spec.wstar_sq
     exceed = sum(1 for v in norms if v > raw_bound)
@@ -265,8 +266,8 @@ def proposition1_check(spec: RiskSpec, base: Dataset, m: int, draws: int,
     The bound reads ||w*||^2 as spec.wstar_sq, which `verify` sets to the proxy.
     """
     n = 2 * m
-    if n > base.n_samples:
-        raise ValueError(f"need 2m <= base size, got m={m}, base={base.n_samples}")
+    if not 1 <= m <= base.n_samples // 2:
+        raise ValueError(f"need 1 <= m and 2m <= base size, got m={m}, base={base.n_samples}")
     if draws < 1:
         raise ValueError("draws must be >= 1")
     lhs_values = []
@@ -278,7 +279,7 @@ def proposition1_check(spec: RiskSpec, base: Dataset, m: int, draws: int,
         nested = _shuffled_copy(base, perm, n)
         w_m = _threshold_solve(spec, nested.prefix(m), schedule.stop_threshold(spec, m))
         ref_n = bench.reference_optimum(spec, nested, tolerance=1e-9)
-        lhs_values.append(erm.Measurement(spec, w_m, nested).risk - ref_n.risk_star)
+        lhs_values.append(erm.Measurement(spec, w_m, nested).risk - ref_n.risk)
         sup_m += float(np.max(np.abs(l_full - l_m)))
         sup_m += float(np.max(np.abs(l_full - l_nm)))
         sup_n += float(np.max(np.abs(l_full - (m * l_m + (n - m) * l_nm) / n)))
@@ -324,7 +325,7 @@ def theorem_sn_sufficiency_check(method: str, spec: RiskSpec, base: Dataset, m0:
         for rep in reports[1:]:  # skip the first stage
             view = shuffled.prefix(rep.n)
             ref = bench.reference_optimum(spec, view, tolerance=1e-9)
-            gap = erm.Measurement(spec, rep.w, view).risk - ref.risk_star
+            gap = erm.Measurement(spec, rep.w, view).risk - ref.risk
             per_stage.setdefault(rep.n, []).append(gap)
             if gap > schedule.statistical_accuracy(spec, rep.n):
                 draw_bad = True

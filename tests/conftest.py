@@ -37,7 +37,7 @@ def rcv1_tiny(rcv1_like):
     """The RCV1-shaped set at 2000 x 3000 (plus 200 held-out rows), seed 3."""
     indptr, cols, vals, labels = rcv1_like.generate(3, rcv1_like.TINY)
     x = sparse.csr_matrix((vals, cols, indptr), shape=(indptr.size - 1, rcv1_like.TINY.dim))
-    return Dataset(x, labels.astype(np.float64), name="rcv1-tiny")
+    return Dataset(x, labels.astype(np.float64))
 
 
 @pytest.fixture()

@@ -1,12 +1,22 @@
+import contextlib
+import csv
 import hashlib
+import io
+import math
 import os
+import re
 
 import numpy as np
 import pytest
 
-from adasize import solvers, verify
+from adasize import RiskSpec, agd_params, iterations_generic, solvers, verify
 from adasize.cli import main
 from adasize.data import Dataset, generate_synthetic, parse_sparse_text
+from adasize.schedule import gd_contraction_factor
+
+
+# the spec `bounds` builds from its default flags
+UNIT = RiskSpec(loss="logistic", c=1.0, alpha=0.5, gamma=1.0, M=1.0)
 
 
 def run_cli(args):
@@ -113,9 +123,12 @@ class TestGen:
 
 
 class TestBounds:
+    # with M = c = gamma = 1 every stage below n = 2500 violates the SVRG precondition
+
     def test_protocol_table(self, capsys):
-        assert run_cli(["bounds", "--N", "10000", "--m0", "400",
-                        "--alpha", "0.5", "--c", "1"]) == 0
+        with pytest.warns(RuntimeWarning, match="precondition"):
+            assert run_cli(["bounds", "--N", "10000", "--m0", "400",
+                            "--alpha", "0.5", "--c", "1"]) == 0
         out = capsys.readouterr().out
         lines = out.splitlines()
         # header + 6 stages + 2 totals
@@ -124,19 +137,51 @@ class TestBounds:
         assert lines[6].lstrip().startswith("10000")
         assert "not a power of two" in out
         assert "total_svrg_grad_evals = 93691.6" in out
+        assert "precondition" not in out  # the warnings go to stderr only
 
     def test_power_of_two_totals(self, capsys):
-        assert run_cli(["bounds", "--N", "10000", "--m0", "625"]) == 0
+        with pytest.warns(RuntimeWarning, match="precondition"):
+            assert run_cli(["bounds", "--N", "10000", "--m0", "625"]) == 0
         out = capsys.readouterr().out
         assert "total_agd_grad_evals = 1.57193e+06" in out
 
     def test_csv_output(self, tmp_path, capsys):
         csv_path = tmp_path / "bounds.csv"
-        assert run_cli(["bounds", "--N", "1024", "--m0", "256",
-                        "--csv", str(csv_path)]) == 0
+        with pytest.warns(RuntimeWarning, match="precondition"):
+            assert run_cli(["bounds", "--N", "1024", "--m0", "256",
+                            "--csv", str(csv_path)]) == 0
         lines = csv_path.read_text().splitlines()
         assert lines[0].startswith("n,V_n,threshold")
         assert len(lines) == 4
+
+    def test_csv_table_protocol(self, tmp_path):
+        rows, caught = _bounds_csv(tmp_path, 10000, 400)
+        assert [int(r["n"]) for r in rows] == [400, 800, 1600, 3200, 6400, 10000]
+        # one warning for each stage whose svrg_rho is at least 1/2, and only for those
+        warned = [int(re.search(r"at n=(\d+)", str(w.message)).group(1)) for w in caught]
+        assert warned == [int(r["n"]) for r in rows if float(r["svrg_rho"]) >= 0.5]
+        assert warned == [400, 800, 1600]
+        last = rows[-1]
+        assert last["s_agd"] == "24"
+        assert last["s_svrg"] == "3"
+        assert last["svrg_q"] == "10000"
+        assert last["threshold"] == f"{math.sqrt(2) * 0.01:.6g}"
+        eta, beta = agd_params(UNIT, 400)
+        assert (rows[0]["agd_eta"], rows[0]["agd_beta"]) == (f"{eta:.6g}", f"{beta:.6g}")
+
+    def test_csv_generic_column_uses_gd_rate(self, tmp_path):
+        rows, _ = _bounds_csv(tmp_path, 1024, 256)
+        for r in rows:
+            rho = gd_contraction_factor(UNIT, int(r["n"]))
+            assert r["s_generic"] == str(iterations_generic(rho, UNIT))
+
+
+def _bounds_csv(tmp_path, N: int, m0: int):
+    """The rows of `bounds --csv` at the default spec, and the warnings it raised."""
+    csv_path = tmp_path / "bounds.csv"
+    with pytest.warns(RuntimeWarning, match="precondition") as caught:
+        assert run_cli(["bounds", "--N", str(N), "--m0", str(m0), "--csv", str(csv_path)]) == 0
+    return list(csv.DictReader(io.StringIO(csv_path.read_text()))), caught
 
 
 class TestRun:
@@ -271,7 +316,10 @@ class TestConfigFile:
             out = tmp_path / name
             out.mkdir()
             sink = ["--csv", str(out / "table.csv")] if command == "bounds" else ["--out", str(out)]
-            assert run_cli([command, *given, *sink]) == 0
+            # every stage of the bounds table, n = 128 to 1024, violates the SVRG precondition
+            with (pytest.warns(RuntimeWarning, match="precondition") if command == "bounds"
+                  else contextlib.nullcontext()):
+                assert run_cli([command, *given, *sink]) == 0
             files = {p.name: p.read_bytes() for p in out.iterdir()}
             outputs[name] = (capsys.readouterr().out.replace(str(out), "OUT"), files)
         assert outputs["file"] == outputs["flags"]

@@ -95,7 +95,7 @@ def test_threshold_stages_certify_suboptimality(train_2k, spec, method):
         assert rep.exit_grad_norm <= rep.threshold
         view = train_2k.prefix(rep.n)
         ref = reference_optimum(spec, view, tolerance=1e-10)
-        gap = Measurement(spec, rep.w, view).risk - ref.risk_star
+        gap = Measurement(spec, rep.w, view).risk - ref.risk
         assert gap <= statistical_accuracy(spec, rep.n) + 1e-9
 
 

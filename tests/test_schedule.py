@@ -4,11 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from adasize import RiskSpec, agd_params, build_stage_plans, \
-    iterations_agd, iterations_generic, iterations_svrg, statistical_accuracy, \
-    stop_threshold, svrg_params, total_complexity_agd, total_complexity_svrg, \
-    warm_start_bound
-from adasize.schedule import gd_contraction_factor, stage_sizes
+from adasize import RiskSpec, agd_params, iterations_agd, iterations_generic, iterations_svrg, \
+    statistical_accuracy, stop_threshold, svrg_params, total_complexity_agd, \
+    total_complexity_svrg, warm_start_bound
+from adasize.schedule import stage_sizes
 
 UNIT = RiskSpec(loss="logistic", c=1.0, alpha=0.5, gamma=1.0, M=1.0)
 
@@ -213,22 +212,3 @@ class TestWarmStartBound:
     def test_order_check(self):
         with pytest.raises(ValueError):
             warm_start_bound(UNIT, 100, 100, 0.0, 0.1, 0.1, 0.1)
-
-
-class TestStagePlans:
-    def test_table_protocol(self):
-        plans = build_stage_plans(UNIT, 10000, 400)
-        assert [p.n for p in plans] == [400, 800, 1600, 3200, 6400, 10000]
-        last = plans[-1]
-        assert last.iters_agd == 24
-        assert last.iters_svrg == 3
-        assert last.svrg_q == 10000
-        assert last.stop_threshold == pytest.approx(math.sqrt(2) * 0.01)
-        eta, beta = agd_params(UNIT, 400)
-        assert plans[0].agd_eta == eta and plans[0].agd_beta == beta
-
-    def test_generic_column_uses_gd_rate(self):
-        plans = build_stage_plans(UNIT, 1024, 256)
-        for p in plans:
-            rho = gd_contraction_factor(UNIT, p.n)
-            assert p.iters_generic == iterations_generic(rho, UNIT)

@@ -3,11 +3,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from adasize import RiskSpec, solvers
+from adasize import RiskSpec, solvers, verify
 from adasize.data import Dataset, generate_synthetic, normalize, parse_sparse_text
 from adasize.verify import CheckReport, _report, _threshold_solve, fd_gradient_check, lemma1_check, lemma2_check, \
     proposition1_check, svrg_direction_check, theorem_sn_sufficiency_check, \
     unregularized_optimum_proxy
+
+
+def _no_draws(*args, **kwargs):
+    raise AssertionError("a subset was drawn")
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +91,12 @@ class TestLemma1:
         with pytest.raises(ValueError):
             lemma1_check(tight_spec, base_2k, m=128, n=4096, draws=150)
 
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_m_below_one_rejected_before_any_draw(self, tight_spec, base_2k, monkeypatch, m):
+        monkeypatch.setattr(verify, "_nested_draws", _no_draws)
+        with pytest.raises(ValueError, match=f"need 1 <= m < n <= base size, got m={m}"):
+            lemma1_check(tight_spec, base_2k, m=m, n=256, draws=150)
+
     def test_zero_probe_contributes_zero_difference(self):
         # at w = 0 every logistic per-sample loss is log 2, so L_n == L_m there
         ds = parse_sparse_text("+1 1:1\n-1 2:1\n+1 1:0.5 2:0.5\n-1 1:1\n")
@@ -136,6 +146,12 @@ class TestProposition1:
     def test_size_precondition(self, tight_spec, base_2k):
         with pytest.raises(ValueError):
             proposition1_check(tight_spec, base_2k, m=2000, draws=10)
+
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_m_below_one_rejected_before_any_draw(self, tight_spec, base_2k, monkeypatch, m):
+        monkeypatch.setattr(verify, "_nested_draws", _no_draws)
+        with pytest.raises(ValueError, match=f"need 1 <= m and 2m <= base size, got m={m}"):
+            proposition1_check(tight_spec, base_2k, m=m, draws=10)
 
     def test_stage_solve_stops_at_max_iterations(self, tight_spec, base_2k, monkeypatch):
         # the step cap is read when the stage solve runs, and its error is the driver's
