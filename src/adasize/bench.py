@@ -1,8 +1,9 @@
 """Measurement utilities: reference optima, trace CSVs, comparisons.
 
 Suboptimality is always measured against a high-accuracy reference
-minimizer computed once per risk: damped Newton-CG from zero, to a measured
-gradient 2-norm at most the tolerance.  It shares no step rule with the
+minimizer computed once per risk: damped Newton-CG to a measured gradient
+2-norm at most the tolerance, started from the iterate it judges where a
+caller holds one, else from zero.  It shares no step rule with the
 GD/AGD/SVRG solvers it judges, only the risk oracle `erm.Measurement`, which
 is also what it returns.  One effective pass is N per-sample gradient
 evaluations where N is the full training-set size, so a run's work in passes
@@ -32,22 +33,30 @@ NEWTON_MIN_STEP = 2.0**-20
 NEWTON_MAX_STEPS = 100
 
 
-def reference_optimum(spec: RiskSpec, view: Dataset,
-                      tolerance: float = 1e-10) -> erm.Measurement:
+def reference_optimum(spec: RiskSpec, view: Dataset, tolerance: float = 1e-10,
+                      start: np.ndarray | None = None) -> erm.Measurement:
     """The measurement at a high-accuracy minimizer w* of the view's risk: the suboptimality oracle.
 
-    Newton's method for grad R_n = 0 from zero: each step solves H d = -grad R_n
-    by conjugate gradients on Hessian-vector products, then halves t from 1
-    until ||grad R_n(w + t d)||^2 <= (1 - 2 NEWTON_SIGMA t) ||grad R_n(w)||^2.
+    Newton's method for grad R_n = 0 from a copy of `start` (zero when None):
+    each step solves H d = -grad R_n by conjugate gradients on Hessian-vector
+    products, then halves t from 1 until
+    ||grad R_n(w + t d)||^2 <= (1 - 2 NEWTON_SIGMA t) ||grad R_n(w)||^2.
     The steps never read R_n, which is rounding noise near the optimum; it is
     computed once, at w*, and each Hessian takes the margins of the accepted
     trial's measurement.  The returned `.grad_norm` is <= tolerance, so
     R_n(w) - `.risk` is accurate to tolerance^2 / (2 c V_n) for any w;
     otherwise (t below NEWTON_MIN_STEP, or NEWTON_MAX_STEPS steps) BudgetError.
+    A caller that judges an iterate passes it as `start`, which saves Newton
+    steps near w*.  Only the start point comes from the judged run: the steps
+    and the stop test are the oracle's own, so the result does not depend on
+    the start beyond tolerance^2 / (2 c V_n) in `.risk`.
     """
     if tolerance <= 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
-    at = erm.Measurement(spec, np.zeros(view.dim), view)
+    w = np.zeros(view.dim) if start is None else np.array(start, dtype=float)
+    if w.shape != (view.dim,):
+        raise ValueError(f"start must have shape ({view.dim},), got {w.shape}")
+    at = erm.Measurement(spec, w, view)
     for _ in range(NEWTON_MAX_STEPS):
         if at.grad_norm <= tolerance:
             break
@@ -128,30 +137,34 @@ def compare_matrix(configs: list, spec: RiskSpec, train: Dataset,
     of the same method when both reached the target.  Returns the rows, the
     (config, trace) pairs (trace None for diverged or exhausted runs) and the
     `reference_optimum` measurement of the full-set risk that suboptimality
-    was measured against.
+    was measured against.  That reference is solved once, after the runs,
+    from the exit iterate of the last run that finished (from zero when none
+    did).
     """
     N = train.n_samples
-    ref = reference_optimum(spec, train)
-    target = schedule.statistical_accuracy(spec, N)
-
     rows = []
     traces = []
+    start = None
     for cfg in configs:
         row, trace = CompareRow(method=cfg.method, adaptive=cfg.adaptive), None
         try:
             if cfg.adaptive:
-                _, trace, _ = driver.adaptive_run(cfg, spec, train, test)
+                start, trace, _ = driver.adaptive_run(cfg, spec, train, test)
             else:
-                _, trace = driver.fixed_run(cfg, spec, train, test)
+                start, trace = driver.fixed_run(cfg, spec, train, test)
         except solvers.DivergenceError:
             row.failure = "diverged"
         except solvers.BudgetError:
             row.failure = "exhausted"
-        else:
-            row.passes_to_target, row.passes_to_min_test_error, row.min_test_error = \
-                _scan_trace(trace, ref.risk, target, N)
         rows.append(row)
         traces.append((cfg, trace))
+
+    ref = reference_optimum(spec, train, start=start)
+    target = schedule.statistical_accuracy(spec, N)
+    for row, (_, trace) in zip(rows, traces):
+        if trace is not None:
+            row.passes_to_target, row.passes_to_min_test_error, row.min_test_error = \
+                _scan_trace(trace, ref.risk, target, N)
 
     fixed_passes = {
         r.method: r.passes_to_target for r in rows if not r.adaptive

@@ -305,10 +305,10 @@ def cmd_run(args) -> int:
     train, test, spec, digest = _prepare_experiment(args, args.wstar)
     cfg = _run_config_from_args(args, train.n_samples, args.adaptive, args.method)
     if cfg.adaptive:
-        _, trace, _ = driver.adaptive_run(cfg, spec, train, test)
+        w, trace, _ = driver.adaptive_run(cfg, spec, train, test)
     else:
-        _, trace = driver.fixed_run(cfg, spec, train, test)
-    ref = bench.reference_optimum(spec, train)
+        w, trace = driver.fixed_run(cfg, spec, train, test)
+    ref = bench.reference_optimum(spec, train, start=w)
     out_dir = _out_dir(args)
     trace_file = _trace_name(args.method, cfg.adaptive, args.seed)
     _write_atomic(out_dir / trace_file, bench.trace_csv_text(trace, ref.risk))

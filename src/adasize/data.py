@@ -5,8 +5,8 @@ Datasets are immutable collections of sparse feature rows with labels in
 two datasets are equal when their samples are.  Growing nested
 subsets S_m < S_n are the prefixes `Dataset.prefix(m)` and `prefix(n)` of
 one once-shuffled set, so the first m samples of S_n are S_m by
-construction.  A prefix is itself a `Dataset` that shares its base's arrays,
-except where scipy copies a block holding under half of the base's entries.
+construction.  A prefix is itself a `Dataset` that shares its base's arrays
+at every size, and so does its transpose.
 
 Sparse text is read in one pass of C where the compiled library of `ckernel`
 loaded and the text is clean: only digits, `+-.eE:`, blanks and newlines,
@@ -87,16 +87,16 @@ class Dataset:
 
     @cached_property
     def xt(self) -> sparse.csc_matrix:
-        """The transpose of `x`, built once: products with it need no per-call transpose."""
-        return self.x.T
+        """The transpose of `x` over its arrays, built once, so no product builds one per call."""
+        x = self.x
+        return _over_arrays(sparse.csc_matrix, (self.dim, self.n_samples),
+                            x.data, x.indices, x.indptr)
 
     def prefix(self, n: int) -> "Dataset":
         """The first n samples, the set itself when n is all of them.
 
         Prefixes are nested: for m <= n, `prefix(m)` holds the first m samples
-        of `prefix(n)`.  A prefix's arrays are its base's, except where scipy
-        copies a block holding under half of the base's entries; either way
-        they are read-only.
+        of `prefix(n)`.  A prefix's arrays are read-only views of its base's.
         """
         if not 1 <= n <= self.n_samples:
             raise ValueError(f"prefix size {n} out of range [1, {self.n_samples}]")
@@ -152,20 +152,30 @@ class Dataset:
         return f"Dataset(n={self.n_samples}, dim={self.dim})"
 
 
-def row_block(x: sparse.csr_matrix, lo: int, hi: int) -> sparse.csr_matrix:
-    """Rows lo..hi-1 of x as a CSR matrix over x's own data and indices.
+def _over_arrays(fmt, shape, data, indices, indptr):
+    """A `fmt` (csr_matrix or csc_matrix) of the shape over these arrays, none copied.
 
-    indptr is copied for lo > 0, to shift it to start at 0.  scipy copies
-    data and indices too when the block holds under half of x's entries.
-    The block takes x's canonical-format flag, since the rows of a canonical
-    matrix are canonical, so `Dataset` does not scan it again.  Its product
-    with a vector gives the bits of those rows of `x @ w`: a CSR product
-    sums each row on its own, left to right.
+    scipy's constructor copies data and indices that view under half of
+    their base (its `_prune_array`); arrays set on a built matrix are kept.
+    """
+    m = fmt(shape, dtype=data.dtype)
+    m.data, m.indices, m.indptr = data, indices, indptr
+    return m
+
+
+def row_block(x: sparse.csr_matrix, lo: int, hi: int) -> sparse.csr_matrix:
+    """Rows lo..hi-1 of x as a CSR matrix over x's own data and indices, at any size.
+
+    indptr is copied for lo > 0, to shift it to start at 0.  The block
+    takes x's canonical-format flag, since the rows of a canonical matrix
+    are canonical, so `Dataset` does not scan it again.  Its product with a
+    vector gives the bits of those rows of `x @ w`: a CSR product sums each
+    row on its own, left to right.
     """
     a, b = x.indptr[lo], x.indptr[hi]
     indptr = x.indptr[lo:hi + 1]
-    block = sparse.csr_matrix((x.data[a:b], x.indices[a:b], indptr - a if lo else indptr),
-                              shape=(hi - lo, x.shape[1]), copy=False)
+    block = _over_arrays(sparse.csr_matrix, (hi - lo, x.shape[1]),
+                         x.data[a:b], x.indices[a:b], indptr - a if lo else indptr)
     block.has_canonical_format = x.has_canonical_format
     return block
 

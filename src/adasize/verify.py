@@ -233,8 +233,8 @@ def lemma2_check(spec: RiskSpec, base: Dataset, n: int, draws: int,
     included, so it is not held out.  n <= base/4 keeps each subset a small
     part of the base that stands in for the population.
     """
-    if n > base.n_samples // 4:
-        raise ValueError(f"need n <= base size / 4, got n={n} with base size {base.n_samples}")
+    if not 1 <= n <= base.n_samples // 4:
+        raise ValueError(f"need 1 <= n <= base size / 4, got n={n} with base size {base.n_samples}")
     if draws < 1:
         raise ValueError("draws must be >= 1")
     rng = np.random.default_rng(seed)
@@ -278,7 +278,7 @@ def proposition1_check(spec: RiskSpec, base: Dataset, m: int, draws: int,
     for perm, l_full, l_m, l_nm in _nested_draws(spec.loss, base, m, n, draws, seed):
         nested = _shuffled_copy(base, perm, n)
         w_m = _threshold_solve(spec, nested.prefix(m), schedule.stop_threshold(spec, m))
-        ref_n = bench.reference_optimum(spec, nested, tolerance=1e-9)
+        ref_n = bench.reference_optimum(spec, nested, tolerance=1e-9, start=w_m)
         lhs_values.append(erm.Measurement(spec, w_m, nested).risk - ref_n.risk)
         sup_m += float(np.max(np.abs(l_full - l_m)))
         sup_m += float(np.max(np.abs(l_full - l_nm)))
@@ -324,7 +324,7 @@ def theorem_sn_sufficiency_check(method: str, spec: RiskSpec, base: Dataset, m0:
         draw_bad = False
         for rep in reports[1:]:  # skip the first stage
             view = shuffled.prefix(rep.n)
-            ref = bench.reference_optimum(spec, view, tolerance=1e-9)
+            ref = bench.reference_optimum(spec, view, tolerance=1e-9, start=rep.w)
             gap = erm.Measurement(spec, rep.w, view).risk - ref.risk
             per_stage.setdefault(rep.n, []).append(gap)
             if gap > schedule.statistical_accuracy(spec, rep.n):

@@ -10,7 +10,7 @@ from scipy.sparse import linalg as sparse_linalg
 from scipy.special import expit
 
 from adasize import RiskSpec, RunConfig, reference_optimum, statistical_accuracy
-from adasize import bench, solvers
+from adasize import bench, driver, erm, solvers
 from adasize.bench import CompareRow, compare_matrix, format_summary_table, summary_csv_text, \
     trace_csv_text
 from adasize.driver import Trace, TraceEvent
@@ -175,6 +175,87 @@ def test_reference_optimum_agrees_with_agd(spec, view, tol):
     assert np.linalg.norm(ref.w - agd.state.w) <= 2 * tol / cv
 
 
+@pytest.fixture(scope="module")
+def dense_4096x20():
+    return normalize(generate_synthetic(4096, 20, 1.0, seed=6)[0])
+
+
+@pytest.fixture(scope="module")
+def rcv1_2000(rcv1_tiny):
+    return normalize(rcv1_tiny).prefix(2000)
+
+
+def _tight_spec(loss, view):
+    return RiskSpec(loss=loss, c=1.0, alpha=0.5, gamma=0.5, M=smoothness_constant(loss, view))
+
+
+def _risk_gap_bound(spec, view, tol):
+    # R_n(w) - R_n(w*) <= ||grad R_n(w)||^2 / (2 cV_n) for the cV_n-strongly convex R_n
+    return tol**2 / (2 * spec.c * statistical_accuracy(spec, view.n_samples))
+
+
+@pytest.mark.parametrize("loss", ["logistic", "squared"])
+@pytest.mark.parametrize("data", ["dense_4096x20", "rcv1_2000"])
+def test_warm_start_agrees_with_the_zero_start(loss, data, request):
+    # both starts meet the stop test, so both risks lie within tol^2 / (2 cV_n) above R_n(w*);
+    # tol = 1e-8 puts that bound (about 5e-15) above the risk's rounding
+    view = request.getfixturevalue(data)
+    spec = _tight_spec(loss, view)
+    w, _, _ = driver.adaptive_run(RunConfig(method="agd", m0=256, seed=1), spec, view)
+    cold = reference_optimum(spec, view, tolerance=1e-8)
+    warm = reference_optimum(spec, view, tolerance=1e-8, start=w)
+    assert cold.grad_norm <= 1e-8 and warm.grad_norm <= 1e-8
+    assert abs(warm.risk - cold.risk) <= _risk_gap_bound(spec, view, 1e-8)
+
+
+def test_warm_start_from_an_adaptive_exit_takes_fewer_hessian_products(rcv1_2000, monkeypatch):
+    view = rcv1_2000
+    spec = _tight_spec("logistic", view)
+    w, _, reports = driver.adaptive_run(RunConfig(method="agd", m0=256, seed=1), spec, view)
+    assert reports[-1].exit_grad_norm <= reports[-1].threshold  # stopped on its threshold
+    products = []
+    real = erm.risk_hessian
+
+    def counting(at):
+        matvec = real(at)
+        return lambda v: products.append(1) or matvec(v)
+
+    monkeypatch.setattr(erm, "risk_hessian", counting)
+    counts = []
+    for start in (None, w):
+        products.clear()
+        assert reference_optimum(spec, view, start=start).grad_norm <= 1e-10
+        counts.append(len(products))
+    cold, warm = counts
+    assert 0 < warm < cold
+
+
+@pytest.mark.parametrize("loss", ["logistic", "squared"])
+@pytest.mark.parametrize("start", ["one_gd_pass", "large_random"])
+def test_poor_start_still_converges(loss, start, dense_4096x20):
+    view = dense_4096x20
+    spec = _tight_spec(loss, view)
+    if start == "one_gd_pass":
+        w, _ = driver.fixed_run(RunConfig(method="gd", adaptive=False, pass_cap=1), spec, view)
+    else:  # logistic margins in the thousands: the Hessian is nearly cV_n I there
+        w = 1e4 * np.random.default_rng(0).standard_normal(view.dim)
+    cold = reference_optimum(spec, view, tolerance=1e-8)
+    warm = reference_optimum(spec, view, tolerance=1e-8, start=w)
+    assert warm.grad_norm <= 1e-8
+    assert abs(warm.risk - cold.risk) <= _risk_gap_bound(spec, view, 1e-8)
+
+
+def test_start_is_copied_and_shape_checked(squared_problem):
+    ds, spec = squared_problem
+    for bad in (np.zeros(ds.dim + 1), np.zeros((ds.dim, 1)), np.zeros(()), np.zeros((0,))):
+        with pytest.raises(ValueError, match=rf"start must have shape \({ds.dim},\)"):
+            reference_optimum(spec, ds, start=bad)
+    start = np.zeros(ds.dim)
+    ref = reference_optimum(spec, ds, start=start)
+    np.testing.assert_array_equal(ref.w, reference_optimum(spec, ds).w)
+    assert not np.shares_memory(ref.w, start) and not start.any()
+
+
 RISK_STAR = 0.5
 
 
@@ -249,6 +330,41 @@ class TestCompareMatrix:
         assert len(traces) == 1
         assert traces[0][1].events
         assert ref.view.n_samples == 1024
+
+    def test_every_run_failed_solves_from_zero(self, compare_setup):
+        # squared-loss steps of about 1/(M + cV_n) = 3e7 send every iterate to infinity
+        train, spec = compare_setup
+        spec = replace(spec, loss="squared", gamma=1e-6, M=1e-9)
+        cfgs = [RunConfig(method=m, adaptive=a, m0=256, seed=1)
+                for m in ("gd", "agd", "svrg") for a in (False, True)]
+        with pytest.warns(RuntimeWarning, match="overflow"):  # numpy, on the way to infinity
+            rows, traces, ref = compare_matrix(cfgs, spec, train)
+        assert [r.failure for r in rows] == ["diverged"] * 6
+        assert all(trace is None for _, trace in traces)
+        cold = reference_optimum(spec, train)
+        np.testing.assert_array_equal(ref.w, cold.w)
+        assert ref.risk == cold.risk
+
+    def test_reference_starts_from_the_last_run_that_finished(self, compare_setup,
+                                                                 monkeypatch):
+        # the adaptive runs stop at the step cap far above their thresholds
+        train, spec = compare_setup
+        spec = replace(spec, gamma=1e-30)
+        monkeypatch.setattr(solvers, "MAX_ITERATIONS", 50)
+        cfgs = [RunConfig(method="agd", adaptive=False, seed=1, pass_cap=3),
+                RunConfig(method="gd", adaptive=False, seed=1, pass_cap=2),
+                RunConfig(method="agd", adaptive=True, m0=256, seed=1)]
+        starts = []
+        real = bench.reference_optimum
+        monkeypatch.setattr(bench, "reference_optimum",
+                            lambda *a, start=None, **k: starts.append(start) or real(
+                                *a, start=start, **k))
+        rows, _, ref = compare_matrix(cfgs, spec, train)
+        assert [r.failure for r in rows] == [None, None, "exhausted"]
+        w_gd, _ = driver.fixed_run(cfgs[1], spec, train)
+        assert len(starts) == 1
+        np.testing.assert_array_equal(starts[0], w_gd)
+        assert ref.grad_norm <= 1e-10
 
 
 def test_fixed_gd_suboptimality_nonincreasing(compare_setup):

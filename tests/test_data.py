@@ -587,11 +587,9 @@ class TestSplitAndPrefix:
                          (got.x.indptr, x.indptr), (got.y, y)):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
                 assert not a.flags.writeable
-        # row blocks of one permuted matrix: scipy copies only a block holding
-        # under half of its entries
+        # row blocks of one permuted matrix, at any size
         for got in (train, test):
-            if 2 * got.x.nnz >= ds.x.nnz:
-                assert _owner(got.x.data).size == _owner(got.x.indices).size == ds.x.nnz
+            assert _owner(got.x.data).size == _owner(got.x.indices).size == ds.x.nnz
 
     def test_split_range_check(self):
         ds, _ = generate_synthetic(10, 3, 1.0, seed=1)
@@ -608,8 +606,9 @@ class TestSplitAndPrefix:
 
     @pytest.mark.parametrize("n", [1, 64, 255, 256, 400, 511, 512])
     def test_prefix_is_the_sliced_matrix(self, n):
-        # scipy copies a row block holding under half of its base's entries
-        # (n = 64 of 512 here); the copies are read-only too
+        # a prefix and its transpose share the base's arrays at every n, also
+        # where scipy's constructor would copy a block holding under half of
+        # its base's entries (n = 64 of 512 here)
         d = normalize(generate_synthetic(512, 12, 1.0, seed=11)[0])
         p = d.prefix(n)
         assert isinstance(p, Dataset) and p.n_samples == n and p.dim == d.dim
@@ -618,10 +617,11 @@ class TestSplitAndPrefix:
                      (p.y, d.y[:n])):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
             assert not a.flags.writeable
-        if 2 * p.x.nnz >= d.x.nnz:
-            assert _owner(p.x.data) is _owner(d.x.data)
         assert "xt" not in vars(p)  # the transpose is built on first read, once
         assert p.xt is p.xt and (p.xt != p.x.T).nnz == 0
+        for a, b in ((p.x.data, d.x.data), (p.x.indices, d.x.indices),
+                     (p.xt.data, d.x.data), (p.xt.indices, d.x.indices)):
+            assert _owner(a) is _owner(b)
 
     def test_prefix_makes_no_canonical_format_scan(self, monkeypatch):
         # the rows of a canonical matrix are canonical: a prefix takes its base's flag

@@ -133,9 +133,16 @@ class TestLemma2:
         assert np.mean(draws) <= 4.0 / spec.c + wsq_closed
 
     def test_quarter_base_precondition(self, tight_spec, base_2k):
-        with pytest.raises(ValueError, match=r"need n <= base size / 4, got n=513 with base "
+        with pytest.raises(ValueError, match=r"need 1 <= n <= base size / 4, got n=513 with base "
                                              r"size 2048"):
             lemma2_check(tight_spec, base_2k, n=513, draws=10)
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_n_below_one_rejected_before_any_draw(self, tight_spec, base_2k, monkeypatch, n):
+        monkeypatch.setattr(verify, "_shuffled_copy", _no_draws)
+        with pytest.raises(ValueError, match=f"need 1 <= n <= base size / 4, got n={n} with "
+                                             f"base size 2048"):
+            lemma2_check(tight_spec, base_2k, n=n, draws=10)
 
 
 class TestProposition1:
