@@ -121,7 +121,8 @@ class Kernel:
 
         The arrays are sized from len(text) alone, with no counting pass: a
         row takes at least 2 bytes ("1\n") and a nonzero at least 4 (" 1:1"),
-        so about 9 times the text's bytes of address space is reserved.  Only
+        so about 9 times the text's bytes of address space is reserved; a
+        reservation that fails raises MemoryError with that figure.  Only
         the pages the parser writes become resident, and the used prefix of
         each array is copied out before the rest is freed.  More nonzeros
         than an int32 indptr holds fail the C parser's capacity check, which
@@ -130,8 +131,12 @@ class Kernel:
         if not isinstance(text, bytes):
             raise TypeError(f"text must be bytes, not {type(text).__name__}")
         max_rows, max_nnz = len(text) // 2 + 1, min(len(text) // 4, _INT32_LIMIT - 1)
-        labels, indptr = np.empty(max_rows), np.empty(max_rows + 1, dtype=np.int32)
-        indices, values = np.empty(max_nnz, dtype=np.int32), np.empty(max_nnz)
+        try:
+            labels, indptr = np.empty(max_rows), np.empty(max_rows + 1, dtype=np.int32)
+            indices, values = np.empty(max_nnz, dtype=np.int32), np.empty(max_nnz)
+        except MemoryError:
+            raise MemoryError(f"the C parser needs about {12 * (max_rows + max_nnz)} bytes, "
+                              f"9 times the text's {len(text)}") from None
         out = np.zeros(3, dtype=np.int64)
         if self._lib.parse_sparse_text(text, len(text), labels, indptr, max_rows,
                                        indices, values, max_nnz, out) != 0:

@@ -225,6 +225,15 @@ def _parse_label_map(text: str | None) -> dict | None:
     return out
 
 
+def _generate(args) -> data.Dataset:
+    """The --gen set, drawn from --seed."""
+    n, dim, sparsity = _parse_gen(args.gen)
+    try:
+        return data.generate_synthetic(n, dim, sparsity, seed=args.seed)[0]
+    except MemoryError as exc:
+        raise MemoryError(f"out of memory drawing --gen {args.gen}: {exc}") from None
+
+
 def _load_dataset(args) -> tuple[data.Dataset, str]:
     """Dataset plus a content hash for the manifest.
 
@@ -236,11 +245,13 @@ def _load_dataset(args) -> tuple[data.Dataset, str]:
         raise UsageError("give either --dataset or --gen, not both")
     if args.dataset:
         blob = Path(args.dataset).read_bytes()
-        ds = data.parse_sparse_text(blob, label_map=_parse_label_map(args.label_map))
+        try:
+            ds = data.parse_sparse_text(blob, label_map=_parse_label_map(args.label_map))
+        except MemoryError as exc:
+            raise MemoryError(f"out of memory parsing {args.dataset}: {exc}") from None
         digest = hashlib.sha256(blob).hexdigest()
     elif args.gen:
-        n, dim, sparsity = _parse_gen(args.gen)
-        ds, _ = data.generate_synthetic(n, dim, sparsity, seed=args.seed)
+        ds = _generate(args)
         digest = ds.array_sha256()
     else:
         raise UsageError("a dataset is required: pass --dataset FILE or --gen N,DIM,SPARSITY")
@@ -291,11 +302,10 @@ def _trace_name(method: str, adaptive: bool, seed: int) -> str:
 
 
 def cmd_gen(args) -> int:
-    n, dim, sparsity = _parse_gen(args.gen)
-    ds, _ = data.generate_synthetic(n, dim, sparsity, seed=args.seed)
+    ds = _generate(args)
     if args.normalize:
         ds = data.normalize(ds)
-    out = _out_dir(args) / f"synthetic_{n}x{dim}_seed{args.seed}.svm"
+    out = _out_dir(args) / f"synthetic_{ds.n_samples}x{ds.dim}_seed{args.seed}.svm"
     _write_atomic(out, ds.to_sparse_text())
     print(out)
     return 0
@@ -466,7 +476,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

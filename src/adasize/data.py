@@ -22,6 +22,11 @@ and the used prefix of each array is copied out.  Everything else, and all
 text where the library did not load, goes through the line parser
 `_parse_lines`, which gives the same arrays and is the only path that
 reports errors.
+
+Generated (`--gen`) data is drawn dense and stored as CSR:
+`generate_synthetic` masks its float64 draw in place, then gathers the
+nonzeros' values and column indices in row-major order, with no dense to
+COO to CSR conversion.
 """
 
 from __future__ import annotations
@@ -39,10 +44,11 @@ from . import ckernel
 # to_sparse_text formats this many rows with one % operation, so the argument
 # tuple stays small beside the text
 _FORMAT_BATCH_ROWS = 1024
-# generate_synthetic's peak per matrix entry: the scaled float64 features, the
-# float64 keep draw, its bool mask and the float64 np.where result, all live at once
-_DENSE_DRAW_BYTES_PER_ENTRY = 8 + 8 + 1 + 8
-# CSR arrays hold 0-based indices as int32
+# generate_synthetic's peak per matrix entry: the float64 draw with the float64
+# values and int64 positions of its nonzeros, when every entry is kept; the mask
+# step's float64 uniforms and bool mask (8 + 1 beside the draw) stay below it
+_DENSE_DRAW_BYTES_PER_ENTRY = 8 + 8 + 8
+# parsed CSR arrays hold 0-based indices as int32; generated ones widen past this
 _INT32_MAX = np.iinfo(np.int32).max
 # the labels a file may hold without a label map
 _PLUS_MINUS_ONE = {1.0: 1.0, -1.0: -1.0}
@@ -304,7 +310,14 @@ def generate_synthetic(n: int, dim: int, sparsity: float = 1.0, seed: int = 0,
     data.  w_true is scaled so the margin standard deviation is
     `margin_scale`: large enough for an informative classifier, small
     enough that label noise keeps the problem non-separable.  Fully
-    deterministic in `seed`.  The draw is dense, so a shape whose arrays
+    deterministic in `seed`.
+
+    The draw is one dense float64 (n, dim) array, scaled and masked in
+    place; the CSR arrays are gathered from its nonzeros, with the index
+    dtype that scipy's own conversion picks.  Per matrix entry at most 24
+    bytes are alive at once: the draw and the float64 values and int64
+    positions of its nonzeros, when every entry is kept (the mask step holds
+    the draw, float64 uniforms and a bool mask: 17).  A shape whose arrays
     would not fit in physical memory is refused before anything is allocated.
     """
     if n < 1 or dim < 1:
@@ -322,12 +335,24 @@ def generate_synthetic(n: int, dim: int, sparsity: float = 1.0, seed: int = 0,
     w_true = rng.standard_normal(dim)
     margin_sd = np.sqrt(sparsity * float(np.sum((w_true * col_scale) ** 2)))
     w_true *= margin_scale / margin_sd
-    feats = rng.standard_normal((n, dim)) * col_scale
+    feats = rng.standard_normal((n, dim))
+    if feature_decay:  # col_scale is all ones at 0, and x * 1.0 == x
+        feats *= col_scale
     if sparsity < 1.0:
-        feats = np.where(rng.random((n, dim)) < sparsity, feats, 0.0)
+        # np.where(keep, feats, 0.0) in place: a dropped entry becomes +-0.0, then +0.0
+        np.multiply(feats, rng.random((n, dim)) < sparsity, out=feats)
+        feats += 0.0
     probs = expit(feats @ w_true)
     y = np.where(rng.random(n) < probs, 1.0, -1.0)
-    return Dataset(sparse.csr_matrix(feats), y), w_true
+    flat = np.flatnonzero(feats != 0.0)  # the nonzeros' row-major positions
+    values = feats.take(flat)
+    del feats  # freed before the index arrays are built
+    indptr = np.searchsorted(flat, np.arange(n + 1) * dim)
+    idx_dtype = np.int32 if max(flat.size, n, dim) <= _INT32_MAX else np.int64
+    indices = np.remainder(flat, dim, out=flat).astype(idx_dtype)
+    x = _over_arrays(sparse.csr_matrix, (n, dim), values, indices, indptr.astype(idx_dtype))
+    x.has_canonical_format = True  # one entry per position, in column order
+    return Dataset(x, y), w_true
 
 
 def row_sq_norms(x: sparse.csr_matrix) -> np.ndarray:

@@ -62,11 +62,13 @@ class RiskSpec:
             raise ValueError(f"wstar_sq must be nonnegative, got {self.wstar_sq}")
 
 
-def _loss_values(loss: str, margins: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-sample loss values."""
+def _loss_values(loss: str, margins: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
+    """Per-sample loss values, in one new array or in `out`, which may be `margins`."""
     if loss == "logistic":
-        return np.logaddexp(0.0, -y * margins)
-    return 0.5 * (margins - y) ** 2
+        z = np.multiply(-y, margins, out=out)
+        return np.logaddexp(0.0, z, out=z)
+    d = np.subtract(margins, y, out=out)
+    return np.multiply(0.5, np.square(d, out=d), out=d)
 
 
 def _loss_coefs(loss: str, margins: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -162,9 +162,9 @@ def _probe_grid(dim: int, seed: int) -> np.ndarray:
 
 
 def _loss_matrix(loss: str, base: Dataset, probes: np.ndarray) -> np.ndarray:
-    """Per-sample losses at every probe point, shape (n_samples, n_probes)."""
+    """Per-sample losses at every probe point, shape (n_samples, n_probes), in one array."""
     margins = base.x @ probes
-    return erm._loss_values(loss, margins, base.y[:, None])
+    return erm._loss_values(loss, margins, base.y[:, None], out=margins)
 
 
 def _shuffled_copy(base: Dataset, perm: np.ndarray, k: int | None = None) -> Dataset:

@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from adasize import RiskSpec, agd_params, iterations_generic, solvers, verify
+from adasize import RiskSpec, agd_params, ckernel, iterations_generic, solvers, verify
 from adasize.cli import main
 from adasize.data import Dataset, generate_synthetic, parse_sparse_text
 from adasize.schedule import gd_contraction_factor
@@ -21,6 +21,13 @@ UNIT = RiskSpec(loss="logistic", c=1.0, alpha=0.5, gamma=1.0, M=1.0)
 
 def run_cli(args):
     return main(args)
+
+
+def _precondition_warning(violated=True):
+    """The SVRG contraction precondition warning, expected where an svrg run violates it."""
+    if not violated:
+        return contextlib.nullcontext()
+    return pytest.warns(RuntimeWarning, match="precondition")
 
 
 def test_no_arguments_prints_usage_and_fails(capsys):
@@ -90,12 +97,55 @@ def test_exhausted_adaptive_stage_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def test_paper_scale_gen_exits_2_before_allocating(tmp_path, capsys):
-    # 25 TB of dense arrays: refused by the size check, never allocated
+    # 24 TB of dense arrays: refused by the size check, never allocated
     assert run_cli(["run", "--gen", "1000000,1000000,0.001", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert "needs about 25000000000000 bytes" in err and "physical memory" in err
+    assert "needs about 24000000000000 bytes" in err and "physical memory" in err
     assert "--dataset" in err
     assert list(tmp_path.iterdir()) == []
+
+
+def _no_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 1.00 TiB for an array")
+
+
+class _FailingDraw:
+    """A generator whose (n, dim) draw fails as an allocation beyond memory does."""
+
+    default_rng = staticmethod(np.random.default_rng)
+
+    def __init__(self, seed):
+        self._rng = self.default_rng(seed)
+
+    def standard_normal(self, size=None):
+        if isinstance(size, tuple):
+            _no_memory()
+        return self._rng.standard_normal(size)
+
+
+def test_failed_parser_reservation_exits_2(tmp_path, capsys, monkeypatch):
+    if ckernel.get() is None:
+        pytest.skip(ckernel.reason)
+    data_file = tmp_path / "train.svm"
+    data_file.write_text("+1 1:1\n-1 2:1\n" * 8)  # 112 bytes
+    monkeypatch.setattr(ckernel.np, "empty", _no_memory)
+    out = tmp_path / "out"
+    assert run_cli(["run", "--dataset", str(data_file), "--m0", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: out of memory parsing {data_file}: the C parser needs about ")
+    assert err.endswith("9 times the text's 112\n") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "gen"])
+def test_failed_draw_exits_2(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(np.random, "default_rng", _FailingDraw)
+    out = tmp_path / "out"
+    assert run_cli([command, "--gen", "64,4,1.0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: out of memory drawing --gen 64,4,1.0: Unable to allocate 1.00 TiB " \
+                  "for an array\n"
+    assert not out.exists()
 
 
 def test_pass_cap_zero_is_valid(tmp_path):
@@ -206,7 +256,8 @@ class TestRun:
         args = ["run", "--gen", "512,8,1.0", "--method", "svrg", "--adaptive",
                 "--m0", "128", "--seed", "7"]
         for sub in ("x", "y"):
-            assert run_cli(args + ["--out", str(tmp_path / sub)]) == 0
+            with _precondition_warning():
+                assert run_cli(args + ["--out", str(tmp_path / sub)]) == 0
         a = (tmp_path / "x" / "trace_svrg_ada_seed7.csv").read_bytes()
         b = (tmp_path / "y" / "trace_svrg_ada_seed7.csv").read_bytes()
         assert a == b
@@ -227,8 +278,9 @@ class TestConfigFile:
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("method = svrg\nm0 = 64\nseed = 13\n# comment\n")
         out1 = tmp_path / "o1"
-        assert run_cli(["run", "--gen", "256,6,1.0", "--adaptive",
-                        "--config", str(cfg), "--out", str(out1)]) == 0
+        with _precondition_warning():
+            assert run_cli(["run", "--gen", "256,6,1.0", "--adaptive",
+                            "--config", str(cfg), "--out", str(out1)]) == 0
         assert (out1 / "trace_svrg_ada_seed13.csv").exists()
         out2 = tmp_path / "o2"
         assert run_cli(["run", "--gen", "256,6,1.0", "--adaptive", "--method", "agd",
@@ -245,8 +297,9 @@ class TestConfigFile:
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("method = svrg\nseed = 13\n")
         flag = [f"--config={cfg}"] if joined else ["--config", str(cfg)]
-        assert run_cli(["run", "--gen", "256,6,1.0", "--adaptive", *flag,
-                        "--out", str(tmp_path)]) == 0
+        with _precondition_warning():
+            assert run_cli(["run", "--gen", "256,6,1.0", "--adaptive", *flag,
+                            "--out", str(tmp_path)]) == 0
         assert (tmp_path / "trace_svrg_ada_seed13.csv").exists()
 
     def test_config_without_path_fails(self, capsys):
@@ -300,8 +353,9 @@ class TestConfigFile:
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("method = svrg\n")
         out = tmp_path / "out"
-        assert run_cli(["--config", str(cfg), "run", "--gen", "256,6,1.0", "--adaptive",
-                        "--out", str(out)]) == 0
+        with _precondition_warning():
+            assert run_cli(["--config", str(cfg), "run", "--gen", "256,6,1.0", "--adaptive",
+                            "--out", str(out)]) == 0
         assert (out / "trace_svrg_ada_seed0.csv").exists()
 
     @pytest.mark.parametrize("command,flags", [
@@ -362,8 +416,9 @@ class TestCompare:
         # every adaptive stage stops at the cap far above its threshold; the
         # fixed runs still finish and are written
         monkeypatch.setattr(solvers, "MAX_ITERATIONS", 200)
-        assert run_cli(["compare", "--gen", "256,4,1.0", "--m0", "128", "--gamma", "1e-30",
-                        "--adaptive", "--out", str(tmp_path)]) == 0
+        with _precondition_warning():
+            assert run_cli(["compare", "--gen", "256,4,1.0", "--m0", "128", "--gamma", "1e-30",
+                            "--adaptive", "--out", str(tmp_path)]) == 0
         summary = (tmp_path / "summary_seed0.csv").read_text().splitlines()
         for method in ("gd", "agd", "svrg"):
             assert f"{method},true,exhausted,,," in summary
@@ -431,14 +486,17 @@ class TestVerifyCommand:
         proxy = verify.unregularized_optimum_proxy
         monkeypatch.setattr(verify, "unregularized_optimum_proxy",
                             lambda *args: calls.append(args) or proxy(*args))
-        code = run_cli(["verify", "--gen", "256,6,1.0", "--m-mode", "tight", "--checks", checks,
-                        "--draws", "1", "--trials", "2", "--out", str(tmp_path)])
+        with _precondition_warning("theorem" in checks):
+            code = run_cli(["verify", "--gen", "256,6,1.0", "--m-mode", "tight",
+                            "--checks", checks, "--draws", "1", "--trials", "2",
+                            "--out", str(tmp_path)])
         assert code == 0
         assert len(calls) == solves
 
     def test_notes_go_to_stderr(self, tmp_path, capsys):
-        code = run_cli(["verify", "--gen", "1024,10,1.0", "--checks", "theorem", "--draws", "1",
-                        "--out", str(tmp_path)])
+        with _precondition_warning():
+            code = run_cli(["verify", "--gen", "1024,10,1.0", "--checks", "theorem",
+                            "--draws", "1", "--out", str(tmp_path)])
         assert code == 0
         captured = capsys.readouterr()
         rows = (tmp_path / "checks_seed0.csv").read_text().splitlines()
@@ -493,4 +551,6 @@ class TestGenHash:
             raise AssertionError("a --gen set was formatted as text")
 
         monkeypatch.setattr(Dataset, "to_sparse_text", formatted)
-        assert run_cli(argv[:1] + ["--gen", "256,6,1.0"] + argv[1:] + ["--out", str(tmp_path)]) == 0
+        with _precondition_warning(argv[0] != "verify"):
+            assert run_cli(argv[:1] + ["--gen", "256,6,1.0"] + argv[1:]
+                           + ["--out", str(tmp_path)]) == 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.sparse import _compressed, _sparsetools
+from scipy.special import expit
 
 from adasize import ckernel, data, generate_synthetic, normalize, parse_sparse_text, shuffle_and_split
 from adasize.data import Dataset, EmptyDatasetError, SparseTextError
@@ -412,7 +413,54 @@ class TestSerializer:
         assert d.to_sparse_text() == _old_to_sparse_text(d)
 
 
+def _old_generate_synthetic(n, dim, sparsity, seed, feature_decay=0.0, margin_scale=2.5):
+    """The construction the in-place CSR build replaced: np.where, then csr_matrix of the draw."""
+    rng = np.random.default_rng(seed)
+    col_scale = (np.arange(1, dim + 1)) ** -float(feature_decay)
+    w_true = rng.standard_normal(dim)
+    margin_sd = np.sqrt(sparsity * float(np.sum((w_true * col_scale) ** 2)))
+    w_true *= margin_scale / margin_sd
+    feats = rng.standard_normal((n, dim)) * col_scale
+    if sparsity < 1.0:
+        feats = np.where(rng.random((n, dim)) < sparsity, feats, 0.0)
+    probs = expit(feats @ w_true)
+    y = np.where(rng.random(n) < probs, 1.0, -1.0)
+    return sparse.csr_matrix(feats), y, w_true
+
+
 class TestSynthetic:
+    @pytest.mark.parametrize("n,dim,sparsity,decay", [
+        (1, 1, 1.0, 0.0), (1, 1, 0.5, 0.0), (50, 6, 1.0, 0.0), (50, 6, 1.0, 1.0),
+        (200, 30, 0.4, 0.0), (200, 30, 0.4, 0.5), (300, 50, 0.01, 0.0), (400, 6000, 0.01, 0.5),
+    ])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_csr_equals_the_dense_conversion(self, n, dim, sparsity, decay, seed):
+        ds, w_true = generate_synthetic(n, dim, sparsity, seed=seed, feature_decay=decay)
+        x, y, w_ref = _old_generate_synthetic(n, dim, sparsity, seed, feature_decay=decay)
+        assert ds.x.shape == x.shape
+        for got, want in ((ds.x.data, x.data), (ds.x.indices, x.indices),
+                          (ds.x.indptr, x.indptr), (ds.y, y), (w_true, w_ref)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        if (n, dim, sparsity) == (300, 50, 0.01):
+            assert np.any(np.diff(x.indptr) == 0)  # the case with empty rows has them
+
+    def test_indices_widen_past_int32(self, monkeypatch):
+        # scipy's conversion picks int64 once the nonzero count or a dimension
+        # passes the int32 range; a lowered limit takes that branch at small size
+        x, _, _ = _old_generate_synthetic(40, 9, 0.5, seed=2)
+        monkeypatch.setattr(data, "_INT32_MAX", x.nnz - 1)
+        ds, _ = generate_synthetic(40, 9, 0.5, seed=2)
+        assert ds.x.indices.dtype == ds.x.indptr.dtype == np.int64
+        np.testing.assert_array_equal(ds.x.indices, x.indices)
+        np.testing.assert_array_equal(ds.x.indptr, x.indptr)
+        assert ds.x.data.tobytes() == x.data.tobytes()
+
+    def test_readme_example_hash_is_pinned(self):
+        # the README compare example's dataset_sha256 in its manifest
+        ds, _ = generate_synthetic(16384, 100, 0.3, seed=0)
+        assert ds.array_sha256() == \
+            "f95e1426063c9a09e826458982e29dbc85190d08746c4c1a01b422f853e62a22"
+
     def test_deterministic(self):
         a, wa = generate_synthetic(10, 4, 1.0, seed=7)
         b, wb = generate_synthetic(10, 4, 1.0, seed=7)

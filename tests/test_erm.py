@@ -231,6 +231,9 @@ def test_loss_helpers_split_the_old_loss_terms(loss, rng):
     values, coefs = _old_loss_terms(loss, margins, y)
     np.testing.assert_array_equal(_loss_values(loss, margins, y), values)
     np.testing.assert_array_equal(_loss_coefs(loss, margins, y), coefs)
+    in_place = margins.copy()  # verify's loss matrix overwrites its margins
+    assert _loss_values(loss, in_place, y, out=in_place) is in_place
+    assert in_place.tobytes() == values.tobytes()
 
 
 @pytest.mark.parametrize("loss", ["logistic", "squared"])
