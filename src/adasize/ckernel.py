@@ -123,10 +123,13 @@ class Kernel:
         row takes at least 2 bytes ("1\n") and a nonzero at least 4 (" 1:1"),
         so about 9 times the text's bytes of address space is reserved; a
         reservation that fails raises MemoryError with that figure.  Only
-        the pages the parser writes become resident, and the used prefix of
-        each array is copied out before the rest is freed.  More nonzeros
-        than an int32 indptr holds fail the C parser's capacity check, which
-        sends the text to the line parser.
+        the pages the parser writes become resident, and each array is then
+        shrunk in place to its used prefix by `ndarray.resize`, whose
+        realloc gives the rest back without copying; the arrays returned
+        are the ones reserved.  Nothing but local names refers to them, so
+        resize's reference-count check is skipped.  More nonzeros than an
+        int32 indptr holds fail the C parser's capacity check, which sends
+        the text to the line parser.
         """
         if not isinstance(text, bytes):
             raise TypeError(f"text must be bytes, not {type(text).__name__}")
@@ -142,8 +145,9 @@ class Kernel:
                                        indices, values, max_nnz, out) != 0:
             return None
         rows, nnz, max_idx = out.tolist()
-        return (labels[:rows].copy(), indptr[:rows + 1].copy(), indices[:nnz].copy(),
-                values[:nnz].copy(), max_idx)
+        for a, size in ((labels, rows), (indptr, rows + 1), (indices, nnz), (values, nnz)):
+            a.resize(size, refcheck=False)
+        return labels, indptr, indices, values, max_idx
 
 
 def default_compiler() -> str:

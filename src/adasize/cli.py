@@ -237,9 +237,10 @@ def _generate(args) -> data.Dataset:
 def _load_dataset(args) -> tuple[data.Dataset, str]:
     """Dataset plus a content hash for the manifest.
 
-    A --dataset file is hashed as its bytes.  A --gen set is hashed before
-    normalization by `Dataset.array_sha256`, over its arrays, so it is never
-    formatted as text; that value is not the SHA-256 of the file `gen` writes.
+    A --dataset file is hashed as its bytes, which are dropped before
+    `normalize` runs.  A --gen set is hashed before normalization by
+    `Dataset.array_sha256`, over its arrays, so it is never formatted as
+    text; that value is not the SHA-256 of the file `gen` writes.
     """
     if args.dataset and args.gen:
         raise UsageError("give either --dataset or --gen, not both")
@@ -250,6 +251,7 @@ def _load_dataset(args) -> tuple[data.Dataset, str]:
         except MemoryError as exc:
             raise MemoryError(f"out of memory parsing {args.dataset}: {exc}") from None
         digest = hashlib.sha256(blob).hexdigest()
+        del blob
     elif args.gen:
         ds = _generate(args)
         digest = ds.array_sha256()
@@ -263,6 +265,7 @@ def _load_dataset(args) -> tuple[data.Dataset, str]:
 def _prepare_experiment(args, wstar_sq: float = 0.0):
     ds, digest = _load_dataset(args)
     train, test = _from_flags(data.shuffle_and_split, ds, args.N or ds.n_samples, seed=args.seed)
+    del ds  # the split holds its own permuted copy of every row
     m = 1.0 if args.m_mode == "paper" else erm.smoothness_constant(args.loss, train)
     spec = _from_flags(RiskSpec, loss=args.loss, c=args.c, alpha=args.alpha, gamma=args.gamma,
                        M=m, wstar_sq=wstar_sq)

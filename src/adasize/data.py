@@ -18,7 +18,7 @@ writes, go through strtod.  Both give float()'s bits.  The C parser makes
 no counting pass: its arrays are sized from the text's length (a row takes
 at least 2 bytes, a nonzero at least 4), which reserves about 9 times the
 text's bytes of address space.  Only the pages it writes become resident,
-and the used prefix of each array is copied out.  Everything else, and all
+and each array is shrunk in place to its used prefix.  Everything else, and all
 text where the library did not load, goes through the line parser
 `_parse_lines`, which gives the same arrays and is the only path that
 reports errors.

@@ -96,7 +96,11 @@ class _Recorder:
 
     R_N at a stage-n iterate takes the stage measurement's n margins and a
     product over rows n..N, through a CSR of those rows built once per stage;
-    the first n margins of x_N @ w are the bits of x_n @ w.
+    the first n margins of x_N @ w are the bits of x_n @ w.  An iterate that
+    is the array recorded last, as a stage that exits without a step gives,
+    keeps that event's R_N and test error and takes only its new gradient
+    norm.  Solvers never change an iterate in place, so the same array holds
+    the same values.
     """
 
     def __init__(self, config: RunConfig, spec: RiskSpec, train: Dataset,
@@ -107,9 +111,16 @@ class _Recorder:
         self.eval_every = config.eval_every
         self.trace = Trace(train.n_samples)
         self._tail = None  # (n, rows n..N of the full set)
+        self._last_w = None  # the iterate of the trace's last event
 
     def record(self, state: SolverState, at_w: Measurement) -> None:
         n, full = at_w.view.n_samples, self.full
+        if state.w is self._last_w:
+            last = self.trace.events[-1]
+            self.trace.append(TraceEvent(state.grad_evals, n, last.risk_value, at_w.grad_norm,
+                                         last.test_error))
+            return
+        self._last_w = state.w
         at_full = at_w  # on the full set the stage risk is R_N itself
         if n < full.n_samples:
             if self._tail is None or self._tail[0] != n:

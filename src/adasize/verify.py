@@ -74,16 +74,25 @@ def _report(name: str, trials: int, margins, notes: str) -> CheckReport:
                        worst_margin=float(np.min(margins, initial=math.inf)), notes=notes)
 
 
-def _risk_value_scalar(spec: RiskSpec, w: np.ndarray, view: Dataset) -> float:
+def _row_ids(view: Dataset) -> np.ndarray:
+    """The row of each stored entry of view.x, in storage order."""
+    return np.repeat(np.arange(view.n_samples), np.diff(view.x.indptr))
+
+
+def _risk_value_scalar(spec: RiskSpec, w: np.ndarray, view: Dataset,
+                       row_ids: np.ndarray | None = None) -> float:
     """Compensated risk evaluation, independent of the vectorized path.
 
     Each margin is summed straight from the CSR arrays by `np.bincount`, left
     to right, not by the sparse product `erm` uses; the logistic term is
     max(z, 0) + log1p(exp(-|z|)), so exp never overflows; the terms are
     added by `math.fsum`.  `minlength` keeps empty rows as zero margins.
+    `row_ids` is `_row_ids(view)`, which a caller with many weights on
+    one view builds once.
     """
     x, n = view.x, view.n_samples
-    row_ids = np.repeat(np.arange(n), np.diff(x.indptr))
+    if row_ids is None:
+        row_ids = _row_ids(view)
     t = np.bincount(row_ids, weights=x.data * w[x.indices], minlength=n)
     if spec.loss == "logistic":
         z = -view.y * t
@@ -107,6 +116,7 @@ def fd_gradient_check(spec: RiskSpec, view: Dataset, trials: int, seed: int = 0,
     dim = view.dim
     k = min(FD_COORDS_PER_TRIAL, dim)
     h = FD_STEP
+    row_ids = _row_ids(view)
     margins = []
     for _ in range(trials):
         w = rng.uniform(-1.0, 1.0, dim)
@@ -116,7 +126,8 @@ def fd_gradient_check(spec: RiskSpec, view: Dataset, trials: int, seed: int = 0,
             wp[j] += h
             wm = w.copy()
             wm[j] -= h
-            fd = (_risk_value_scalar(spec, wp, view) - _risk_value_scalar(spec, wm, view)) / (2 * h)
+            fd = (_risk_value_scalar(spec, wp, view, row_ids)
+                  - _risk_value_scalar(spec, wm, view, row_ids)) / (2 * h)
             err = abs(fd - grad[j])
             margins.append(FD_ABS_TOL + rel_tol * abs(grad[j]) - err)
     return _report(f"fd_gradient_{spec.loss}", trials, margins,

@@ -5,11 +5,13 @@ import io
 import math
 import os
 import re
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from adasize import RiskSpec, agd_params, ckernel, iterations_generic, solvers, verify
+from adasize import RiskSpec, agd_params, ckernel, data, erm, iterations_generic, solvers, verify
 from adasize.cli import main
 from adasize.data import Dataset, generate_synthetic, parse_sparse_text
 from adasize.schedule import gd_contraction_factor
@@ -146,6 +148,45 @@ def test_failed_draw_exits_2(tmp_path, capsys, monkeypatch, command):
     assert err == "error: out of memory drawing --gen 64,4,1.0: Unable to allocate 1.00 TiB " \
                   "for an array\n"
     assert not out.exists()
+
+
+def _seventeen_digit_file(tmp_path):
+    """A file of `gen`'s %.17g values: about 24 bytes of text per nonzero, against 12 parsed."""
+    path = tmp_path / "train.svm"
+    path.write_text(generate_synthetic(1000, 40, 0.5, seed=2)[0].to_sparse_text())
+    return path
+
+
+def test_file_bytes_are_dropped_before_normalize(tmp_path, monkeypatch):
+    path = _seventeen_digit_file(tmp_path)
+    traced, normalize = [], data.normalize
+    monkeypatch.setattr(data, "normalize",
+                        lambda d: traced.append(tracemalloc.get_traced_memory()[0]) or normalize(d))
+    tracemalloc.start()
+    try:
+        assert run_cli(["run", "--dataset", str(path), "--method", "gd", "--m0", "500",
+                        "--out", str(tmp_path / "out")]) == 0
+    finally:
+        tracemalloc.stop()
+    # the parsed arrays alone are about half the text
+    assert len(traced) == 1 and traced[0] < path.stat().st_size
+
+
+def test_unsplit_set_is_dropped_before_smoothness_constant(tmp_path, monkeypatch):
+    path = _seventeen_digit_file(tmp_path)
+    unsplit, alive = [], []
+    split, smoothness = data.shuffle_and_split, erm.smoothness_constant
+
+    def traced_split(d, *args, **kwargs):
+        unsplit.append(weakref.ref(d.x.data))  # the normalized values, held by d alone
+        return split(d, *args, **kwargs)
+
+    monkeypatch.setattr(data, "shuffle_and_split", traced_split)
+    monkeypatch.setattr(erm, "smoothness_constant",
+                        lambda *args: alive.append(unsplit[0]() is not None) or smoothness(*args))
+    assert run_cli(["run", "--dataset", str(path), "--method", "gd", "--m0", "500",
+                    "--m-mode", "tight", "--out", str(tmp_path / "out")]) == 0
+    assert alive == [False]
 
 
 def test_pass_cap_zero_is_valid(tmp_path):

@@ -355,13 +355,23 @@ class TestBulkParser:
     ], ids=["rows", "rows_at_bound", "one_byte", "one_row", "nonzeros_at_bound", "nonzeros",
             "two_rows", "empty"])
     def test_text_at_the_size_bounds(self, monkeypatch, text):
-        parts = ckernel.get().parse_sparse_text(text)
+        reserved, empty = [], np.empty
+
+        def recorded_empty(*args, **kwargs):
+            reserved.append(empty(*args, **kwargs))
+            return reserved[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(ckernel.np, "empty", recorded_empty)
+            parts = ckernel.get().parse_sparse_text(text)
         assert parts is not None
         labels, indptr, indices, values, _ = parts
         assert labels.size <= len(text) // 2 + 1 and values.size <= len(text) // 4
         if text in (b"1\n" * 6 + b"1", b"1 1:1 2:1 3:1 4:1 5:1 6:1 7:1 8:1 9:1"):
             assert labels.size == len(text) // 2 + 1 or values.size == len(text) // 4
-        # the used prefixes are copied out, not views of the reserved arrays
+        # the reserved arrays themselves, shrunk in place: no copy, no view
+        assert len(reserved) == 4
+        assert all(a is r for a, r in zip((labels, indptr, indices, values), reserved))
         assert all(a.base is None for a in (labels, indptr, indices, values))
         assert indptr.size == labels.size + 1 and indices.size == values.size
         assert _outcome(text) == _line_outcome(text, monkeypatch)
