@@ -11,17 +11,23 @@
  *
  * parse_sparse_text reads clean sparse text in one pass, the fast path of
  * data.parse_sparse_text; anything it does not accept goes to the line
- * parser there, which gives the same arrays or reports the bad line.  A
- * number with at most 2^53 in its significant digits and a decimal exponent
- * of at most 22 either way is converted, in the scan that finds its end, by
- * one exact multiply or divide (Clinger's exact case), which rounds once, as
- * strtod does; every other number goes to strtod.
+ * parser there, which gives the same arrays or reports the bad line.  It
+ * reads only the len bytes it is given, so the text may be any buffer, a
+ * read-only file mapping included, with no NUL after it.  A number with at
+ * most 2^53 in its significant digits and a decimal exponent of at most 22
+ * either way is converted, in the scan that finds its end, by one exact
+ * multiply or divide (Clinger's exact case), which rounds once, as strtod
+ * does; every other number goes to strtod, through a NUL-terminated local
+ * copy.  On little-endian hosts the digit runs of indices and mantissas are
+ * read eight bytes at a time (SWAR: the eight bytes as one uint64_t), and
+ * form the same integers as the byte loop, which runs everywhere else.
  */
 
 #include <float.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 /* d(loss)/d(margin) of one sample: erm.sample_loss_coef, with its two
  * overflow-safe logistic branches (exp of a non-positive argument only). */
@@ -98,6 +104,48 @@ static const double exact_pow10[] = {
     1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
 };
 
+/* strtod converts a copy of the number with a NUL after it, in this many
+ * bytes, so it takes numbers of up to 63 bytes; the text of a longer one is
+ * refused, and the line parser reads it. */
+#define STRTOD_COPY_BYTES 64
+
+#if defined(__GNUC__) && defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+#define SWAR_DIGITS 1
+
+static const uint64_t pow10_u64[] = {
+    1, 10, 100, 1000, 10000, 100000, 1000000, 10000000, 100000000,
+};
+
+/* The largest m for which m * 10^8 plus eight digits fits in a uint64_t. */
+#define SWAR_MAX_M ((UINT64_MAX - 99999999) / 100000000)
+
+/* The length n, 0 to 8, of the run of digits that starts the eight bytes
+ * at p, which the caller has checked lie before the end of the text, and in
+ * *v the value of those n digits.  The bytes are one little-endian uint64_t,
+ * first byte lowest.  XOR with '0' turns a digit into 0-9; adding 0x76 sets
+ * the top bit of any byte of 10 or more, and a byte of 0x80 or more has it
+ * set already.  A carry leaves only a byte that is not a digit, and only
+ * into the bytes above it, so the lowest flagged byte is the first that is
+ * not a digit.  The n digits are shifted to the top, behind zeros, and
+ * three multiplies join them in pairs, fours and the eight. */
+static int digit_run8(const char *p, uint64_t *v)
+{
+    uint64_t x;
+    memcpy(&x, p, sizeof x);
+    x ^= UINT64_C(0x3030303030303030);
+    uint64_t flags = ((x + UINT64_C(0x7676767676767676)) | x) & UINT64_C(0x8080808080808080);
+    int n = flags ? __builtin_ctzll(flags) >> 3 : 8;
+    *v = 0;
+    if (n == 0)
+        return 0;
+    x <<= 8 * (8 - n);
+    x = (x * 2561) >> 8;
+    x = ((x & UINT64_C(0x00FF00FF00FF00FF)) * 6553601) >> 16;
+    *v = ((x & UINT64_C(0x0000FFFF0000FFFF)) * UINT64_C(42949672960001)) >> 32;
+    return n;
+}
+#endif
+
 /* Reads the number at *p: the nonempty run of is_number_byte bytes there.
  * One scan matches the run against [+-] digits [. digits] [(e|E) [+-] digits],
  * with a digit before or after the point, and converts it as it goes: its
@@ -108,10 +156,13 @@ static const double exact_pow10[] = {
  * -0.0.  Gathering stops once m passes 2^53, or the exponent 99999, so
  * neither overflows.  Every other run, and every run where doubles are
  * evaluated in a wider format (which would round twice), goes to strtod,
- * which must convert it to its last byte: under a locale whose decimal point
- * is not '.' strtod stops short and the text is refused.  A byte after the
- * run other than a blank or newline fails the next field.  Returns 0 and
- * moves *p past the number, or -1. */
+ * which must convert a NUL-terminated copy of it to its last byte: under a
+ * locale whose decimal point is not '.' strtod stops short and the text is
+ * refused, as is a run too long for the copy.  Where eight bytes remain,
+ * digit_run8 takes up to eight digits of the mantissa at once, while m is
+ * small enough that m * 10^8 cannot overflow; it forms the m and k of the
+ * byte loop.  A byte after the run other than a blank or newline fails the
+ * next field.  Returns 0 and moves *p past the number, or -1. */
 static int read_number(const char **p, const char *end, double *x)
 {
     const char *q = *p, *matched;
@@ -120,9 +171,28 @@ static int read_number(const char **p, const char *end, double *x)
     int64_t k = 0;
     if (q < end && (*q == '+' || *q == '-'))
         neg = *q++ == '-';
-    for (; q < end; q++) {
+    while (q < end) {
+#ifdef SWAR_DIGITS
+        if (end - q >= 8 && (!exact || m <= SWAR_MAX_M)) {
+            uint64_t v;
+            int n = digit_run8(q, &v);
+            if (n > 0) {
+                digits = 1;
+                k -= frac * n;
+                if (exact && (m = m * pow10_u64[n] + v) > (UINT64_C(1) << 53))
+                    exact = 0;
+                q += n;
+                if (n == 8)
+                    continue;
+            }
+            /* q < end, at a byte that is not a digit */
+            if (*q != '.' || frac)
+                break;
+        }
+#endif
         if (*q == '.' && !frac) {
             frac = 1;
+            q++;
             continue;
         }
         if (!is_digit(*q))
@@ -131,6 +201,7 @@ static int read_number(const char **p, const char *end, double *x)
         k -= frac;
         if (exact && (m = 10 * m + (uint64_t)(*q - '0')) > (UINT64_C(1) << 53))
             exact = 0;
+        q++;
     }
     exact &= digits;
     if (q < end && (*q == 'e' || *q == 'E')) {
@@ -153,9 +224,14 @@ static int read_number(const char **p, const char *end, double *x)
         double v = k < 0 ? (double)m / exact_pow10[-k] : (double)m * exact_pow10[k];
         *x = neg ? -v : v;
     } else {
-        char *stop;
-        *x = strtod(*p, &stop);
-        if (stop != q)
+        char copy[STRTOD_COPY_BYTES], *stop;
+        size_t n = (size_t)(q - *p);
+        if (n >= sizeof copy)
+            return -1;
+        memcpy(copy, *p, n);
+        copy[n] = '\0';
+        *x = strtod(copy, &stop);
+        if (stop != copy + n)
             return -1;
     }
     *p = q;
@@ -165,8 +241,10 @@ static int read_number(const char **p, const char *end, double *x)
 /* Parses lines of `<label> <index>:<value> ...`, fields parted by spaces and
  * tabs, lines by '\n'; blank lines hold no sample.  A label or value is a
  * number read by read_number, an index plain digits, 1 to 2^31 - 1 and
- * strictly increasing within its line.  Zero values are dropped.  text must
- * hold len bytes followed by a NUL, at which strtod stops.
+ * strictly increasing within its line, so each row's indices come out
+ * sorted and distinct.  Zero values are dropped.  No byte at or past
+ * text + len is read.  Where eight bytes remain, digit_run8 reads up to
+ * eight digits of an index at once.
  *
  * Writes each line's raw label, the CSR row bounds (indptr: max_rows + 1
  * entries), the 0-based indices and the values (max_nnz entries each), and
@@ -201,6 +279,15 @@ int parse_sparse_text(const char *text, int64_t len, double *labels, int32_t *in
                 break;
             const char *digits = p;
             int64_t idx = 0;
+#ifdef SWAR_DIGITS
+            for (int n = 8; n == 8 && end - p >= 8 && idx <= INT32_MAX; p += n) {
+                uint64_t v;
+                n = digit_run8(p, &v);
+                idx = idx * (int64_t)pow10_u64[n] + (int64_t)v;
+            }
+            if (idx > INT32_MAX)
+                return -1;
+#endif
             while (p < end && is_digit(*p)) {
                 idx = 10 * idx + (*p - '0');
                 if (idx > INT32_MAX)

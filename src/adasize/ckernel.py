@@ -1,7 +1,10 @@
 """The compiled parts of adasize: ckernel.c, built with the system C compiler on first use.
 
 The library holds two things: the pick loop of an SVRG epoch and a one-pass
-parser of clean sparse text.  `get()` builds the shared library on its first
+parser of clean sparse text.  The parser takes any contiguous buffer, such
+as a read-only file mapping, reads it to its length and no further, so no
+NUL need follow the text, and on little-endian hosts converts digits eight
+bytes at a time.  `get()` builds the shared library on its first
 call in a process, or loads it when an earlier process built it, and returns
 the `Kernel`, or None when it cannot.  Then `solvers.svrg_epoch` runs its
 numpy loop, which computes the same steps to the same bits, and
@@ -63,7 +66,7 @@ class Kernel:
         )
         lib.svrg_pick_loop.restype = _c_int
         lib.parse_sparse_text.argtypes = (
-            ctypes.c_char_p, _c_int64,                                   # text, len
+            _array(np.uint8), _c_int64,                                  # text, len
             _array(np.float64, writeable=True), _array(np.int32, writeable=True),  # labels, indptr
             _c_int64,                                                    # max_rows
             _array(np.int32, writeable=True), _array(np.float64, writeable=True),  # indices, values
@@ -110,14 +113,17 @@ class Kernel:
             raise ValueError("pick, row bound or column index out of range in the pick loop")
         return float(sr[0]), float(sr[1])
 
-    def parse_sparse_text(self, text: bytes):
+    def parse_sparse_text(self, text):
         """(raw labels, indptr, 0-based indices, values, max index) of clean text, or None.
 
         Clean text is what ckernel.c's parse_sparse_text accepts; None means
         the text is something else and nothing was parsed.  Labels are
-        returned as read, for the caller to check or map.  text must be a
-        `bytes` object: CPython keeps a NUL after its data, where the C
-        strtod of the last number stops.
+        returned as read, for the caller to check or map.  text is any
+        contiguous buffer of bytes: `bytes`, a read-only `mmap` or a 1-D
+        uint8 array.  The C parser reads none of the bytes after it, so no
+        NUL need follow.  The numpy view that hands it to C is dropped when
+        the call returns, so no view of the buffer outlives this method and
+        a mapping can be closed at once.
 
         The arrays are sized from len(text) alone, with no counting pass: a
         row takes at least 2 bytes ("1\n") and a nonzero at least 4 (" 1:1"),
@@ -131,8 +137,6 @@ class Kernel:
         int32 indptr holds fail the C parser's capacity check, which sends
         the text to the line parser.
         """
-        if not isinstance(text, bytes):
-            raise TypeError(f"text must be bytes, not {type(text).__name__}")
         max_rows, max_nnz = len(text) // 2 + 1, min(len(text) // 4, _INT32_LIMIT - 1)
         try:
             labels, indptr = np.empty(max_rows), np.empty(max_rows + 1, dtype=np.int32)
@@ -141,8 +145,11 @@ class Kernel:
             raise MemoryError(f"the C parser needs about {12 * (max_rows + max_nnz)} bytes, "
                               f"9 times the text's {len(text)}") from None
         out = np.zeros(3, dtype=np.int64)
-        if self._lib.parse_sparse_text(text, len(text), labels, indptr, max_rows,
-                                       indices, values, max_nnz, out) != 0:
+        buf = np.frombuffer(text, dtype=np.uint8)
+        status = self._lib.parse_sparse_text(buf, buf.size, labels, indptr, max_rows,
+                                             indices, values, max_nnz, out)
+        del buf
+        if status != 0:
             return None
         rows, nnz, max_idx = out.tolist()
         for a, size in ((labels, rows), (indptr, rows + 1), (indices, nnz), (values, nnz)):

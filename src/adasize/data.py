@@ -8,20 +8,29 @@ one once-shuffled set, so the first m samples of S_n are S_m by
 construction.  A prefix is itself a `Dataset` that shares its base's arrays
 at every size, and so does its transpose.
 
-Sparse text is read in one pass of C where the compiled library of `ckernel`
-loaded and the text is clean: only digits, `+-.eE:`, blanks and newlines,
-in well-formed fields.  There a number whose digits make at most 2^53, with
-a decimal exponent of at most 22 either way (the 6-10 digit values of
-LIBSVM and RCV1-style files), is converted exactly by one multiply or
-divide; longer numbers, such as the 17-digit values `to_sparse_text`
-writes, go through strtod.  Both give float()'s bits.  The C parser makes
-no counting pass: its arrays are sized from the text's length (a row takes
-at least 2 bytes, a nonzero at least 4), which reserves about 9 times the
-text's bytes of address space.  Only the pages it writes become resident,
-and each array is shrunk in place to its used prefix.  Everything else, and all
-text where the library did not load, goes through the line parser
-`_parse_lines`, which gives the same arrays and is the only path that
-reports errors.
+Sparse text is a `str` or any buffer of bytes, such as `bytes` or the
+read-only mapping of a file that `cli` passes.  It is read in one pass of C
+where the compiled library of `ckernel` loaded and the text is clean: only
+digits, `+-.eE:`, blanks and newlines, in well-formed fields.  The C parser
+reads no byte past the text's end, so no NUL need follow it, and on
+little-endian hosts it takes the digits of indices and mantissas eight
+bytes at a time.  There a number whose digits make at most 2^53, with a
+decimal exponent of at most 22 either way (the 6-10 digit values of LIBSVM
+and RCV1-style files), is converted exactly by one multiply or divide;
+longer numbers, such as the 17-digit values `to_sparse_text` writes, go
+through strtod.  Both give float()'s bits.  The C parser makes no counting
+pass: its arrays are sized from the text's length (a row takes at least 2
+bytes, a nonzero at least 4), which reserves about 9 times the text's bytes
+of address space.  Only the pages it writes become resident, and each array
+is shrunk in place to its used prefix.  Everything else, and all text where
+the library did not load, goes through the line parser `_parse_lines`,
+which gives the same arrays and is the only path that reports errors.
+
+Both parsers refuse indices that do not increase within a line, so the
+matrix they build is canonical (sorted, no duplicates) by construction and
+carries scipy's `has_canonical_format` flag, as do the matrices `normalize`
+and `shuffle_and_split` build from a canonical one.  `Dataset` then merges
+none of them, and scans none of them to find that out.
 
 Generated (`--gen`) data is drawn dense and stored as CSR:
 `generate_synthetic` masks its float64 draw in place, then gathers the
@@ -215,13 +224,17 @@ def parse_sparse_text(text, label_map: dict | None = None, dim: int | None = Non
     if use_dim < max_idx:
         raise ValueError(f"dim={use_dim} smaller than max feature index {max_idx}")
     x = sparse.csr_matrix((data, indices, indptr), shape=(labels.size, max(use_dim, 1)))
+    x.has_canonical_format = True  # both parsers refuse indices that do not increase
     return Dataset(x, labels)
 
 
 def _parse_lines(text, lmap: dict | None):
-    """(labels, indptr, 0-based indices, values, max index), line by line; raises on the first bad line."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
+    """(labels, indptr, 0-based indices, values, max index), line by line; raises on the first bad line.
+
+    text is a `str`, or a buffer of UTF-8 bytes, which is decoded first.
+    """
+    if not isinstance(text, str):
+        text = str(text, "utf-8")
     data: list[float] = []
     indices: list[int] = []
     indptr: list[int] = [0]
@@ -377,7 +390,8 @@ def row_sq_norms(x: sparse.csr_matrix) -> np.ndarray:
 def normalize(d: Dataset) -> Dataset:
     """Scale each sample to unit Euclidean norm; zero rows pass through unchanged.
 
-    Only the values are new arrays; the result shares d's indices and indptr.
+    Only the values are new arrays; the result shares d's indices and indptr,
+    and so takes d's canonical-format flag.
     """
     if d.n_samples == 0:
         raise EmptyDatasetError("cannot normalize an empty dataset")
@@ -385,8 +399,9 @@ def normalize(d: Dataset) -> Dataset:
     norms = np.sqrt(row_sq_norms(x))
     scale = np.where(norms > 0.0, norms, 1.0)
     values = x.data / np.repeat(scale, np.diff(x.indptr))
-    return Dataset(sparse.csr_matrix((values, x.indices, x.indptr), shape=x.shape, copy=False),
-                   d.y)
+    scaled = sparse.csr_matrix((values, x.indices, x.indptr), shape=x.shape, copy=False)
+    scaled.has_canonical_format = x.has_canonical_format
+    return Dataset(scaled, d.y)
 
 
 def shuffle_and_split(d: Dataset, train_count: int, seed: int = 0) -> tuple[Dataset, Dataset]:
@@ -394,12 +409,14 @@ def shuffle_and_split(d: Dataset, train_count: int, seed: int = 0) -> tuple[Data
 
     Prefixes of the returned training set are exchangeable i.i.d. subsets,
     which is what the nested-subset growth scheme needs.  Train and test are
-    `row_block`s of the one permuted matrix.
+    `row_block`s of the one permuted matrix, which moves whole rows and so
+    takes d's canonical-format flag.
     """
     if not 1 <= train_count <= d.n_samples:
         raise ValueError(f"train_count {train_count} out of range [1, {d.n_samples}]")
     perm = np.random.default_rng(seed).permutation(d.n_samples)
     x = d.x[perm]
+    x.has_canonical_format = d.x.has_canonical_format
     y = d.y[perm]
     train = Dataset(row_block(x, 0, train_count), y[:train_count])
     test = Dataset(row_block(x, train_count, d.n_samples), y[train_count:])

@@ -3,9 +3,10 @@ import csv
 import hashlib
 import io
 import math
+import mmap
 import os
 import re
-import tracemalloc
+import threading
 import weakref
 
 import numpy as np
@@ -157,19 +158,94 @@ def _seventeen_digit_file(tmp_path):
     return path
 
 
-def test_file_bytes_are_dropped_before_normalize(tmp_path, monkeypatch):
+def _recorded_mappings(monkeypatch) -> list:
+    """The mmap objects made from now on."""
+    made = []
+
+    class Recorded(mmap.mmap):
+        def __new__(cls, *args, **kwargs):
+            made.append(super().__new__(cls, *args, **kwargs))
+            return made[-1]
+
+    monkeypatch.setattr(mmap, "mmap", Recorded)
+    return made
+
+
+def test_file_mapping_is_closed_before_normalize(tmp_path, monkeypatch):
     path = _seventeen_digit_file(tmp_path)
-    traced, normalize = [], data.normalize
+    made, closed, normalize = _recorded_mappings(monkeypatch), [], data.normalize
     monkeypatch.setattr(data, "normalize",
-                        lambda d: traced.append(tracemalloc.get_traced_memory()[0]) or normalize(d))
-    tracemalloc.start()
+                        lambda d: closed.append([m.closed for m in made]) or normalize(d))
+    assert run_cli(["run", "--dataset", str(path), "--method", "gd", "--m0", "500",
+                    "--out", str(tmp_path / "out")]) == 0
+    assert closed == [[True]]
+
+
+def _manifest_sha256(out) -> str:
+    (line,) = [ln for ln in (out / "manifest_run_seed0.txt").read_text().splitlines()
+               if ln.startswith("dataset_sha256 = ")]
+    return line.split(" = ")[1]
+
+
+def test_file_of_whole_pages_is_mapped_and_hashed(tmp_path, monkeypatch):
+    # the last value, 17 digits on the strtod path, ends where the mapping's last page ends
+    last = "-1 3:0.12345678901234567"
+    rows = "+1 1:0.25 2:-3\n-1 2:0.5\n" * (mmap.PAGESIZE // 24)
+    rows = rows[:rows.rindex("\n", 0, mmap.PAGESIZE - len(last)) + 1]
+    text = rows + "\n" * (mmap.PAGESIZE - len(rows) - len(last)) + last
+    path = tmp_path / "pages.svm"
+    path.write_bytes(text.encode())
+    assert path.stat().st_size == mmap.PAGESIZE
+    made, loaded, normalize = _recorded_mappings(monkeypatch), [], data.normalize
+    monkeypatch.setattr(data, "normalize", lambda d: loaded.append(d) or normalize(d))
+    assert run_cli(["run", "--dataset", str(path), "--method", "gd", "--m0", "8",
+                    "--out", str(tmp_path / "out")]) == 0
+    assert len(made) == 1 and made[0].closed
+    assert _manifest_sha256(tmp_path / "out") == hashlib.sha256(text.encode()).hexdigest()
+    monkeypatch.setattr(ckernel, "get", lambda: None)
+    assert loaded == [parse_sparse_text(text)]
+
+
+def test_empty_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "empty.svm"
+    path.write_bytes(b"")
+    assert run_cli(["run", "--dataset", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: no samples in input\n"
+
+
+@pytest.mark.parametrize("bad, error", [
+    (b"\x00", "line 2: invalid feature token"), ("\u00e9".encode(), "line 2: invalid feature token"),
+    (b"\xff", "'utf-8' codec can't decode byte 0xff in position 13"),
+], ids=["nul", "non_ascii", "not_utf8"])
+def test_file_with_a_byte_the_c_parser_refuses_reaches_the_line_parser(tmp_path, capsys, bad,
+                                                                      error):
+    path = tmp_path / "bad.svm"
+    path.write_bytes(b"+1 1:1\n-1 2:2" + bad + b"\n")
+    assert run_cli(["run", "--dataset", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {error}")
+
+
+def test_dataset_from_a_fifo(tmp_path, monkeypatch):
+    text = generate_synthetic(64, 5, 1.0, seed=3)[0].to_sparse_text()
+    path = tmp_path / "fifo.svm"
+    os.mkfifo(path)
+
+    def write():
+        with open(path, "w") as f:
+            f.write(text)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    made = _recorded_mappings(monkeypatch)
     try:
-        assert run_cli(["run", "--dataset", str(path), "--method", "gd", "--m0", "500",
+        assert run_cli(["run", "--dataset", str(path), "--method", "gd", "--m0", "16",
                         "--out", str(tmp_path / "out")]) == 0
     finally:
-        tracemalloc.stop()
-    # the parsed arrays alone are about half the text
-    assert len(traced) == 1 and traced[0] < path.stat().st_size
+        # a writer still waiting for a reader gets one, so the thread can end
+        os.close(os.open(path, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(timeout=10)
+    assert not writer.is_alive() and made == []
+    assert _manifest_sha256(tmp_path / "out") == hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_unsplit_set_is_dropped_before_smoothness_constant(tmp_path, monkeypatch):

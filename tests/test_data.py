@@ -1,3 +1,4 @@
+import mmap
 import warnings
 
 import numpy as np
@@ -195,6 +196,60 @@ def _assert_read_as_float(tokens, monkeypatch):
     np.testing.assert_array_equal(line.d.x.data.view(np.uint64), kept)
 
 
+# digit runs of 1 to 20 digits, so that a run ends at every byte of an
+# 8-byte window and the longer ones span two or three windows
+_RUNS = ["".join(str((7 * i + 3) % 10) for i in range(n)) for n in range(1, 21)]
+# 2^53 and 2^53 + 1, and decimal exponents k of -22, -23, 22 and 23, whose
+# digits run across an 8-byte window
+_WINDOW_EDGE_NUMBERS = [
+    "9007199254740992", "9007199254740993", "900719925474099.2", "90071992547409.93",
+    "0." + "0" * 21 + "1", "0." + "0" * 22 + "1", "-12345678.90123e-17", "12345678.90123e-18",
+    "1234567.8901234e29", "1234567.8901234e30", "1234567890123456e22", "1234567890123456e23",
+]
+_NUMBERS = (_RUNS + ["0." + r for r in _RUNS] + [r + "." + r[::-1] for r in _RUNS]
+            + ["-" + r[:-1] + "." + r[-1] for r in _RUNS[1:]] + _WINDOW_EDGE_NUMBERS)
+# indices of 1 to 10 digits, up to the largest the C parser takes and one past it
+_INDICES = [r.lstrip("0") or "1" for r in _RUNS[:9]] + ["1234567890", "2147483647", "2147483648"]
+
+
+def _tails():
+    """0 to 16 blanks after the last token, and the same lengths ending in a newline."""
+    for n in range(17):
+        yield " " * n
+        if n:
+            yield " " * (n - 1) + "\n"
+
+
+def _same_bits(a, b) -> bool:
+    """Two results of Kernel.parse_sparse_text (or of the parsers in data) hold the same bits."""
+    if a is None or b is None:
+        return a is None and b is None
+    return a[4] == b[4] and all(np.array_equal(np.asarray(u).view(np.uint8),
+                                               np.asarray(v).view(np.uint8))
+                                for u, v in zip(a[:4], b[:4]))
+
+
+def _parse_at_the_end(text: str, lmap=None):
+    """The kernel's parts of text, checked against the line parser's and against the same
+    bytes followed by digits, which a read past the end of the text would take in.
+
+    512 blank lines go first: CPython takes a bytes object of that size from
+    malloc, so under a sanitizer a load past its end reaches the redzone.
+    """
+    raw = ("\n" * 512 + text).encode()
+    parts = ckernel.get().parse_sparse_text(raw)
+    beyond = np.frombuffer(raw + b"1234567890123456", np.uint8)[:len(raw)]
+    assert _same_bits(ckernel.get().parse_sparse_text(beyond), parts), text
+    try:
+        line = data._parse_lines(raw, lmap)
+    except SparseTextError:
+        line = None
+    clean = data._parse_clean(raw, lmap)
+    if clean is not None:
+        assert _same_bits(clean, line), text
+    return parts, line
+
+
 class TestBulkParser:
     """The C path of parse_sparse_text against the line parser it falls back to."""
 
@@ -260,7 +315,6 @@ class TestBulkParser:
     @pytest.mark.parametrize("text", ["+1 1:2.5", "+1 1:2.5 3:-1e5", "-1", "+1\n-1 2:7",
                                       "+1 1:1\n-1 2:7 \t", "+1 3:0"])
     def test_last_token_may_end_the_input(self, monkeypatch, text):
-        # the kernel's last strtod stops at the NUL CPython keeps after the bytes
         assert ckernel.get().parse_sparse_text(text.encode()) is not None
         assert _outcome(text) == _line_outcome(text, monkeypatch)
 
@@ -376,6 +430,69 @@ class TestBulkParser:
         assert indptr.size == labels.size + 1 and indices.size == values.size
         assert _outcome(text) == _line_outcome(text, monkeypatch)
 
+    def test_values_at_the_end_of_the_text(self):
+        for token in _NUMBERS:
+            expected = np.array([float(token)]).view(np.uint64)
+            for tail in _tails():
+                parts, line = _parse_at_the_end(f"+1 7:{token}{tail}")
+                assert parts is not None and line is not None, token
+                np.testing.assert_array_equal(parts[3].view(np.uint64), expected)
+
+    def test_labels_at_the_end_of_the_text(self):
+        for token in _NUMBERS:
+            value = float(token)
+            for tail in _tails():
+                parts, line = _parse_at_the_end(f"{token}{tail}", {value: 1.0})
+                assert parts is not None and line is not None, token
+                np.testing.assert_array_equal(parts[0].view(np.uint64),
+                                              np.array([value]).view(np.uint64))
+
+    def test_indices_at_the_end_of_the_text(self):
+        for index in _INDICES:
+            for tail in _tails():
+                # the index ends two bytes before the tail
+                parts, line = _parse_at_the_end(f"-1 {index}:5{tail}")
+                assert line is not None and line[2].tolist() == [int(index) - 1]
+                assert (parts is None) == (int(index) > 2**31 - 1), index
+                # and as the last token, where both parsers refuse the line
+                parts, line = _parse_at_the_end(f"-1 {index}{tail}")
+                assert parts is None and line is None
+
+    @pytest.mark.parametrize("value", ["2.5", "0.12345678901234567"], ids=["exact", "strtod"])
+    def test_a_slice_is_read_to_its_end_only(self, value):
+        # the next byte of the buffer is a digit; reading it would make 2.57
+        whole = np.frombuffer(f"+1 1:{value}7".encode(), np.uint8)
+        parts = ckernel.get().parse_sparse_text(whole[:-1])
+        assert parts is not None and parts[3].tolist() == [float(value)]
+
+    def test_strtod_runs_up_to_the_copy_size(self, monkeypatch):
+        # ckernel.c converts a strtod run from a 64-byte local copy, NUL included
+        for length in (62, 63, 64, 65):
+            token = "0." + "1" * (length - 2)  # more than 2^53 in its digits: strtod
+            for text in (f"+1 1:{token}", f"+1 1:{token}\n-1 2:3"):
+                parts = ckernel.get().parse_sparse_text(text.encode())
+                if length <= 63:
+                    assert parts is not None and parts[3][0] == float(token)
+                else:
+                    assert parts is None
+                assert _outcome(text) == _line_outcome(text, monkeypatch)
+
+    def test_file_mapping_a_whole_number_of_pages(self, tmp_path, monkeypatch):
+        # the last value, 17 digits on the strtod path, ends where the mapping's last page ends
+        last = "-1 3:0.12345678901234567"
+        body = "+1 1:0.25 2:-3\n" * (mmap.PAGESIZE // 15)
+        body = body[:mmap.PAGESIZE - len(last)]
+        body = body[:body.rindex("\n") + 1]
+        text = body + " " * (mmap.PAGESIZE - len(body) - len(last)) + last
+        path = tmp_path / "pages.svm"
+        path.write_bytes(text.encode())
+        assert path.stat().st_size == mmap.PAGESIZE
+        with open(path, "rb") as f, mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as mapped:
+            assert data._parse_clean(mapped, None) is not None
+            ds = parse_sparse_text(mapped)
+        assert _Same(ds) == _line_outcome(text, monkeypatch)
+        assert ds.x.data[-1] == float("0.12345678901234567")
+
     def test_more_nonzeros_than_int32_falls_back(self, monkeypatch):
         text = b"1 1:1 2:1 3:1\n-1 4:2 5:0\n\n1 6:-1.5\n"  # 5 nonzeros
         fast = parse_sparse_text(text)
@@ -390,6 +507,17 @@ class TestBulkParser:
         assert ckernel.get().parse_sparse_text(text) is None
         assert _Same(parse_sparse_text(text)) == _Same(fast) and used == [1]
         assert _outcome(text) == _line_outcome(text, monkeypatch)
+
+
+def _canonical_format_scans(monkeypatch) -> list:
+    """The calls of scipy's canonical-format scan from now on, recorded by a spy."""
+    scans = []
+    for module in (_compressed, _sparsetools):  # scipy looks the scan up in one of them
+        real = getattr(module, "csr_has_canonical_format", None)
+        if real is not None:
+            monkeypatch.setattr(module, "csr_has_canonical_format",
+                                lambda *a, real=real: scans.append(a) or real(*a))
+    return scans
 
 
 def _old_to_sparse_text(d: Dataset) -> str:
@@ -684,12 +812,7 @@ class TestSplitAndPrefix:
     def test_prefix_makes_no_canonical_format_scan(self, monkeypatch):
         # the rows of a canonical matrix are canonical: a prefix takes its base's flag
         d = normalize(generate_synthetic(512, 12, 0.5, seed=11)[0])
-        scans = []
-        for module in (_compressed, _sparsetools):  # scipy looks the scan up in one of them
-            real = getattr(module, "csr_has_canonical_format", None)
-            if real is not None:
-                monkeypatch.setattr(module, "csr_has_canonical_format",
-                                    lambda *a, real=real: scans.append(a) or real(*a))
+        scans = _canonical_format_scans(monkeypatch)
         assert sparse.csr_matrix((d.x.data, d.x.indices, d.x.indptr),
                                  shape=d.x.shape).has_canonical_format
         assert len(scans) == 1  # the spy sees the scan of a matrix without the flag
@@ -698,6 +821,27 @@ class TestSplitAndPrefix:
             p = d.prefix(n)
             assert p.x.has_canonical_format and p.prefix(1).x.has_canonical_format
         assert scans == []
+
+    @pytest.mark.parametrize("kernel", [True, False], ids=["c_parser", "line_parser"])
+    def test_parse_normalize_and_split_make_no_canonical_format_scan(self, monkeypatch, kernel):
+        # both parsers refuse indices that do not increase, normalize keeps the
+        # indices and the split moves whole rows, so each takes the flag
+        text = generate_synthetic(300, 12, 0.5, seed=5)[0].to_sparse_text()
+        if not kernel:
+            monkeypatch.setattr(ckernel, "get", lambda: None)
+        scans = _canonical_format_scans(monkeypatch)
+        parsed = parse_sparse_text(text)
+        normalized = normalize(parsed)
+        train, test = shuffle_and_split(normalized, 200, seed=2)
+        assert scans == []
+        for d in (parsed, normalized, train, test):
+            assert d.x.has_canonical_format
+        assert scans == []
+        monkeypatch.undo()
+        assert normalized == normalize(parse_sparse_text(text))
+        for d in (parsed, normalized, train, test):  # a matrix without the flag scans itself
+            assert sparse.csr_matrix((d.x.data, d.x.indices, d.x.indptr),
+                                     shape=d.x.shape).has_canonical_format
 
     def test_row_block_of_a_non_canonical_matrix_is_merged(self):
         # column 0 twice in row 0: the block keeps the flag False, and Dataset merges it
