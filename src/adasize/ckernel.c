@@ -13,14 +13,17 @@
  * data.parse_sparse_text; anything it does not accept goes to the line
  * parser there, which gives the same arrays or reports the bad line.  It
  * reads only the len bytes it is given, so the text may be any buffer, a
- * read-only file mapping included, with no NUL after it.  A number with at
- * most 2^53 in its significant digits and a decimal exponent of at most 22
- * either way is converted, in the scan that finds its end, by one exact
- * multiply or divide (Clinger's exact case), which rounds once, as strtod
- * does; every other number goes to strtod, through a NUL-terminated local
- * copy.  On little-endian hosts the digit runs of indices and mantissas are
- * read eight bytes at a time (SWAR: the eight bytes as one uint64_t), and
- * form the same integers as the byte loop, which runs everywhere else.
+ * read-only file mapping included, with no NUL after it.  The parse can be
+ * resumed: a text may be handed over in line-aligned chunks, one call each,
+ * and the rows of each chunk follow those of the chunks before it.  A
+ * number with at most 2^53 in its significant digits and a decimal exponent
+ * of at most 22 either way is converted, in the scan that finds its end, by
+ * one exact multiply or divide (Clinger's exact case), which rounds once, as
+ * strtod does; every other number goes to strtod, through a NUL-terminated
+ * local copy.  On little-endian hosts the digit runs of indices and
+ * mantissas are read eight bytes at a time (SWAR: the eight bytes as one
+ * uint64_t), and form the same integers as the byte loop, which runs
+ * everywhere else.
  */
 
 #include <float.h>
@@ -247,19 +250,26 @@ static int read_number(const char **p, const char *end, double *x)
  * eight digits of an index at once.
  *
  * Writes each line's raw label, the CSR row bounds (indptr: max_rows + 1
- * entries), the 0-based indices and the values (max_nnz entries each), and
- * out = {rows, nonzeros, largest index}.  Returns 0, or -1 at the first byte
- * or field outside this grammar or a write past a capacity; the arrays then
- * hold nothing of use. */
+ * entries), the 0-based indices and the values (max_nnz entries each).
+ * out = {rows, nonzeros, largest index} is read on entry and written on
+ * return, so a text can be parsed in chunks, one call each, with the same
+ * arrays and out: out starts as zeros, and every chunk but the last ends
+ * just after a '\n', so that no line spans two calls.  A call appends its
+ * rows after the out[0] already parsed, and writes indptr[0] only when
+ * there are none yet.  Returns 0, or -1 at the first byte or field outside
+ * this grammar, a write past a capacity or an out that does not fit them;
+ * the arrays and out then hold nothing of use. */
 int parse_sparse_text(const char *text, int64_t len, double *labels, int32_t *indptr,
                       int64_t max_rows, int32_t *indices, double *values, int64_t max_nnz,
                       int64_t *out)
 {
     const char *p = text, *end = text + len;
-    int64_t rows = 0, nnz = 0, max_idx = 0;
-    if (max_rows < 0 || max_nnz < 0 || max_nnz > INT32_MAX)
+    int64_t rows = out[0], nnz = out[1], max_idx = out[2];
+    if (len < 0 || max_rows < 0 || max_nnz < 0 || max_nnz > INT32_MAX
+        || rows < 0 || rows > max_rows || nnz < 0 || nnz > max_nnz || max_idx < 0)
         return -1;
-    indptr[0] = 0;
+    if (rows == 0)
+        indptr[0] = 0;
     while (p < end) {
         while (p < end && is_blank(*p))
             p++;

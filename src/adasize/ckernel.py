@@ -4,17 +4,17 @@ The library holds two things: the pick loop of an SVRG epoch and a one-pass
 parser of clean sparse text.  The parser takes any contiguous buffer, such
 as a read-only file mapping, reads it to its length and no further, so no
 NUL need follow the text, and on little-endian hosts converts digits eight
-bytes at a time.  `get()` builds the shared library on its first
-call in a process, or loads it when an earlier process built it, and returns
-the `Kernel`, or None when it cannot.  Then `solvers.svrg_epoch` runs its
-numpy loop, which computes the same steps to the same bits, and
-`data.parse_sparse_text` its line parser, which gives the same arrays.  The
-compiler is sysconfig's CC where it is installed, else `cc`, with the flags
-in FLAGS.  The library goes to this package's `__pycache__` directory, beside
-the bytecode Python writes there, under a name keyed by the SHA-256 of the
-source and the compile command; it is written under a temporary name and
-then renamed into place, so a concurrent or interrupted build never leaves a
-partial file.
+bytes at a time; a `TextParse` feeds it one text in line-aligned chunks.
+`get()` builds the shared library on its first call in a process, or loads
+it when an earlier process built it, and returns the `Kernel`, or None when
+it cannot.  Then `solvers.svrg_epoch` runs its numpy loop, which computes
+the same steps to the same bits, and `data.parse_sparse_text` its line
+parser, which gives the same arrays.  The compiler is sysconfig's CC where
+it is installed, else `cc`, with the flags in FLAGS.  The library goes to
+this package's `__pycache__` directory, beside the bytecode Python writes
+there, under a name keyed by the SHA-256 of the source and the compile
+command; it is written under a temporary name and then renamed into place,
+so a concurrent or interrupted build never leaves a partial file.
 `reason` says which path the process took and why, for example:
 
     python -c "from adasize import ckernel as k; k.get(); print(k.reason)"
@@ -117,44 +117,80 @@ class Kernel:
         """(raw labels, indptr, 0-based indices, values, max index) of clean text, or None.
 
         Clean text is what ckernel.c's parse_sparse_text accepts; None means
-        the text is something else and nothing was parsed.  Labels are
-        returned as read, for the caller to check or map.  text is any
+        the text is something else and nothing was parsed.  text is any
         contiguous buffer of bytes: `bytes`, a read-only `mmap` or a 1-D
-        uint8 array.  The C parser reads none of the bytes after it, so no
-        NUL need follow.  The numpy view that hands it to C is dropped when
-        the call returns, so no view of the buffer outlives this method and
-        a mapping can be closed at once.
-
-        The arrays are sized from len(text) alone, with no counting pass: a
-        row takes at least 2 bytes ("1\n") and a nonzero at least 4 (" 1:1"),
-        so about 9 times the text's bytes of address space is reserved; a
-        reservation that fails raises MemoryError with that figure.  Only
-        the pages the parser writes become resident, and each array is then
-        shrunk in place to its used prefix by `ndarray.resize`, whose
-        realloc gives the rest back without copying; the arrays returned
-        are the ones reserved.  Nothing but local names refers to them, so
-        resize's reference-count check is skipped.  More nonzeros than an
-        int32 indptr holds fail the C parser's capacity check, which sends
-        the text to the line parser.
+        uint8 array.  This is one `TextParse` fed the whole text as its one
+        chunk, so it reserves about 9 times the text's bytes, as address
+        space only, and holds the whole text resident while it parses.
+        `data.load_sparse_file` feeds a file's mapping in chunks instead and
+        releases each chunk's pages once read, so the resident peak of its
+        load is the parsed arrays plus one chunk; under `ulimit -v 500000`
+        (KB) it loads a 28 MB file, and at 490000 the reservation fails.
         """
-        max_rows, max_nnz = len(text) // 2 + 1, min(len(text) // 4, _INT32_LIMIT - 1)
+        parse = self.text_parse(len(text))
+        return parse.result() if parse.feed(text) else None
+
+    def text_parse(self, size: int) -> "TextParse":
+        """A `TextParse` with its arrays reserved for a text of `size` bytes."""
+        return TextParse(self._lib, size)
+
+
+class TextParse:
+    """One parse of a text by the C parser, fed in line-aligned chunks.
+
+    Each `feed` hands the next chunk to ckernel.c's parse_sparse_text, which
+    appends the chunk's rows to the arrays; `result` returns them.  Every
+    chunk but the last must end just after a newline, so that no line spans
+    two chunks; then the chunks give the arrays of the whole text.  Labels
+    are returned as read, for the caller to check or map.
+
+    The arrays are sized from the whole text's length alone, with no
+    counting pass: a row takes at least 2 bytes ("1\n") and a nonzero at
+    least 4 (" 1:1"), so about 9 times the text's bytes of address space is
+    reserved; a reservation that fails raises MemoryError with that figure.
+    The reservation is address space only: just the pages the parser
+    writes become resident, about 12 bytes per nonzero and 12 per row.
+    `result` shrinks each array in place to its used prefix by
+    `ndarray.resize`, whose realloc gives the rest back without copying,
+    and returns the arrays reserved.  Nothing but this parse refers to them,
+    and it lets go of them there, so resize's reference-count check is
+    skipped.  More nonzeros than an int32 indptr holds fail the C parser's
+    capacity check, which refuses the chunk.
+    """
+
+    def __init__(self, lib: ctypes.CDLL, size: int):
+        self._lib = lib
+        self._max_rows, self._max_nnz = size // 2 + 1, min(size // 4, _INT32_LIMIT - 1)
         try:
-            labels, indptr = np.empty(max_rows), np.empty(max_rows + 1, dtype=np.int32)
-            indices, values = np.empty(max_nnz, dtype=np.int32), np.empty(max_nnz)
+            self._arrays = (np.empty(self._max_rows), np.empty(self._max_rows + 1, dtype=np.int32),
+                            np.empty(self._max_nnz, dtype=np.int32), np.empty(self._max_nnz))
         except MemoryError:
-            raise MemoryError(f"the C parser needs about {12 * (max_rows + max_nnz)} bytes, "
-                              f"9 times the text's {len(text)}") from None
-        out = np.zeros(3, dtype=np.int64)
-        buf = np.frombuffer(text, dtype=np.uint8)
-        status = self._lib.parse_sparse_text(buf, buf.size, labels, indptr, max_rows,
-                                             indices, values, max_nnz, out)
+            raise MemoryError(f"the C parser needs about {12 * (self._max_rows + self._max_nnz)} "
+                              f"bytes, 9 times the text's {size}") from None
+        self._out = np.zeros(3, dtype=np.int64)  # rows, nonzeros, largest index so far
+
+    def feed(self, chunk) -> bool:
+        """Parses the next chunk, any contiguous buffer of bytes; False if the C parser refuses it.
+
+        The C parser reads none of the bytes after the chunk.  The numpy view
+        that hands it to C is dropped when the call returns, so no view of
+        the buffer outlives this method and a mapping can be closed at once.
+        After a refusal the parse holds nothing of use.
+        """
+        labels, indptr, indices, values = self._arrays
+        buf = np.frombuffer(chunk, dtype=np.uint8)
+        status = self._lib.parse_sparse_text(buf, buf.size, labels, indptr, self._max_rows,
+                                             indices, values, self._max_nnz, self._out)
         del buf
-        if status != 0:
-            return None
-        rows, nnz, max_idx = out.tolist()
-        for a, size in ((labels, rows), (indptr, rows + 1), (indices, nnz), (values, nnz)):
+        return status == 0
+
+    def result(self):
+        """(raw labels, indptr, 0-based indices, values, max index) of the chunks fed."""
+        arrays, self._arrays = self._arrays, None
+        rows, nnz, max_idx = self._out.tolist()
+        for a, size in zip(arrays, (rows, rows + 1, nnz, nnz)):
             a.resize(size, refcheck=False)
-        return labels, indptr, indices, values, max_idx
+        return (*arrays, max_idx)
 
 
 def default_compiler() -> str:

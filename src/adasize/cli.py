@@ -10,12 +10,8 @@ win.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import hashlib
 import io
-import mmap
 import os
-import stat
 import sys
 from dataclasses import replace
 from importlib import metadata
@@ -237,36 +233,27 @@ def _generate(args) -> data.Dataset:
         raise MemoryError(f"out of memory drawing --gen {args.gen}: {exc}") from None
 
 
-def _mapped_or_read(f):
-    """f's bytes, as a context manager: a read-only mapping where f is a regular, nonempty file.
-
-    The mapping is closed on exit, which needs every view of it released
-    first.  Anything else, such as a pipe or an empty file (which mmap
-    refuses), is read into a `bytes` object.
-    """
-    st = os.fstat(f.fileno())
-    if stat.S_ISREG(st.st_mode) and st.st_size > 0:
-        return mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
-    return contextlib.nullcontext(f.read())
-
-
 def _load_dataset(args) -> tuple[data.Dataset, str]:
     """Dataset plus a content hash for the manifest.
 
-    A --dataset file is mapped, not copied, then parsed and hashed from the
-    mapping, which is closed before `normalize` runs.  A file that another
-    process truncates while it is mapped ends this one with SIGBUS.  A --gen
-    set is hashed before normalization by `Dataset.array_sha256`, over its
-    arrays, so it is never formatted as text; that value is not the SHA-256
-    of the file `gen` writes.
+    A --dataset file is loaded by `data.load_sparse_file`: mapped, not
+    copied, then parsed and hashed in one pass over line-aligned chunks,
+    each chunk's pages released once read, and the mapping closed before
+    `normalize` runs.  On the C path the resident peak of the load is the
+    parsed arrays plus one chunk of text; the parser's reservation of about
+    9 times the file's bytes is address space only, and it still decides
+    what loads under an address-space limit: a 28 MB file loads under
+    `ulimit -v 500000` (KB) and exits 2 with the 9x message at 490000.  A
+    file that another process truncates while it is mapped ends this one
+    with SIGBUS.  A --gen set is hashed before normalization by
+    `Dataset.array_sha256`, over its arrays, so it is never formatted as
+    text; that value is not the SHA-256 of the file `gen` writes.
     """
     if args.dataset and args.gen:
         raise UsageError("give either --dataset or --gen, not both")
     if args.dataset:
         try:
-            with open(args.dataset, "rb") as f, _mapped_or_read(f) as text:
-                ds = data.parse_sparse_text(text, label_map=_parse_label_map(args.label_map))
-                digest = hashlib.sha256(text).hexdigest()
+            ds, digest = data.load_sparse_file(args.dataset, _parse_label_map(args.label_map))
         except MemoryError as exc:
             raise MemoryError(f"out of memory parsing {args.dataset}: {exc}") from None
     elif args.gen:

@@ -53,13 +53,17 @@ class SolverState:
 
 
 def init_state(method: str, dim: int, seed: int = 0) -> SolverState:
-    """Fresh zero-initialized state; SVRG sampling is driven by a counter-based generator."""
+    """Fresh zero-initialized state; SVRG sampling is driven by a counter-based generator.
+
+    AGD's lookahead starts as w's own array: no solver writes an iterate in
+    place, so sharing it is safe, and `agd_step` sees by identity that y = w.
+    """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     w = np.zeros(dim)
     state = SolverState(method=method, w=w)
     if method == "agd":
-        state.agd_y = w.copy()
+        state.agd_y = w
     elif method == "svrg":
         state.rng = np.random.Generator(np.random.Philox(seed))
     return state
@@ -68,10 +72,11 @@ def init_state(method: str, dim: int, seed: int = 0) -> SolverState:
 def reset_aux(state: SolverState) -> SolverState:
     """Re-anchor the momentum sequence at the current iterate (stage warm start).
 
-    SVRG needs nothing here: every epoch anchors at the iterate it starts from.
+    The lookahead becomes w's own array, as in `init_state`.  SVRG needs
+    nothing here: every epoch anchors at the iterate it starts from.
     """
     if state.method == "agd":
-        return replace(state, agd_y=state.w.copy())
+        return replace(state, agd_y=state.w)
     return state
 
 
@@ -102,12 +107,16 @@ def agd_step(state: SolverState, spec: RiskSpec, view: Dataset,
     """Advance both accelerated sequences one step.
 
     w_{k+1} = y_k - eta * grad R_n(y_k);  y_{k+1} = w_{k+1} + beta (w_{k+1} - w_k).
-    The step reads no gradient at w, so at_w is left unevaluated.
+    Where y_k is w_k's own array, as on a stage's first step, the gradient
+    is at_w's, which a threshold stop test has evaluated already; otherwise
+    the step reads no gradient at w, and at_w is left unevaluated.
     """
     if state.method != "agd" or state.agd_y is None:
         raise ValueError("agd_step needs an agd state with the momentum sequence set")
     eta, beta = schedule.agd_params(spec, view.n_samples)
-    w_new = state.agd_y - eta * erm.Measurement(spec, state.agd_y, view).grad
+    at_y = at_w if at_w is not None and state.agd_y is state.w else \
+        erm.Measurement(spec, state.agd_y, view)
+    w_new = state.agd_y - eta * at_y.grad
     y_new = w_new + beta * (w_new - state.w)
     _ensure_finite(w_new, f"agd step at n={view.n_samples}")
     return replace(state, w=w_new, agd_y=y_new, grad_evals=state.grad_evals + view.n_samples)

@@ -158,14 +158,19 @@ def _seventeen_digit_file(tmp_path):
     return path
 
 
-def _recorded_mappings(monkeypatch) -> list:
-    """The mmap objects made from now on."""
+def _recorded_mappings(monkeypatch, released: list | None = None) -> list:
+    """The mmap objects made from now on; their madvise calls go to `released`, if given."""
     made = []
 
     class Recorded(mmap.mmap):
         def __new__(cls, *args, **kwargs):
             made.append(super().__new__(cls, *args, **kwargs))
             return made[-1]
+
+        def madvise(self, option, start, length):
+            if released is not None:
+                released.append((option, start, length))
+            return super().madvise(option, start, length)
 
     monkeypatch.setattr(mmap, "mmap", Recorded)
     return made
@@ -204,6 +209,27 @@ def test_file_of_whole_pages_is_mapped_and_hashed(tmp_path, monkeypatch):
     assert _manifest_sha256(tmp_path / "out") == hashlib.sha256(text.encode()).hexdigest()
     monkeypatch.setattr(ckernel, "get", lambda: None)
     assert loaded == [parse_sparse_text(text)]
+
+
+@pytest.mark.skipif(not hasattr(mmap, "MADV_DONTNEED"), reason="no madvise on this platform")
+def test_pages_are_released_chunk_by_chunk(tmp_path, monkeypatch):
+    path = _seventeen_digit_file(tmp_path)
+    size = path.stat().st_size
+    monkeypatch.setattr(data, "PARSE_CHUNK_BYTES", 3 * mmap.PAGESIZE + 100)  # ends mid-page
+    released = []
+    made = _recorded_mappings(monkeypatch, released)
+    assert run_cli(["run", "--dataset", str(path), "--method", "gd", "--m0", "500",
+                    "--out", str(tmp_path / "out")]) == 0
+    assert len(made) == 1 and made[0].closed
+    assert _manifest_sha256(tmp_path / "out") == hashlib.sha256(path.read_bytes()).hexdigest()
+    # page-aligned, disjoint ranges, released chunk by chunk, that cover every whole page
+    assert len(released) > size // data.PARSE_CHUNK_BYTES // 2
+    end = 0
+    for option, start, length in released:
+        assert option == mmap.MADV_DONTNEED
+        assert start == end and length > 0 and start % mmap.PAGESIZE == length % mmap.PAGESIZE == 0
+        end = start + length
+    assert end == size - size % mmap.PAGESIZE
 
 
 def test_empty_file_exits_2(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import mmap
 import warnings
 
@@ -113,7 +114,7 @@ class _Same:
 
 def _line_outcome(text, monkeypatch, **kwargs):
     with monkeypatch.context() as m:
-        m.setattr(data, "_parse_clean", lambda text, lmap: None)
+        m.setattr(data, "_parse_clean", lambda text, lmap, hasher=None: None)
         return _outcome(text, **kwargs)
 
 
@@ -507,6 +508,93 @@ class TestBulkParser:
         assert ckernel.get().parse_sparse_text(text) is None
         assert _Same(parse_sparse_text(text)) == _Same(fast) and used == [1]
         assert _outcome(text) == _line_outcome(text, monkeypatch)
+
+
+def _text_of_whole_pages() -> str:
+    """A valid file of a whole number of pages: rows of varied length, blank lines, one row
+    longer than a page, and a last row with no newline."""
+    rows = generate_synthetic(300, 60, 0.3, seed=8)[0].to_sparse_text().splitlines(keepends=True)
+    long_row = "+1 " + " ".join(f"{j}:{j / 7:.17g}" for j in range(1, 400)) + "\n"
+    last = "-1 3:0.12345678901234567"
+    head = "".join(rows[:120]) + "\n \t\n" + long_row + "".join(rows[120:200])
+    tail = "".join(rows[200:]) + last
+    pad = -(len(head) + len(tail)) % mmap.PAGESIZE
+    text = head + "\n" * pad + tail  # the padding is blank lines
+    assert len(long_row) > mmap.PAGESIZE and len(text) % mmap.PAGESIZE == 0
+    return text
+
+
+def _fed_chunks(monkeypatch) -> list:
+    """The bytes of every chunk the C parser is fed from now on."""
+    fed, feed = [], ckernel.TextParse.feed
+    monkeypatch.setattr(ckernel.TextParse, "feed",
+                        lambda self, chunk: fed.append(bytes(chunk)) or feed(self, chunk))
+    return fed
+
+
+class TestChunkedLoad:
+    """The C parser and the hash read a text in line-aligned chunks of PARSE_CHUNK_BYTES."""
+
+    # one byte makes a chunk of each line; 6000 ends chunks mid-page
+    @pytest.mark.parametrize("chunk", [1, 100, 6000, mmap.PAGESIZE])
+    def test_chunks_give_the_whole_text_parse_and_hash(self, tmp_path, monkeypatch, chunk):
+        text = _text_of_whole_pages()
+        raw = text.encode()
+        path = tmp_path / "pages.svm"
+        path.write_bytes(raw)
+        whole = parse_sparse_text(raw)  # one chunk
+        monkeypatch.setattr(data, "PARSE_CHUNK_BYTES", chunk)
+        fed = _fed_chunks(monkeypatch)
+        ds, digest = data.load_sparse_file(path)
+        chunks, fed[:] = fed[:], []
+        assert ds == whole and digest == hashlib.sha256(raw).hexdigest()
+        assert _Same(ds) == _line_outcome(text, monkeypatch)
+        hasher = hashlib.sha256()
+        assert parse_sparse_text(raw, hasher=hasher) == whole  # bytes: the same loop
+        assert hasher.hexdigest() == digest
+        if ckernel.get() is not None:
+            assert fed == chunks and b"".join(chunks) == raw and len(chunks) > 1
+            assert all(c.endswith(b"\n") for c in chunks[:-1])
+            # a chunk holds at most `chunk` bytes, unless it is one line longer than that
+            assert all(len(c) <= chunk or c.count(b"\n") <= 1 for c in chunks)
+            assert max(map(len, chunks)) > mmap.PAGESIZE  # the row longer than a page
+
+    @pytest.mark.parametrize("late", ["\x00", " 99:1e", " # a comment"],
+                             ids=["nul", "bad_number", "comment"])
+    def test_a_late_chunk_the_c_parser_refuses(self, tmp_path, monkeypatch, late):
+        lines = _text_of_whole_pages().split("\n")
+        lines[-3] += late
+        text = "\n".join(lines)
+        raw = text.encode()
+        path = tmp_path / "late.svm"
+        path.write_bytes(raw)
+        monkeypatch.setattr(data, "PARSE_CHUNK_BYTES", mmap.PAGESIZE)
+        expected = _line_outcome(text, monkeypatch)
+        fed = _fed_chunks(monkeypatch)
+        try:
+            ds, digest = data.load_sparse_file(path)
+        except SparseTextError as exc:
+            assert expected == (SparseTextError, str(exc))
+            assert str(exc).startswith(f"line {len(lines) - 2}: ")
+        else:
+            assert late == " # a comment"
+            assert _Same(ds) == expected and digest == hashlib.sha256(raw).hexdigest()
+        if ckernel.get() is not None:  # the C parser took the chunks before, then refused
+            assert len(fed) > 10 and late.encode() in fed[-1]
+
+    def test_each_chunk_is_read_to_its_end_only(self):
+        # each chunk is a bytes object of its own, from malloc (512 bytes and
+        # more), so under a sanitizer a load past its end reaches the redzone
+        kernel = ckernel.get()
+        if kernel is None:
+            pytest.skip(ckernel.reason)
+        for token in _NUMBERS:
+            first = ("\n" * 512 + f"+1 1:{token}\n").encode()
+            for tail in _tails():
+                last = ("\n" * 512 + f"-1 2:{token}{tail}").encode()
+                parse = kernel.text_parse(len(first) + len(last))
+                assert parse.feed(first) and parse.feed(last), token
+                assert _same_bits(parse.result(), kernel.parse_sparse_text(first + last)), token
 
 
 def _canonical_format_scans(monkeypatch) -> list:

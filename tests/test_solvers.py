@@ -423,7 +423,7 @@ class TestSolve:
     def test_one_measurement_per_iterate(self, method, mode, spec, small_train):
         # the stop test, the GD step and the SVRG anchor share the margins x @ w of
         # the measurement at w; AGD steps from y, so a fixed-count AGD solve reads
-        # w's only at the exit
+        # w's only at the exit, and its first step, where y is w, reads w's too
         view = small_train.prefix(64)
         operands = []
         view.x = _ProductLog(view.x, operands)
@@ -436,7 +436,7 @@ class TestSolve:
         result.exit.grad_norm  # every caller reads the exit measurement
         k = result.iterations
         assert k >= 1
-        expected = 2 * k + 1 if (method, mode) == ("agd", "until_threshold") else k + 1
+        expected = 2 * k if (method, mode) == ("agd", "until_threshold") else k + 1
         margin_products = [v for v in operands if any(v is p for p in points)]
         assert len(margin_products) == expected
         # besides them, only each SVRG epoch's product with its shift b
