@@ -1,10 +1,10 @@
 """The compiled parts of adasize: ckernel.c, built with the system C compiler on first use.
 
 The library holds two things: the pick loop of an SVRG epoch and a one-pass
-parser of clean sparse text.  The parser takes any contiguous buffer, such
-as a read-only file mapping, reads it to its length and no further, so no
-NUL need follow the text, and on little-endian hosts converts digits eight
-bytes at a time; a `TextParse` feeds it one text in line-aligned chunks.
+parser of clean sparse text.  The parser takes any contiguous buffer of
+bytes, reads it to its length and no further, so no NUL need follow the
+text, and on little-endian hosts converts digits eight bytes at a time; a
+`TextParse` feeds it one text in line-aligned chunks.
 `get()` builds the shared library on its first call in a process, or loads
 it when an earlier process built it, and returns the `Kernel`, or None when
 it cannot.  Then `solvers.svrg_epoch` runs its numpy loop, which computes
@@ -113,23 +113,6 @@ class Kernel:
             raise ValueError("pick, row bound or column index out of range in the pick loop")
         return float(sr[0]), float(sr[1])
 
-    def parse_sparse_text(self, text):
-        """(raw labels, indptr, 0-based indices, values, max index) of clean text, or None.
-
-        Clean text is what ckernel.c's parse_sparse_text accepts; None means
-        the text is something else and nothing was parsed.  text is any
-        contiguous buffer of bytes: `bytes`, a read-only `mmap` or a 1-D
-        uint8 array.  This is one `TextParse` fed the whole text as its one
-        chunk, so it reserves about 9 times the text's bytes, as address
-        space only, and holds the whole text resident while it parses.
-        `data.load_sparse_file` feeds a file's mapping in chunks instead and
-        releases each chunk's pages once read, so the resident peak of its
-        load is the parsed arrays plus one chunk; under `ulimit -v 500000`
-        (KB) it loads a 28 MB file, and at 490000 the reservation fails.
-        """
-        parse = self.text_parse(len(text))
-        return parse.result() if parse.feed(text) else None
-
     def text_parse(self, size: int) -> "TextParse":
         """A `TextParse` with its arrays reserved for a text of `size` bytes."""
         return TextParse(self._lib, size)
@@ -146,16 +129,15 @@ class TextParse:
 
     The arrays are sized from the whole text's length alone, with no
     counting pass: a row takes at least 2 bytes ("1\n") and a nonzero at
-    least 4 (" 1:1"), so about 9 times the text's bytes of address space is
-    reserved; a reservation that fails raises MemoryError with that figure.
-    The reservation is address space only: just the pages the parser
-    writes become resident, about 12 bytes per nonzero and 12 per row.
-    `result` shrinks each array in place to its used prefix by
-    `ndarray.resize`, whose realloc gives the rest back without copying,
-    and returns the arrays reserved.  Nothing but this parse refers to them,
-    and it lets go of them there, so resize's reference-count check is
-    skipped.  More nonzeros than an int32 indptr holds fail the C parser's
-    capacity check, which refuses the chunk.
+    least 4 (" 1:1"), so about 9 times the text's bytes are reserved, as
+    address space (the `data` module says what that means for a load); a
+    reservation that fails raises MemoryError with that figure.  `result`
+    shrinks each array in place to its used prefix by `ndarray.resize`,
+    whose realloc gives the rest back without copying, and returns the
+    arrays reserved.  Nothing but this parse refers to them, and it lets go
+    of them there, so resize's reference-count check is skipped.  More
+    nonzeros than an int32 indptr holds fail the C parser's capacity check,
+    which refuses the chunk.
     """
 
     def __init__(self, lib: ctypes.CDLL, size: int):
@@ -172,16 +154,13 @@ class TextParse:
     def feed(self, chunk) -> bool:
         """Parses the next chunk, any contiguous buffer of bytes; False if the C parser refuses it.
 
-        The C parser reads none of the bytes after the chunk.  The numpy view
-        that hands it to C is dropped when the call returns, so no view of
-        the buffer outlives this method and a mapping can be closed at once.
-        After a refusal the parse holds nothing of use.
+        The C parser reads none of the bytes after the chunk.  After a
+        refusal the parse holds nothing of use.
         """
         labels, indptr, indices, values = self._arrays
         buf = np.frombuffer(chunk, dtype=np.uint8)
         status = self._lib.parse_sparse_text(buf, buf.size, labels, indptr, self._max_rows,
                                              indices, values, self._max_nnz, self._out)
-        del buf
         return status == 0
 
     def result(self):

@@ -236,16 +236,9 @@ def _generate(args) -> data.Dataset:
 def _load_dataset(args) -> tuple[data.Dataset, str]:
     """Dataset plus a content hash for the manifest.
 
-    A --dataset file is loaded by `data.load_sparse_file`: mapped, not
-    copied, then parsed and hashed in one pass over line-aligned chunks,
-    each chunk's pages released once read, and the mapping closed before
-    `normalize` runs.  On the C path the resident peak of the load is the
-    parsed arrays plus one chunk of text; the parser's reservation of about
-    9 times the file's bytes is address space only, and it still decides
-    what loads under an address-space limit: a 28 MB file loads under
-    `ulimit -v 500000` (KB) and exits 2 with the 9x message at 490000.  A
-    file that another process truncates while it is mapped ends this one
-    with SIGBUS.  A --gen set is hashed before normalization by
+    A --dataset file is parsed and hashed in one read by
+    `data.load_sparse_file`; the `data` module docstring says what memory
+    that takes.  A --gen set is hashed before normalization by
     `Dataset.array_sha256`, over its arrays, so it is never formatted as
     text; that value is not the SHA-256 of the file `gen` writes.
     """

@@ -8,32 +8,34 @@ one once-shuffled set, so the first m samples of S_n are S_m by
 construction.  A prefix is itself a `Dataset` that shares its base's arrays
 at every size, and so does its transpose.
 
-Sparse text is a `str` or any buffer of bytes, such as `bytes` or the
-read-only mapping of a file that `load_sparse_file` makes.  It is read in
-one pass of C where the compiled library of `ckernel` loaded and the text is
-clean: only digits, `+-.eE:`, blanks and newlines, in well-formed fields.
-The pass goes through the text in chunks of about PARSE_CHUNK_BYTES that
-end just after a newline, and a hashlib object given to `parse_sparse_text`
-reads each chunk right after the parser.  `load_sparse_file` maps a file,
-hashes it that way, and releases each chunk's pages of the mapping once
-both have read them, so that on the C path the resident peak of a load is
-the parsed arrays plus one chunk, not the whole text.  The C parser reads
-no byte past a chunk's end, so no NUL need follow it, and on little-endian
-hosts it takes the digits of indices and mantissas eight bytes at a time.
-There a number whose digits make at most 2^53, with a decimal exponent of
-at most 22 either way (the 6-10 digit values of LIBSVM and RCV1-style
-files), is converted exactly by one multiply or divide; longer numbers,
-such as the 17-digit values `to_sparse_text` writes, go through strtod.
-Both give float()'s bits.  The C parser makes no counting pass: its arrays
-are sized from the whole text's length (a row takes at least 2 bytes, a
-nonzero at least 4), which reserves about 9 times the text's bytes of
-address space.  That is address space only: just the pages it writes
-become resident, and each array is shrunk in place to its used prefix.  It
-is still what an address-space limit meets first: a 28 MB file loads under
-`ulimit -v 500000` (KB), and at 490000 the reservation fails.
-Everything else, and all text where the library did not load, goes
-through the line parser `_parse_lines`, which gives the same arrays and is
-the only path that reports errors.
+Sparse text, a file (`load_sparse_file`), a `str` or a buffer of bytes
+(`parse_sparse_text`), goes through one reader, `_read_sparse`.  It is
+parsed in one pass of C where the compiled library of `ckernel` loaded and
+the text is clean: only digits, `+-.eE:`, blanks and newlines, in
+well-formed fields.  The reader reads the text into one reused buffer of
+PARSE_CHUNK_BYTES, in chunks that end just after a newline, and hands each
+chunk to the C parser and then to SHA-256, so the manifest's digest costs
+no second read.  On the C path the resident peak of a load is the parsed
+arrays plus that one buffer, not the whole text: loading a 28 MB file
+raises a fresh process's peak RSS from 64 MB after its imports to 85-88
+MB.  The C parser reads no byte past a chunk's end, so no NUL need
+follow it, and on little-endian hosts it takes the digits of indices and
+mantissas eight bytes at a time.  There a number whose digits make at most
+2^53, with a decimal exponent of at most 22 either way (the 6-10 digit
+values of LIBSVM and RCV1-style files), is converted exactly by one
+multiply or divide; longer numbers, such as the 17-digit values
+`to_sparse_text` writes, go through strtod.  Both give float()'s bits.
+The C parser makes no counting pass: its arrays are sized from the whole
+text's length (a row takes at least 2 bytes, a nonzero at least 4), which
+reserves about 9 times the text's bytes.  That is address space only: just
+the pages it writes become resident, and each array is shrunk in place to
+its used prefix.  It is still what an address-space limit meets first: a
+28 MB file loads under `ulimit -v 470000` (KB), and at 460000 the
+reservation fails.  Everything else, and all text where the library did
+not load, goes through the line parser `_parse_lines`, which gives the
+same arrays and is the only path that reports errors; it and SHA-256
+read the whole text, which the reader reads from its start.  A file whose size changes
+while it is read raises OSError on either path.
 
 Both parsers refuse indices that do not increase within a line, so the
 matrix they build is canonical (sorted, no duplicates) by construction and
@@ -49,11 +51,9 @@ COO to CSR conversion.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import mmap
+import io
 import os
-import stat
 from functools import cached_property
 
 import numpy as np
@@ -73,10 +73,10 @@ _DENSE_DRAW_BYTES_PER_ENTRY = 8 + 8 + 8
 _INT32_MAX = np.iinfo(np.int32).max
 # the labels a file may hold without a label map
 _PLUS_MINUS_ONE = {1.0: 1.0, -1.0: -1.0}
-# the C parser reads a text in chunks of at most this many bytes, each ending
-# just after a newline (a longer line makes a longer chunk).  On a 28 MB file,
-# 1-8 MiB chunks parsed and hashed it in times within 2% of each other, and
-# 1-2 MiB gave the lowest resident peak of the load
+# the reader's buffer: the C parser reads a text in chunks of at most this many
+# bytes, each ending just after a newline (a longer line makes a longer chunk).
+# 1-4 MiB loaded a 28 MB file in median times within 2% of each other; 64 KiB
+# took 13% longer
 PARSE_CHUNK_BYTES = 2 << 20
 
 
@@ -215,56 +215,57 @@ def row_block(x: sparse.csr_matrix, lo: int, hi: int) -> sparse.csr_matrix:
 def load_sparse_file(path, label_map: dict | None = None) -> tuple[Dataset, str]:
     """The dataset in the sparse-text file at path, and the SHA-256 of the file's bytes.
 
-    A regular, nonempty file is mapped read-only (`mmap`), not copied, and
-    `parse_sparse_text` parses and hashes it chunk by chunk where it lies,
-    releasing each chunk's pages once both have read it; the mapping is
-    closed before this returns.  On the C path the resident peak of a load
-    is the parsed arrays plus one chunk of text.  Anything else, such as a
-    pipe or an empty file (which mmap refuses), is read into a `bytes`
-    object and goes through the same loop.  A file that another process
-    truncates while it is mapped ends this one with SIGBUS.
+    The file is parsed and hashed as it is read, chunk by chunk (see this
+    module's docstring); a pipe, which cannot seek, is read into memory
+    first.  A file whose size changes while it is read raises OSError.
     """
-    hasher = hashlib.sha256()
-    with open(path, "rb") as f, _mapped_or_read(f) as text:
-        ds = parse_sparse_text(text, label_map=label_map, hasher=hasher)
-    return ds, hasher.hexdigest()
+    with open(path, "rb") as f:
+        return _read_sparse(f if f.seekable() else io.BytesIO(f.read()), path, label_map)
 
 
-def _mapped_or_read(f):
-    """f's bytes, as a context manager: a read-only mapping where f is a regular, nonempty file.
-
-    The mapping is closed on exit, which needs every view of it released
-    first.  Anything else, such as a pipe or an empty file (which mmap
-    refuses), is read into a `bytes` object.
-    """
-    st = os.fstat(f.fileno())
-    if stat.S_ISREG(st.st_mode) and st.st_size > 0:
-        return mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
-    return contextlib.nullcontext(f.read())
-
-
-def parse_sparse_text(text, label_map: dict | None = None, dim: int | None = None,
-                      hasher=None) -> Dataset:
+def parse_sparse_text(text, label_map: dict | None = None, dim: int | None = None) -> Dataset:
     """Parse SVMlight-style sparse text: `<label> <idx>:<val> ...` per line.
 
-    Indices are 1-based and must be strictly increasing within a line.  `#`
-    starts a comment running to end of line.  Raw labels are converted via
-    `label_map` (keyed by the numeric raw label); without a map, labels must
-    already be -1 or +1.  `dim` overrides the inferred dimensionality (the
-    max index observed).  `hasher`, a hashlib object, is updated with every
-    byte of the text (a `str` as UTF-8) in the pass that parses it.
+    text is a `str` or any buffer of UTF-8 bytes.  Indices are 1-based and
+    must be strictly increasing within a line.  `#` starts a comment
+    running to end of line.  Raw labels are converted via `label_map`
+    (keyed by the numeric raw label); without a map, labels must already be
+    -1 or +1.  `dim` overrides the inferred dimensionality (the max index
+    observed).
 
     Clean input is parsed in one pass of the C kernel (`ckernel`).  Input it
     does not accept (comments, other characters, any malformed field), and
     all input where the kernel did not load, goes through the line parser,
     which reports the first bad line.
     """
+    f = io.BytesIO(text.encode() if isinstance(text, str) else text)
+    return _read_sparse(f, "text", label_map, dim)[0]
+
+
+def _read_sparse(f, name, label_map: dict | None, dim: int | None = None) -> tuple[Dataset, str]:
+    """The dataset in the seekable binary file f, and the SHA-256 of its bytes.
+
+    The C parser and the hash read f in the chunks of `_parse_chunks`.
+    Where that does not apply, f is read from its start, whole, and the
+    line parser and the hash read that text.  Either way, a number of
+    bytes read other than f's size at the start raises OSError, naming f
+    as `name`.
+    """
     lmap = None
     if label_map is not None:
         lmap = {float(k): float(v) for k, v in label_map.items()}
         if not all(v in (-1.0, 1.0) for v in lmap.values()):
             raise ValueError("label_map must map onto {-1, +1}")
-    parts = _parse_clean(text, lmap, hasher)
+    size = f.seek(0, io.SEEK_END)
+    f.seek(0)
+    hasher = hashlib.sha256()
+    parts, read = _parse_chunks(f, size, lmap, hasher)
+    if parts is None:
+        f.seek(0)
+        text = f.read()
+        hasher, read = hashlib.sha256(text), len(text)
+    if read != size:
+        raise OSError(f"{name} changed size while it was read ({size} bytes at open, {read} read)")
     if parts is None:
         parts = _parse_lines(text, lmap)
     labels, indptr, indices, data, max_idx = parts
@@ -275,7 +276,7 @@ def parse_sparse_text(text, label_map: dict | None = None, dim: int | None = Non
         raise ValueError(f"dim={use_dim} smaller than max feature index {max_idx}")
     x = sparse.csr_matrix((data, indices, indptr), shape=(labels.size, max(use_dim, 1)))
     x.has_canonical_format = True  # both parsers refuse indices that do not increase
-    return Dataset(x, labels)
+    return Dataset(x, labels), hasher.hexdigest()
 
 
 def _parse_lines(text, lmap: dict | None):
@@ -337,69 +338,41 @@ def _parse_lines(text, lmap: dict | None):
             np.asarray(indices, dtype=np.int32), np.asarray(data), max_idx)
 
 
-def _parse_clean(text, lmap: dict | None, hasher=None):
-    """What `_parse_lines` returns, from one pass of the C kernel; None where that does not apply.
+def _parse_chunks(f, size: int, lmap: dict | None, hasher):
+    """(what `_parse_lines` returns, or None, and the bytes read) from the C parser.
 
-    None when the kernel did not load, refused a chunk, or a label is not
-    one that `_parse_lines` accepts.  The pass reads the text (a `str` as
-    its UTF-8 bytes) in the chunks `_chunk_end` marks, each first by the
-    kernel and then by hasher, if given.  After a refusal the chunks go to
-    hasher alone, so it has read every byte when this returns.  On a
-    read-only mapping the whole pages of each chunk are released
-    (`madvise(MADV_DONTNEED)`) once both have read it.  Such a mapping is
-    backed by the file's page cache, so a later read, such as the line
-    parser's, faults them back in.
+    The parser's arrays are reserved for f's `size` bytes.  f is read into
+    one reused buffer of PARSE_CHUNK_BYTES; each fill is cut just after its
+    last newline, and f is moved back to the cut, so the cut line starts the
+    next fill.  A fill shorter than the buffer, the last, is taken whole,
+    and a line longer than the buffer is read alone.  Each chunk goes to the
+    parser, then to hasher.  None when the kernel did not load, refused a
+    chunk, or a label is not one that `_parse_lines` accepts.
     """
     kernel = ckernel.get()
-    if kernel is None and hasher is None:
-        return None
-    buf = text.encode() if isinstance(text, str) else text
-    if not hasattr(buf, "rfind"):  # a buffer without the search methods of bytes and mmap
-        buf = bytes(buf)
-    parse = None if kernel is None else kernel.text_parse(len(buf))
-    view = np.frombuffer(buf, dtype=np.uint8)
-    release = (isinstance(buf, mmap.mmap) and not view.flags.writeable
-               and hasattr(mmap, "MADV_DONTNEED"))
-    lo = released = 0
-    while True:
-        hi = _chunk_end(buf, lo)
-        chunk = view[lo:hi]
-        if parse is not None and not parse.feed(chunk):
-            parse = None  # its arrays are freed; the line parser reads the whole text
-        if hasher is not None:
-            hasher.update(chunk)
-        whole_pages = hi - hi % mmap.PAGESIZE
-        if release and whole_pages > released:
-            buf.madvise(mmap.MADV_DONTNEED, released, whole_pages - released)
-            released = whole_pages
-        if hi == view.size:
-            break
-        lo = hi
-    del view, chunk  # no view of a mapping may outlive this call
-    if parse is None:
-        return None
+    if kernel is None:
+        return None, 0
+    parse = kernel.text_parse(size)
+    buf = bytearray(PARSE_CHUNK_BYTES)
+    view, read = memoryview(buf), 0
+    while n := f.readinto(buf):
+        cut = n if n < len(buf) else buf.rfind(b"\n") + 1
+        if cut:
+            f.seek(cut - n, io.SEEK_CUR)
+            chunk = view[:cut]
+        else:
+            f.seek(-n, io.SEEK_CUR)
+            chunk = f.readline()
+        if not parse.feed(chunk):
+            return None, read
+        hasher.update(chunk)
+        read += len(chunk)
     raw, indptr, indices, values, max_idx = parse.result()
     distinct, inverse = np.unique(raw, return_inverse=True)
     mapped = [(_PLUS_MINUS_ONE if lmap is None else lmap).get(v) for v in distinct.tolist()]
     if None in mapped:
-        return None
-    return np.array(mapped, dtype=np.float64)[inverse], indptr, indices, values, max_idx
-
-
-def _chunk_end(text, lo: int) -> int:
-    """The end of the chunk of text that starts at lo.
-
-    That is just after the last newline among the next PARSE_CHUNK_BYTES
-    bytes, or, where a line is longer, just after that line; and the end of
-    the text where no more than PARSE_CHUNK_BYTES bytes remain or no
-    newline follows.
-    """
-    if len(text) - lo <= PARSE_CHUNK_BYTES:
-        return len(text)
-    cut = text.rfind(b"\n", lo, lo + PARSE_CHUNK_BYTES)
-    if cut < 0:
-        cut = text.find(b"\n", lo + PARSE_CHUNK_BYTES)
-    return len(text) if cut < 0 else cut + 1
+        return None, read
+    return (np.array(mapped, dtype=np.float64)[inverse], indptr, indices, values, max_idx), read
 
 
 def generate_synthetic(n: int, dim: int, sparsity: float = 1.0, seed: int = 0,

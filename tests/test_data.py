@@ -114,8 +114,30 @@ class _Same:
 
 def _line_outcome(text, monkeypatch, **kwargs):
     with monkeypatch.context() as m:
-        m.setattr(data, "_parse_clean", lambda text, lmap, hasher=None: None)
+        m.setattr(ckernel, "get", lambda: None)
         return _outcome(text, **kwargs)
+
+
+def _c_parse(text):
+    """(raw labels, indptr, 0-based indices, values, max index) of a buffer of bytes fed to the C
+    parser as one chunk, or None where it refuses it."""
+    parse = ckernel.get().text_parse(len(text))
+    return parse.result() if parse.feed(text) else None
+
+
+def _c_path(text, **kwargs):
+    """parse_sparse_text(text) on the C path, or None where it would reach the line parser."""
+    class LineParserUsed(Exception):
+        pass
+
+    def refuse(text, lmap):
+        raise LineParserUsed
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(data, "_parse_lines", refuse)
+        try:
+            return parse_sparse_text(text, **kwargs)
+        except LineParserUsed:
+            return None
 
 
 def _random_text(rng, mapped: bool) -> str:
@@ -186,11 +208,11 @@ def _mutate(text: str, rng) -> str:
 def _assert_read_as_float(tokens, monkeypatch):
     """The C path reads each token, as a label and as a value, to float()'s bits and the line parser's."""
     expected = np.array([float(t) for t in tokens])
-    labels = ckernel.get().parse_sparse_text("".join(f"{t}\n" for t in tokens).encode())[0]
+    labels = _c_parse("".join(f"{t}\n" for t in tokens).encode())[0]
     np.testing.assert_array_equal(labels.view(np.uint64), expected.view(np.uint64))
     text = "".join(f"+1 1:{t}\n" for t in tokens)
-    assert data._parse_clean(text, None) is not None
-    fast, line = parse_sparse_text(text), _line_outcome(text, monkeypatch)
+    fast, line = _c_path(text), _line_outcome(text, monkeypatch)
+    assert fast is not None
     assert fast == line.d
     kept = expected[expected != 0.0].view(np.uint64)
     np.testing.assert_array_equal(fast.x.data.view(np.uint64), kept)
@@ -222,7 +244,7 @@ def _tails():
 
 
 def _same_bits(a, b) -> bool:
-    """Two results of Kernel.parse_sparse_text (or of the parsers in data) hold the same bits."""
+    """Two results of `_c_parse` or `data._parse_lines` hold the same bits."""
     if a is None or b is None:
         return a is None and b is None
     return a[4] == b[4] and all(np.array_equal(np.asarray(u).view(np.uint8),
@@ -238,16 +260,18 @@ def _parse_at_the_end(text: str, lmap=None):
     malloc, so under a sanitizer a load past its end reaches the redzone.
     """
     raw = ("\n" * 512 + text).encode()
-    parts = ckernel.get().parse_sparse_text(raw)
+    parts = _c_parse(raw)
     beyond = np.frombuffer(raw + b"1234567890123456", np.uint8)[:len(raw)]
-    assert _same_bits(ckernel.get().parse_sparse_text(beyond), parts), text
+    assert _same_bits(_c_parse(beyond), parts), text
     try:
         line = data._parse_lines(raw, lmap)
     except SparseTextError:
         line = None
-    clean = data._parse_clean(raw, lmap)
+    clean = _c_path(raw, label_map=lmap)
     if clean is not None:
-        assert _same_bits(clean, line), text
+        assert line is not None and _same_bits(
+            (clean.y, clean.x.indptr, clean.x.indices, clean.x.data, clean.dim),
+            (*line[:4], max(line[4], 1))), text
     return parts, line
 
 
@@ -266,11 +290,10 @@ class TestBulkParser:
     def test_random_valid_files_match_the_line_parser(self, monkeypatch, seed, mapped):
         rng = np.random.default_rng(seed + mapped)
         kwargs = {"label_map": LABEL_MAP} if mapped else {}
-        lmap = {float(k): float(v) for k, v in LABEL_MAP.items()} if mapped else None
         for _ in range(60):
             text = _random_text(rng, mapped)
-            assert data._parse_clean(text, lmap) is not None, text
-            fast = parse_sparse_text(text, **kwargs)
+            fast = _c_path(text, **kwargs)
+            assert fast is not None, text
             assert _Same(fast) == _line_outcome(text, monkeypatch, **kwargs), text
             assert fast == parse_sparse_text(text.encode(), **kwargs)
 
@@ -316,13 +339,13 @@ class TestBulkParser:
     @pytest.mark.parametrize("text", ["+1 1:2.5", "+1 1:2.5 3:-1e5", "-1", "+1\n-1 2:7",
                                       "+1 1:1\n-1 2:7 \t", "+1 3:0"])
     def test_last_token_may_end_the_input(self, monkeypatch, text):
-        assert ckernel.get().parse_sparse_text(text.encode()) is not None
+        assert _c_parse(text.encode()) is not None
         assert _outcome(text) == _line_outcome(text, monkeypatch)
 
     @pytest.mark.parametrize("text", ["+1 1:2\x00\n", "+1 1:2\x005\n", "+1\x00 1:2\n",
                                       "\x00", "+1 1:2\n\x00", "+1 1\x00:2\n"])
     def test_embedded_nul_falls_back(self, monkeypatch, text):
-        assert ckernel.get().parse_sparse_text(text.encode()) is None
+        assert _c_parse(text.encode()) is None
         assert _outcome(text) == _line_outcome(text, monkeypatch)
 
     def test_values_are_the_bits_float_reads(self):
@@ -334,8 +357,8 @@ class TestBulkParser:
                    "-2.225073858507201e-308", "1e-400", "-1e-400", "1e308", "1.7976931348623157e308",
                    "1.7976931348623159e308", "1e309", "-0.0", "0.1", "9007199254740993"]
         text = "".join(f"+1 1:{t}\n" for t in tokens)
-        assert data._parse_clean(text, None) is not None
-        ds = parse_sparse_text(text)
+        ds = _c_path(text)
+        assert ds is not None
         expected = [float(t) for t in tokens]
         assert ds.x.indptr.tolist() == np.cumsum([0] + [v != 0.0 for v in expected]).tolist()
         np.testing.assert_array_equal(ds.x.data.view(np.uint64),
@@ -418,7 +441,7 @@ class TestBulkParser:
 
         with monkeypatch.context() as m:
             m.setattr(ckernel.np, "empty", recorded_empty)
-            parts = ckernel.get().parse_sparse_text(text)
+            parts = _c_parse(text)
         assert parts is not None
         labels, indptr, indices, values, _ = parts
         assert labels.size <= len(text) // 2 + 1 and values.size <= len(text) // 4
@@ -463,7 +486,7 @@ class TestBulkParser:
     def test_a_slice_is_read_to_its_end_only(self, value):
         # the next byte of the buffer is a digit; reading it would make 2.57
         whole = np.frombuffer(f"+1 1:{value}7".encode(), np.uint8)
-        parts = ckernel.get().parse_sparse_text(whole[:-1])
+        parts = _c_parse(whole[:-1])
         assert parts is not None and parts[3].tolist() == [float(value)]
 
     def test_strtod_runs_up_to_the_copy_size(self, monkeypatch):
@@ -471,28 +494,12 @@ class TestBulkParser:
         for length in (62, 63, 64, 65):
             token = "0." + "1" * (length - 2)  # more than 2^53 in its digits: strtod
             for text in (f"+1 1:{token}", f"+1 1:{token}\n-1 2:3"):
-                parts = ckernel.get().parse_sparse_text(text.encode())
+                parts = _c_parse(text.encode())
                 if length <= 63:
                     assert parts is not None and parts[3][0] == float(token)
                 else:
                     assert parts is None
                 assert _outcome(text) == _line_outcome(text, monkeypatch)
-
-    def test_file_mapping_a_whole_number_of_pages(self, tmp_path, monkeypatch):
-        # the last value, 17 digits on the strtod path, ends where the mapping's last page ends
-        last = "-1 3:0.12345678901234567"
-        body = "+1 1:0.25 2:-3\n" * (mmap.PAGESIZE // 15)
-        body = body[:mmap.PAGESIZE - len(last)]
-        body = body[:body.rindex("\n") + 1]
-        text = body + " " * (mmap.PAGESIZE - len(body) - len(last)) + last
-        path = tmp_path / "pages.svm"
-        path.write_bytes(text.encode())
-        assert path.stat().st_size == mmap.PAGESIZE
-        with open(path, "rb") as f, mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as mapped:
-            assert data._parse_clean(mapped, None) is not None
-            ds = parse_sparse_text(mapped)
-        assert _Same(ds) == _line_outcome(text, monkeypatch)
-        assert ds.x.data[-1] == float("0.12345678901234567")
 
     def test_more_nonzeros_than_int32_falls_back(self, monkeypatch):
         text = b"1 1:1 2:1 3:1\n-1 4:2 5:0\n\n1 6:-1.5\n"  # 5 nonzeros
@@ -502,10 +509,10 @@ class TestBulkParser:
                             lambda text, lmap, parse=data._parse_lines: used.append(1) or
                             parse(text, lmap))
         monkeypatch.setattr(ckernel, "_INT32_LIMIT", 6)  # room for exactly 5
-        assert ckernel.get().parse_sparse_text(text) is not None
+        assert _c_parse(text) is not None
         assert _Same(parse_sparse_text(text)) == _Same(fast) and not used
         monkeypatch.setattr(ckernel, "_INT32_LIMIT", 5)
-        assert ckernel.get().parse_sparse_text(text) is None
+        assert _c_parse(text) is None
         assert _Same(parse_sparse_text(text)) == _Same(fast) and used == [1]
         assert _outcome(text) == _line_outcome(text, monkeypatch)
 
@@ -549,9 +556,7 @@ class TestChunkedLoad:
         chunks, fed[:] = fed[:], []
         assert ds == whole and digest == hashlib.sha256(raw).hexdigest()
         assert _Same(ds) == _line_outcome(text, monkeypatch)
-        hasher = hashlib.sha256()
-        assert parse_sparse_text(raw, hasher=hasher) == whole  # bytes: the same loop
-        assert hasher.hexdigest() == digest
+        assert parse_sparse_text(raw) == whole  # bytes: the same loop
         if ckernel.get() is not None:
             assert fed == chunks and b"".join(chunks) == raw and len(chunks) > 1
             assert all(c.endswith(b"\n") for c in chunks[:-1])
@@ -582,6 +587,26 @@ class TestChunkedLoad:
         if ckernel.get() is not None:  # the C parser took the chunks before, then refused
             assert len(fed) > 10 and late.encode() in fed[-1]
 
+    @pytest.mark.parametrize("value", ["2.5", "0.12345678901234567"], ids=["exact", "strtod"])
+    def test_the_last_fill_is_read_to_its_end_only(self, tmp_path, monkeypatch, value):
+        # the buffer holds the first line and all but the last byte of the
+        # second, so the second is read again as the last fill; the buffer's
+        # bytes after it are still the first line's digits, and reading one
+        # would make 2.57
+        first, last = "+1 1:" + "7" * 40 + "\n", f"-1 3:{value}"
+        text = first + last
+        path = tmp_path / "last.svm"
+        path.write_text(text)
+        monkeypatch.setattr(data, "PARSE_CHUNK_BYTES", len(text) - 1)
+        expected = _line_outcome(text, monkeypatch)
+        fed = _fed_chunks(monkeypatch)
+        for ds in (data.load_sparse_file(path)[0], parse_sparse_text(text)):
+            np.testing.assert_array_equal(ds.x.data[-1:].view(np.uint64),
+                                          np.array([float(value)]).view(np.uint64))
+            assert _Same(ds) == expected
+        if ckernel.get() is not None:
+            assert fed == [first.encode(), last.encode()] * 2
+
     def test_each_chunk_is_read_to_its_end_only(self):
         # each chunk is a bytes object of its own, from malloc (512 bytes and
         # more), so under a sanitizer a load past its end reaches the redzone
@@ -594,7 +619,7 @@ class TestChunkedLoad:
                 last = ("\n" * 512 + f"-1 2:{token}{tail}").encode()
                 parse = kernel.text_parse(len(first) + len(last))
                 assert parse.feed(first) and parse.feed(last), token
-                assert _same_bits(parse.result(), kernel.parse_sparse_text(first + last)), token
+                assert _same_bits(parse.result(), _c_parse(first + last)), token
 
 
 def _canonical_format_scans(monkeypatch) -> list:
