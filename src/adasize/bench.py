@@ -1,4 +1,4 @@
-"""Measurement utilities: reference optima, trace CSVs, comparisons.
+"""Measurement utilities: reference optima, comparisons, and the CSV and table text.
 
 Suboptimality is always measured against a high-accuracy reference
 minimizer computed once per risk: damped Newton-CG to a measured gradient
@@ -12,8 +12,8 @@ is its grad_evals / N.
 
 from __future__ import annotations
 
-import io
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,10 +23,10 @@ from . import driver, erm, schedule, solvers
 from .data import Dataset
 from .erm import RiskSpec
 
-TRACE_CSV_HEADER = "effective_passes,grad_evals,stage_n,suboptimality,grad_norm,test_error"
+TRACE_COLUMNS = ("effective_passes", "grad_evals", "stage_n", "suboptimality", "grad_norm",
+                 "test_error")
 SUMMARY_COLUMNS = ("method", "adaptive", "passes_to_VN", "passes_to_min_test_error",
                    "min_test_error", "speedup_vs_fixed")
-SUMMARY_CSV_HEADER = ",".join(SUMMARY_COLUMNS)
 NEWTON_CG_RTOL = 1e-3
 NEWTON_SIGMA = 1e-4
 NEWTON_MIN_STEP = 2.0**-20
@@ -79,27 +79,37 @@ def reference_optimum(spec: RiskSpec, view: Dataset, tolerance: float = 1e-10,
     return at
 
 
+def csv_text(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
+    """The header, then each row, as lines of comma-separated cells."""
+    return "".join(",".join(cells) + "\n" for cells in (header, *rows))
+
+
+def aligned_text(rows: list[Sequence[str]], right: bool = False) -> str:
+    """Rows of cells in columns two spaces apart, padded to the widest cell on the left
+    where `right`, else on the right; no line ends in a blank."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    pad = str.rjust if right else str.ljust
+    return "".join("  ".join(pad(cell, w) for cell, w in zip(row, widths)).rstrip() + "\n"
+                   for row in rows)
+
+
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+def _suboptimality(ev: driver.TraceEvent, risk_star: float) -> float:
+    """R_N at the event less the reference risk, clamped at 0."""
+    return max(0.0, ev.risk_value - risk_star)
 
 
 def trace_csv_text(trace: driver.Trace, risk_star: float) -> str:
     """The trace as CSV; suboptimality is measured against risk_star and clamped at 0."""
     N = trace.N
-    out = io.StringIO()
-    out.write(TRACE_CSV_HEADER + "\n")
-    for ev in trace.events:
-        sub = max(0.0, ev.risk_value - risk_star)
-        cells = [
-            _fmt(ev.grad_evals / N),
-            str(ev.grad_evals),
-            str(ev.stage_n),
-            _fmt(sub),
-            _fmt(ev.grad_norm),
-            "" if ev.test_error is None else _fmt(ev.test_error),
-        ]
-        out.write(",".join(cells) + "\n")
-    return out.getvalue()
+    return csv_text(TRACE_COLUMNS, (
+        [_fmt(ev.grad_evals / N), str(ev.grad_evals), str(ev.stage_n),
+         _fmt(_suboptimality(ev, risk_star)), _fmt(ev.grad_norm),
+         "" if ev.test_error is None else _fmt(ev.test_error)]
+        for ev in trace.events))
 
 
 @dataclass
@@ -120,8 +130,7 @@ def _scan_trace(trace: driver.Trace, risk_star: float, target: float, N: int):
     best_err = None
     passes_at_best = None
     for ev in trace.events:
-        sub = max(0.0, ev.risk_value - risk_star)
-        if passes_to_target is None and sub <= target:
+        if passes_to_target is None and _suboptimality(ev, risk_star) <= target:
             passes_to_target = ev.grad_evals / N
         if ev.test_error is not None and (best_err is None or ev.test_error < best_err):
             best_err = ev.test_error
@@ -189,12 +198,8 @@ def _summary_cells(r: CompareRow, fmt: str, speedup_fmt: str) -> list[str]:
 
 
 def format_summary_table(rows: list[CompareRow]) -> str:
-    table = [list(SUMMARY_COLUMNS)] + [_summary_cells(r, ".4g", ".3g") for r in rows]
-    widths = [max(len(row[i]) for row in table) for i in range(len(SUMMARY_COLUMNS))]
-    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in table]
-    return "\n".join(lines) + "\n"
+    return aligned_text([SUMMARY_COLUMNS, *(_summary_cells(r, ".4g", ".3g") for r in rows)])
 
 
 def summary_csv_text(rows: list[CompareRow]) -> str:
-    lines = [SUMMARY_CSV_HEADER] + [",".join(_summary_cells(r, ".17g", ".17g")) for r in rows]
-    return "\n".join(lines) + "\n"
+    return csv_text(SUMMARY_COLUMNS, (_summary_cells(r, ".17g", ".17g") for r in rows))

@@ -10,7 +10,6 @@ win.
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import sys
 from dataclasses import replace
@@ -357,21 +356,18 @@ def cmd_bounds(args) -> int:
                        M=args.M, wstar_sq=args.wstar)
     headers = ["n", "V_n", "threshold", "agd_eta", "agd_beta", "svrg_q", "svrg_eta",
                "svrg_rho", "s_generic", "s_agd", "s_svrg"]
-    rows = [headers]
+    rows = []
     for n in _from_flags(schedule.stage_sizes, args.m0, args.N):
         eta, beta = schedule.agd_params(spec, n)
         q, s_eta, rho = schedule.svrg_params(spec, n)  # warns where rho >= 1/2
-        s_generic = _from_flags(schedule.iterations_generic,
-                                schedule.gd_contraction_factor(spec, n), spec)
         rows.append([
             str(n), f"{schedule.statistical_accuracy(spec, n):.6g}",
             f"{schedule.stop_threshold(spec, n):.6g}", f"{eta:.6g}", f"{beta:.6g}", str(q),
-            f"{s_eta:.6g}", f"{rho:.6g}", str(s_generic),
-            str(schedule.iterations_agd(spec, n)), str(schedule.iterations_svrg(spec)),
+            f"{s_eta:.6g}", f"{rho:.6g}",
+            *(str(_from_flags(schedule.stage_iterations, method, spec, n))
+              for method in ("gd", "agd", "svrg")),
         ])
-    widths = [max(len(r[i]) for r in rows) for i in range(len(headers))]
-    for r in rows:
-        print("  ".join(cell.rjust(w) for cell, w in zip(r, widths)))
+    print(bench.aligned_text([headers, *rows], right=True), end="")
     try:
         schedule.check_power_of_two_ratio(args.N, args.m0)
     except ValueError:
@@ -383,11 +379,7 @@ def cmd_bounds(args) -> int:
     total_svrg = schedule.total_complexity_svrg(spec, args.N)
     print(f"total_svrg_grad_evals = {total_svrg:.6g}")
     if args.csv:
-        out = io.StringIO()
-        out.write(",".join(headers) + "\n")
-        for r in rows[1:]:
-            out.write(",".join(r) + "\n")
-        _write_atomic(Path(args.csv), out.getvalue())
+        _write_atomic(Path(args.csv), bench.csv_text(headers, rows))
     return 0
 
 
@@ -431,13 +423,12 @@ def cmd_verify(args) -> int:
         for method in ("agd", "svrg"):
             reports.append(verify.theorem_sn_sufficiency_check(
                 method, spec, train, m0, args.draws, seed=args.seed))
-    lines = [verify.CHECKS_CSV_HEADER]
-    for rep in reports:
-        lines.append(rep.csv_line())
-        print(rep.csv_line())
+    text = bench.csv_text(verify.CHECKS_COLUMNS, [rep.csv_cells() for rep in reports])
+    for rep, line in zip(reports, text.splitlines(keepends=True)[1:]):
+        print(line, end="")
         print(f"{rep.name}: {rep.notes}", file=sys.stderr)
     out_dir = _out_dir(args)
-    _write_atomic(out_dir / f"checks_seed{args.seed}.csv", "\n".join(lines) + "\n")
+    _write_atomic(out_dir / f"checks_seed{args.seed}.csv", text)
     manifest = _manifest_text(args, digest, [f"checks_seed{args.seed}.csv"])
     _write_atomic(out_dir / f"manifest_verify_seed{args.seed}.txt", manifest)
     return 0 if all(r.passed for r in reports) else 2

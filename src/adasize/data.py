@@ -14,11 +14,11 @@ parsed in one pass of C where the compiled library of `ckernel` loaded and
 the text is clean: only digits, `+-.eE:`, blanks and newlines, in
 well-formed fields.  The reader reads the text into one reused buffer of
 PARSE_CHUNK_BYTES, in chunks that end just after a newline, and hands each
-chunk to the C parser and then to SHA-256, so the manifest's digest costs
-no second read.  On the C path the resident peak of a load is the parsed
-arrays plus that one buffer, not the whole text: loading a 28 MB file
-raises a fresh process's peak RSS from 64 MB after its imports to 85-88
-MB.  The C parser reads no byte past a chunk's end, so no NUL need
+chunk to the C parser and, for a file, then to SHA-256, so the manifest's
+digest costs no second read; `parse_sparse_text` returns no digest and
+hashes nothing.  On the C path the resident peak of a load is the parsed
+arrays plus that one buffer, not the whole text (README gives the measured
+figures).  The C parser reads no byte past a chunk's end, so no NUL need
 follow it, and on little-endian hosts it takes the digits of indices and
 mantissas eight bytes at a time.  There a number whose digits make at most
 2^53, with a decimal exponent of at most 22 either way (the 6-10 digit
@@ -29,13 +29,12 @@ The C parser makes no counting pass: its arrays are sized from the whole
 text's length (a row takes at least 2 bytes, a nonzero at least 4), which
 reserves about 9 times the text's bytes.  That is address space only: just
 the pages it writes become resident, and each array is shrunk in place to
-its used prefix.  It is still what an address-space limit meets first: a
-28 MB file loads under `ulimit -v 470000` (KB), and at 460000 the
-reservation fails.  Everything else, and all text where the library did
-not load, goes through the line parser `_parse_lines`, which gives the
-same arrays and is the only path that reports errors; it and SHA-256
-read the whole text, which the reader reads from its start.  A file whose size changes
-while it is read raises OSError on either path.
+its used prefix.  It is still what an address-space limit meets first.
+Everything else, and all text where the library did not load, goes
+through the line parser `_parse_lines`, which gives the same arrays and is
+the only path that reports errors; it, and SHA-256 for a file, read the
+whole text, which the reader reads from its start.  A file whose size
+changes while it is read raises OSError on either path.
 
 Both parsers refuse indices that do not increase within a line, so the
 matrix they build is canonical (sorted, no duplicates) by construction and
@@ -74,9 +73,7 @@ _INT32_MAX = np.iinfo(np.int32).max
 # the labels a file may hold without a label map
 _PLUS_MINUS_ONE = {1.0: 1.0, -1.0: -1.0}
 # the reader's buffer: the C parser reads a text in chunks of at most this many
-# bytes, each ending just after a newline (a longer line makes a longer chunk).
-# 1-4 MiB loaded a 28 MB file in median times within 2% of each other; 64 KiB
-# took 13% longer
+# bytes, each ending just after a newline (a longer line makes a longer chunk)
 PARSE_CHUNK_BYTES = 2 << 20
 
 
@@ -220,7 +217,8 @@ def load_sparse_file(path, label_map: dict | None = None) -> tuple[Dataset, str]
     first.  A file whose size changes while it is read raises OSError.
     """
     with open(path, "rb") as f:
-        return _read_sparse(f if f.seekable() else io.BytesIO(f.read()), path, label_map)
+        return _read_sparse(f if f.seekable() else io.BytesIO(f.read()), path, label_map,
+                            digest=True)
 
 
 def parse_sparse_text(text, label_map: dict | None = None, dim: int | None = None) -> Dataset:
@@ -242,14 +240,15 @@ def parse_sparse_text(text, label_map: dict | None = None, dim: int | None = Non
     return _read_sparse(f, "text", label_map, dim)[0]
 
 
-def _read_sparse(f, name, label_map: dict | None, dim: int | None = None) -> tuple[Dataset, str]:
-    """The dataset in the seekable binary file f, and the SHA-256 of its bytes.
+def _read_sparse(f, name, label_map: dict | None, dim: int | None = None,
+                 digest: bool = False) -> tuple[Dataset, str | None]:
+    """The dataset in the seekable binary file f, and where `digest`, the SHA-256 of its bytes.
 
     The C parser and the hash read f in the chunks of `_parse_chunks`.
     Where that does not apply, f is read from its start, whole, and the
     line parser and the hash read that text.  Either way, a number of
     bytes read other than f's size at the start raises OSError, naming f
-    as `name`.
+    as `name`.  Without `digest` nothing is hashed, and the digest is None.
     """
     lmap = None
     if label_map is not None:
@@ -258,12 +257,12 @@ def _read_sparse(f, name, label_map: dict | None, dim: int | None = None) -> tup
             raise ValueError("label_map must map onto {-1, +1}")
     size = f.seek(0, io.SEEK_END)
     f.seek(0)
-    hasher = hashlib.sha256()
+    hasher = hashlib.sha256() if digest else None
     parts, read = _parse_chunks(f, size, lmap, hasher)
     if parts is None:
         f.seek(0)
         text = f.read()
-        hasher, read = hashlib.sha256(text), len(text)
+        hasher, read = hashlib.sha256(text) if digest else None, len(text)
     if read != size:
         raise OSError(f"{name} changed size while it was read ({size} bytes at open, {read} read)")
     if parts is None:
@@ -276,7 +275,7 @@ def _read_sparse(f, name, label_map: dict | None, dim: int | None = None) -> tup
         raise ValueError(f"dim={use_dim} smaller than max feature index {max_idx}")
     x = sparse.csr_matrix((data, indices, indptr), shape=(labels.size, max(use_dim, 1)))
     x.has_canonical_format = True  # both parsers refuse indices that do not increase
-    return Dataset(x, labels), hasher.hexdigest()
+    return Dataset(x, labels), hasher and hasher.hexdigest()
 
 
 def _parse_lines(text, lmap: dict | None):
@@ -346,8 +345,8 @@ def _parse_chunks(f, size: int, lmap: dict | None, hasher):
     last newline, and f is moved back to the cut, so the cut line starts the
     next fill.  A fill shorter than the buffer, the last, is taken whole,
     and a line longer than the buffer is read alone.  Each chunk goes to the
-    parser, then to hasher.  None when the kernel did not load, refused a
-    chunk, or a label is not one that `_parse_lines` accepts.
+    parser, then to hasher where one is given.  None when the kernel did not
+    load, refused a chunk, or a label is not one that `_parse_lines` accepts.
     """
     kernel = ckernel.get()
     if kernel is None:
@@ -365,7 +364,8 @@ def _parse_chunks(f, size: int, lmap: dict | None, hasher):
             chunk = f.readline()
         if not parse.feed(chunk):
             return None, read
-        hasher.update(chunk)
+        if hasher is not None:
+            hasher.update(chunk)
         read += len(chunk)
     raw, indptr, indices, values, max_idx = parse.result()
     distinct, inverse = np.unique(raw, return_inverse=True)

@@ -19,7 +19,7 @@ rows n..N only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -65,19 +65,14 @@ class TraceEvent:
 
 @dataclass
 class Trace:
-    """Append-only event log of one run whose final stage has N samples."""
+    """Event log of one run whose final stage has N samples, in strictly increasing grad_evals."""
 
     N: int
     events: list[TraceEvent] = field(default_factory=list)
 
     def append(self, event: TraceEvent) -> None:
-        # keep grad_evals strictly increasing; measurements at an unchanged
-        # counter supersede the previous event at that counter
-        if self.events and event.grad_evals == self.events[-1].grad_evals:
-            self.events[-1] = event
-            return
-        if self.events and event.grad_evals < self.events[-1].grad_evals:
-            raise ValueError("trace events must have nondecreasing grad_evals")
+        if self.events and event.grad_evals <= self.events[-1].grad_evals:
+            raise ValueError("trace events must have strictly increasing grad_evals")
         self.events.append(event)
 
 
@@ -96,11 +91,13 @@ class _Recorder:
 
     R_N at a stage-n iterate takes the stage measurement's n margins and a
     product over rows n..N, through a CSR of those rows built once per stage;
-    the first n margins of x_N @ w are the bits of x_n @ w.  An iterate that
-    is the array recorded last, as a stage that exits without a step gives,
-    keeps that event's R_N and test error and takes only its new gradient
-    norm.  Solvers never change an iterate in place, so the same array holds
-    the same values.
+    the first n margins of x_N @ w are the bits of x_n @ w.
+
+    The recorder alone keeps the trace at one event per grad_evals value: an
+    iterate that is the array recorded last, as a stage that exits without
+    a step gives, overwrites that event's stage_n and gradient norm and keeps
+    its R_N and test error.  Solvers never change an iterate in place, and
+    every step makes a new array, so the same array is the same counter.
     """
 
     def __init__(self, config: RunConfig, spec: RiskSpec, train: Dataset,
@@ -116,9 +113,8 @@ class _Recorder:
     def record(self, state: SolverState, at_w: Measurement) -> None:
         n, full = at_w.view.n_samples, self.full
         if state.w is self._last_w:
-            last = self.trace.events[-1]
-            self.trace.append(TraceEvent(state.grad_evals, n, last.risk_value, at_w.grad_norm,
-                                         last.test_error))
+            events = self.trace.events
+            events[-1] = replace(events[-1], stage_n=n, grad_norm=at_w.grad_norm)
             return
         self._last_w = state.w
         at_full = at_w  # on the full set the stage risk is R_N itself
@@ -131,14 +127,6 @@ class _Recorder:
         if self.test is not None and self.test.n_samples:
             err = erm.test_error(self.spec.loss, state.w, self.test)
         self.trace.append(TraceEvent(state.grad_evals, n, at_full.risk, at_w.grad_norm, err))
-
-
-def _theoretical_iterations(config: RunConfig, spec: RiskSpec, n: int) -> int:
-    if config.method == "agd":
-        return schedule.iterations_agd(spec, n)
-    if config.method == "svrg":
-        return schedule.iterations_svrg(spec)
-    return schedule.iterations_generic(schedule.gd_contraction_factor(spec, n), spec)
 
 
 def _run_stages(config: RunConfig, spec: RiskSpec, train: Dataset, test: Dataset | None,
@@ -167,7 +155,7 @@ def _run_stages(config: RunConfig, spec: RiskSpec, train: Dataset, test: Dataset
         result = solvers.solve(
             state, spec, train.prefix(n),
             threshold=None if counted else threshold,
-            iterations=_theoretical_iterations(config, spec, n) if counted else cap,
+            iterations=schedule.stage_iterations(config.method, spec, n) if counted else cap,
             callback=cb)
         state = result.state
         if result.iterations == 0 or result.iterations % rec.eval_every:

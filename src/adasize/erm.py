@@ -103,7 +103,7 @@ class Measurement:
 
     @cached_property
     def _reg(self) -> float:
-        return self.spec.c * schedule.statistical_accuracy(self.spec, self.view.n_samples)
+        return schedule.regularization(self.spec, self.view.n_samples)
 
     @cached_property
     def grad(self) -> np.ndarray:

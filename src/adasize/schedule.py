@@ -1,11 +1,12 @@
 """Sample-size schedules, per-stage solver parameters, and iteration bounds.
 
 Everything here is a closed-form function of the risk parameters in a
-`RiskSpec`: statistical accuracy V_n = gamma / n^alpha, the gradient-norm
-stopping threshold sqrt(2c) * V_n, AGD/SVRG step parameters, the per-stage
-iteration counts that suffice to re-enter statistical accuracy after
-doubling, and the end-to-end gradient-evaluation totals they imply.  The
-last two, and the warm-start bound, read ||w*||^2 from spec.wstar_sq.
+`RiskSpec`: statistical accuracy V_n = gamma / n^alpha, the ridge weight
+cV_n, the gradient-norm stopping threshold sqrt(2c) * V_n, the GD/AGD/SVRG
+step parameters, the per-stage iteration counts s_n that suffice to
+re-enter statistical accuracy after doubling, and the end-to-end
+gradient-evaluation totals they imply.  The last two, and the warm-start
+bound, read ||w*||^2 from spec.wstar_sq.
 """
 
 from __future__ import annotations
@@ -44,27 +45,30 @@ def stop_threshold(spec: "RiskSpec", n: int) -> float:
     return math.sqrt(2.0 * spec.c) * statistical_accuracy(spec, n)
 
 
+def regularization(spec: "RiskSpec", n: int) -> float:
+    """cV_n, the ridge weight of R_n and its strong-convexity modulus."""
+    return spec.c * statistical_accuracy(spec, n)
+
+
 def agd_params(spec: "RiskSpec", n: int) -> tuple[float, float]:
     """Step size and momentum for the accelerated stage solver.
 
-    eta = 1/(cV_n + M); beta = (sqrt(cV_n + M) - sqrt(cV_n)) / (sqrt(cV_n + M) + sqrt(cV_n)).
+    eta = 1/(M + cV_n), GD's step;
+    beta = (sqrt(cV_n + M) - sqrt(cV_n)) / (sqrt(cV_n + M) + sqrt(cV_n)).
     """
-    cv = spec.c * statistical_accuracy(spec, n)
-    eta = 1.0 / (cv + spec.M)
+    cv = regularization(spec, n)
     root_l, root_mu = math.sqrt(cv + spec.M), math.sqrt(cv)
-    beta = (root_l - root_mu) / (root_l + root_mu)
-    return eta, beta
+    return gd_step_size(spec, n), (root_l - root_mu) / (root_l + root_mu)
 
 
 def gd_step_size(spec: "RiskSpec", n: int) -> float:
     """Plain gradient-descent step 1/(M + cV_n); guarantees per-step descent."""
-    return 1.0 / (spec.M + spec.c * statistical_accuracy(spec, n))
+    return 1.0 / (spec.M + regularization(spec, n))
 
 
 def gd_contraction_factor(spec: "RiskSpec", n: int) -> float:
     """Per-step suboptimality contraction of GD at step 1/(M + cV_n): 1 - cV_n/(M + cV_n)."""
-    cv = spec.c * statistical_accuracy(spec, n)
-    return spec.M / (spec.M + cv)
+    return spec.M / (spec.M + regularization(spec, n))
 
 
 def svrg_params(spec: "RiskSpec", n: int) -> SvrgParams:
@@ -73,8 +77,7 @@ def svrg_params(spec: "RiskSpec", n: int) -> SvrgParams:
     q = n, eta = 0.1/(M + cV_n), rho = (M + cV_n)/(0.08 n cV_n) + 1/4.
     Emits a RuntimeWarning when n is too small for rho < 1/2.
     """
-    v_n = statistical_accuracy(spec, n)
-    cv = spec.c * v_n
+    cv = regularization(spec, n)
     eta = 0.1 / (spec.M + cv)
     rho = (spec.M + cv) / (0.08 * n * cv) + 0.25
     ratio = (spec.M + cv) / (n * cv)
@@ -127,6 +130,15 @@ def iterations_agd(spec: "RiskSpec", n: int) -> int:
 def iterations_svrg(spec: "RiskSpec") -> int:
     """SVRG epochs sufficient per stage; constant in n because rho < 1/2."""
     return _floor_plus_one(math.log2(_doubling_log_argument(spec)))
+
+
+def stage_iterations(method: str, spec: "RiskSpec", n: int) -> int:
+    """s_n, the closed-form count of steps (SVRG: epochs) sufficient at stage n for the method."""
+    if method == "agd":
+        return iterations_agd(spec, n)
+    if method == "svrg":
+        return iterations_svrg(spec)
+    return iterations_generic(gd_contraction_factor(spec, n), spec)
 
 
 def check_power_of_two_ratio(N: int, m0: int) -> int:

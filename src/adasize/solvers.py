@@ -130,7 +130,7 @@ def svrg_direction(spec: RiskSpec, view: Dataset, i: int, w_hat: np.ndarray,
     its average over i in {1..n} equals grad R_n(w_hat) exactly.
     """
     idx, vals, y = view.sample_arrays(i)
-    cv = spec.c * schedule.statistical_accuracy(spec, view.n_samples)
+    cv = schedule.regularization(spec, view.n_samples)
     coef_hat = erm.sample_loss_coef(spec.loss, float(vals @ w_hat[idx]), y)
     coef_anchor = erm.sample_loss_coef(spec.loss, float(vals @ anchor[idx]), y)
     d = full_grad + cv * (w_hat - anchor)
@@ -194,7 +194,7 @@ def svrg_epoch(state: SolverState, spec: RiskSpec, view: Dataset,
         raise ValueError("svrg_epoch needs an svrg state with its generator set")
     n = view.n_samples
     q, eta, _ = schedule.svrg_params(spec, n)
-    cv = spec.c * schedule.statistical_accuracy(spec, n)
+    cv = schedule.regularization(spec, n)
     anchor, x = state.w, view.x
     a = 1.0 - eta * cv
     b = eta * (cv * anchor - at_w.grad)

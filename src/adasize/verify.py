@@ -40,7 +40,7 @@ FD_STEP = 1e-6
 FD_COORDS_PER_TRIAL = 5
 SVRG_DIRECTION_ABS_TOL = 1e-12
 PROXY_L2 = 1e-10
-CHECKS_CSV_HEADER = "name,trials,violations,worst_margin,passed"
+CHECKS_COLUMNS = ("name", "trials", "violations", "worst_margin", "passed")
 
 
 @dataclass
@@ -61,10 +61,10 @@ class CheckReport:
     def passed(self) -> bool:
         return self.violations == 0
 
-    def csv_line(self) -> str:
-        """One row under CHECKS_CSV_HEADER."""
-        return (f"{self.name},{self.trials},{self.violations},"
-                f"{self.worst_margin:.6g},{str(self.passed).lower()}")
+    def csv_cells(self) -> list[str]:
+        """One row's cells under CHECKS_COLUMNS."""
+        return [self.name, str(self.trials), str(self.violations), f"{self.worst_margin:.6g}",
+                str(self.passed).lower()]
 
 
 def _report(name: str, trials: int, margins, notes: str) -> CheckReport:

@@ -289,12 +289,16 @@ class TestCsv:
         assert float(rows[1]["test_error"]) == 0.125
 
     def test_trace_append_rules(self):
+        # the trace takes events in strictly increasing grad_evals and refuses
+        # any other; one event per counter is the recorder's rule, not the trace's
         trace = Trace(N=1)
         trace.append(TraceEvent(1, 1, 0.1, 0.1))
-        trace.append(TraceEvent(1, 1, 0.2, 0.2))  # supersedes, same counter
-        assert len(trace.events) == 1 and trace.events[0].risk_value == 0.2
-        with pytest.raises(ValueError):
-            trace.append(TraceEvent(0, 1, 0.1, 0.1))
+        trace.append(TraceEvent(3, 1, 0.05, 0.05))
+        for grad_evals in (3, 2, 0):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                trace.append(TraceEvent(grad_evals, 1, 0.2, 0.2))
+        assert [ev.grad_evals for ev in trace.events] == [1, 3]
+        assert trace.events[-1].risk_value == 0.05
 
 
 @pytest.fixture(scope="module")

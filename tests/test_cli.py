@@ -5,7 +5,9 @@ import io
 import math
 import os
 import re
+import shutil
 import threading
+import warnings
 import weakref
 
 import numpy as np
@@ -681,3 +683,46 @@ class TestGenHash:
         with _precondition_warning(argv[0] != "verify"):
             assert run_cli(argv[:1] + ["--gen", "256,6,1.0"] + argv[1:]
                            + ["--out", str(tmp_path)]) == 0
+
+
+def _command_outcome(argv, out, capsys):
+    """Exit code, stdout, stderr, warnings and every output file of one command, which
+    writes to an out directory that is removed after."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(argv + ["--out", str(out)])
+    files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    shutil.rmtree(out)
+    return code, capsys.readouterr(), [str(w.message) for w in caught], files
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--dataset", "{dataset}", "--method", "svrg", "--adaptive", "--m0", "64",
+     "--m-mode", "tight", "--gamma", "0.1", "--seed", "3"],
+    ["compare", "--gen", "512,12,0.4", "--m0", "64", "--m-mode", "tight", "--adaptive",
+     "--seed", "1"],
+    ["verify", "--gen", "256,6,1.0", "--m-mode", "tight", "--m0", "32", "--draws", "2",
+     "--trials", "3", "--seed", "2"],
+], ids=["run_svrg_dataset", "compare", "verify"])
+def test_c_kernel_and_python_paths_write_the_same_outputs(tmp_path, capsys, monkeypatch, argv):
+    # the C text parser and SVRG pick loop against the line parser and the numpy
+    # loop, with the kernel switched off in-process as CI's kernel-off step does
+    if ckernel.get() is None:
+        pytest.skip(ckernel.reason)
+    dataset = tmp_path / "small.svm"
+    dataset.write_text(generate_synthetic(600, 40, 0.2, seed=3)[0].to_sparse_text())
+    argv = [arg.format(dataset=dataset) for arg in argv]
+    calls = set()
+    for owner, name in ((ckernel.TextParse, "feed"), (ckernel.Kernel, "pick_loop"),
+                        (solvers, "_pick_loop")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda *a, name=name, real=real: calls.add(name) or real(*a))
+    on = _command_outcome(argv, tmp_path / "out", capsys)
+    assert on[0] == 0 and on[3]
+    assert calls == ({"feed", "pick_loop"} if argv[0] == "run" else {"pick_loop"})
+    calls.clear()
+    monkeypatch.setattr(ckernel, "kernel", None)
+    monkeypatch.setattr(ckernel, "_tried", True)
+    assert _command_outcome(argv, tmp_path / "out", capsys) == on
+    assert calls == {"_pick_loop"}

@@ -564,6 +564,27 @@ class TestChunkedLoad:
             assert all(len(c) <= chunk or c.count(b"\n") <= 1 for c in chunks)
             assert max(map(len, chunks)) > mmap.PAGESIZE  # the row longer than a page
 
+    @pytest.mark.parametrize("parser", ["c", "lines"])
+    def test_only_a_file_load_hashes(self, tmp_path, monkeypatch, parser):
+        # parse_sparse_text returns no digest, so it computes none; load_sparse_file
+        # returns the SHA-256 of the file's bytes on the C parser's path and the line parser's
+        raw = _text_of_whole_pages().encode()
+        path = tmp_path / "pages.svm"
+        path.write_bytes(raw)
+        expected = hashlib.sha256(raw).hexdigest()
+        if parser == "lines":
+            monkeypatch.setattr(ckernel, "get", lambda: None)
+        elif ckernel.get() is None:
+            pytest.skip(ckernel.reason)
+        fed = _fed_chunks(monkeypatch)
+        calls, sha256 = [], hashlib.sha256
+        monkeypatch.setattr(data.hashlib, "sha256", lambda *a: calls.append(a) or sha256(*a))
+        ds = parse_sparse_text(raw)
+        assert calls == [] and bool(fed) == (parser == "c")
+        fed[:] = []
+        assert data.load_sparse_file(path) == (ds, expected)
+        assert calls and bool(fed) == (parser == "c")
+
     @pytest.mark.parametrize("late", ["\x00", " 99:1e", " # a comment"],
                              ids=["nul", "bad_number", "comment"])
     def test_a_late_chunk_the_c_parser_refuses(self, tmp_path, monkeypatch, late):

@@ -176,15 +176,20 @@ def _old_run_stages(config, spec, train, test, sizes, cap):
     """The trace of the stage loop and recorder before each iterate was evaluated once.
 
     Every stage records its exit, even where the last callback recorded that
-    same iterate (the trace keeps one event per counter), and R_N is one
-    product over all N rows.  A fixed run gives its pass cap, an adaptive run None.
+    same iterate, which then supersedes the event at that counter, and R_N is
+    one product over all N rows.  A fixed run gives its pass cap, an adaptive
+    run None.
     """
     full, trace = train, Trace(train.n_samples)
 
     def record(st, at_w):
         err = None if test is None else erm.test_error(spec.loss, st.w, test)
-        trace.append(TraceEvent(st.grad_evals, at_w.view.n_samples,
-                                _old_full_risk(spec, st.w, full), at_w.grad_norm, err))
+        event = TraceEvent(st.grad_evals, at_w.view.n_samples,
+                           _old_full_risk(spec, st.w, full), at_w.grad_norm, err)
+        if trace.events and trace.events[-1].grad_evals == event.grad_evals:
+            trace.events[-1] = event
+        else:
+            trace.append(event)
 
     def cb(st, it, at_w):
         if it % config.eval_every == 0:
@@ -197,7 +202,7 @@ def _old_run_stages(config, spec, train, test, sizes, cap):
         result = solvers.solve(
             state, spec, train.prefix(n),
             threshold=None if counted else stop_threshold(spec, n),
-            iterations=driver_mod._theoretical_iterations(config, spec, n) if counted else cap,
+            iterations=schedule.stage_iterations(config.method, spec, n) if counted else cap,
             callback=cb)
         state = result.state
         record(state, result.exit)
@@ -205,7 +210,7 @@ def _old_run_stages(config, spec, train, test, sizes, cap):
 
 
 @pytest.mark.parametrize("method", ["gd", "agd", "svrg"])
-@pytest.mark.parametrize("case", ["adaptive", "adaptive_loose", "fixed"])
+@pytest.mark.parametrize("case", ["adaptive", "adaptive_loose", "fixed", "shrinking"])
 @pytest.mark.parametrize("eval_every", [1, 3])
 def test_each_recorded_iterate_is_evaluated_once(split_data, method, case, eval_every,
                                                  monkeypatch):
@@ -215,16 +220,21 @@ def test_each_recorded_iterate_is_evaluated_once(split_data, method, case, eval_
     adaptive = case != "fixed"
     cfg = RunConfig(method=method, adaptive=adaptive, m0=64, seed=4,
                     eval_every=eval_every, pass_cap=8)
+    # "shrinking" runs the stage loop over sizes whose thresholds grow after the
+    # first stage: its exit meets both, so two stages in a row take no step, the
+    # first right after an exit on a multiple of eval_every where eval_every = 1
+    sizes = {"fixed": [512], "shrinking": [512, 256, 128]}.get(case, schedule.stage_sizes(64, 512))
+    cap = None if adaptive else 8 if method != "svrg" else 4
     calls = []
     real = erm.test_error
     # at gamma = 50 the svrg stages meet the precondition
     with _precondition_warning(method == "svrg" and case != "adaptive_loose"):
-        if adaptive:
-            old = _old_run_stages(cfg, spec, train, test, schedule.stage_sizes(64, 512), None)
-        else:
-            old = _old_run_stages(cfg, spec, train, test, [512], 8 if method != "svrg" else 4)
+        old = _old_run_stages(cfg, spec, train, test, sizes, cap)
         monkeypatch.setattr(erm, "test_error", lambda *a: calls.append(a) or real(*a))
-        if adaptive:
+        if case == "shrinking":
+            _, trace, reports = driver_mod._run_stages(cfg, spec, train, test, sizes, None)
+            iterations = [rep.iterations for rep in reports]
+        elif adaptive:
             _, trace, reports = adaptive_run(cfg, spec, train, test)
             iterations = [rep.iterations for rep in reports]
         else:
@@ -232,6 +242,17 @@ def test_each_recorded_iterate_is_evaluated_once(split_data, method, case, eval_
             iterations = [trace.events[-1].grad_evals // (1024 if method == "svrg" else 512)]
     if case == "adaptive_loose":
         assert iterations[0] == 0
+    if case == "shrinking":
+        assert iterations[0] > 0 and iterations[1:] == [0, 0]
+        # one event per counter: the zero-step exits overwrite the stepped
+        # exit's stage_n and gradient norm and keep its R_N and test error
+        w = reports[0].w
+        assert [ev.grad_evals for ev in trace.events].count(reports[0].grad_evals_at_exit) == 1
+        last = trace.events[-1]
+        assert (last.grad_evals, last.stage_n) == (reports[0].grad_evals_at_exit, 128)
+        assert last.grad_norm == Measurement(spec, w, train.prefix(128)).grad_norm
+        assert last.risk_value == Measurement(spec, w, train).risk
+        assert last.test_error == real(spec.loss, w, test)
     # one evaluation per callback at the stride, and one for an exit no callback
     # recorded; a later stage's exit without a step is the iterate recorded last,
     # whose evaluation the recorder reuses
@@ -257,10 +278,13 @@ def test_recorder_tail_margins_give_the_full_risk_bits(loss, data, rcv1_tiny, rn
     cfg = RunConfig(method="gd", m0=32)
     full = train.prefix(N)
     rec = driver_mod._Recorder(cfg, spec, full, None)
+    count = 0
     for n in schedule.stage_sizes(32, N) + extra + [N - 1]:
         for scale in (0.1, 5.0, 40.0):  # 40 puts logistic margins in both tails
             w = rng.normal(0.0, scale, train.dim)
-            rec.record(solvers.SolverState("gd", w), Measurement(spec, w, train.prefix(n)))
+            count += n  # a new iterate comes with a new counter, as a step gives it
+            rec.record(solvers.SolverState("gd", w, grad_evals=count),
+                       Measurement(spec, w, train.prefix(n)))
             risk = rec.trace.events[-1].risk_value
             assert risk == _old_full_risk(spec, w, full)
             assert risk == Measurement(spec, w, full).risk

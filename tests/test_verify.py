@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from adasize import RiskSpec, solvers, verify
+from adasize import RiskSpec, bench, solvers, verify
 from adasize.data import Dataset, generate_synthetic, normalize, parse_sparse_text
 from adasize.verify import CheckReport, _report, _threshold_solve, fd_gradient_check, lemma1_check, lemma2_check, \
     proposition1_check, svrg_direction_check, theorem_sn_sufficiency_check, \
@@ -193,10 +193,10 @@ class TestTheoremSufficiency:
 def test_report_csv_line():
     rep = CheckReport(name="x", trials=10, violations=0, worst_margin=0.5)
     assert rep.passed
-    assert rep.csv_line() == "x,10,0,0.5,true"
     failed = CheckReport(name="y", trials=10, violations=2, worst_margin=-0.5)
     assert not failed.passed
-    assert failed.csv_line() == "y,10,2,-0.5,false"
+    assert bench.csv_text(verify.CHECKS_COLUMNS, [rep.csv_cells(), failed.csv_cells()]) == (
+        "name,trials,violations,worst_margin,passed\nx,10,0,0.5,true\ny,10,2,-0.5,false\n")
 
 
 def test_one_violation_rule():
