@@ -5,7 +5,9 @@ minimizer computed once per risk: damped Newton-CG to a measured gradient
 2-norm at most the tolerance, started from the iterate it judges where a
 caller holds one, else from zero.  It shares no step rule with the
 GD/AGD/SVRG solvers it judges, only the risk oracle `erm.Measurement`, which
-is also what it returns.  One effective pass is N per-sample gradient
+is also what it returns.  `run` and `compare` start it from the judged run's
+exit measurement, so the margins and gradient there are the run's and are
+not computed again.  One effective pass is N per-sample gradient
 evaluations where N is the full training-set size, so a run's work in passes
 is its grad_evals / N.
 """
@@ -34,10 +36,11 @@ NEWTON_MAX_STEPS = 100
 
 
 def reference_optimum(spec: RiskSpec, view: Dataset, tolerance: float = 1e-10,
-                      start: np.ndarray | None = None) -> erm.Measurement:
+                      start: np.ndarray | erm.Measurement | None = None) -> erm.Measurement:
     """The measurement at a high-accuracy minimizer w* of the view's risk: the suboptimality oracle.
 
-    Newton's method for grad R_n = 0 from a copy of `start` (zero when None):
+    Newton's method for grad R_n = 0 from a copy of `start` (zero when None),
+    or from `start` itself where it is a measurement on the view under spec:
     each step solves H d = -grad R_n by conjugate gradients on Hessian-vector
     products, then halves t from 1 until
     ||grad R_n(w + t d)||^2 <= (1 - 2 NEWTON_SIGMA t) ||grad R_n(w)||^2.
@@ -47,16 +50,23 @@ def reference_optimum(spec: RiskSpec, view: Dataset, tolerance: float = 1e-10,
     R_n(w) - `.risk` is accurate to tolerance^2 / (2 c V_n) for any w;
     otherwise (t below NEWTON_MIN_STEP, or NEWTON_MAX_STEPS steps) BudgetError.
     A caller that judges an iterate passes it as `start`, which saves Newton
-    steps near w*.  Only the start point comes from the judged run: the steps
-    and the stop test are the oracle's own, so the result does not depend on
-    the start beyond tolerance^2 / (2 c V_n) in `.risk`.
+    steps near w*, and passes its measurement where it holds one, which
+    saves the first margins, loss coefficients and gradient too.  Only the
+    start point comes from the judged run: the steps and the stop test are
+    the oracle's own, so the result does not depend on the start beyond
+    tolerance^2 / (2 c V_n) in `.risk`.
     """
     if tolerance <= 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
-    w = np.zeros(view.dim) if start is None else np.array(start, dtype=float)
-    if w.shape != (view.dim,):
-        raise ValueError(f"start must have shape ({view.dim},), got {w.shape}")
-    at = erm.Measurement(spec, w, view)
+    if isinstance(start, erm.Measurement):
+        if start.view is not view or start.spec != spec:
+            raise ValueError("a start measurement must be on the view, under spec")
+        at = start
+    else:
+        w = np.zeros(view.dim) if start is None else np.array(start, dtype=float)
+        if w.shape != (view.dim,):
+            raise ValueError(f"start must have shape ({view.dim},), got {w.shape}")
+        at = erm.Measurement(spec, w, view)
     for _ in range(NEWTON_MAX_STEPS):
         if at.grad_norm <= tolerance:
             break
@@ -147,8 +157,8 @@ def compare_matrix(configs: list, spec: RiskSpec, train: Dataset,
     (config, trace) pairs (trace None for diverged or exhausted runs) and the
     `reference_optimum` measurement of the full-set risk that suboptimality
     was measured against.  That reference is solved once, after the runs,
-    from the exit iterate of the last run that finished (from zero when none
-    did).
+    from the exit measurement of the last run that finished (from zero when
+    none did).
     """
     N = train.n_samples
     rows = []

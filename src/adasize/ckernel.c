@@ -161,11 +161,13 @@ static int digit_run8(const char *p, uint64_t *v)
  * evaluated in a wider format (which would round twice), goes to strtod,
  * which must convert a NUL-terminated copy of it to its last byte: under a
  * locale whose decimal point is not '.' strtod stops short and the text is
- * refused, as is a run too long for the copy.  Where eight bytes remain,
- * digit_run8 takes up to eight digits of the mantissa at once, while m is
- * small enough that m * 10^8 cannot overflow; it forms the m and k of the
- * byte loop.  A byte after the run other than a blank or newline fails the
- * next field.  Returns 0 and moves *p past the number, or -1. */
+ * refused, as is a run too long for the copy, or one whose value is not a
+ * finite double, such as 1e999 (the exact case is always finite).  Where
+ * eight bytes remain, digit_run8 takes up to eight digits of the mantissa
+ * at once, while m is small enough that m * 10^8 cannot overflow; it forms
+ * the m and k of the byte loop.  A byte after the run other than a blank
+ * or newline fails the next field.  Returns 0 and moves *p past the
+ * number, or -1. */
 static int read_number(const char **p, const char *end, double *x)
 {
     const char *q = *p, *matched;
@@ -234,7 +236,7 @@ static int read_number(const char **p, const char *end, double *x)
         memcpy(copy, *p, n);
         copy[n] = '\0';
         *x = strtod(copy, &stop);
-        if (stop != copy + n)
+        if (stop != copy + n || !isfinite(*x))
             return -1;
     }
     *p = q;

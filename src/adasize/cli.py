@@ -314,10 +314,10 @@ def cmd_run(args) -> int:
     train, test, spec, digest = _prepare_experiment(args, args.wstar)
     cfg = _run_config_from_args(args, train.n_samples, args.adaptive, args.method)
     if cfg.adaptive:
-        w, trace, _ = driver.adaptive_run(cfg, spec, train, test)
+        at_exit, trace, _ = driver.adaptive_run(cfg, spec, train, test)
     else:
-        w, trace = driver.fixed_run(cfg, spec, train, test)
-    ref = bench.reference_optimum(spec, train, start=w)
+        at_exit, trace = driver.fixed_run(cfg, spec, train, test)
+    ref = bench.reference_optimum(spec, train, start=at_exit)
     out_dir = _out_dir(args)
     trace_file = _trace_name(args.method, cfg.adaptive, args.seed)
     _write_atomic(out_dir / trace_file, bench.trace_csv_text(trace, ref.risk))
@@ -410,15 +410,19 @@ def cmd_verify(args) -> int:
     if "svrg_direction" in selected:
         reports.append(verify.svrg_direction_check(spec, train.prefix(min(17, N)),
                                                    args.trials, seed=args.seed))
+    losses = None  # the probe-grid losses that lemma1 and proposition1 share
+    if {"lemma1", "proposition1"}.intersection(selected):
+        losses = verify.probe_losses(spec.loss, train, args.seed)
     if "lemma1" in selected:
-        reports.append(verify.lemma1_check(spec, train, m0, 2 * m0,
-                                           max(args.draws, 100), seed=args.seed))
+        reports.append(verify.lemma1_check(spec, train, m0, 2 * m0, max(args.draws, 100),
+                                           seed=args.seed, losses=losses))
     if _PROXY_CHECKS.intersection(selected):
         spec = replace(spec, wstar_sq=verify.unregularized_optimum_proxy(spec.loss, train))
     if "lemma2" in selected:
         reports.append(verify.lemma2_check(spec, train, N // 4, args.draws, seed=args.seed))
     if "proposition1" in selected:
-        reports.append(verify.proposition1_check(spec, train, m0, args.draws, seed=args.seed))
+        reports.append(verify.proposition1_check(spec, train, m0, args.draws, seed=args.seed,
+                                                 losses=losses))
     if "theorem" in selected:
         for method in ("agd", "svrg"):
             reports.append(verify.theorem_sn_sufficiency_check(

@@ -32,15 +32,20 @@ the pages it writes become resident, and each array is shrunk in place to
 its used prefix.  It is still what an address-space limit meets first.
 Everything else, and all text where the library did not load, goes
 through the line parser `_parse_lines`, which gives the same arrays and is
-the only path that reports errors; it, and SHA-256 for a file, read the
-whole text, which the reader reads from its start.  A file whose size
-changes while it is read raises OSError on either path.
+the only path that reports errors; it reads the whole text, which the
+reader reads from its start, and SHA-256, for a file, goes on from the
+last chunk the C parser took, so no byte is hashed twice.  A file whose
+size changes while it is read raises OSError on either path.
 
 Both parsers refuse indices that do not increase within a line, so the
 matrix they build is canonical (sorted, no duplicates) by construction and
 carries scipy's `has_canonical_format` flag, as do the matrices `normalize`
 and `shuffle_and_split` build from a canonical one.  `Dataset` then merges
-none of them, and scans none of them to find that out.
+none of them, and scans none of them to find that out.  Both parsers also
+refuse a value that is not a finite double (`inf`, `nan`, `1e999`), naming
+its line, and `Dataset` refuses such values in a matrix it is given.  That
+check runs once per source: a parsed set, a prefix, a split or a
+normalized set is built from values known finite, and says so.
 
 Generated (`--gen`) data is drawn dense and stored as CSR:
 `generate_synthetic` masks its float64 draw in place, then gathers the
@@ -52,6 +57,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import math
 import os
 from functools import cached_property
 
@@ -90,12 +96,19 @@ class EmptyDatasetError(ValueError):
 
 
 class Dataset:
-    """Immutable ordered sample collection over a fixed feature dimension."""
+    """Immutable ordered sample collection over a fixed feature dimension.
 
-    def __init__(self, x: sparse.csr_matrix, y: np.ndarray):
+    Every feature value is finite.  `finite=True` says that x's values are
+    known to be, as rows of a Dataset's or a parser's are; otherwise they
+    are checked here.
+    """
+
+    def __init__(self, x: sparse.csr_matrix, y: np.ndarray, *, finite: bool = False):
         if not isinstance(x, sparse.csr_matrix):  # a CSR keeps its canonical-format flag
             x = sparse.csr_matrix(x)
         x.sum_duplicates()  # canonical rows: sorted, each column at most once
+        if not finite and not np.isfinite(x.data).all():
+            raise ValueError("feature values must be finite")
         y = np.asarray(y, dtype=np.float64)
         if x.shape[0] != y.shape[0]:
             raise ValueError("feature matrix and labels disagree on sample count")
@@ -131,7 +144,7 @@ class Dataset:
             raise ValueError(f"prefix size {n} out of range [1, {self.n_samples}]")
         if n == self.n_samples:
             return self
-        return Dataset(row_block(self.x, 0, n), self.y[:n])
+        return Dataset(row_block(self.x, 0, n), self.y[:n], finite=True)
 
     def sample_arrays(self, i: int):
         """(0-based indices, values, label) of sample i, no copies."""
@@ -246,7 +259,8 @@ def _read_sparse(f, name, label_map: dict | None, dim: int | None = None,
 
     The C parser and the hash read f in the chunks of `_parse_chunks`.
     Where that does not apply, f is read from its start, whole, and the
-    line parser and the hash read that text.  Either way, a number of
+    line parser reads that text; the hash reads only its bytes after the
+    chunks it has taken, so it reads each byte once.  Either way, a number of
     bytes read other than f's size at the start raises OSError, naming f
     as `name`.  Without `digest` nothing is hashed, and the digest is None.
     """
@@ -262,7 +276,9 @@ def _read_sparse(f, name, label_map: dict | None, dim: int | None = None,
     if parts is None:
         f.seek(0)
         text = f.read()
-        hasher, read = hashlib.sha256(text) if digest else None, len(text)
+        if hasher is not None:  # it holds the chunks the C parser took, the text's first bytes
+            hasher.update(memoryview(text)[read:])
+        read = len(text)
     if read != size:
         raise OSError(f"{name} changed size while it was read ({size} bytes at open, {read} read)")
     if parts is None:
@@ -275,7 +291,7 @@ def _read_sparse(f, name, label_map: dict | None, dim: int | None = None,
         raise ValueError(f"dim={use_dim} smaller than max feature index {max_idx}")
     x = sparse.csr_matrix((data, indices, indptr), shape=(labels.size, max(use_dim, 1)))
     x.has_canonical_format = True  # both parsers refuse indices that do not increase
-    return Dataset(x, labels), hasher and hasher.hexdigest()
+    return Dataset(x, labels, finite=True), hasher and hasher.hexdigest()
 
 
 def _parse_lines(text, lmap: dict | None):
@@ -320,6 +336,8 @@ def _parse_lines(text, lmap: dict | None):
                 val = float(val_s)
             except ValueError:
                 raise SparseTextError(line_no, f"invalid feature token {tok!r}") from None
+            if not math.isfinite(val):
+                raise SparseTextError(line_no, f"feature value {val_s!r} is not finite")
             if idx < 1:
                 raise SparseTextError(line_no, f"feature index {idx} is not 1-based")
             if idx <= prev:
@@ -457,7 +475,8 @@ def normalize(d: Dataset) -> Dataset:
     Only the values are new arrays; the result shares d's indices and indptr,
     and so takes d's canonical-format flag.  The values are divided into
     the array of per-value norms, so one temporary of the values' size is
-    alive beside them, not two.
+    alive beside them, not two.  Finite values over a positive norm stay
+    finite, and over one that overflowed to inf they become 0.
     """
     if d.n_samples == 0:
         raise EmptyDatasetError("cannot normalize an empty dataset")
@@ -468,7 +487,7 @@ def normalize(d: Dataset) -> Dataset:
     np.divide(x.data, values, out=values)
     scaled = sparse.csr_matrix((values, x.indices, x.indptr), shape=x.shape, copy=False)
     scaled.has_canonical_format = x.has_canonical_format
-    return Dataset(scaled, d.y)
+    return Dataset(scaled, d.y, finite=True)
 
 
 def shuffle_and_split(d: Dataset, train_count: int, seed: int = 0) -> tuple[Dataset, Dataset]:
@@ -485,6 +504,6 @@ def shuffle_and_split(d: Dataset, train_count: int, seed: int = 0) -> tuple[Data
     x = d.x[perm]
     x.has_canonical_format = d.x.has_canonical_format
     y = d.y[perm]
-    train = Dataset(row_block(x, 0, train_count), y[:train_count])
-    test = Dataset(row_block(x, train_count, d.n_samples), y[train_count:])
+    train = Dataset(row_block(x, 0, train_count), y[:train_count], finite=True)
+    test = Dataset(row_block(x, train_count, d.n_samples), y[train_count:], finite=True)
     return train, test

@@ -14,7 +14,10 @@ run gives solve its pass cap as well, and stops there.
 
 The trace records every eval_every-th iterate of a stage and its exit, each
 once: the stage measurement's margins give R_N with one more product over
-rows n..N only.
+rows n..N only.  Each iterate's rows are multiplied once: the recorder's
+full-set margins at a stage's exit give the next stage its entry
+measurement, and a run returns its exit measurement, from which a
+reference solve can start.
 """
 
 from __future__ import annotations
@@ -81,9 +84,16 @@ class StageReport:
     n: int
     iterations: int
     grad_evals_at_exit: int
-    exit_grad_norm: float
     threshold: float
-    w: np.ndarray = field(repr=False, compare=False)  # exit iterate
+    exit: Measurement = field(repr=False, compare=False)  # at the exit iterate, on n samples
+
+    @property
+    def w(self) -> np.ndarray:
+        return self.exit.w
+
+    @property
+    def exit_grad_norm(self) -> float:
+        return self.exit.grad_norm
 
 
 class _Recorder:
@@ -91,7 +101,9 @@ class _Recorder:
 
     R_N at a stage-n iterate takes the stage measurement's n margins and a
     product over rows n..N, through a CSR of those rows built once per stage;
-    the first n margins of x_N @ w are the bits of x_n @ w.
+    the first n margins of x_N @ w are the bits of x_n @ w.  `last` is the
+    full-set measurement of the last event, so its margins serve the next
+    stage's entry.
 
     The recorder alone keeps the trace at one event per grad_evals value: an
     iterate that is the array recorded last, as a stage that exits without
@@ -108,21 +120,21 @@ class _Recorder:
         self.eval_every = config.eval_every
         self.trace = Trace(train.n_samples)
         self._tail = None  # (n, rows n..N of the full set)
-        self._last_w = None  # the iterate of the trace's last event
+        self.last: Measurement | None = None  # on the full set, at the last event's iterate
 
     def record(self, state: SolverState, at_w: Measurement) -> None:
         n, full = at_w.view.n_samples, self.full
-        if state.w is self._last_w:
+        if self.last is not None and state.w is self.last.w:
             events = self.trace.events
             events[-1] = replace(events[-1], stage_n=n, grad_norm=at_w.grad_norm)
             return
-        self._last_w = state.w
         at_full = at_w  # on the full set the stage risk is R_N itself
         if n < full.n_samples:
             if self._tail is None or self._tail[0] != n:
                 self._tail = (n, row_block(full.x, n, full.n_samples))
-            margins = np.concatenate((at_w.margins, self._tail[1] @ state.w))
+            margins = np.concatenate((at_w.margins, erm.margins(self._tail[1], state.w)))
             at_full = Measurement(self.spec, state.w, full, margins)
+        self.last = at_full
         err = None
         if self.test is not None and self.test.n_samples:
             err = erm.test_error(self.spec.loss, state.w, self.test)
@@ -131,14 +143,16 @@ class _Recorder:
 
 def _run_stages(config: RunConfig, spec: RiskSpec, train: Dataset, test: Dataset | None,
                 sizes: list[int], cap: int | None
-                ) -> tuple[np.ndarray, Trace, list[StageReport]]:
+                ) -> tuple[Measurement, Trace, list[StageReport]]:
     """Solve the stages in order, the first from zero, each later one from the last exit.
 
     The first stage always uses the threshold rule: it must establish the
     entry certificate the later fixed-count stages rely on.  A fixed run
     gives its pass cap as `cap`, and each threshold stage stops there too;
     without it, solve raises BudgetError for a stage that stays above its
-    threshold.  No stages give zero and an empty trace.
+    threshold.  Every exit is recorded, so a later stage's entry measurement
+    takes its n margins from the recorder's full-set ones at that iterate.
+    No stages give the measurement at zero and an empty trace.
     """
     rec = _Recorder(config, spec, train, test)
 
@@ -147,37 +161,41 @@ def _run_stages(config: RunConfig, spec: RiskSpec, train: Dataset, test: Dataset
             rec.record(st, at_w)
 
     state = solvers.init_state(config.method, train.dim, config.seed)
+    at_exit = Measurement(spec, state.w, train)
     reports = []
     for n in sizes:
         state = solvers.reset_aux(state)  # warm start: aux sequences re-anchored at w
+        view = train.prefix(n)
+        last = rec.last  # None before the first stage, else at state.w
+        entry = Measurement(spec, state.w, view, None if last is None else last.margins[:n])
         threshold = schedule.stop_threshold(spec, n)
         counted = bool(reports) and config.budget_mode == "theory"
         result = solvers.solve(
-            state, spec, train.prefix(n),
+            state, spec, view,
             threshold=None if counted else threshold,
             iterations=schedule.stage_iterations(config.method, spec, n) if counted else cap,
-            callback=cb)
-        state = result.state
+            callback=cb, entry=entry)
+        state, at_exit = result.state, result.exit
         if result.iterations == 0 or result.iterations % rec.eval_every:
-            rec.record(state, result.exit)  # no callback recorded the exit iterate
+            rec.record(state, at_exit)  # no callback recorded the exit iterate
         reports.append(StageReport(
             n=n,
             iterations=result.iterations,
             grad_evals_at_exit=state.grad_evals,
-            exit_grad_norm=result.exit.grad_norm,
             threshold=threshold,
-            w=state.w,
+            exit=at_exit,
         ))
-    return state.w, rec.trace, reports
+    return at_exit, rec.trace, reports
 
 
 def adaptive_run(config: RunConfig, spec: RiskSpec, train: Dataset,
-                 test: Dataset | None = None) -> tuple[np.ndarray, Trace, list[StageReport]]:
+                 test: Dataset | None = None) -> tuple[Measurement, Trace, list[StageReport]]:
     """Run the doubling scheme m0 -> 2 m0 -> ... -> N with warm starts, N = train.n_samples.
 
     Every distinct sample size is processed exactly once; the last stage is
-    clamped to N.  Returns the final iterate, the trace and one report per
-    stage, which carries that stage's exit iterate.
+    clamped to N.  Returns the measurement of R_N at the final iterate (its
+    `.w`; its `.view` is `train`), the trace and one report per stage, which
+    carries that stage's exit measurement.
     """
     if not config.adaptive:
         raise ValueError("adaptive_run requires config.adaptive")
@@ -186,12 +204,15 @@ def adaptive_run(config: RunConfig, spec: RiskSpec, train: Dataset,
 
 
 def fixed_run(config: RunConfig, spec: RiskSpec, train: Dataset,
-              test: Dataset | None = None) -> tuple[np.ndarray, Trace]:
-    """Baseline: the stage loop over all N training samples, until threshold or the pass cap."""
+              test: Dataset | None = None) -> tuple[Measurement, Trace]:
+    """Baseline: the stage loop over all N training samples, until threshold or the pass cap.
+
+    Returns the measurement of R_N at the final iterate and the trace.
+    """
     if config.adaptive:
         raise ValueError("fixed_run requires a non-adaptive config")
     # one GD/AGD iteration costs one pass; one SVRG epoch costs two
     cap = config.pass_cap if config.method in ("gd", "agd") else config.pass_cap // 2
-    w, trace, _ = _run_stages(config, spec, train, test,
-                              [train.n_samples] if cap >= 1 else [], cap)
-    return w, trace
+    at_w, trace, _ = _run_stages(config, spec, train, test,
+                                 [train.n_samples] if cap >= 1 else [], cap)
+    return at_w, trace

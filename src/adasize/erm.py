@@ -10,7 +10,12 @@ modulus c*V_n and has (M + c*V_n)-Lipschitz gradients.
 
 `Measurement` is the one risk oracle: it computes the margins x_n @ w once
 and everything else on first read, the loss values only where R_n itself is
-read.  `risk_hessian` is built on it.
+read.  `risk_hessian` is built on it.  A caller that already holds an
+iterate's margins hands them over instead: the driver gives a stage's entry
+measurement the first n of the full-set margins its recorder built at the
+previous exit, and the reference solve starts from a run's exit
+measurement.  `margins` is the one product x @ w; the zero vector's margins
+are zeros and take no product.
 """
 
 from __future__ import annotations
@@ -62,6 +67,18 @@ class RiskSpec:
             raise ValueError(f"wstar_sq must be nonnegative, got {self.wstar_sq}")
 
 
+def margins(x, w: np.ndarray) -> np.ndarray:
+    """The margins x @ w: zeros, with no product, where w is the zero vector.
+
+    A `Dataset` holds finite values only, so its product with zero is +0.0 in
+    every row, the bits of these zeros.  A w whose shape does not match x
+    goes to the product, which refuses it.
+    """
+    if w.shape == (x.shape[1],) and not w.any():
+        return np.zeros(x.shape[0])
+    return x @ w
+
+
 def _loss_values(loss: str, margins: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
     """Per-sample loss values, in one new array or in `out`, which may be `margins`."""
     if loss == "logistic":
@@ -81,10 +98,10 @@ def _loss_coefs(loss: str, margins: np.ndarray, y: np.ndarray) -> np.ndarray:
 class Measurement:
     """R_n, grad R_n and ||grad R_n|| at w on the view: the one risk oracle; uncounted.
 
-    The margins view.x @ w are computed once, or taken from the caller when
-    it already holds them, and every other quantity on its first read: the
-    gradient needs only the loss coefficients, so the loss values are
-    computed only where `risk` is read.
+    The margins view.x @ w are computed once, by `margins`, or taken from the
+    caller when it already holds them, and every other quantity on its first
+    read: the gradient needs only the loss coefficients, so the loss values
+    are computed only where `risk` is read.
     """
 
     def __init__(self, spec: RiskSpec, w: np.ndarray, view: Dataset,
@@ -95,7 +112,7 @@ class Measurement:
 
     @cached_property
     def margins(self) -> np.ndarray:
-        return self.view.x @ self.w
+        return margins(self.view.x, self.w)
 
     @cached_property
     def coefs(self) -> np.ndarray:
@@ -170,6 +187,5 @@ def test_error(loss: str, w: np.ndarray, test: Dataset) -> float:
     _check_loss(loss)
     if test.n_samples == 0:
         raise EmptyDatasetError("test set is empty")
-    margins = test.x @ w
-    preds = np.where(margins >= 0.0, 1.0, -1.0)
+    preds = np.where(margins(test.x, w) >= 0.0, 1.0, -1.0)
     return float(np.mean(preds != test.y))

@@ -218,8 +218,8 @@ _STEPPERS: dict[str, Callable[..., SolverState]] = {
 
 def solve(state: SolverState, spec: RiskSpec, view: Dataset, *,
           threshold: float | None = None, iterations: int | None = None,
-          callback: Callable[[SolverState, int, erm.Measurement], None] | None = None
-          ) -> SolveResult:
+          callback: Callable[[SolverState, int, erm.Measurement], None] | None = None,
+          entry: erm.Measurement | None = None) -> SolveResult:
     """Run the state's method on the view until its stop rule holds.
 
     `threshold` steps until ||grad R_n|| <= threshold, tested before every
@@ -229,8 +229,10 @@ def solve(state: SolverState, spec: RiskSpec, view: Dataset, *,
     error, so there the count is a cap of any size.  One uncounted
     measurement per iterate serves the stop test, the step and the trace;
     it is evaluated on first use only, so a fixed-count AGD solve evaluates
-    it only where it is read.  The callback, if given, runs after every step
-    with the state, the step count and its measurement.
+    it only where it is read.  `entry` is the measurement at state.w on the
+    view, where the caller holds one already; else solve makes its own.  The
+    callback, if given, runs after every step with the state, the step count
+    and its measurement.
     """
     if threshold is None and iterations is None:
         raise BudgetError("give threshold, iterations or both")
@@ -238,8 +240,11 @@ def solve(state: SolverState, spec: RiskSpec, view: Dataset, *,
     if iterations is not None and not 0 <= iterations <= limit:
         raise BudgetError(f"iterations must lie in [0, {limit}], got {iterations}")
     cap = MAX_ITERATIONS if iterations is None else iterations
+    if entry is not None and (entry.w is not state.w or entry.view is not view
+                              or entry.spec != spec):
+        raise ValueError("entry must be the measurement at state.w on the view, under spec")
     k = 0
-    at_w = erm.Measurement(spec, state.w, view)
+    at_w = erm.Measurement(spec, state.w, view) if entry is None else entry
     while threshold is None or not at_w.grad_norm <= threshold:
         if k == cap:
             if iterations is None:

@@ -172,15 +172,9 @@ def _probe_grid(dim: int, seed: int) -> np.ndarray:
     return np.column_stack(cols[:PROBE_COUNT])
 
 
-def _loss_matrix(loss: str, base: Dataset, probes: np.ndarray) -> np.ndarray:
-    """Per-sample losses at every probe point, shape (n_samples, n_probes), in one array."""
-    margins = base.x @ probes
-    return erm._loss_values(loss, margins, base.y[:, None], out=margins)
-
-
 def _shuffled_copy(base: Dataset, perm: np.ndarray, k: int | None = None) -> Dataset:
     k = base.n_samples if k is None else k
-    return Dataset(base.x[perm[:k]], base.y[perm[:k]])
+    return Dataset(base.x[perm[:k]], base.y[perm[:k]], finite=True)
 
 
 def unregularized_optimum_proxy(loss: str, base: Dataset) -> float:
@@ -193,27 +187,49 @@ def unregularized_optimum_proxy(loss: str, base: Dataset) -> float:
     return float(w @ w)
 
 
-def _nested_draws(loss: str, base: Dataset, m: int, n: int, draws: int, seed: int):
+def _seeds(seed: int) -> tuple[int, int]:
+    """The probe-grid seed and the draw seed that a check's seed fixes."""
+    ss = np.random.SeedSequence(seed)
+    probe_seed, draw_seed = (int(s.generate_state(1)[0]) for s in ss.spawn(2))
+    return probe_seed, draw_seed
+
+
+def probe_losses(loss: str, base: Dataset, seed: int) -> np.ndarray:
+    """Per-sample losses at the probe grid that `seed` fixes, shape (n_samples, n_probes).
+
+    One array: the losses overwrite the margins.  `lemma1_check` and
+    `proposition1_check` read this matrix; a caller that runs both with one
+    loss, base and seed builds it once and passes it to each.
+    """
+    margins = base.x @ _probe_grid(base.dim, _seeds(seed)[0])
+    return erm._loss_values(loss, margins, base.y[:, None], out=margins)
+
+
+def _nested_draws(loss: str, base: Dataset, m: int, n: int, draws: int, seed: int,
+                  losses: np.ndarray | None):
     """Seeded random nested subsets S_m < S_n of the base set, one per draw.
 
     Yields (perm, l_full, l_m, l_nm): the permutation whose first m and
     first n entries index S_m and S_n, and the mean loss over the base set,
     over S_m and over S_n minus S_m, at every point of the probe grid.  The
-    seed fixes both the grid and the draws.
+    seed fixes both the grid and the draws; `losses` is `probe_losses` at
+    that seed where the caller holds it, else it is built here.
     """
-    ss = np.random.SeedSequence(seed)
-    probe_seed, draw_seed = (int(s.generate_state(1)[0]) for s in ss.spawn(2))
-    losses = _loss_matrix(loss, base, _probe_grid(base.dim, probe_seed))
+    if losses is None:
+        losses = probe_losses(loss, base, seed)
     l_full = losses.mean(axis=0)
-    rng = np.random.default_rng(draw_seed)
+    rng = np.random.default_rng(_seeds(seed)[1])
     for _ in range(draws):
         perm = rng.permutation(base.n_samples)
         yield perm, l_full, losses[perm[:m]].mean(axis=0), losses[perm[m:n]].mean(axis=0)
 
 
 def lemma1_check(spec: RiskSpec, base: Dataset, m: int, n: int, draws: int,
-                 seed: int = 0) -> CheckReport:
-    """Mean |L_n - L_m| at each probe vs ((n-m)/n)(V_{n-m} + V_m), estimated accuracies."""
+                 seed: int = 0, losses: np.ndarray | None = None) -> CheckReport:
+    """Mean |L_n - L_m| at each probe vs ((n-m)/n)(V_{n-m} + V_m), estimated accuracies.
+
+    `losses` is `probe_losses(spec.loss, base, seed)` where the caller holds it.
+    """
     if not 1 <= m < n <= base.n_samples:
         raise ValueError(f"need 1 <= m < n <= base size, got m={m}, n={n}, "
                          f"base={base.n_samples}")
@@ -222,7 +238,7 @@ def lemma1_check(spec: RiskSpec, base: Dataset, m: int, n: int, draws: int,
     sum_diff = np.zeros(PROBE_COUNT)
     sup_m_total = 0.0
     sup_nm_total = 0.0
-    for _, l_full, l_m, l_nm in _nested_draws(spec.loss, base, m, n, draws, seed):
+    for _, l_full, l_m, l_nm in _nested_draws(spec.loss, base, m, n, draws, seed, losses):
         l_n = (m * l_m + (n - m) * l_nm) / n
         sum_diff += np.abs(l_n - l_m)
         sup_m_total += float(np.max(np.abs(l_full - l_m)))
@@ -271,10 +287,13 @@ def _threshold_solve(spec: RiskSpec, view: Dataset, threshold: float) -> np.ndar
 
 
 def proposition1_check(spec: RiskSpec, base: Dataset, m: int, draws: int,
-                       seed: int = 0) -> CheckReport:
+                       seed: int = 0, losses: np.ndarray | None = None) -> CheckReport:
     """Warm-start suboptimality after doubling vs its closed-form bound, in the mean.
 
-    The bound reads ||w*||^2 as spec.wstar_sq, which `verify` sets to the proxy.
+    The bound reads ||w*||^2 as spec.wstar_sq, which `verify` sets to the
+    proxy.  `losses` is `probe_losses(spec.loss, base, seed)` where the
+    caller holds it.  The measurement at the warm start on S_n is both the
+    reference solve's start and the risk its gap is taken from.
     """
     n = 2 * m
     if not 1 <= m <= base.n_samples // 2:
@@ -286,11 +305,12 @@ def proposition1_check(spec: RiskSpec, base: Dataset, m: int, draws: int,
     # read about twice their value; ROADMAP item 3 gives each its own estimate.
     sup_m = 0.0
     sup_n = 0.0
-    for perm, l_full, l_m, l_nm in _nested_draws(spec.loss, base, m, n, draws, seed):
+    for perm, l_full, l_m, l_nm in _nested_draws(spec.loss, base, m, n, draws, seed, losses):
         nested = _shuffled_copy(base, perm, n)
         w_m = _threshold_solve(spec, nested.prefix(m), schedule.stop_threshold(spec, m))
-        ref_n = bench.reference_optimum(spec, nested, tolerance=1e-9, start=w_m)
-        lhs_values.append(erm.Measurement(spec, w_m, nested).risk - ref_n.risk)
+        at_m = erm.Measurement(spec, w_m, nested)
+        ref_n = bench.reference_optimum(spec, nested, tolerance=1e-9, start=at_m)
+        lhs_values.append(at_m.risk - ref_n.risk)
         sup_m += float(np.max(np.abs(l_full - l_m)))
         sup_m += float(np.max(np.abs(l_full - l_nm)))
         sup_n += float(np.max(np.abs(l_full - (m * l_m + (n - m) * l_nm) / n)))
@@ -334,9 +354,8 @@ def theorem_sn_sufficiency_check(method: str, spec: RiskSpec, base: Dataset, m0:
         _, _, reports = driver.adaptive_run(cfg, spec, shuffled)
         draw_bad = False
         for rep in reports[1:]:  # skip the first stage
-            view = shuffled.prefix(rep.n)
-            ref = bench.reference_optimum(spec, view, tolerance=1e-9, start=rep.w)
-            gap = erm.Measurement(spec, rep.w, view).risk - ref.risk
+            ref = bench.reference_optimum(spec, rep.exit.view, tolerance=1e-9, start=rep.exit)
+            gap = rep.exit.risk - ref.risk
             per_stage.setdefault(rep.n, []).append(gap)
             if gap > schedule.statistical_accuracy(spec, rep.n):
                 draw_bad = True

@@ -201,9 +201,9 @@ def test_warm_start_agrees_with_the_zero_start(loss, data, request):
     # tol = 1e-8 puts that bound (about 5e-15) above the risk's rounding
     view = request.getfixturevalue(data)
     spec = _tight_spec(loss, view)
-    w, _, _ = driver.adaptive_run(RunConfig(method="agd", m0=256, seed=1), spec, view)
+    at_exit, _, _ = driver.adaptive_run(RunConfig(method="agd", m0=256, seed=1), spec, view)
     cold = reference_optimum(spec, view, tolerance=1e-8)
-    warm = reference_optimum(spec, view, tolerance=1e-8, start=w)
+    warm = reference_optimum(spec, view, tolerance=1e-8, start=at_exit)
     assert cold.grad_norm <= 1e-8 and warm.grad_norm <= 1e-8
     assert abs(warm.risk - cold.risk) <= _risk_gap_bound(spec, view, 1e-8)
 
@@ -211,7 +211,8 @@ def test_warm_start_agrees_with_the_zero_start(loss, data, request):
 def test_warm_start_from_an_adaptive_exit_takes_fewer_hessian_products(rcv1_2000, monkeypatch):
     view = rcv1_2000
     spec = _tight_spec("logistic", view)
-    w, _, reports = driver.adaptive_run(RunConfig(method="agd", m0=256, seed=1), spec, view)
+    at_exit, _, reports = driver.adaptive_run(RunConfig(method="agd", m0=256, seed=1), spec,
+                                              view)
     assert reports[-1].exit_grad_norm <= reports[-1].threshold  # stopped on its threshold
     products = []
     real = erm.risk_hessian
@@ -222,7 +223,7 @@ def test_warm_start_from_an_adaptive_exit_takes_fewer_hessian_products(rcv1_2000
 
     monkeypatch.setattr(erm, "risk_hessian", counting)
     counts = []
-    for start in (None, w):
+    for start in (None, at_exit.w):
         products.clear()
         assert reference_optimum(spec, view, start=start).grad_norm <= 1e-10
         counts.append(len(products))
@@ -236,7 +237,7 @@ def test_poor_start_still_converges(loss, start, dense_4096x20):
     view = dense_4096x20
     spec = _tight_spec(loss, view)
     if start == "one_gd_pass":
-        w, _ = driver.fixed_run(RunConfig(method="gd", adaptive=False, pass_cap=1), spec, view)
+        w = driver.fixed_run(RunConfig(method="gd", adaptive=False, pass_cap=1), spec, view)[0].w
     else:  # logistic margins in the thousands: the Hessian is nearly cV_n I there
         w = 1e4 * np.random.default_rng(0).standard_normal(view.dim)
     cold = reference_optimum(spec, view, tolerance=1e-8)
@@ -254,6 +255,29 @@ def test_start_is_copied_and_shape_checked(squared_problem):
     ref = reference_optimum(spec, ds, start=start)
     np.testing.assert_array_equal(ref.w, reference_optimum(spec, ds).w)
     assert not np.shares_memory(ref.w, start) and not start.any()
+
+
+def test_a_start_measurement_gives_the_array_starts_bits(rcv1_2000):
+    # run and compare hand over the run's exit measurement, whose margins and
+    # gradient the Newton loop then reads instead of computing them
+    view = rcv1_2000
+    spec = _tight_spec("logistic", view)
+    at_exit, _, _ = driver.adaptive_run(RunConfig(method="agd", m0=256, seed=1), spec, view)
+    assert at_exit.view is view and "grad" in vars(at_exit)  # the run read its gradient
+    from_array = reference_optimum(spec, view, start=at_exit.w)
+    from_measurement = reference_optimum(spec, view, start=at_exit)
+    np.testing.assert_array_equal(from_measurement.w, from_array.w)
+    assert from_measurement.risk == from_array.risk
+
+
+def test_a_start_measurement_must_be_on_the_view_under_spec(squared_problem):
+    ds, spec = squared_problem
+    w = np.ones(ds.dim)
+    for at in (erm.Measurement(spec, w, ds.prefix(ds.n_samples - 1)),
+               erm.Measurement(replace(spec, c=2 * spec.c), w, ds)):
+        with pytest.raises(ValueError, match="on the view, under spec"):
+            reference_optimum(spec, ds, start=at)
+    assert reference_optimum(spec, ds, start=erm.Measurement(spec, w, ds)).grad_norm <= 1e-10
 
 
 RISK_STAR = 0.5
@@ -365,9 +389,10 @@ class TestCompareMatrix:
                                 *a, start=start, **k))
         rows, _, ref = compare_matrix(cfgs, spec, train)
         assert [r.failure for r in rows] == [None, None, "exhausted"]
-        w_gd, _ = driver.fixed_run(cfgs[1], spec, train)
+        at_gd, _ = driver.fixed_run(cfgs[1], spec, train)
         assert len(starts) == 1
-        np.testing.assert_array_equal(starts[0], w_gd)
+        assert starts[0].view is train  # the run's exit measurement, on the full set
+        np.testing.assert_array_equal(starts[0].w, at_gd.w)
         assert ref.grad_norm <= 1e-10
 
 

@@ -1,7 +1,8 @@
 """The benchmark's tracer wraps adasize functions by name; those names must resolve.
 
-perfbench/tracer.py is loaded by path and only read: a rename in src/ then
-fails here instead of in a benchmark run.
+perfbench/tracer.py is loaded by path and only read: a rename in src/, or a
+change to what a wrapped function returns, then fails here instead of in a
+benchmark run.
 """
 
 import importlib
@@ -9,7 +10,11 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from adasize import RiskSpec, RunConfig, generate_synthetic, normalize
+from adasize.driver import Trace
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -50,3 +55,15 @@ def test_dispatch_tables_hold_public_functions(tracer):
             assert inspect.isfunction(fn) and fn.__module__ == mod.__name__, key
             assert not fn.__name__.startswith("_"), key
             assert getattr(mod, fn.__name__) is fn, key
+
+
+def test_driver_runs_return_their_trace_at_index_1(tracer):
+    # Hooks reads `result[1].events` from every run it wraps
+    train = normalize(generate_synthetic(64, 4, 1.0, seed=1)[0])
+    spec = RiskSpec(gamma=4.0)
+    driver = _module("driver")
+    for name in tracer.DRIVER_RUNS:
+        cfg = RunConfig(method="gd", adaptive=name == "adaptive_run", m0=16)
+        result = getattr(driver, name)(cfg, spec, train)
+        assert isinstance(result[1], Trace) and result[1].events, name
+        assert isinstance(result[1].events[-1].grad_evals, (int, np.integer)), name

@@ -13,7 +13,8 @@ import weakref
 import numpy as np
 import pytest
 
-from adasize import RiskSpec, agd_params, ckernel, data, erm, iterations_generic, solvers, verify
+from adasize import RiskSpec, agd_params, bench, ckernel, data, erm, iterations_generic, solvers, \
+    statistical_accuracy, verify
 from adasize.cli import main
 from adasize.data import Dataset, generate_synthetic, parse_sparse_text
 from adasize.schedule import gd_contraction_factor
@@ -64,6 +65,20 @@ def test_index_above_int32_exits_2_with_its_line(tmp_path, capsys):
     assert run_cli(["run", "--dataset", str(data_file), "--m0", "1", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: line 3: feature index 99999999999") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "-INF", "nan", "NaN", "1e999"])
+def test_non_finite_feature_exits_2_with_its_line(tmp_path, capsys, value):
+    # bad input, not divergence: refused by the parser, before any numpy warning
+    data_file = tmp_path / "non_finite.svm"
+    data_file.write_text(f"+1 1:1\n-1 2:1\n+1 1:0.5 2:{value}\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["run", "--dataset", str(data_file), "--m0", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: line 3: feature value '{value}' is not finite\n"
     assert not out.exists()
 
 
@@ -726,3 +741,31 @@ def test_c_kernel_and_python_paths_write_the_same_outputs(tmp_path, capsys, monk
     monkeypatch.setattr(ckernel, "_tried", True)
     assert _command_outcome(argv, tmp_path / "out", capsys) == on
     assert calls == {"_pick_loop"}
+
+
+@pytest.mark.parametrize("method", ["gd", "agd", "svrg"])
+def test_warm_and_cold_references_give_the_same_suboptimality(tmp_path, capsys, monkeypatch,
+                                                              method):
+    # the reference solve starts from the run's exit measurement; from zero, its
+    # risk may differ by tolerance^2 / (2 c V_N) at most, the bound reference_optimum
+    # states.  At the default tolerance, 1e-10, that bound (2e-19 here) lies below
+    # the risk's rounding, so both references solve to 1e-8 (bound 2.3e-15)
+    tolerance, real = 1e-8, bench.reference_optimum
+    argv = ["run", "--gen", "2048,20,0.5", "--method", method, "--adaptive", "--m0", "64",
+            "--m-mode", "tight", "--seed", "4"]
+    columns, starts = [], []
+    for cold in (False, True):
+        def reference(spec, view, start=None, cold=cold):
+            starts.append(start)
+            return real(spec, view, tolerance, None if cold else start)
+
+        monkeypatch.setattr(bench, "reference_optimum", reference)
+        code, _, _, files = _command_outcome(argv, tmp_path / "out", capsys)
+        assert code == 0
+        rows = csv.DictReader(io.StringIO(files[f"trace_{method}_ada_seed4.csv"].decode()))
+        columns.append([float(row["suboptimality"]) for row in rows])
+    assert all(isinstance(start, erm.Measurement) for start in starts)
+    warm, cold = columns
+    bound = tolerance**2 / (2 * UNIT.c * statistical_accuracy(UNIT, 2048))
+    assert len(warm) == len(cold) > 1
+    assert max(abs(a - b) for a, b in zip(warm, cold)) <= bound

@@ -80,6 +80,21 @@ class TestParser:
         _, _, indices, _, max_idx = data._parse_lines("+1 2147483648:1\n", None)
         assert indices.tolist() == [2**31 - 1] and max_idx == 2**31
 
+    @pytest.mark.parametrize("value", ["inf", "-INF", "nan", "NaN", "1e999", "-1e999",
+                                       "1" + "0" * 400],
+                             ids=["inf", "-INF", "nan", "NaN", "1e999", "-1e999", "401_digits"])
+    @pytest.mark.parametrize("kernel", [True, False], ids=["c_parser", "line_parser"])
+    def test_non_finite_values_report_their_line(self, monkeypatch, value, kernel):
+        if not kernel:
+            monkeypatch.setattr(ckernel, "get", lambda: None)
+        text = f"+1 1:0.5\n-1 1:{value} 2:1\n+1 2:1\n"
+        with pytest.raises(SparseTextError, match=f"line 2: feature value '{value}' is not finite"):
+            parse_sparse_text(text)
+
+    def test_finite_extremes_still_load(self):
+        d = parse_sparse_text("+1 1:1.7976931348623157e308 2:-1e-320\n-1 1:1e308\n")
+        assert d.x.data.tolist() == [1.7976931348623157e308, -1e-320, 1e308]
+
 
 LABEL_MAP = {0: -1, 8: 1, 3: -1}
 
@@ -348,6 +363,14 @@ class TestBulkParser:
         assert _c_parse(text.encode()) is None
         assert _outcome(text) == _line_outcome(text, monkeypatch)
 
+    # values that round past the largest double, as strtod reads them
+    @pytest.mark.parametrize("text", [b"+1 1:1e999\n", b"+1 1:-1e400\n", b"1e999 1:1\n",
+                                      b"+1 1:1.7976931348623159e308\n", b"+1 1:1e309\n",
+                                      b"+1 1:1e99999\n", b"+1 1:1e100000\n"])
+    def test_the_c_parser_refuses_a_value_that_is_not_finite(self, text):
+        assert _c_parse(text) is None
+        assert _c_parse(b"+1 1:1e308\n")[3].tolist() == [1e308]
+
     def test_values_are_the_bits_float_reads(self):
         rng = np.random.default_rng(11)
         bits = rng.integers(0, 2**64, size=300, dtype=np.uint64).view(np.float64)
@@ -355,7 +378,7 @@ class TestBulkParser:
         tokens += ["%.17g" % v for v in rng.normal(size=100) * 10.0 ** rng.integers(-300, 300, 100)]
         tokens += ["5e-324", "4.9406564584124654e-324", "2.2250738585072009e-308", "1e-320",
                    "-2.225073858507201e-308", "1e-400", "-1e-400", "1e308", "1.7976931348623157e308",
-                   "1.7976931348623159e308", "1e309", "-0.0", "0.1", "9007199254740993"]
+                   "-0.0", "0.1", "9007199254740993"]
         text = "".join(f"+1 1:{t}\n" for t in tokens)
         ds = _c_path(text)
         assert ds is not None
@@ -376,7 +399,7 @@ class TestBulkParser:
          "7.5e-23", "0.001e25", "100e21", "10e22", "1.0e22", "-4e-22", "99e-24"],
         ["0000.000123", "0." + "0" * 25 + "1", "5.", ".5", "+.5e+3", "1e022",
          "1e0000000000000000001", "-0", "-0.0e5", "+0", "0.000", "00", "-.5E-2", "1E+05",
-         "0.000000000000000000000000000001e300", "1e99999", "1e100000", "-1e-100000"],
+         "0.000000000000000000000000000001e300", "-1e-100000"],
     ], ids=["2^53", "digits", "exponent", "forms"])
     def test_exact_decimals_are_the_bits_float_reads(self, monkeypatch, tokens):
         _assert_read_as_float(tokens, monkeypatch)
@@ -607,6 +630,40 @@ class TestChunkedLoad:
             assert _Same(ds) == expected and digest == hashlib.sha256(raw).hexdigest()
         if ckernel.get() is not None:  # the C parser took the chunks before, then refused
             assert len(fed) > 10 and late.encode() in fed[-1]
+
+    @pytest.mark.parametrize("parser", ["c_then_lines", "lines"])
+    def test_each_byte_is_hashed_once(self, tmp_path, monkeypatch, parser):
+        # where the C parser refuses a late chunk, the hash goes on from the chunks it took
+        lines = _text_of_whole_pages().split("\n")
+        lines[-3] += " # a comment"
+        raw = "\n".join(lines).encode()
+        path = tmp_path / "late.svm"
+        path.write_bytes(raw)
+        monkeypatch.setattr(data, "PARSE_CHUNK_BYTES", mmap.PAGESIZE)
+        if parser == "lines":
+            monkeypatch.setattr(ckernel, "get", lambda: None)
+        elif ckernel.get() is None:
+            pytest.skip(ckernel.reason)
+        hashed, sha256 = [], hashlib.sha256
+
+        class Counting:
+            def __init__(self, first=b""):
+                hashed.append(len(first))
+                self._h = sha256(first)
+
+            def update(self, chunk):
+                hashed.append(memoryview(chunk).nbytes)
+                self._h.update(chunk)
+
+            def hexdigest(self):
+                return self._h.hexdigest()
+
+        monkeypatch.setattr(data.hashlib, "sha256", Counting)
+        fed = _fed_chunks(monkeypatch)
+        _, digest = data.load_sparse_file(path)
+        assert digest == sha256(raw).hexdigest()
+        assert sum(hashed) == len(raw)
+        assert (parser == "c_then_lines") == (len(fed) > 1)
 
     @pytest.mark.parametrize("value", ["2.5", "0.12345678901234567"], ids=["exact", "strtod"])
     def test_the_last_fill_is_read_to_its_end_only(self, tmp_path, monkeypatch, value):
@@ -976,6 +1033,35 @@ class TestSplitAndPrefix:
         for d in (parsed, normalized, train, test):  # a matrix without the flag scans itself
             assert sparse.csr_matrix((d.x.data, d.x.indices, d.x.indptr),
                                      shape=d.x.shape).has_canonical_format
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_dataset_refuses_values_that_are_not_finite(self, value):
+        x = sparse.csr_matrix(np.array([[1.0, 0.0], [0.0, value]]))
+        with pytest.raises(ValueError, match="feature values must be finite"):
+            Dataset(x, np.array([1.0, -1.0]))
+
+    def test_dataset_refuses_duplicates_that_sum_past_the_largest_double(self):
+        x = sparse.csr_matrix((np.array([1e308, 1e308]), np.array([0, 0]), np.array([0, 2])),
+                              shape=(1, 1))
+        with pytest.raises(ValueError, match="feature values must be finite"):
+            Dataset(x, np.array([1.0]))
+
+    @pytest.mark.parametrize("kernel", [True, False], ids=["c_parser", "line_parser"])
+    def test_only_a_given_matrix_is_scanned_for_finite_values(self, monkeypatch, kernel):
+        # the parsers refuse such values; prefixes, splits and normalized sets
+        # are built from a Dataset's values, so they take its check
+        text = generate_synthetic(300, 12, 0.5, seed=5)[0].to_sparse_text()
+        if not kernel:
+            monkeypatch.setattr(ckernel, "get", lambda: None)
+        scanned, isfinite = [], np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda a, *args, **kw: scanned.append(a.size) or
+                            isfinite(a, *args, **kw))
+        train, test = shuffle_and_split(normalize(parse_sparse_text(text)), 200, seed=2)
+        for n in (1, 64, 199, 200):
+            train.prefix(n)
+        assert scanned == []
+        Dataset(train.x, train.y)
+        assert scanned == [train.x.nnz]
 
     def test_row_block_of_a_non_canonical_matrix_is_merged(self):
         # column 0 twice in row 0: the block keeps the flag False, and Dataset merges it

@@ -64,12 +64,35 @@ def test_warm_start_chain_bitwise(train_2k, spec, monkeypatch):
 
     monkeypatch.setattr(driver_mod.solvers, "solve", spying_solve)
     cfg = RunConfig(method="agd", adaptive=True, m0=256, seed=3)
-    w, _, reports = adaptive_run(cfg, spec, train_2k)
+    at_exit, _, reports = adaptive_run(cfg, spec, train_2k)
     assert len(entries) == len(reports)
     np.testing.assert_array_equal(entries[0][1], np.zeros(train_2k.dim))
     for k in range(1, len(entries)):
         np.testing.assert_array_equal(entries[k][1], reports[k - 1].w)
-    np.testing.assert_array_equal(w, reports[-1].w)
+    assert at_exit is reports[-1].exit
+
+
+@pytest.mark.parametrize("method", ["gd", "agd", "svrg"])
+def test_stage_entry_margins_are_the_bits_of_a_fresh_product(method, split_data, monkeypatch):
+    # each stage's entry measurement takes the first n of the recorder's
+    # full-set margins at the last exit: the bits of x_n @ w, the zero
+    # start's +0.0s included; the second stage here exits at its entry
+    train, test = split_data
+    spec = RiskSpec(gamma=0.5, M=erm.smoothness_constant("logistic", train))
+    entries = []
+    real_solve = solvers.solve
+
+    def spying_solve(state, spec_, view, **rule):
+        entries.append((view, state.w, rule["entry"]))
+        return real_solve(state, spec_, view, **rule)
+
+    monkeypatch.setattr(driver_mod.solvers, "solve", spying_solve)
+    with _precondition_warning(method == "svrg"):
+        _, _, reports = adaptive_run(RunConfig(method=method, m0=32, seed=3), spec, train, test)
+    assert reports[1].iterations == 0 and len(entries) == len(reports)
+    for view, w, entry in entries:
+        assert entry.w is w and entry.view is view and entry.spec == spec
+        assert entry.margins.tobytes() == (view.x @ w).tobytes()
 
 
 def test_bootstrap_certificate(spec):
@@ -294,12 +317,12 @@ class TestFixedRun:
     @pytest.mark.parametrize("method", ["gd", "agd", "svrg"])
     def test_equals_one_stage_adaptive_run(self, train_2k, spec, method):
         with _precondition_warning(method == "svrg"):
-            w_fix, trace_fix = fixed_run(
+            at_fix, trace_fix = fixed_run(
                 RunConfig(method=method, adaptive=False, m0=128, seed=5), spec, train_2k)
-            w_ada, trace_ada, reports = adaptive_run(
+            at_ada, trace_ada, reports = adaptive_run(
                 RunConfig(method=method, adaptive=True, m0=2048, seed=5), spec, train_2k)
         assert len(reports) == 1
-        np.testing.assert_array_equal(w_fix, w_ada)
+        np.testing.assert_array_equal(at_fix.w, at_ada.w)
         assert trace_fix.events == trace_ada.events
 
     def test_deterministic(self, train_2k, spec):
@@ -307,15 +330,17 @@ class TestFixedRun:
         for _ in range(2):
             cfg = RunConfig(method="svrg", adaptive=False, m0=128, seed=11)
             with _precondition_warning():
-                w, trace = fixed_run(cfg, spec, train_2k)
-            runs.append((w, [(e.grad_evals, e.risk_value, e.grad_norm) for e in trace.events]))
+                at_exit, trace = fixed_run(cfg, spec, train_2k)
+            runs.append((at_exit.w,
+                         [(e.grad_evals, e.risk_value, e.grad_norm) for e in trace.events]))
         np.testing.assert_array_equal(runs[0][0], runs[1][0])
         assert runs[0][1] == runs[1][1]
 
     def test_pass_cap_zero(self, train_2k, spec):
         cfg = RunConfig(method="gd", adaptive=False, m0=128, seed=0, pass_cap=0)
-        w, trace = fixed_run(cfg, spec, train_2k)
-        np.testing.assert_array_equal(w, np.zeros(train_2k.dim))
+        at_exit, trace = fixed_run(cfg, spec, train_2k)
+        np.testing.assert_array_equal(at_exit.w, np.zeros(train_2k.dim))
+        assert at_exit.view is train_2k
         assert trace.events == []
 
     def test_svrg_pass_cap_halved(self, train_2k):

@@ -8,7 +8,7 @@ from scipy.special import expit
 from adasize import Dataset, RiskSpec, smoothness_constant
 from adasize.erm import test_error as classification_error
 from adasize.data import EmptyDatasetError, generate_synthetic, normalize, parse_sparse_text
-from adasize.erm import Measurement, _loss_coefs, _loss_values, risk_hessian, \
+from adasize.erm import Measurement, _loss_coefs, _loss_values, margins, risk_hessian, \
     sample_loss_coef
 from adasize.schedule import statistical_accuracy
 from adasize.verify import _risk_value_scalar
@@ -85,6 +85,18 @@ def test_dimension_mismatch():
     ds = parse_sparse_text("+1 3:1\n")
     with pytest.raises(ValueError):
         _loss_and_grad("logistic", np.zeros(2), ds)
+
+
+def test_zero_vector_margins_are_the_products_bits_without_a_product():
+    # +0.0 in every row, as a product with zero gives for finite values of either
+    # sign; a w of another shape still goes to the product, which refuses it
+    x = generate_synthetic(300, 40, 0.05, seed=2)[0].x
+    assert (x.data < 0).any() and np.diff(x.indptr).min() == 0  # negative values, empty rows
+    zero = np.zeros(x.shape[1])
+    assert margins(x, zero).tobytes() == (x @ zero).tobytes()
+    assert margins(x, -zero).tobytes() == (x @ -zero).tobytes()
+    with pytest.raises(ValueError):
+        margins(x, np.zeros(x.shape[1] + 1))
 
 
 def test_empirical_loss_at_origin(small_train):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from adasize import RiskSpec, init_state, solve
+from adasize import RiskSpec, RunConfig, adaptive_run, init_state, reference_optimum, solve
 from adasize import erm, schedule, solvers, ckernel
 from adasize.data import Dataset, generate_synthetic, normalize, parse_sparse_text
 from adasize.erm import Measurement
@@ -22,17 +22,32 @@ def _precondition_warning(violated=True):
     return pytest.warns(RuntimeWarning, match="precondition") if violated else nullcontext()
 
 
-class _ProductLog(sparse.csr_matrix):
-    """A view's rows that log every vector they are multiplied with."""
+class _ProductLog:
+    """Every product of a CSR or CSC matrix with a vector while the log is installed.
 
-    def __init__(self, x, operands):
-        super().__init__(x)
-        self.operands = operands
+    Each entry is (format, vector, its bytes then, start, end): a caller
+    may change the vector later, as conjugate gradients does, and [start,
+    end) is the address range of the nonzeros the product reads.  Prefixes,
+    row blocks and transposes share their base's values, so two products
+    read a row in common exactly where their ranges meet.
+    """
 
-    def __matmul__(self, other):
-        if np.ndim(other) == 1:
-            self.operands.append(other)
-        return super().__matmul__(other)
+    def __init__(self, monkeypatch):
+        self.products = []
+        for cls in (sparse.csr_matrix, sparse.csc_matrix):
+            monkeypatch.setattr(cls, "__matmul__", self._logging(cls.__matmul__))
+
+    def _logging(self, real):
+        def matmul(x, other):
+            if np.ndim(other) == 1:
+                start = x.data.__array_interface__["data"][0]
+                self.products.append((x.format, other, other.tobytes(), start,
+                                      start + x.data.nbytes))
+            return real(x, other)
+        return matmul
+
+    def vectors(self, fmt: str) -> list:
+        return [v for f, v, _, _, _ in self.products if f == fmt]
 
 
 def _reference_epoch(state, spec, view):
@@ -420,13 +435,13 @@ class TestSolve:
 
     @pytest.mark.parametrize("method", ["gd", "agd", "svrg"])
     @pytest.mark.parametrize("mode", ["until_threshold", "fixed_iterations"])
-    def test_one_measurement_per_iterate(self, method, mode, spec, small_train):
+    def test_one_measurement_per_iterate(self, method, mode, spec, small_train, monkeypatch):
         # the stop test, the GD step and the SVRG anchor share the margins x @ w of
         # the measurement at w; AGD steps from y, so a fixed-count AGD solve reads
-        # w's only at the exit, and its first step, where y is w, reads w's too
+        # w's only at the exit, and its first step, where y is w, reads w's too;
+        # the zero start's margins are zeros, with no product
         view = small_train.prefix(64)
-        operands = []
-        view.x = _ProductLog(view.x, operands)
+        log = _ProductLog(monkeypatch)
         state = init_state(method, small_train.dim, seed=5)
         points = [state.w, state.agd_y]  # every iterate and lookahead, by identity
         rule = {"threshold": 1e-3} if mode == "until_threshold" else {"iterations": 3}
@@ -434,17 +449,19 @@ class TestSolve:
             result = solve(state, spec, view, **rule,
                            callback=lambda st, it, at_w: points.extend((st.w, st.agd_y)))
         result.exit.grad_norm  # every caller reads the exit measurement
+        operands = log.vectors("csr")
         k = result.iterations
         assert k >= 1
-        expected = 2 * k if (method, mode) == ("agd", "until_threshold") else k + 1
+        expected = 2 * k - 1 if (method, mode) == ("agd", "until_threshold") else k
         margin_products = [v for v in operands if any(v is p for p in points)]
         assert len(margin_products) == expected
         # besides them, only each SVRG epoch's product with its shift b
         assert len(operands) == expected + (k if method == "svrg" else 0)
+        assert all(v.any() for v in operands)
         if method != "agd":
-            # one product per iterate, by value: an SVRG epoch makes no product
-            # of its own for its anchor
-            for w in points[::2]:
+            # one product per iterate after the start, by value: an SVRG epoch
+            # makes no product of its own for its anchor
+            for w in points[2::2]:
                 assert sum(np.array_equal(v, w) for v in operands) == 1
 
     def test_agd_callback_measures_w_not_y(self, spec, small_train):
@@ -460,6 +477,17 @@ class TestSolve:
             assert (at_w.risk, at_w.grad_norm) == (r, gnorm)
             np.testing.assert_array_equal(at_w.grad, g)
 
+    def test_entry_must_be_at_the_state_on_the_view(self, spec, small_train):
+        view = small_train.prefix(64)
+        state = init_state("gd", small_train.dim)
+        for entry in (Measurement(spec, state.w.copy(), view),
+                      Measurement(spec, state.w, small_train.prefix(64)),
+                      Measurement(replace(spec, c=2.0), state.w, view)):
+            with pytest.raises(ValueError, match="entry must be the measurement at state.w"):
+                solve(state, spec, view, iterations=1, entry=entry)
+        entry = Measurement(spec, state.w, view)
+        assert solve(state, spec, view, iterations=0, entry=entry).exit is entry
+
     def test_divergence_detected(self):
         # absurdly small smoothness constant gives a step far above 2/L
         ds = parse_sparse_text("+1 1:40\n")
@@ -470,3 +498,30 @@ class TestSolve:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             init_state("newton", 3)
+
+
+@pytest.mark.parametrize("method", ["gd", "agd", "svrg"])
+@pytest.mark.parametrize("gamma,first_steps", [(0.5, True), (1.0, False)],
+                         ids=["later_stage_exits_at_entry", "first_stage_exits_at_zero"])
+@pytest.mark.parametrize("eval_every", [1, 2])
+def test_a_run_and_its_reference_multiply_each_iterate_once(method, gamma, first_steps,
+                                                            eval_every, split_data, monkeypatch):
+    # the entry of a stage takes the recorder's margins at the last exit, the
+    # reference solve starts from the run's exit measurement, and the zero
+    # vector's margins, test error and tail rows take no product
+    train, test = split_data
+    spec = RiskSpec(gamma=gamma, M=erm.smoothness_constant("logistic", train))
+    log = _ProductLog(monkeypatch)
+    with _precondition_warning(method == "svrg" and first_steps):
+        at_exit, _, reports = adaptive_run(
+            RunConfig(method=method, m0=32, seed=3, eval_every=eval_every), spec, train, test)
+    # with a step, the second stage exits at its entry; else the first exits at zero
+    assert (reports[0].iterations > 0, reports[1].iterations) == (first_steps, 0)
+    assert reference_optimum(spec, train, start=at_exit).grad_norm <= 1e-10
+    assert len(log.products) > 2 * len(reports)
+    read = {}  # (format, vector bytes) -> address ranges already read with that vector
+    for fmt, _, value, start, end in log.products:
+        assert np.frombuffer(value).any()
+        ranges = read.setdefault((fmt, value), [])
+        assert all(end <= a or b <= start for a, b in ranges)
+        ranges.append((start, end))
