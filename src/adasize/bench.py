@@ -5,21 +5,26 @@ minimizer computed once per risk: damped Newton-CG to a measured gradient
 2-norm at most the tolerance, started from the iterate it judges where a
 caller holds one, else from zero.  It shares no step rule with the
 GD/AGD/SVRG solvers it judges, only the risk oracle `erm.Measurement`, which
-is also what it returns.  `run` and `compare` start it from the judged run's
-exit measurement, so the margins and gradient there are the run's and are
-not computed again.  One effective pass is N per-sample gradient
-evaluations where N is the full training-set size, so a run's work in passes
-is its grad_evals / N.
+is also what it returns.  Its conjugate gradients are the package's own,
+`conjugate_gradients`, which takes scipy's `cg` steps bit for bit, so no
+command imports `scipy.sparse.linalg`: that import alone would raise the
+resident peak after `import adasize.cli` from about 58 to 66 MB (numpy
+2.4, scipy 1.17, one BLAS thread).  The saving needs a scipy whose
+`scipy.sparse` loads `linalg` on first use, as 1.17 does; one that imports
+it with `scipy.sparse` pays the 8 MB whatever this module does.  `run`
+and `compare` start it from the judged run's exit measurement, so the
+margins and gradient there are the run's and are not computed again.  One
+effective pass is N per-sample gradient evaluations where N is the full
+training-set size, so a run's work in passes is its grad_evals / N.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import linalg as sparse_linalg
 
 from . import driver, erm, schedule, solvers
 from .data import Dataset
@@ -33,6 +38,39 @@ NEWTON_CG_RTOL = 1e-3
 NEWTON_SIGMA = 1e-4
 NEWTON_MIN_STEP = 2.0**-20
 NEWTON_MAX_STEPS = 100
+
+
+def conjugate_gradients(matvec: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
+                        rtol: float) -> np.ndarray:
+    """x with ||b - A x|| < rtol ||b|| by conjugate gradients from zero; matvec is v -> A v.
+
+    The steps of scipy's `cg(A, b, rtol=rtol)` with no preconditioner, in
+    its order of operations, so x has its bits: zeros where ||b|| = 0, the
+    residual test before each step, p updated in place, and at most
+    10 dim steps.  rho stays a numpy scalar, as there, so a zero p.q gives
+    nan with a warning, as there, and not ZeroDivisionError.
+    """
+    x = np.zeros(b.shape[0])
+    b_norm = float(np.linalg.norm(b))
+    if b_norm == 0.0:
+        return x
+    atol = rtol * b_norm
+    r, p, rho_prev = b.copy(), None, None
+    for _ in range(10 * b.shape[0]):
+        rho = np.dot(r, r)
+        if math.sqrt(rho) < atol:  # np.linalg.norm(r), from the same dot product
+            break
+        if p is None:
+            p = r.copy()
+        else:
+            p *= rho / rho_prev
+            p += r
+        q = matvec(p)
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x
 
 
 def reference_optimum(spec: RiskSpec, view: Dataset, tolerance: float = 1e-10,
@@ -70,9 +108,7 @@ def reference_optimum(spec: RiskSpec, view: Dataset, tolerance: float = 1e-10,
     for _ in range(NEWTON_MAX_STEPS):
         if at.grad_norm <= tolerance:
             break
-        hess = sparse_linalg.LinearOperator((view.dim, view.dim), dtype=float,
-                                            matvec=erm.risk_hessian(at))
-        d = sparse_linalg.cg(hess, -at.grad, rtol=NEWTON_CG_RTOL)[0]
+        d = conjugate_gradients(erm.risk_hessian(at), -at.grad, NEWTON_CG_RTOL)
         t = 1.0
         while t >= NEWTON_MIN_STEP:
             trial = erm.Measurement(spec, at.w + t * d, view)

@@ -262,7 +262,16 @@ def _prepare_experiment(args, wstar_sq: float = 0.0):
     ds, digest = _load_dataset(args)
     train, test = _from_flags(data.shuffle_and_split, ds, args.N or ds.n_samples, seed=args.seed)
     del ds  # the split holds its own permuted copy of every row
-    m = 1.0 if args.m_mode == "paper" else erm.smoothness_constant(args.loss, train)
+    if args.m_mode == "tight":
+        m = erm.smoothness_constant(args.loss, train)
+    else:  # the paper's M = 1 for unit-norm rows; only raw rows are checked against it, since
+        # the squared-loss constant of normalized rows computes to 1 plus a few ulps
+        m = 1.0
+        if args.no_normalize and (tight := erm.smoothness_constant(args.loss, train)) > m:
+            raise ValueError(
+                f"--m-mode paper takes M = 1, below the tight smoothness constant {tight:.6g} "
+                f"of the {args.loss} loss on these unnormalized rows; pass --m-mode tight, "
+                "or drop --no-normalize")
     spec = _from_flags(RiskSpec, loss=args.loss, c=args.c, alpha=args.alpha, gamma=args.gamma,
                        M=m, wstar_sq=wstar_sq)
     return train, test, spec, digest

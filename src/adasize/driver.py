@@ -100,10 +100,10 @@ class _Recorder:
     """Builds the trace: full-set risk, stage gradient norm, optional test error.
 
     R_N at a stage-n iterate takes the stage measurement's n margins and a
-    product over rows n..N, through a CSR of those rows built once per stage;
-    the first n margins of x_N @ w are the bits of x_n @ w.  `last` is the
-    full-set measurement of the last event, so its margins serve the next
-    stage's entry.
+    product over rows n..N (`erm.extend`), through a CSR of those rows built
+    once per stage; the first n margins of x_N @ w are the bits of x_n @ w.
+    `last` is the full-set measurement of the last event, so its margins
+    serve the next stage's entry.
 
     The recorder alone keeps the trace at one event per grad_evals value: an
     iterate that is the array recorded last, as a stage that exits without
@@ -132,8 +132,7 @@ class _Recorder:
         if n < full.n_samples:
             if self._tail is None or self._tail[0] != n:
                 self._tail = (n, row_block(full.x, n, full.n_samples))
-            margins = np.concatenate((at_w.margins, erm.margins(self._tail[1], state.w)))
-            at_full = Measurement(self.spec, state.w, full, margins)
+            at_full = erm.extend(self.spec, at_w, full, self._tail[1])
         self.last = at_full
         err = None
         if self.test is not None and self.test.n_samples:

@@ -136,6 +136,16 @@ class Measurement:
         return float(values.mean()) + 0.5 * self._reg * float(self.w @ self.w)
 
 
+def extend(spec: RiskSpec, at: Measurement, full: Dataset, tail) -> Measurement:
+    """The measurement at at.w on `full`, whose rows are at.view's and then `tail`'s.
+
+    Its margins are at's and one product over the tail rows, the bits of
+    full.x @ w: a CSR product sums each row on its own, left to right, and
+    `data.row_block` gives the tail over the same data.
+    """
+    return Measurement(spec, at.w, full, np.concatenate((at.margins, margins(tail, at.w))))
+
+
 def risk_hessian(at: Measurement):
     """The Hessian-vector product v -> grad^2 R_n(w) v = X^T (h * Xv) / n + cV_n v at at.w.
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import bench, driver, erm, schedule, solvers
-from .data import Dataset
+from .data import Dataset, row_block
 from .driver import RunConfig
 from .erm import RiskSpec
 
@@ -279,11 +279,14 @@ def lemma2_check(spec: RiskSpec, base: Dataset, n: int, draws: int,
                    f"{exceed}/{draws} draws above the unslacked bound")
 
 
-def _threshold_solve(spec: RiskSpec, view: Dataset, threshold: float) -> np.ndarray:
-    """Stage solve from zero under the gradient-norm rule: AGD, tight-constant steps."""
+def _threshold_solve(spec: RiskSpec, view: Dataset, threshold: float) -> erm.Measurement:
+    """Stage solve from zero under the gradient-norm rule: AGD, tight-constant steps.
+
+    Returns the solve's exit measurement, whose margins are the view's rows times w.
+    """
     tight_spec = replace(spec, M=erm.smoothness_constant(spec.loss, view))
     return solvers.solve(solvers.init_state("agd", view.dim), tight_spec, view,
-                         threshold=threshold).state.w
+                         threshold=threshold).exit
 
 
 def proposition1_check(spec: RiskSpec, base: Dataset, m: int, draws: int,
@@ -293,7 +296,9 @@ def proposition1_check(spec: RiskSpec, base: Dataset, m: int, draws: int,
     The bound reads ||w*||^2 as spec.wstar_sq, which `verify` sets to the
     proxy.  `losses` is `probe_losses(spec.loss, base, seed)` where the
     caller holds it.  The measurement at the warm start on S_n is both the
-    reference solve's start and the risk its gap is taken from.
+    reference solve's start and the risk its gap is taken from; its margins
+    are the S_m solve's exit margins and one product over rows m..n, so
+    each row is multiplied by w_m once.
     """
     n = 2 * m
     if not 1 <= m <= base.n_samples // 2:
@@ -307,8 +312,8 @@ def proposition1_check(spec: RiskSpec, base: Dataset, m: int, draws: int,
     sup_n = 0.0
     for perm, l_full, l_m, l_nm in _nested_draws(spec.loss, base, m, n, draws, seed, losses):
         nested = _shuffled_copy(base, perm, n)
-        w_m = _threshold_solve(spec, nested.prefix(m), schedule.stop_threshold(spec, m))
-        at_m = erm.Measurement(spec, w_m, nested)
+        exit_m = _threshold_solve(spec, nested.prefix(m), schedule.stop_threshold(spec, m))
+        at_m = erm.extend(spec, exit_m, nested, row_block(nested.x, m, n))
         ref_n = bench.reference_optimum(spec, nested, tolerance=1e-9, start=at_m)
         lhs_values.append(at_m.risk - ref_n.risk)
         sup_m += float(np.max(np.abs(l_full - l_m)))

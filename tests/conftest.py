@@ -40,6 +40,51 @@ def rcv1_tiny(rcv1_like):
     return Dataset(x, labels.astype(np.float64))
 
 
+class ProductLog:
+    """Every product of a CSR or CSC matrix with a vector while the log is installed.
+
+    Each entry is (format, vector, its bytes then, start, end): a caller
+    may change the vector later, as conjugate gradients does, and [start,
+    end) is the address range of the nonzeros the product reads.  Prefixes,
+    row blocks and transposes share their base's values, so two products
+    read a row in common exactly where their ranges meet.
+    """
+
+    def __init__(self, monkeypatch):
+        self.products = []
+        for cls in (sparse.csr_matrix, sparse.csc_matrix):
+            monkeypatch.setattr(cls, "__matmul__", self._logging(cls.__matmul__))
+
+    def _logging(self, real):
+        def matmul(x, other):
+            if np.ndim(other) == 1:
+                start = x.data.__array_interface__["data"][0]
+                self.products.append((x.format, other, other.tobytes(), start,
+                                      start + x.data.nbytes))
+            return real(x, other)
+        return matmul
+
+    def vectors(self, fmt: str) -> list:
+        return [v for f, v, _, _, _ in self.products if f == fmt]
+
+    def repeats(self) -> list:
+        """(format, start, end) of each product that reads nonzeros an earlier product
+        of the same format read with a vector of the same bytes."""
+        read, out = {}, []  # (format, vector bytes) -> address ranges read with that vector
+        for fmt, _, value, start, end in self.products:
+            ranges = read.setdefault((fmt, value), [])
+            if not all(end <= a or b <= start for a, b in ranges):
+                out.append((fmt, start, end))
+            ranges.append((start, end))
+        return out
+
+
+@pytest.fixture()
+def product_log(monkeypatch):
+    """A `ProductLog` installed for the test."""
+    return ProductLog(monkeypatch)
+
+
 @pytest.fixture()
 def spec():
     return RiskSpec(loss="logistic", c=1.0, alpha=0.5, gamma=1.0, M=1.0)

@@ -189,6 +189,52 @@ def _tight_spec(loss, view):
     return RiskSpec(loss=loss, c=1.0, alpha=0.5, gamma=0.5, M=smoothness_constant(loss, view))
 
 
+def _scipy_cg(matvec, b, rtol):
+    """(x, info) of scipy's cg on the operator v -> matvec(v): the slow reference."""
+    dim = b.shape[0]
+    op = sparse_linalg.LinearOperator((dim, dim), dtype=float, matvec=matvec)
+    return sparse_linalg.cg(op, b, rtol=rtol)
+
+
+@pytest.mark.parametrize("loss", ["logistic", "squared"])
+@pytest.mark.parametrize("data", ["dense_4096x20", "rcv1_2000"])
+@pytest.mark.parametrize("point", ["zero", "random"])
+def test_conjugate_gradients_is_scipys_cg_on_newton_systems(loss, data, point, request):
+    view = request.getfixturevalue(data)
+    spec = _tight_spec(loss, view)
+    w = np.zeros(view.dim) if point == "zero" else \
+        np.random.default_rng(3).uniform(-1.0, 1.0, view.dim)
+    at = Measurement(spec, w, view)
+    for rtol in (bench.NEWTON_CG_RTOL, 1e-10):
+        x, info = _scipy_cg(erm.risk_hessian(at), -at.grad, rtol)
+        assert info == 0
+        assert bench.conjugate_gradients(erm.risk_hessian(at), -at.grad, rtol).tobytes() == \
+            x.tobytes()
+
+
+def _spd(dim, cond, seed):
+    """A dense symmetric positive-definite matrix with eigenvalues from 1 to cond."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((dim, dim)))
+    a = q @ np.diag(np.logspace(0.0, np.log10(cond), dim)) @ q.T
+    return (a + a.T) / 2
+
+
+@pytest.mark.parametrize("case,rtol,info", [
+    ("zero_b", 1e-3, 0),
+    ("b_under_rtol", 2.0, 0),        # ||b|| < 2 ||b||: no step
+    ("converges", 1e-14, 0),
+    ("step_cap", 1e-30, 100),        # cond 1e12: 10 dim steps do not get there
+])
+def test_conjugate_gradients_is_scipys_cg_at_its_edges(case, rtol, info):
+    a = _spd(10, 1e12 if case == "step_cap" else 1e8, seed=0)
+    b = np.zeros(10) if case == "zero_b" else np.random.default_rng(1).standard_normal(10)
+    x, got_info = _scipy_cg(lambda v: a @ v, b, rtol)
+    assert got_info == info
+    mine = bench.conjugate_gradients(lambda v: a @ v, b, rtol)
+    assert mine.tobytes() == x.tobytes()
+    assert mine.any() == (case in ("converges", "step_cap"))
+
+
 def _risk_gap_bound(spec, view, tol):
     # R_n(w) - R_n(w*) <= ||grad R_n(w)||^2 / (2 cV_n) for the cV_n-strongly convex R_n
     return tol**2 / (2 * spec.c * statistical_accuracy(spec, view.n_samples))

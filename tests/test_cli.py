@@ -115,6 +115,40 @@ def test_exhausted_adaptive_stage_exits_2(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv,loss,tight", [
+    # the compare case diverged with numpy overflow warnings while M = 1 went unchecked
+    (["compare", "--gen", "512,12,1.0", "--loss", "squared", "--m0", "64"], "squared", "27.458"),
+    (["run", "--gen", "64,4,0.5", "--m0", "32"], "logistic", "2.61708"),
+    (["verify", "--gen", "256,6,1.0", "--checks", "fd", "--trials", "2"], "logistic", "4.49626"),
+], ids=["compare", "run", "verify"])
+def test_paper_mode_below_the_raw_rows_constant_exits_2(tmp_path, capsys, argv, loss, tight):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(argv + ["--no-normalize", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --m-mode paper takes M = 1, below the tight smoothness constant {tight} of the "
+        f"{loss} loss on these unnormalized rows; pass --m-mode tight, or drop --no-normalize\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("loss", ["logistic", "squared"])
+@pytest.mark.parametrize("rows", ["raw_within_m", "normalized"])
+def test_paper_mode_runs_where_m_holds(tmp_path, loss, rows):
+    # raw rows of squared norm 0.5 have constants 0.125 and 0.5; normalized rows are
+    # not checked, since their squared-loss constant computes to 1 plus a few ulps
+    if rows == "raw_within_m":
+        data_file = tmp_path / "small.svm"
+        data_file.write_text("".join(f"{'+1' if i % 3 else '-1'} 1:0.5 {2 + i % 4}:0.5\n"
+                                     for i in range(32)))
+        flags = ["--dataset", str(data_file), "--no-normalize"]
+    else:
+        normalized = data.normalize(generate_synthetic(64, 4, 1.0, seed=0)[0])
+        assert erm.smoothness_constant("squared", normalized) == 1.0000000000000004
+        flags = ["--gen", "64,4,1.0"]
+    assert run_cli(["run", *flags, "--loss", loss, "--m0", "16", "--out", str(tmp_path)]) == 0
+
+
 def test_paper_scale_gen_exits_2_before_allocating(tmp_path, capsys):
     # 24 TB of dense arrays: refused by the size check, never allocated
     assert run_cli(["run", "--gen", "1000000,1000000,0.001", "--out", str(tmp_path)]) == 2
@@ -673,7 +707,9 @@ class TestGenHash:
         assert _gen_sha256(tmp_path / "a") != _gen_sha256(tmp_path / "b", seed="6")
 
     def test_normalization_does_not_change_it(self, tmp_path):
-        assert _gen_sha256(tmp_path / "a") == _gen_sha256(tmp_path / "b", "--no-normalize")
+        # raw rows of this set have logistic constant 2.6, above paper mode's M = 1
+        assert _gen_sha256(tmp_path / "a") == _gen_sha256(tmp_path / "b", "--no-normalize",
+                                                           "--m-mode", "tight")
 
     def test_equals_the_documented_layout(self, tmp_path):
         ds, _ = generate_synthetic(64, 4, 0.5, seed=5)

@@ -1,7 +1,12 @@
 """The package's internal import graph: every import that can run, also inside functions."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import adasize
 
@@ -55,3 +60,39 @@ def test_internal_import_graph_is_acyclic():
 
     for name in sorted(graph):
         visit(name, [])
+
+
+_COMMANDS_THEN_MODULES = """
+import sys
+import scipy.sparse
+if "scipy.sparse.linalg" in sys.modules:
+    print("eager")  # this scipy imports it with scipy.sparse, whatever the package does
+    sys.exit()
+from adasize.cli import main
+out = sys.argv[1]
+assert main(["gen", "--gen", "200,8,0.5", "--out", out]) == 0
+assert main(["run", "--dataset", out + "/synthetic_200x8_seed0.svm", "--m0", "32",
+             "--adaptive", "--method", "svrg", "--out", out]) == 0
+assert main(["compare", "--gen", "256,6,1.0", "--m0", "64", "--m-mode", "tight",
+             "--out", out]) == 0
+assert main(["verify", "--gen", "256,6,1.0", "--m0", "16", "--draws", "1", "--trials", "2",
+             "--out", out]) == 0
+print(" ".join(sys.modules))  # the last line, after the commands' own output
+"""
+
+
+def test_no_command_imports_scipy_sparse_linalg(tmp_path):
+    # the reference solve runs the package's own conjugate gradients; scipy's
+    # iterative solvers would add about 8 MB resident to every process.  Only a
+    # scipy whose scipy.sparse loads its linalg submodule on first use, as 1.17
+    # does, can keep that import out
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE_DIR.parent), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-c", _COMMANDS_THEN_MODULES, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    if done.stdout == "eager\n":
+        pytest.skip("this scipy's scipy.sparse imports scipy.sparse.linalg itself")
+    modules = done.stdout.splitlines()[-1].split()
+    assert "adasize.bench" in modules
+    assert "scipy.sparse.linalg" not in modules

@@ -22,34 +22,6 @@ def _precondition_warning(violated=True):
     return pytest.warns(RuntimeWarning, match="precondition") if violated else nullcontext()
 
 
-class _ProductLog:
-    """Every product of a CSR or CSC matrix with a vector while the log is installed.
-
-    Each entry is (format, vector, its bytes then, start, end): a caller
-    may change the vector later, as conjugate gradients does, and [start,
-    end) is the address range of the nonzeros the product reads.  Prefixes,
-    row blocks and transposes share their base's values, so two products
-    read a row in common exactly where their ranges meet.
-    """
-
-    def __init__(self, monkeypatch):
-        self.products = []
-        for cls in (sparse.csr_matrix, sparse.csc_matrix):
-            monkeypatch.setattr(cls, "__matmul__", self._logging(cls.__matmul__))
-
-    def _logging(self, real):
-        def matmul(x, other):
-            if np.ndim(other) == 1:
-                start = x.data.__array_interface__["data"][0]
-                self.products.append((x.format, other, other.tobytes(), start,
-                                      start + x.data.nbytes))
-            return real(x, other)
-        return matmul
-
-    def vectors(self, fmt: str) -> list:
-        return [v for f, v, _, _, _ in self.products if f == fmt]
-
-
 def _reference_epoch(state, spec, view):
     """The dense SVRG epoch: n steps along svrg_direction from the entry iterate."""
     n = view.n_samples
@@ -435,13 +407,12 @@ class TestSolve:
 
     @pytest.mark.parametrize("method", ["gd", "agd", "svrg"])
     @pytest.mark.parametrize("mode", ["until_threshold", "fixed_iterations"])
-    def test_one_measurement_per_iterate(self, method, mode, spec, small_train, monkeypatch):
+    def test_one_measurement_per_iterate(self, method, mode, spec, small_train, product_log):
         # the stop test, the GD step and the SVRG anchor share the margins x @ w of
         # the measurement at w; AGD steps from y, so a fixed-count AGD solve reads
         # w's only at the exit, and its first step, where y is w, reads w's too;
         # the zero start's margins are zeros, with no product
         view = small_train.prefix(64)
-        log = _ProductLog(monkeypatch)
         state = init_state(method, small_train.dim, seed=5)
         points = [state.w, state.agd_y]  # every iterate and lookahead, by identity
         rule = {"threshold": 1e-3} if mode == "until_threshold" else {"iterations": 3}
@@ -449,7 +420,7 @@ class TestSolve:
             result = solve(state, spec, view, **rule,
                            callback=lambda st, it, at_w: points.extend((st.w, st.agd_y)))
         result.exit.grad_norm  # every caller reads the exit measurement
-        operands = log.vectors("csr")
+        operands = product_log.vectors("csr")
         k = result.iterations
         assert k >= 1
         expected = 2 * k - 1 if (method, mode) == ("agd", "until_threshold") else k
@@ -505,23 +476,18 @@ class TestSolve:
                          ids=["later_stage_exits_at_entry", "first_stage_exits_at_zero"])
 @pytest.mark.parametrize("eval_every", [1, 2])
 def test_a_run_and_its_reference_multiply_each_iterate_once(method, gamma, first_steps,
-                                                            eval_every, split_data, monkeypatch):
+                                                            eval_every, split_data, product_log):
     # the entry of a stage takes the recorder's margins at the last exit, the
     # reference solve starts from the run's exit measurement, and the zero
     # vector's margins, test error and tail rows take no product
     train, test = split_data
     spec = RiskSpec(gamma=gamma, M=erm.smoothness_constant("logistic", train))
-    log = _ProductLog(monkeypatch)
     with _precondition_warning(method == "svrg" and first_steps):
         at_exit, _, reports = adaptive_run(
             RunConfig(method=method, m0=32, seed=3, eval_every=eval_every), spec, train, test)
     # with a step, the second stage exits at its entry; else the first exits at zero
     assert (reports[0].iterations > 0, reports[1].iterations) == (first_steps, 0)
     assert reference_optimum(spec, train, start=at_exit).grad_norm <= 1e-10
-    assert len(log.products) > 2 * len(reports)
-    read = {}  # (format, vector bytes) -> address ranges already read with that vector
-    for fmt, _, value, start, end in log.products:
-        assert np.frombuffer(value).any()
-        ranges = read.setdefault((fmt, value), [])
-        assert all(end <= a or b <= start for a, b in ranges)
-        ranges.append((start, end))
+    assert len(product_log.products) > 2 * len(reports)
+    assert all(np.frombuffer(value).any() for _, _, value, _, _ in product_log.products)
+    assert product_log.repeats() == []

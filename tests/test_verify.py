@@ -154,6 +154,16 @@ class TestProposition1:
         with pytest.raises(ValueError):
             proposition1_check(tight_spec, base_2k, m=2000, draws=10)
 
+    def test_each_row_is_multiplied_once_per_vector(self, proxy_spec, base_2k, product_log):
+        # the S_n measurement at w_m takes the S_m solve's exit margins and one
+        # product over rows m..n, and the reference solve starts from it;
+        # gamma 0.5 makes each S_m solve step, so w_m is not the zero vector
+        rep = proposition1_check(replace(proxy_spec, gamma=0.5), base_2k, m=128, draws=2,
+                                 seed=13)
+        assert rep.passed, rep.notes
+        assert len(product_log.products) > 2 * 10
+        assert product_log.repeats() == []
+
     @pytest.mark.parametrize("m", [0, -3])
     def test_m_below_one_rejected_before_any_draw(self, tight_spec, base_2k, monkeypatch, m):
         monkeypatch.setattr(verify, "_nested_draws", _no_draws)
